@@ -13,7 +13,7 @@ import logging
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -100,23 +100,22 @@ def apply_zscore(matrix: FeatureMatrix, stats: ColumnStats) -> FeatureMatrix:
 
 
 def split(
-    matrix: FeatureMatrix, train_frac: float = 0.8, seed: int = 0, balance: bool = True
+    matrix: FeatureMatrix, train_frac: float = 0.8, seed: int = 0
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Seeded balanced stratified split.
 
-    With ``balance`` the majority label is first subsampled to the
-    minority count; each label class is then split train/test
-    separately so both sides keep a 50/50 label mix.
+    The majority label is first subsampled to the minority count; each
+    label class is then split train/test separately so both sides keep
+    a 50/50 label mix.
     """
     rng = random.Random(seed)
     pos = [i for i, v in enumerate(matrix.y) if v == 1]
     neg = [i for i, v in enumerate(matrix.y) if v == 0]
     if not pos or not neg:
         raise ValueError("both labels must be present")
-    if balance:
-        k = min(len(pos), len(neg))
-        pos = sorted(rng.sample(pos, k))
-        neg = sorted(rng.sample(neg, k))
+    k = min(len(pos), len(neg))
+    pos = sorted(rng.sample(pos, k))
+    neg = sorted(rng.sample(neg, k))
     train_idx: list[int] = []
     test_idx: list[int] = []
     for group in (neg, pos):
@@ -137,8 +136,6 @@ def split(
 class TrainConfig:
     max_iter: int = 10000
     grad_tol: float = 1e-8  # max-norm convergence threshold
-    l2: float = 0.0  # off by default; available for stability only
-    seed: int = 0
 
 
 @dataclass
@@ -149,8 +146,6 @@ class LogisticModel:
     iterations: int = 0
     converged: bool = True
     final_loss: float = 0.0
-    loss_history: list[float] = field(default_factory=list, repr=False)
-    seed: int = 0
 
     def coefficients(self) -> dict[str, float]:
         return {c: float(w) for c, w in zip(self.columns, self.weights)}
@@ -166,7 +161,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def logistic_loss_and_grad(
-    X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, l2: float = 0.0
+    X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float
 ) -> tuple[float, np.ndarray, float]:
     """Mean negative log-likelihood and its gradient in (w, b)."""
     n = X.shape[0]
@@ -176,9 +171,6 @@ def logistic_loss_and_grad(
     p = _sigmoid(z)
     gw = X.T @ (p - y) / n
     gb = float(np.mean(p - y))
-    if l2:
-        loss += 0.5 * l2 * float(w @ w)
-        gw = gw + l2 * w
     return loss, gw, gb
 
 
@@ -195,8 +187,7 @@ def logistic_fit(train: FeatureMatrix, config: TrainConfig | None = None) -> Log
     y = train.y.astype(np.float64)
     w = np.zeros(X.shape[1])
     b = 0.0
-    loss, gw, gb = logistic_loss_and_grad(X, y, w, b, cfg.l2)
-    history = [loss]
+    loss, gw, gb = logistic_loss_and_grad(X, y, w, b)
     step = 1.0
     iterations = 0
     converged = False
@@ -212,7 +203,7 @@ def logistic_fit(train: FeatureMatrix, config: TrainConfig | None = None) -> Log
         while step >= 1e-16:
             w_new = w - step * gw
             b_new = b - step * gb
-            loss_new, gw_new, gb_new = logistic_loss_and_grad(X, y, w_new, b_new, cfg.l2)
+            loss_new, gw_new, gb_new = logistic_loss_and_grad(X, y, w_new, b_new)
             if loss_new <= loss - 1e-4 * step * gnorm2:
                 improved = True
                 break
@@ -221,7 +212,6 @@ def logistic_fit(train: FeatureMatrix, config: TrainConfig | None = None) -> Log
             iterations -= 1
             break  # no descent step exists at float precision
         w, b, loss, gw, gb = w_new, b_new, loss_new, gw_new, gb_new
-        history.append(loss)
     return LogisticModel(
         columns=list(train.columns),
         weights=w,
@@ -229,8 +219,6 @@ def logistic_fit(train: FeatureMatrix, config: TrainConfig | None = None) -> Log
         iterations=iterations,
         converged=converged,
         final_loss=loss,
-        loss_history=history,
-        seed=cfg.seed,
     )
 
 

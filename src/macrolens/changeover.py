@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .extraction import name_features
-from .timelines import BodyTimeline, ExperienceLedger, interval
+from .timelines import BodyTimeline, ExperienceLedger, interval, window_bounds
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,12 @@ class ChangeoverRecord:
     timeline: BodyTimeline = field(repr=False)
 
 
-def detect_changeover(timeline: BodyTimeline, params: ChangeoverParams) -> ChangeoverRecord | None:
+def changeover_names(timeline: BodyTimeline, params: ChangeoverParams) -> tuple[str, str] | None:
     """Changeover test: volume floor, distinct early/late dominant names,
-    both above the author-share threshold in their edge windows."""
+    both above the author-share threshold in their edge windows.
+
+    Returns the (early, late) dominant names of a changeover, else None.
+    """
     if timeline.m < params.s:
         return None
     early = interval(timeline, 0.0, params.q)
@@ -146,6 +149,16 @@ def detect_changeover(timeline: BodyTimeline, params: ChangeoverParams) -> Chang
         return None
     if usage_fraction(timeline, n_late, 1.0 - params.q, 1.0) <= params.theta:
         return None
+    return n_early, n_late
+
+
+def detect_changeover(timeline: BodyTimeline, params: ChangeoverParams) -> ChangeoverRecord | None:
+    """The changeover record, with its sliding usage curves and crossing
+    point, of a body passing :func:`changeover_names`; else None."""
+    names = changeover_names(timeline, params)
+    if names is None:
+        return None
+    n_early, n_late = names
     f_curve = sliding_curve(timeline, n_early, params.delta)
     g_curve = sliding_curve(timeline, n_late, params.delta)
     return ChangeoverRecord(
@@ -184,11 +197,11 @@ def aggregate_median_curves(
     return Curve(grid, f_median), Curve(grid, g_median), sorted(hist.items())
 
 
-@dataclass(frozen=True)
-class MatchTolerances:
-    ratio_lo: float = 0.91
-    ratio_hi: float = 1.1
-    prevalence_tol: float = 0.01
+# matching bounds: changeover/control volume ratio band and the largest
+# early-prevalence gap (exclusive) for either name
+MATCH_RATIO_LO = 0.91
+MATCH_RATIO_HI = 1.1
+MATCH_PREVALENCE_TOL = 0.01
 
 
 @dataclass
@@ -213,7 +226,7 @@ def find_control_candidates(
         tl = timelines[key]
         if tl.m < params.s:
             continue
-        if detect_changeover(tl, params) is not None:
+        if changeover_names(tl, params) is not None:
             continue
         early = interval(tl, 0.0, params.q)
         n_early = most_used_name(early)
@@ -258,7 +271,6 @@ def match_pairs(
     changeovers: Sequence[ChangeoverRecord],
     candidates: Sequence[ControlCandidate],
     params: ChangeoverParams,
-    tolerances: MatchTolerances | None = None,
 ) -> tuple[list[MatchedPair], int]:
     """Greedy matching without replacement, largest controls first.
 
@@ -267,7 +279,6 @@ def match_pairs(
     is the one closest in early prevalence to the changeover's late
     name.  Returns the pairs and the count of unmatched changeovers.
     """
-    tol = tolerances or MatchTolerances()
     q = params.q
     pool = sorted(candidates, key=lambda c: (-c.timeline.m, c.timeline.key))
     used = [False] * len(pool)
@@ -281,16 +292,16 @@ def match_pairs(
             if used[idx]:
                 continue
             ratio = rec.m / cand.timeline.m
-            if not (tol.ratio_lo <= ratio <= tol.ratio_hi):
+            if not (MATCH_RATIO_LO <= ratio <= MATCH_RATIO_HI):
                 continue
-            if abs(f_b - cand.early_prevalence) >= tol.prevalence_tol:
+            if abs(f_b - cand.early_prevalence) >= MATCH_PREVALENCE_TOL:
                 continue
             best_name = None
             best_rank: tuple[float, int, str] | None = None
             for name in sorted(cand.others):
                 prevalence, first_idx = cand.others[name]
                 gap = abs(g_b - prevalence)
-                if gap >= tol.prevalence_tol:
+                if gap >= MATCH_PREVALENCE_TOL:
                     continue
                 rank = (gap, first_idx, name)
                 if best_rank is None or rank < best_rank:
@@ -325,12 +336,6 @@ def match_pairs(
 # ---------------------------------------------------------------------------
 
 
-def _window_bounds(m: int, t0: float, t1: float) -> tuple[int, int]:
-    start = min(math.floor(t0 * m), m - 1)
-    end = min(max(math.floor(t1 * m), start + 1), m)
-    return start, end
-
-
 def _first_use_positions(timeline: BodyTimeline) -> dict[tuple[str, str], int]:
     first: dict[tuple[str, str], int] = {}
     for idx, occ in enumerate(timeline.occurrences):
@@ -348,7 +353,7 @@ def _window_experiences(
     adoption_only: bool,
     first_use: dict[tuple[str, str], int],
 ) -> list[int]:
-    start, end = _window_bounds(timeline.m, t0, t1)
+    start, end = window_bounds(timeline.m, t0, t1)
     values: list[int] = []
     for idx in range(start, end):
         occ = timeline.occurrences[idx]
@@ -425,8 +430,13 @@ def experience_curves(
 FEATURE_WINDOW_WIDTH = 0.05
 
 
+def _feature_window_count(q: float) -> int:
+    """How many feature windows of FEATURE_WINDOW_WIDTH fit in the edge window q."""
+    return int(math.floor(q / FEATURE_WINDOW_WIDTH + 1e-9))
+
+
 def changeover_feature_columns(q: float) -> list[str]:
-    n_windows = int(math.floor(q / FEATURE_WINDOW_WIDTH + 1e-9))
+    n_windows = _feature_window_count(q)
     cols = ["early_authors_e", "early_authors_l"]
     for tag in ("e", "l"):
         for kind in ("usage", "adoption"):
@@ -451,14 +461,14 @@ def changeover_features(
     """Feature rows for the changeover body (label 1) and its control
     (label 0): early author counts, windowed experiences with missing
     flags, and name orthography."""
-    n_windows = int(math.floor(q / FEATURE_WINDOW_WIDTH + 1e-9))
+    n_windows = _feature_window_count(q)
     rows: list[list[float]] = []
     for timeline, early_name, late_name in (
         (pair.record.timeline, pair.record.early_name, pair.record.late_name),
         (pair.control, pair.control_early_name, pair.control_late_name),
     ):
         first_use = _first_use_positions(timeline)
-        start, end = _window_bounds(timeline.m, 0.0, q)
+        start, end = window_bounds(timeline.m, 0.0, q)
         early_occs = timeline.occurrences[start:end]
         row: list[float] = []
         for name in (early_name, late_name):

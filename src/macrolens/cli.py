@@ -17,11 +17,10 @@ from . import analytics, changeover, fights, report, synth
 from .corpus import Corpus, load_corpus
 from .extraction import MacroDefinition, extract_definitions
 from .timelines import (
-    build_coauthor_index,
-    build_experience_ledger,
+    CoauthorIndex,
+    ExperienceLedger,
     build_name_timelines,
     build_timelines,
-    timeline_rows,
 )
 
 log = logging.getLogger("macrolens")
@@ -73,33 +72,40 @@ def _extract_all(corpus: Corpus) -> tuple[dict[str, list[MacroDefinition]], int]
     return by_paper, skipped
 
 
+def _load_extracted(args) -> tuple[Corpus, dict[str, list[MacroDefinition]]]:
+    corpus = _load(args)
+    defs, _ = _extract_all(corpus)
+    return corpus, defs
+
+
 def _outdir(args) -> Path:
     out = Path(args.out if args.out is not None else _default_outdir())
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def cmd_extract(args) -> int:
-    corpus = _load(args)
-    defs, _ = _extract_all(corpus)
-    rows = []
-    for paper in corpus:
-        for d in defs.get(paper.paper_id, []):
-            rows.append((d.paper_id, d.name, d.body, d.command))
+def _write_definitions(out: Path, corpus: Corpus, defs, fmt: str) -> None:
+    rows = [
+        (d.paper_id, d.name, d.body, d.command)
+        for paper in corpus
+        for d in defs.get(paper.paper_id, [])
+    ]
     report.write_table(
-        _outdir(args) / "definitions", ("paper_id", "name", "body", "defining_command"),
-        rows, args.format,
+        out / "definitions", ("paper_id", "name", "body", "defining_command"), rows, fmt
     )
+
+
+def cmd_extract(args) -> int:
+    corpus, defs = _load_extracted(args)
+    _write_definitions(_outdir(args), corpus, defs, args.format)
     return 0
 
 
 def cmd_timelines(args) -> int:
-    corpus = _load(args)
-    defs, _ = _extract_all(corpus)
-    timelines = build_timelines(corpus, defs)
+    corpus, defs = _load_extracted(args)
     rows = [
-        (r["body_hash"], r["m"], r["distinct_names"], r["distinct_authors"])
-        for r in timeline_rows(timelines)
+        (report.body_hash(tl.signature, tl.body), tl.m, len(tl.names()), len(tl.distinct_authors()))
+        for _, tl in sorted(build_timelines(corpus, defs).items())
     ]
     report.write_table(
         _outdir(args) / "timelines", ("body_hash", "m", "distinct_names", "distinct_authors"),
@@ -119,8 +125,7 @@ def _detect_changeovers(corpus, defs, params):
 
 
 def cmd_changeovers(args) -> int:
-    corpus = _load(args)
-    defs, _ = _extract_all(corpus)
+    corpus, defs = _load_extracted(args)
     params = _changeover_params(args)
     _, records = _detect_changeovers(corpus, defs, params)
     out = _outdir(args)
@@ -151,17 +156,15 @@ def _matched_pairs(corpus, defs, params):
 
 
 def cmd_matched_pairs(args) -> int:
-    corpus = _load(args)
-    defs, _ = _extract_all(corpus)
+    corpus, defs = _load_extracted(args)
     params = _changeover_params(args)
     _, _, pairs, unmatched = _matched_pairs(corpus, defs, params)
     if unmatched:
         log.warning("%d changeovers had no matching control", unmatched)
-    ledger = build_experience_ledger(corpus)
+    ledger = ExperienceLedger(corpus)
     out = _outdir(args)
     pair_rows = []
     feat_rows = []
-    labels = []
     for pair in pairs:
         pair_rows.append(
             (
@@ -180,8 +183,7 @@ def cmd_matched_pairs(args) -> int:
             )
         )
         row_beta, row_gamma = changeover.changeover_features(pair, params.q, ledger)
-        feat_rows.extend([row_beta, row_gamma])
-        labels.extend([1, 0])
+        feat_rows.extend([(*row_beta, 1), (*row_gamma, 0)])
     report.write_table(
         out / "matched_pairs",
         (
@@ -195,37 +197,31 @@ def cmd_matched_pairs(args) -> int:
     report.write_table(
         out / "changeover_features",
         tuple(cols) + ("label",),
-        [tuple(r) + (lbl,) for r, lbl in zip(feat_rows, labels)],
+        feat_rows,
         args.format,
     )
     return 0
 
 
 def cmd_curves(args) -> int:
-    corpus = _load(args)
-    defs, _ = _extract_all(corpus)
+    corpus, defs = _load_extracted(args)
     params = _changeover_params(args)
     _, records, pairs, _ = _matched_pairs(corpus, defs, params)
     out = _outdir(args)
+    agg_rows, hist = [], []
     if records:
         f_med, g_med, hist = changeover.aggregate_median_curves(records)
         agg_rows = [(t, f_med.values[i], "early_median") for i, t in enumerate(f_med.grid)]
         agg_rows += [(t, g_med.values[i], "late_median") for i, t in enumerate(g_med.grid)]
-        report.write_table(out / "aggregate_curves", ("t", "value", "series"), agg_rows, args.format)
-        report.write_table(out / "crossing_histogram", ("t", "count"), hist, args.format)
-    else:
-        report.write_table(out / "aggregate_curves", ("t", "value", "series"), [], args.format)
-        report.write_table(out / "crossing_histogram", ("t", "count"), [], args.format)
+    report.write_table(out / "aggregate_curves", ("t", "value", "series"), agg_rows, args.format)
+    report.write_table(out / "crossing_histogram", ("t", "count"), hist, args.format)
+    exp_rows = []
     if pairs:
-        ledger = build_experience_ledger(corpus)
-        curves = changeover.experience_curves(pairs, ledger, params.delta)
-        exp_rows = []
+        curves = changeover.experience_curves(pairs, ExperienceLedger(corpus), params.delta)
         for series in changeover.EXPERIENCE_SERIES:
             for i, t in enumerate(curves.grid):
                 exp_rows.append((t, curves.series[series][i], series))
-        report.write_table(out / "experience_curves", ("t", "value", "series"), exp_rows, args.format)
-    else:
-        report.write_table(out / "experience_curves", ("t", "value", "series"), [], args.format)
+    report.write_table(out / "experience_curves", ("t", "value", "series"), exp_rows, args.format)
     return 0
 
 
@@ -234,6 +230,8 @@ def _gap_table_rows(rows):
 
 
 def _write_variant_fights(out, prefix, fight_list, timelines_by_key, corpus, ledger, args):
+    """The fights table, then (when there are fights) the feature matrix
+    and the gap table."""
     shared_label = "body_hash" if prefix == "name" else "name"
     rows = []
     for f in fight_list:
@@ -254,7 +252,10 @@ def _write_variant_fights(out, prefix, fight_list, timelines_by_key, corpus, led
          "winner", "exp_1", "exp_2"),
         rows, args.format,
     )
-    index = build_coauthor_index(corpus)
+    if not fight_list:
+        log.warning("no %s fights detected", prefix)
+        return
+    index = CoauthorIndex(corpus)
     matrix = fights.fight_feature_matrix(fight_list, timelines_by_key, corpus, ledger, index)
     report.write_table(
         out / f"{prefix}_fight_features",
@@ -273,42 +274,37 @@ def _write_variant_fights(out, prefix, fight_list, timelines_by_key, corpus, led
 
 
 def cmd_fights(args) -> int:
+    if args.mode == "title":
+        return _title_fights(args)
+    corpus, defs = _load_extracted(args)
+    out = _outdir(args)
+    ledger = ExperienceLedger(corpus)
+    if args.mode == "name":
+        timelines = build_timelines(corpus, defs)
+        filters = fights.FightFilters(
+            min_distinct_authors=args.min_authors,
+            min_shared_len=args.min_body_len,
+            three_author=args.three_author,
+        )
+        fight_list = fights.detect_name_fights(corpus, timelines, ledger, filters)
+        by_key = timelines
+    else:
+        whitelist = args.whitelist or list(fights.DEFAULT_BODY_FIGHT_NAMES)
+        name_timelines = build_name_timelines(corpus, defs, whitelist=whitelist)
+        fight_list = fights.detect_body_fights(
+            name_timelines, ledger,
+            min_distinct_authors=args.min_authors,
+            three_author=args.three_author,
+        )
+        by_key = {tl.key: tl for tl in name_timelines.values()}
+    _write_variant_fights(out, args.mode, fight_list, by_key, corpus, ledger, args)
+    return 0
+
+
+def _title_fights(args) -> int:
     corpus = _load(args)
     out = _outdir(args)
-    ledger = build_experience_ledger(corpus)
-    if args.mode in ("name", "body"):
-        defs, _ = _extract_all(corpus)
-        if args.mode == "name":
-            timelines = build_timelines(corpus, defs)
-            filters = fights.FightFilters(
-                min_distinct_authors=args.min_authors,
-                min_shared_len=args.min_body_len,
-                three_author=args.three_author,
-            )
-            fight_list = fights.detect_name_fights(corpus, timelines, ledger, filters)
-            by_key = timelines
-        else:
-            whitelist = args.whitelist or list(fights.DEFAULT_BODY_FIGHT_NAMES)
-            fight_list = fights.detect_body_fights(
-                corpus, defs, ledger, whitelist,
-                min_distinct_authors=args.min_authors,
-                three_author=args.three_author,
-            )
-            name_timelines = build_name_timelines(corpus, defs, whitelist=whitelist)
-            by_key = {tl.key: tl for tl in name_timelines.values()}
-        if not fight_list:
-            log.warning("no %s fights detected", args.mode)
-            report.write_table(
-                out / f"{args.mode}_fights",
-                ("paper_id", "author_1", "author_2",
-                 "body_hash" if args.mode == "name" else "name",
-                 "choice_1", "choice_2", "winner", "exp_1", "exp_2"),
-                [], args.format,
-            )
-            return 0
-        _write_variant_fights(out, args.mode, fight_list, by_key, corpus, ledger, args)
-        return 0
-    # title fights
+    ledger = ExperienceLedger(corpus)
     lexicon = fights.TitleLexicon.load(args.lexicon) if args.lexicon else None
     filters = fights.TitleFightFilters(
         older_exp_threshold=args.older_exp_threshold,
@@ -365,12 +361,10 @@ def _read_feature_csv(path: Path) -> analytics.FeatureMatrix:
 
 def cmd_predict(args) -> int:
     matrix = _read_feature_csv(Path(args.features))
-    train_raw, test_raw = analytics.split(
-        matrix, train_frac=args.train_frac, seed=args.seed, balance=True
-    )
+    train_raw, test_raw = analytics.split(matrix, train_frac=args.train_frac, seed=args.seed)
     train, stats = analytics.zscore(train_raw)
     test = analytics.apply_zscore(test_raw, stats)
-    model = analytics.logistic_fit(train, analytics.TrainConfig(seed=args.seed))
+    model = analytics.logistic_fit(train)
     acc = analytics.accuracy(model, test)
     correct = round(acc * test.n_rows)
     ci_lo, ci_hi = analytics.binomial_ci(correct, test.n_rows)
@@ -405,16 +399,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
-    corpus = _load(args)
-    defs, _ = _extract_all(corpus)
+    corpus, defs = _load_extracted(args)
     out = _outdir(args)
-    rows = []
-    for paper in corpus:
-        for d in defs.get(paper.paper_id, []):
-            rows.append((d.paper_id, d.name, d.body, d.command))
-    report.write_table(
-        out / "definitions", ("paper_id", "name", "body", "defining_command"), rows, args.format
-    )
+    _write_definitions(out, corpus, defs, args.format)
     summary = report.corpus_summary(corpus, defs)
     report.write_table(
         out / "summary", ("metric", "value"), report.summary_rows(summary), args.format

@@ -193,7 +193,8 @@ def load_corpus(path: Path | str) -> LoadResult:
 
     Malformed records (bad JSON, bad date, duplicate authors, duplicate
     ids, missing source files) are skipped and counted, never silently
-    dropped.  A missing manifest is fatal.
+    dropped; each is listed in ``problems`` and logged at DEBUG, so a
+    damaged snapshot does not flood the log.  A missing manifest is fatal.
     """
     path = Path(path)
     if not path.is_file():
@@ -216,7 +217,7 @@ def load_corpus(path: Path | str) -> LoadResult:
                 skipped += 1
                 msg = f"{path.name}:{lineno}: skipped record ({exc})"
                 problems.append(msg)
-                log.warning(msg)
+                log.debug(msg)
                 continue
             seen_ids.add(paper.paper_id)
             papers.append(paper)

@@ -319,18 +319,23 @@ class Convention:
     offset: int
 
 
-def paper_conventions(definitions: list[MacroDefinition]) -> list[Convention]:
-    """Collapse one paper's definitions to its effective (body, name) choices.
-
-    The last definition of a name wins (redefinition semantics); when a
-    paper gives several names to one body, the earliest surviving
-    definition provides the name used.
-    """
+def effective_definitions(definitions: list[MacroDefinition]) -> dict[str, MacroDefinition]:
+    """Each name's surviving definition in one paper: the last definition
+    of a name wins (redefinition semantics)."""
     effective: dict[str, MacroDefinition] = {}
     for d in sorted(definitions, key=lambda d: d.offset):
         effective[d.name] = d
+    return effective
+
+
+def paper_conventions(definitions: list[MacroDefinition]) -> list[Convention]:
+    """Collapse one paper's definitions to its effective (body, name) choices.
+
+    When a paper gives several names to one body, the earliest surviving
+    definition (see :func:`effective_definitions`) provides the name used.
+    """
     best: dict[tuple[str, str], MacroDefinition] = {}
-    for d in effective.values():
+    for d in effective_definitions(definitions).values():
         cur = best.get(d.body_key)
         if cur is None or d.offset < cur.offset:
             best[d.body_key] = d

@@ -23,17 +23,15 @@ import random
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .analytics import FeatureMatrix, betweenness
-from .corpus import Corpus
-from .extraction import MacroDefinition, body_features
+from .corpus import Corpus, Paper
+from .extraction import body_features
 from .timelines import (
     BodyTimeline,
     CoauthorIndex,
     ExperienceLedger,
-    build_name_timelines,
-    build_timelines,
     coauthor_graph,
     flexibility,
 )
@@ -101,10 +99,7 @@ def _latest_unambiguous_variant(
     Unusable: no prior use, or the author has other papers sharing the
     prior use's tie group (order ambiguous).
     """
-    positions = [
-        i for i in timeline.author_positions(author)
-        if timeline.occurrences[i].group_rank < cutoff_rank
-    ]
+    positions = timeline.prior_positions(author, cutoff_rank)
     if not positions:
         return None
     last = timeline.occurrences[positions[-1]]
@@ -177,19 +172,17 @@ def detect_name_fights(
 
 
 def detect_body_fights(
-    corpus: Corpus,
-    definitions: Mapping[str, list[MacroDefinition]],
+    name_timelines: Mapping[str, BodyTimeline],
     ledger: ExperienceLedger,
-    name_whitelist: Iterable[str] | None = DEFAULT_BODY_FIGHT_NAMES,
     min_distinct_authors: int = 30,
     three_author: bool = False,
 ) -> list[FightRecord]:
     """Fights over the body of a shared macro name (roles swapped).
 
-    Only whitelisted names are considered, and the length filter is
+    ``name_timelines`` come from :func:`~macrolens.timelines.build_name_timelines`,
+    whose whitelist picks the names considered.  The length filter is
     dropped since these names and bodies are typically short.
     """
-    name_timelines = build_name_timelines(corpus, definitions, whitelist=name_whitelist)
     filters = FightFilters(
         min_distinct_authors=min_distinct_authors, min_shared_len=0, three_author=three_author
     )
@@ -220,12 +213,10 @@ class GapBucketRow:
 
 
 def _bucket_rows(
-    values: Sequence[tuple[float, bool | None]], bucket_edges: Sequence[int], zero_bucket: bool
+    values: Sequence[tuple[float, bool | None]], bucket_edges: Sequence[int]
 ) -> list[GapBucketRow]:
     edges = sorted(set(bucket_edges))
-    bounds: list[tuple[int, int | None]] = []
-    if zero_bucket:
-        bounds.append((0, edges[0] if edges else None))
+    bounds: list[tuple[int, int | None]] = [(0, edges[0] if edges else None)]
     for i, lo in enumerate(edges):
         hi = edges[i + 1] if i + 1 < len(edges) else None
         bounds.append((lo, hi))
@@ -247,7 +238,6 @@ def win_rate_by_gap(
     fights: Sequence[FightRecord],
     bucket_edges: Sequence[int] = DEFAULT_GAP_EDGES,
     seed: int = 0,
-    balance: bool = True,
 ) -> list[GapBucketRow]:
     """Older-author win rate per experience-gap bucket.
 
@@ -257,16 +247,16 @@ def win_rate_by_gap(
     """
     if not fights:
         raise ValueError("no fights")
-    usable = balance_by_position(fights, seed) if balance else list(fights)
+    usable = balance_by_position(fights, seed)
     values = [(float(f.gap), f.older_won()) for f in usable]
-    return _bucket_rows(values, bucket_edges, zero_bucket=True)
+    return _bucket_rows(values, bucket_edges)
 
 
 def overall_older_win_rate(
-    fights: Sequence[FightRecord], seed: int = 0, balance: bool = True
+    fights: Sequence[FightRecord], seed: int = 0
 ) -> tuple[float, int, int]:
     """(rate, older wins, decided fights) over the balanced set."""
-    usable = balance_by_position(fights, seed) if balance else list(fights)
+    usable = balance_by_position(fights, seed)
     decided = [f.older_won() for f in usable if f.older_won() is not None]
     if not decided:
         raise ValueError("no decided fights")
@@ -311,24 +301,17 @@ def fight_features(
     shared name.
     """
     graph = coauthor_graph(corpus, timeline, fight.paper_id, index=index)
-    central = betweenness(graph.adjacency())
-    rank = fight.group_rank
-    row: list[float] = []
-    positions = {
-        a: [
-            i for i in timeline.author_positions(a)
-            if timeline.occurrences[i].group_rank < rank
-        ]
-        for a in (fight.author_a, fight.author_b)
-    }
-    row.extend([float(fight.exp_a), float(fight.exp_b)])
-    row.extend([float(len(positions[fight.author_a])), float(len(positions[fight.author_b]))])
-    for author in (fight.author_a, fight.author_b):
-        row.append(flexibility(timeline, author, fight.paper_id, corpus))
     adj = graph.adjacency()
-    for author in (fight.author_a, fight.author_b):
+    central = betweenness(adj)
+    authors = (fight.author_a, fight.author_b)
+    row: list[float] = [float(fight.exp_a), float(fight.exp_b)]
+    for author in authors:
+        row.append(float(len(timeline.prior_positions(author, fight.group_rank))))
+    for author in authors:
+        row.append(flexibility(timeline, author, fight.paper_id, corpus))
+    for author in authors:
         row.append(float(len(adj.get(author, []))))
-    for author in (fight.author_a, fight.author_b):
+    for author in authors:
         row.append(central.get(author, 0.0))
     row.extend([float(len(fight.variant_a)), float(len(fight.variant_b))])
     bf = body_features(fight.shared)
@@ -341,11 +324,9 @@ def fight_feature_matrix(
     timelines: Mapping,
     corpus: Corpus,
     ledger: ExperienceLedger,
-    index: CoauthorIndex | None = None,
+    index: CoauthorIndex,
 ) -> FeatureMatrix:
     """Label 0 when the first-listed author wins, 1 when the second does."""
-    if index is None:
-        index = CoauthorIndex(corpus)
     rows = []
     labels = []
     for fight in fights:
@@ -481,6 +462,11 @@ def classify_title(title: str, lexicon: TitleLexicon | None = None) -> TitleStyl
     )
 
 
+def _titled_papers_without(ledger: ExperienceLedger, author: str, coauthor: str) -> list[Paper]:
+    """The author's titled papers not co-authored with ``coauthor``."""
+    return [p for p in ledger.papers_of(author) if coauthor not in p.authors and p.title]
+
+
 def title_profile(
     ledger: ExperienceLedger,
     author: str,
@@ -491,10 +477,7 @@ def title_profile(
     """Lifetime fraction of the author's papers showing the style,
     skipping papers co-authored with ``exclude_coauthor`` and papers
     without a title.  Uses the whole corpus horizon by design."""
-    eligible = [
-        p for p in ledger.papers_of(author)
-        if exclude_coauthor not in p.authors and p.title
-    ]
+    eligible = _titled_papers_without(ledger, author, exclude_coauthor)
     if not eligible:
         raise ValueError(f"author {author!r} has no eligible papers")
     positives = sum(1 for p in eligible if classify_title(p.title, lexicon)[style])
@@ -564,10 +547,7 @@ def detect_title_fights(
             exp_y, exp_o = exp_b, exp_a
         if exp_o < flt.older_exp_threshold:
             continue
-        younger_solo = [
-            p for p in ledger.papers_of(younger) if older not in p.authors and p.title
-        ]
-        if len(younger_solo) < flt.min_younger_papers:
+        if len(_titled_papers_without(ledger, younger, older)) < flt.min_younger_papers:
             continue
         try:
             p_y = title_profile(ledger, younger, style, exclude_coauthor=older, lexicon=lex)
@@ -663,7 +643,7 @@ def dominance_by_gap(
     """High-experience-dominance rate per experience-gap bucket; a pair
     sits in the bucket of the mean of its two gaps."""
     values = [(p.mean_gap, p.verdict() == "high") for p in pairs]
-    return _bucket_rows(values, bucket_edges, zero_bucket=True)
+    return _bucket_rows(values, bucket_edges)
 
 
 def high_dominance_rate(pairs: Sequence[TitleFightPair]) -> tuple[float, int, int]:
@@ -671,8 +651,3 @@ def high_dominance_rate(pairs: Sequence[TitleFightPair]) -> tuple[float, int, in
         raise ValueError("no pairs")
     highs = sum(1 for p in pairs if p.verdict() == "high")
     return highs / len(pairs), highs, len(pairs)
-
-
-def build_body_timelines(corpus: Corpus, definitions: Mapping[str, list[MacroDefinition]]):
-    """Convenience re-export so fight callers need one import."""
-    return build_timelines(corpus, definitions)

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .corpus import Corpus, Paper
-from .extraction import MacroDefinition, paper_conventions
+from .extraction import MacroDefinition, effective_definitions, paper_conventions
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,10 @@ class Occurrence:
 @dataclass
 class BodyTimeline:
     """Time-ordered occurrences of one normalized body.
+
+    Occurrences are sorted by (group rank, paper id), so each author's
+    positions are in rank order and the uses before any cutoff rank form
+    a prefix of :meth:`author_positions`.
 
     For name-keyed (role-swapped) timelines built by
     :func:`build_name_timelines`, ``body`` holds the shared macro name
@@ -64,10 +68,35 @@ class BodyTimeline:
                     self._author_index.setdefault(a, []).append(idx)
         return self._author_index.get(author, [])
 
+    def prior_positions(self, author: str, cutoff_rank: int) -> list[int]:
+        """Occurrence indices of ``author``'s uses strictly before ``cutoff_rank``."""
+        positions = self.author_positions(author)
+        occs = self.occurrences
+        return positions[: bisect_left(positions, cutoff_rank, key=lambda i: occs[i].group_rank)]
 
-def _sorted_occurrences(entries: list[tuple[int, str, Occurrence]]) -> tuple[Occurrence, ...]:
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return tuple(occ for _, _, occ in entries)
+
+def _occurrences_by_key(
+    corpus: Corpus,
+    definitions: Mapping[str, list[MacroDefinition]],
+    uses: Callable[[list[MacroDefinition]], list[tuple[Hashable, str]]],
+) -> dict:
+    """Each key's occurrences in (tie group, paper id) order, keys sorted;
+    ``uses`` gives one paper's (key, name used) pairs."""
+    buckets: dict = {}
+    for paper in corpus:
+        defs = definitions.get(paper.paper_id)
+        if not defs:
+            continue
+        rank = corpus.rank_of(paper.paper_id)
+        for key, name in uses(defs):
+            occ = Occurrence(
+                paper_id=paper.paper_id, group_rank=rank, name=name, authors=paper.authors
+            )
+            buckets.setdefault(key, []).append(occ)
+    return {
+        key: tuple(sorted(buckets[key], key=lambda o: (o.group_rank, o.paper_id)))
+        for key in sorted(buckets)
+    }
 
 
 def build_timelines(
@@ -75,25 +104,13 @@ def build_timelines(
 ) -> dict[tuple[str, str], BodyTimeline]:
     """One timeline per distinct (signature, body); at most one occurrence
     per paper per body."""
-    buckets: dict[tuple[str, str], list[tuple[int, str, Occurrence]]] = {}
-    for paper in corpus:
-        defs = definitions.get(paper.paper_id)
-        if not defs:
-            continue
-        rank = corpus.rank_of(paper.paper_id)
-        for conv in paper_conventions(defs):
-            occ = Occurrence(
-                paper_id=paper.paper_id,
-                group_rank=rank,
-                name=conv.name,
-                authors=paper.authors,
-            )
-            buckets.setdefault(conv.body_key, []).append((rank, paper.paper_id, occ))
-    out: dict[tuple[str, str], BodyTimeline] = {}
-    for key in sorted(buckets):
-        sig, body = key
-        out[key] = BodyTimeline(body=body, signature=sig, occurrences=_sorted_occurrences(buckets[key]))
-    return out
+    by_body = _occurrences_by_key(
+        corpus, definitions, lambda defs: [(c.body_key, c.name) for c in paper_conventions(defs)]
+    )
+    return {
+        key: BodyTimeline(body=key[1], signature=key[0], occurrences=occs)
+        for key, occs in by_body.items()
+    }
 
 
 def build_name_timelines(
@@ -104,43 +121,40 @@ def build_name_timelines(
     """Role-swapped timelines: one per macro name, occurrences carry the
     body (with signature folded in) that the name expanded to."""
     allowed = set(whitelist) if whitelist is not None else None
-    buckets: dict[str, list[tuple[int, str, Occurrence]]] = {}
-    for paper in corpus:
-        defs = definitions.get(paper.paper_id)
-        if not defs:
-            continue
-        rank = corpus.rank_of(paper.paper_id)
-        effective: dict[str, MacroDefinition] = {}
-        for d in sorted(defs, key=lambda d: d.offset):
-            effective[d.name] = d
-        for name in sorted(effective):
-            if allowed is not None and name not in allowed:
-                continue
-            d = effective[name]
-            variant = d.body if not d.signature else f"{d.signature} {d.body}"
-            occ = Occurrence(
-                paper_id=paper.paper_id, group_rank=rank, name=variant, authors=paper.authors
-            )
-            buckets.setdefault(name, []).append((rank, paper.paper_id, occ))
+
+    def uses(defs: list[MacroDefinition]) -> list[tuple[str, str]]:
+        return [
+            (name, d.body if not d.signature else f"{d.signature} {d.body}")
+            for name, d in sorted(effective_definitions(defs).items())
+            if allowed is None or name in allowed
+        ]
+
     return {
-        name: BodyTimeline(body=name, occurrences=_sorted_occurrences(buckets[name]))
-        for name in sorted(buckets)
+        name: BodyTimeline(body=name, occurrences=occs)
+        for name, occs in _occurrences_by_key(corpus, definitions, uses).items()
     }
 
 
-def interval(timeline: BodyTimeline, t0: float, t1: float) -> list[Occurrence]:
-    """Occurrences in the lifespan fraction window [t0, t1].
+def window_bounds(m: int, t0: float, t1: float) -> tuple[int, int]:
+    """Index range [start, end) of the lifespan fraction window [t0, t1]
+    over ``m`` occurrences.
 
     0-based floor indexing; a window that would come out empty is
     widened to one occurrence, so every valid window is non-empty.
     """
-    if not 0 <= t0 <= t1 <= 1:
-        raise ValueError(f"invalid interval [{t0}, {t1}]")
-    m = timeline.m
-    if m == 0:
-        raise ValueError("empty timeline")
     start = min(math.floor(t0 * m), m - 1)
     end = min(max(math.floor(t1 * m), start + 1), m)
+    return start, end
+
+
+def interval(timeline: BodyTimeline, t0: float, t1: float) -> list[Occurrence]:
+    """Occurrences in the lifespan fraction window [t0, t1] (see
+    :func:`window_bounds`)."""
+    if not 0 <= t0 <= t1 <= 1:
+        raise ValueError(f"invalid interval [{t0}, {t1}]")
+    if timeline.m == 0:
+        raise ValueError("empty timeline")
+    start, end = window_bounds(timeline.m, t0, t1)
     return list(timeline.occurrences[start:end])
 
 
@@ -161,9 +175,6 @@ class ExperienceLedger:
                 self._papers.setdefault(a, []).append(paper)
                 self._ranks.setdefault(a, []).append(rank)
 
-    def authors(self) -> list[str]:
-        return sorted(self._papers)
-
     def papers_of(self, author: str) -> list[Paper]:
         return list(self._papers.get(author, []))
 
@@ -183,10 +194,6 @@ class ExperienceLedger:
         lo = bisect_left(ranks, group_rank)
         hi = bisect_left(ranks, group_rank + 1)
         return hi - lo
-
-
-def build_experience_ledger(corpus: Corpus) -> ExperienceLedger:
-    return ExperienceLedger(corpus)
 
 
 class CoauthorIndex:
@@ -217,10 +224,6 @@ class CoauthorIndex:
         return bisect_left(ranks, group_rank + 1) - bisect_left(ranks, group_rank)
 
 
-def build_coauthor_index(corpus: Corpus) -> CoauthorIndex:
-    return CoauthorIndex(corpus)
-
-
 @dataclass(frozen=True)
 class CoauthorGraph:
     """Co-author graph over one body's prior users at a cutoff paper.
@@ -244,20 +247,15 @@ class CoauthorGraph:
             adj[v].sort()
         return adj
 
-    def degree(self, node: str) -> int:
-        return sum(1 for e in self.edges if node in e)
-
 
 def coauthor_graph(
     corpus: Corpus,
     timeline: BodyTimeline,
     cutoff: Paper | str,
-    index: CoauthorIndex | None = None,
+    index: CoauthorIndex,
 ) -> CoauthorGraph:
     cutoff_id = cutoff.paper_id if isinstance(cutoff, Paper) else cutoff
     cutoff_rank = corpus.rank_of(cutoff_id)
-    if index is None:
-        index = CoauthorIndex(corpus)
     nodes = sorted(
         {a for occ in timeline.occurrences if occ.group_rank < cutoff_rank for a in occ.authors}
     )
@@ -271,22 +269,15 @@ def coauthor_graph(
     )
 
 
-def _prior_positions(timeline: BodyTimeline, author: str, cutoff_rank: int) -> list[int]:
-    return [
-        i for i in timeline.author_positions(author)
-        if timeline.occurrences[i].group_rank < cutoff_rank
-    ]
-
-
 def prior_uses(timeline: BodyTimeline, author: str, cutoff: Paper | str, corpus: Corpus) -> int:
     cutoff_id = cutoff.paper_id if isinstance(cutoff, Paper) else cutoff
-    return len(_prior_positions(timeline, author, corpus.rank_of(cutoff_id)))
+    return len(timeline.prior_positions(author, corpus.rank_of(cutoff_id)))
 
 
 def flexibility(timeline: BodyTimeline, author: str, cutoff: Paper | str, corpus: Corpus) -> float:
     """Fraction of the author's consecutive prior uses that switched names."""
     cutoff_id = cutoff.paper_id if isinstance(cutoff, Paper) else cutoff
-    positions = _prior_positions(timeline, author, corpus.rank_of(cutoff_id))
+    positions = timeline.prior_positions(author, corpus.rank_of(cutoff_id))
     if not positions:
         raise ValueError(f"author {author!r} has no prior use of this body")
     if len(positions) == 1:
@@ -294,26 +285,3 @@ def flexibility(timeline: BodyTimeline, author: str, cutoff: Paper | str, corpus
     names = [timeline.occurrences[i].name for i in positions]
     changes = sum(1 for a, b in zip(names, names[1:]) if a != b)
     return changes / (len(names) - 1)
-
-
-def timeline_rows(timelines: Mapping[tuple[str, str], BodyTimeline]) -> list[dict]:
-    """Per-body summary rows for the ``timelines`` CLI output."""
-    from .report import body_hash
-
-    rows = []
-    for key in sorted(timelines):
-        tl = timelines[key]
-        rows.append(
-            {
-                "body_hash": body_hash(tl.signature, tl.body),
-                "m": tl.m,
-                "distinct_names": len(tl.names()),
-                "distinct_authors": len(tl.distinct_authors()),
-            }
-        )
-    return rows
-
-
-def occurrences_sorted(occs: Sequence[Occurrence]) -> tuple[Occurrence, ...]:
-    """Canonical occurrence order: (tie group, paper id)."""
-    return tuple(sorted(occs, key=lambda o: (o.group_rank, o.paper_id)))

@@ -18,12 +18,10 @@ import pytest
 from macrolens import analytics, changeover, fights, synth
 from macrolens.cli import _extract_all, run
 from macrolens.corpus import load_corpus
-from macrolens.oracles import (
-    oracle_betweenness,
-    oracle_changeover,
-    oracle_validate_matched_pair,
-)
-from macrolens.timelines import build_experience_ledger, build_timelines
+from macrolens.timelines import ExperienceLedger, build_timelines
+
+from conftest import crossover_timeline, random_timeline
+from oracles import oracle_betweenness, oracle_changeover, oracle_validate_matched_pair
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -57,7 +55,7 @@ def test_criterion_2_changeover_oracle_equivalence():
         start = time.perf_counter()
         disagreements = 0
         for _ in range(1000):
-            tl = synth.random_timeline(rng, m_range=(20, 300), max_names=4)
+            tl = random_timeline(rng, m_range=(20, 300), max_names=4)
             mine = changeover.detect_changeover(tl, params)
             ref = oracle_changeover(tl, params.s, params.q, params.theta)
             if (mine is None) != (ref is None):
@@ -80,7 +78,7 @@ def test_criterion_3_crossing_point_recovery():
         for i in range(total):
             t_star = targets[i % len(targets)]
             m = rng.randint(100, 300)
-            tl, early, late = synth.crossover_timeline(rng, m=m, t_star=t_star, flip_prob=0.03)
+            tl, early, late = crossover_timeline(rng, m=m, t_star=t_star, flip_prob=0.03)
             f_curve = changeover.sliding_curve(tl, early, 0.05)
             g_curve = changeover.sliding_curve(tl, late, 0.05)
             found = changeover.crossing_point(f_curve, g_curve, 0.1)
@@ -214,7 +212,7 @@ def test_criterion_7_planted_effects(tmp_path):
         corpus = load_corpus(manifest).corpus
         defs, _ = _extract_all(corpus)
         timelines = build_timelines(corpus, defs)
-        ledger = build_experience_ledger(corpus)
+        ledger = ExperienceLedger(corpus)
         name_fights = fights.detect_name_fights(corpus, timelines, ledger)
         assert len(name_fights) == 2000, f"detected {len(name_fights)}"
         rate, wins, n = fights.overall_older_win_rate(name_fights, seed=0)

@@ -16,11 +16,10 @@ from macrolens.changeover import (
     usage_fraction,
     window_grid,
 )
-from macrolens.oracles import oracle_changeover
-from macrolens.synth import random_timeline
 from macrolens.timelines import ExperienceLedger
 
-from conftest import corpus_of, paper, simple_timeline, timeline
+from conftest import corpus_of, paper, random_timeline, simple_timeline, timeline
+from oracles import oracle_changeover
 
 
 class TestParams:

@@ -1,10 +1,12 @@
 import json
+import logging
 import unicodedata
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macrolens.cli import run
 from macrolens.corpus import PaperDate, load_corpus, normalize_author, temporal_order
 
 from conftest import corpus_of, paper
@@ -60,6 +62,28 @@ class TestLoadCorpus:
         res = load_corpus(m)
         assert len(res.corpus) == 0
         assert res.skipped == 1
+
+    def test_bad_records_logged_in_aggregate_only(self, tmp_path, caplog):
+        m = tmp_path / "m.jsonl"
+        lines = [
+            json.dumps(record("a")),
+            json.dumps(record("b", date="not-a-date")),
+            "{not json",
+            json.dumps(record("a")),
+            json.dumps(record("c", "2005-06-09")),
+        ]
+        m.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        caplog.set_level(logging.DEBUG)
+        res = load_corpus(m)
+        assert len(res.problems) == 3
+        assert not [
+            r for r in caplog.records
+            if r.name == "macrolens.corpus" and r.levelno >= logging.WARNING
+        ]
+        caplog.clear()
+        assert run(["extract", "--corpus", str(m), "--out", str(tmp_path / "out")]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warnings == ["skipped 3 malformed corpus records"]
 
     def test_source_path_loading(self, tmp_path):
         (tmp_path / "s.tex").write_text("\\def\\x{y}", encoding="utf-8")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from macrolens.extraction import MacroDefinition
 from macrolens.fights import (
+    DEFAULT_BODY_FIGHT_NAMES,
     FightFilters,
     FightRecord,
     TitleFight,
@@ -24,7 +25,12 @@ from macrolens.fights import (
     title_profile,
     win_rate_by_gap,
 )
-from macrolens.timelines import ExperienceLedger, build_timelines
+from macrolens.timelines import (
+    CoauthorIndex,
+    ExperienceLedger,
+    build_name_timelines,
+    build_timelines,
+)
 
 from conftest import corpus_of, paper
 
@@ -193,7 +199,8 @@ class TestBodyFights:
             ("pj", "2000-01-03", ["a", "b"], [("\\eps", "\\varepsilon")]),
         ]
         corpus, defs, ledger, _ = build(sketch)
-        fights = detect_body_fights(corpus, defs, ledger, min_distinct_authors=1)
+        name_tls = build_name_timelines(corpus, defs, whitelist=DEFAULT_BODY_FIGHT_NAMES)
+        fights = detect_body_fights(name_tls, ledger, min_distinct_authors=1)
         assert len(fights) == 1
         f = fights[0]
         assert f.shared == "\\eps"
@@ -206,7 +213,8 @@ class TestBodyFights:
             ("pj", "2000-01-03", ["a", "b"], [("\\zeta", "\\epsilon")]),
         ]
         corpus, defs, ledger, _ = build(sketch)
-        assert detect_body_fights(corpus, defs, ledger, min_distinct_authors=1) == []
+        name_tls = build_name_timelines(corpus, defs, whitelist=DEFAULT_BODY_FIGHT_NAMES)
+        assert detect_body_fights(name_tls, ledger, min_distinct_authors=1) == []
 
     def test_role_swap_duality(self):
         rng = random.Random(4)
@@ -233,7 +241,7 @@ class TestBodyFights:
             for pid, dlist in defs.items()
         }
         body_fights = detect_body_fights(
-            corpus, swapped, ledger, name_whitelist=None, min_distinct_authors=1
+            build_name_timelines(corpus, swapped), ledger, min_distinct_authors=1
         )
         as_tuple = lambda f: (
             f.paper_id, f.author_a, f.author_b, f.shared,
@@ -331,7 +339,7 @@ class TestFightFeatures:
         corpus, defs, ledger, tls = self.star_corpus()
         fights = detect_name_fights(corpus, tls, ledger, LOOSE)
         assert len(fights) == 1
-        matrix = fight_feature_matrix(fights, tls, corpus, ledger)
+        matrix = fight_feature_matrix(fights, tls, corpus, ledger, CoauthorIndex(corpus))
         row = dict(zip(matrix.columns, matrix.X[0]))
         # brute-force: star on 5 users, center routes C(4,2)=6 pairs
         assert row["betweenness_1"] == pytest.approx(6.0)
@@ -348,7 +356,7 @@ class TestFightFeatures:
         ]
         corpus, defs, ledger, tls = build(sketch)
         fights = detect_name_fights(corpus, tls, ledger, LOOSE)
-        matrix = fight_feature_matrix(fights, tls, corpus, ledger)
+        matrix = fight_feature_matrix(fights, tls, corpus, ledger, CoauthorIndex(corpus))
         row = dict(zip(matrix.columns, matrix.X[0]))
         assert row["degree_1"] == 0.0 and row["betweenness_1"] == 0.0
 
@@ -360,7 +368,7 @@ class TestFightFeatures:
         ]
         corpus, defs, ledger, tls = build(sketch)
         fights = detect_name_fights(corpus, tls, ledger, LOOSE)
-        matrix = fight_feature_matrix(fights, tls, corpus, ledger)
+        matrix = fight_feature_matrix(fights, tls, corpus, ledger, CoauthorIndex(corpus))
         assert int(matrix.y[0]) == 1
 
 

@@ -5,15 +5,11 @@ import pytest
 from macrolens.changeover import ChangeoverParams, detect_changeover
 from macrolens.corpus import load_corpus, normalize_author
 from macrolens.extraction import extract_definitions
-from macrolens.oracles import oracle_changeover
-from macrolens.synth import (
-    SynthConfig,
-    crossover_timeline,
-    generate,
-    random_timeline,
-    write_output,
-)
+from macrolens.synth import SynthConfig, generate, write_output
 from macrolens.timelines import build_timelines
+
+from conftest import crossover_timeline, random_timeline
+from oracles import oracle_changeover
 
 
 def load_generated(tmp_path, config):

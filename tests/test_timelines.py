@@ -2,6 +2,7 @@ import pytest
 
 from macrolens.extraction import extract_definitions
 from macrolens.timelines import (
+    CoauthorIndex,
     ExperienceLedger,
     build_name_timelines,
     build_timelines,
@@ -166,7 +167,7 @@ class TestCoauthorGraph:
     def test_no_prior_users_empty(self):
         corpus = self.make_corpus()
         tl = timeline([("cut", corpus.rank_of("cut"), "\\n", ["z"])])
-        g = coauthor_graph(corpus, tl, "cut")
+        g = coauthor_graph(corpus, tl, "cut", CoauthorIndex(corpus))
         assert g.nodes == () and g.edges == ()
 
     def test_two_users_never_coauthored(self):
@@ -178,7 +179,7 @@ class TestCoauthorGraph:
         tl = timeline(
             [("s1", corpus.rank_of("s1"), "\\n", ["a"]), ("s2", corpus.rank_of("s2"), "\\n", ["c"])]
         )
-        g = coauthor_graph(corpus, tl, "cut")
+        g = coauthor_graph(corpus, tl, "cut", CoauthorIndex(corpus))
         assert set(g.nodes) == {"a", "c"}
         assert g.edges == ()
 
@@ -191,7 +192,7 @@ class TestCoauthorGraph:
                 ("j3", corpus.rank_of("j3"), "\\n", ["a", "c"]),
             ]
         )
-        g = coauthor_graph(corpus, tl, "cut")
+        g = coauthor_graph(corpus, tl, "cut", CoauthorIndex(corpus))
         # oracle: enumerate author pairs over prior papers
         expected = set()
         cutoff = corpus.rank_of("cut")
@@ -216,7 +217,7 @@ class TestCoauthorGraph:
         )
         prev_nodes, prev_edges = set(), set()
         for cut in ("j1", "j2", "j3", "cut"):
-            g = coauthor_graph(corpus, tl, cut)
+            g = coauthor_graph(corpus, tl, cut, CoauthorIndex(corpus))
             assert prev_nodes <= set(g.nodes)
             assert prev_edges <= set(g.edges)
             prev_nodes, prev_edges = set(g.nodes), set(g.edges)
@@ -235,7 +236,7 @@ class TestCoauthorGraph:
                 ("solo2", corpus.rank_of("solo2"), "\\n", ["b"]),
             ]
         )
-        g = coauthor_graph(corpus, tl, "cut")
+        g = coauthor_graph(corpus, tl, "cut", CoauthorIndex(corpus))
         assert set(g.edges) == {("a", "b")}
 
 
@@ -293,3 +294,25 @@ class TestFlexibilityAndPriorUses:
             o for o in tl.occurrences if o.group_rank < corpus.rank_of("query")
         ]
         assert prior_uses(tl, "u", "query", corpus) == len(strict) == 1
+
+    def test_prior_positions_match_linear_filter(self, rng):
+        pool = [f"w{k}" for k in range(6)]
+        saw_tie = False
+        for _ in range(300):
+            entries = []
+            rank = 0
+            for i in range(rng.randint(0, 40)):
+                rank += rng.choice((0, 0, 1, 2))  # repeated ranks share a tie group
+                entries.append((f"q{i:03d}", rank, "\\n", rng.sample(pool, rng.randint(1, 3))))
+            tl = timeline(entries)
+            ranks = [o.group_rank for o in tl.occurrences]
+            saw_tie |= len(set(ranks)) < len(ranks)
+            cutoffs = {-1, 0, rank + 1, *ranks, *(r + 1 for r in ranks)}
+            for author in pool + ["never used"]:
+                for cutoff in cutoffs:
+                    linear = [
+                        i for i in tl.author_positions(author)
+                        if tl.occurrences[i].group_rank < cutoff
+                    ]
+                    assert tl.prior_positions(author, cutoff) == linear
+        assert saw_tie
