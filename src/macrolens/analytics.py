@@ -78,15 +78,10 @@ def zscore(matrix: FeatureMatrix) -> tuple[FeatureMatrix, ColumnStats]:
         raise ValueError("z-score needs at least 2 rows")
     mean = matrix.X.mean(axis=0)
     stdev = matrix.X.std(axis=0)  # population (ddof=0)
-    safe = stdev.copy()
-    for j, s in enumerate(stdev):
-        if s == 0.0:
-            log.warning("zero-variance feature column %r maps to zeros", matrix.columns[j])
-            safe[j] = 1.0
-    normalized = (matrix.X - mean) / safe
-    normalized[:, stdev == 0.0] = 0.0
+    for j in np.flatnonzero(stdev == 0.0):
+        log.warning("zero-variance feature column %r maps to zeros", matrix.columns[j])
     stats = ColumnStats(mean=tuple(float(v) for v in mean), stdev=tuple(float(v) for v in stdev))
-    return FeatureMatrix(matrix.columns, normalized, matrix.y), stats
+    return apply_zscore(matrix, stats), stats
 
 
 def apply_zscore(matrix: FeatureMatrix, stats: ColumnStats) -> FeatureMatrix:
@@ -220,11 +215,6 @@ def logistic_fit(train: FeatureMatrix, config: TrainConfig | None = None) -> Log
         converged=converged,
         final_loss=loss,
     )
-
-
-def logistic_predict(model: LogisticModel, row: Sequence[float]) -> float:
-    z = float(np.dot(model.weights, np.asarray(row, dtype=np.float64)) + model.intercept)
-    return float(_sigmoid(np.array([z]))[0])
 
 
 def predict_proba(model: LogisticModel, matrix: FeatureMatrix) -> np.ndarray:

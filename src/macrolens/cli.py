@@ -230,8 +230,8 @@ def _gap_table_rows(rows):
 
 
 def _write_variant_fights(out, prefix, fight_list, timelines_by_key, corpus, ledger, args):
-    """The fights table, then (when there are fights) the feature matrix
-    and the gap table."""
+    """The fights table, the feature matrix and the gap table; with no
+    fights the last two hold only their header and rows with ``n`` 0."""
     shared_label = "body_hash" if prefix == "name" else "name"
     rows = []
     for f in fight_list:
@@ -254,7 +254,6 @@ def _write_variant_fights(out, prefix, fight_list, timelines_by_key, corpus, led
     )
     if not fight_list:
         log.warning("no %s fights detected", prefix)
-        return
     index = CoauthorIndex(corpus)
     matrix = fights.fight_feature_matrix(fight_list, timelines_by_key, corpus, ledger, index)
     report.write_table(
@@ -311,7 +310,7 @@ def _title_fights(args) -> int:
         min_younger_papers=args.min_younger_papers,
     )
     fight_list = fights.detect_title_fights(
-        corpus, args.style, filters, ledger=ledger, lexicon=lexicon
+        corpus, args.style, ledger, CoauthorIndex(corpus), filters, lexicon
     )
     report.write_table(
         out / "title_fights",

@@ -138,25 +138,6 @@ class Corpus:
     def rank_of(self, paper_id: str) -> int:
         return self.group_rank[paper_id]
 
-    def write_manifest(self, path: Path | str) -> None:
-        """Emit the corpus as a JSONL manifest with inline sources."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for p in self.papers:
-                rec = {
-                    "id": p.paper_id,
-                    "date": str(p.date),
-                    "authors": list(p.authors),
-                    "title": p.title,
-                    "source": p.source,
-                }
-                fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False))
-                fh.write("\n")
-
-
-def temporal_order(corpus: Corpus) -> list[tuple[Paper, int]]:
-    """Papers in canonical order, each with its tie group id."""
-    return [(p, corpus.group_rank[p.paper_id]) for p in corpus.papers]
-
 
 @dataclass
 class LoadResult:

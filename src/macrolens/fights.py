@@ -18,6 +18,7 @@ than resolved by guesswork.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -245,8 +246,6 @@ def win_rate_by_gap(
     position effects cannot masquerade as experience effects.
     Equal-experience fights land in a gap-0 bucket with no defined rate.
     """
-    if not fights:
-        raise ValueError("no fights")
     usable = balance_by_position(fights, seed)
     values = [(float(f.gap), f.older_won()) for f in usable]
     return _bucket_rows(values, bucket_edges)
@@ -339,6 +338,7 @@ def fight_feature_matrix(
 # Title styles and visible fights
 # ---------------------------------------------------------------------------
 
+# the first_* styles are "first_" plus a TitleLexicon.first_word_class result
 STYLE_NAMES = (
     "colon",
     "question_mark",
@@ -350,28 +350,6 @@ STYLE_NAMES = (
 )
 
 _MATH_RE = re.compile(r"\$|\\[A-Za-z]+|\\[^A-Za-z\s]")
-
-
-@dataclass(frozen=True)
-class TitleStyle:
-    has_colon: bool
-    has_question_mark: bool
-    has_math: bool
-    first_noun: bool
-    first_verb: bool
-    first_adjective: bool
-    first_determiner: bool
-
-    def __getitem__(self, style: str) -> bool:
-        return {
-            "colon": self.has_colon,
-            "question_mark": self.has_question_mark,
-            "math": self.has_math,
-            "first_noun": self.first_noun,
-            "first_verb": self.first_verb,
-            "first_adjective": self.first_adjective,
-            "first_determiner": self.first_determiner,
-        }[style]
 
 
 class TitleLexicon:
@@ -423,14 +401,9 @@ class TitleLexicon:
         return None
 
 
-_DEFAULT_LEXICON: TitleLexicon | None = None
-
-
+@functools.cache
 def default_lexicon() -> TitleLexicon:
-    global _DEFAULT_LEXICON
-    if _DEFAULT_LEXICON is None:
-        _DEFAULT_LEXICON = TitleLexicon.load()
-    return _DEFAULT_LEXICON
+    return TitleLexicon.load()
 
 
 def _first_word(title: str) -> str | None:
@@ -443,23 +416,23 @@ def _first_word(title: str) -> str | None:
     return None
 
 
-def classify_title(title: str, lexicon: TitleLexicon | None = None) -> TitleStyle:
-    """Seven style predicates: punctuation/math by literal scan, the
-    first-word class from the lexicon (unknown word: all four false)."""
+def classify_title(title: str, lexicon: TitleLexicon | None = None) -> set[str]:
+    """The names in ``STYLE_NAMES`` that the title shows: punctuation and
+    math by literal scan, at most one first-word class from the lexicon
+    (an unknown first word shows none)."""
     if not title:
         raise ValueError("empty title")
     lex = lexicon or default_lexicon()
     word = _first_word(title)
     cls = lex.first_word_class(word) if word else None
-    return TitleStyle(
-        has_colon=":" in title,
-        has_question_mark="?" in title,
-        has_math=bool(_MATH_RE.search(title)),
-        first_noun=cls == "noun",
-        first_verb=cls == "verb",
-        first_adjective=cls == "adjective",
-        first_determiner=cls == "determiner",
-    )
+    styles = {f"first_{cls}"} if cls else set()
+    if ":" in title:
+        styles.add("colon")
+    if "?" in title:
+        styles.add("question_mark")
+    if _MATH_RE.search(title):
+        styles.add("math")
+    return styles
 
 
 def _titled_papers_without(ledger: ExperienceLedger, author: str, coauthor: str) -> list[Paper]:
@@ -480,7 +453,7 @@ def title_profile(
     eligible = _titled_papers_without(ledger, author, exclude_coauthor)
     if not eligible:
         raise ValueError(f"author {author!r} has no eligible papers")
-    positives = sum(1 for p in eligible if classify_title(p.title, lexicon)[style])
+    positives = sum(1 for p in eligible if style in classify_title(p.title, lexicon))
     return positives / len(eligible)
 
 
@@ -507,9 +480,9 @@ class TitleFight:
 def detect_title_fights(
     corpus: Corpus,
     style: str,
+    ledger: ExperienceLedger,
+    index: CoauthorIndex,
     filters: TitleFightFilters | None = None,
-    ledger: ExperienceLedger | None = None,
-    index: CoauthorIndex | None = None,
     lexicon: TitleLexicon | None = None,
 ) -> list[TitleFight]:
     """Style contentions at first collaborations.
@@ -524,8 +497,6 @@ def detect_title_fights(
     if style not in STYLE_NAMES:
         raise ValueError(f"unknown style {style!r}")
     flt = filters or TitleFightFilters()
-    ledger = ledger or ExperienceLedger(corpus)
-    index = index or CoauthorIndex(corpus)
     lex = lexicon or default_lexicon()
     fights: list[TitleFight] = []
     for paper in corpus:
@@ -565,7 +536,7 @@ def detect_title_fights(
                 exp_older=exp_o,
                 profile_younger=p_y,
                 profile_older=p_o,
-                indicator=1 if classify_title(paper.title, lex)[style] else 0,
+                indicator=1 if style in classify_title(paper.title, lex) else 0,
             )
         )
     fights.sort(key=lambda f: (f.group_rank, f.paper_id))

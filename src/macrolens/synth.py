@@ -24,42 +24,31 @@ from pathlib import Path
 PRESETS = ("changeover", "name-fights", "body-fights", "title-fights", "full")
 
 
+# Planted schedule; tests/test_synth.py checks it against the detection
+# code's parameters, which synth does not import.
+BASE_VOLUME = 100  # at least the changeover volume floor s
+VOLUME_GROWTH = 1.12  # keeps volumes apart by more than the matching ratio band
+EARLY_SEED_USES = 3  # late-name occurrences planted in the early window
+SWITCH_FRACTIONS = (0.35, 0.5, 0.65)  # each inside [q, 1 - q]
+NAME_FIGHT_YOUNGER_WIN = 0.7
+BODY_FIGHT_YOUNGER_WIN = 0.6
+TITLE_HIGH_DOMINANCE = 0.57
+CHANGEOVER_S = 100  # the detection parameters the changeovers are planted for
+CHANGEOVER_Q = 0.3
+
+
 @dataclass
 class SynthConfig:
     seed: int = 0
     preset: str = "full"
-    # changeover schedule: matched changeover/control body pairs
-    n_changeover_pairs: int = 12
-    base_volume: int = 100
-    volume_growth: float = 1.12  # keeps volumes >10% apart across pairs
-    early_seed_uses: int = 3  # late-name occurrences planted in the early window
-    # invisible name fights
-    n_name_fights: int = 200
-    name_fight_younger_win: float = 0.7
-    # low-visibility body fights
-    n_body_fights: int = 120
-    body_fight_younger_win: float = 0.6
-    # visible title fights (swap-matched pairs)
-    n_title_pairs: int = 100
-    title_high_dominance: float = 0.57
-    # detection parameters the schedules must stay consistent with
-    s: int = 100
-    q: float = 0.3
+    n_changeover_pairs: int = 12  # matched changeover/control body pairs
+    n_name_fights: int = 200  # invisible name fights
+    n_body_fights: int = 120  # low-visibility body fights
+    n_title_pairs: int = 100  # visible title fights (swap-matched pairs)
 
     def __post_init__(self) -> None:
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
-        for p in (
-            self.name_fight_younger_win,
-            self.body_fight_younger_win,
-            self.title_high_dominance,
-        ):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("planted probabilities must lie in [0, 1]")
-        if self.base_volume < self.s:
-            raise ValueError("base volume below the changeover volume floor")
-        if self.volume_growth <= 1.1:
-            raise ValueError("volume growth must exceed the matching ratio band")
 
 
 @dataclass
@@ -118,14 +107,10 @@ _PLAIN_SOURCE = "\\documentclass{article}\n\\begin{document}\nText.\n\\end{docum
 def _plant_changeovers(cfg: SynthConfig, rng: random.Random, em: _Emitter, truth: dict) -> None:
     bodies = []
     for k in range(cfg.n_changeover_pairs):
-        m = int(round(cfg.base_volume * cfg.volume_growth**k))
-        t_star = rng.choice((0.35, 0.5, 0.65))
-        if not cfg.q <= t_star <= 1.0 - cfg.q:
-            raise ValueError("planted switch point incompatible with q")
-        early_size = math.floor(cfg.q * m)
-        if cfg.early_seed_uses * 2 >= early_size:
-            raise ValueError("early seeds would outnumber the early name")
-        seed_positions = sorted(rng.sample(range(1, early_size), cfg.early_seed_uses))
+        m = int(round(BASE_VOLUME * VOLUME_GROWTH**k))
+        t_star = rng.choice(SWITCH_FRACTIONS)
+        early_size = math.floor(CHANGEOVER_Q * m)
+        seed_positions = sorted(rng.sample(range(1, early_size), EARLY_SEED_USES))
         switch_at = math.floor(t_star * m)
         tag = _letters(k)
         old_name, new_name = f"\\old{tag}", f"\\new{tag}"
@@ -158,7 +143,7 @@ def _plant_changeovers(cfg: SynthConfig, rng: random.Random, em: _Emitter, truth
                 }
             )
     truth["changeover_bodies"] = bodies
-    truth["changeover_params"] = {"s": cfg.s, "q": cfg.q}
+    truth["changeover_params"] = {"s": CHANGEOVER_S, "q": CHANGEOVER_Q}
 
 
 def _plant_variant_fights(
@@ -171,7 +156,7 @@ def _plant_variant_fights(
 ) -> None:
     if kind == "name":
         n_fights = cfg.n_name_fights
-        younger_win = cfg.name_fight_younger_win
+        younger_win = NAME_FIGHT_YOUNGER_WIN
         shared_body = "\\mathbb{R}^{n}_{+}"  # 18 chars, clears the length filter
         variant_old, variant_new = "\\realsfield", "\\realsspace"
 
@@ -180,7 +165,7 @@ def _plant_variant_fights(
 
     else:
         n_fights = cfg.n_body_fights
-        younger_win = cfg.body_fight_younger_win
+        younger_win = BODY_FIGHT_YOUNGER_WIN
         shared_name = "\\eps"
         body_old, body_new = "\\epsilon", "\\varepsilon"
 
@@ -261,7 +246,7 @@ def _plant_title_fights(cfg: SynthConfig, rng: random.Random, em: _Emitter, trut
     pairs = []
     for p in range(cfg.n_title_pairs):
         a, b = draw_profiles()
-        verdict_high = rng.random() < cfg.title_high_dominance
+        verdict_high = rng.random() < TITLE_HIGH_DOMINANCE
         # the member whose younger profile is higher carries indicator 0
         # exactly when high experience dominates
         high_py_indicator = 0 if verdict_high else 1
@@ -303,7 +288,7 @@ def _plant_title_fights(cfg: SynthConfig, rng: random.Random, em: _Emitter, trut
             )
         pairs.append({"members": members, "high_dominant": verdict_high})
     truth["title_pairs"] = pairs
-    truth["title_high_dominance"] = cfg.title_high_dominance
+    truth["title_high_dominance"] = TITLE_HIGH_DOMINANCE
     truth["title_style"] = "colon"
 
 

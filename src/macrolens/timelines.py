@@ -269,11 +269,6 @@ def coauthor_graph(
     )
 
 
-def prior_uses(timeline: BodyTimeline, author: str, cutoff: Paper | str, corpus: Corpus) -> int:
-    cutoff_id = cutoff.paper_id if isinstance(cutoff, Paper) else cutoff
-    return len(timeline.prior_positions(author, corpus.rank_of(cutoff_id)))
-
-
 def flexibility(timeline: BodyTimeline, author: str, cutoff: Paper | str, corpus: Corpus) -> float:
     """Fraction of the author's consecutive prior uses that switched names."""
     cutoff_id = cutoff.paper_id if isinstance(cutoff, Paper) else cutoff

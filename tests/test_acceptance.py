@@ -18,7 +18,7 @@ import pytest
 from macrolens import analytics, changeover, fights, synth
 from macrolens.cli import _extract_all, run
 from macrolens.corpus import load_corpus
-from macrolens.timelines import ExperienceLedger, build_timelines
+from macrolens.timelines import CoauthorIndex, ExperienceLedger, build_timelines
 
 from conftest import crossover_timeline, random_timeline
 from oracles import oracle_betweenness, oracle_changeover, oracle_validate_matched_pair
@@ -205,8 +205,7 @@ def test_criterion_6_logistic_regression():
 def test_criterion_7_planted_effects(tmp_path):
     with criterion(7, "planted fight outcomes recovered end to end"):
         # invisible name fights: younger wins 70% of 2000
-        cfg = synth.SynthConfig(seed=700, preset="name-fights", n_name_fights=2000,
-                                name_fight_younger_win=0.7)
+        cfg = synth.SynthConfig(seed=700, preset="name-fights", n_name_fights=2000)
         result = synth.generate(cfg)
         manifest, _ = synth.write_output(result, tmp_path / "namefights")
         corpus = load_corpus(manifest).corpus
@@ -216,21 +215,22 @@ def test_criterion_7_planted_effects(tmp_path):
         name_fights = fights.detect_name_fights(corpus, timelines, ledger)
         assert len(name_fights) == 2000, f"detected {len(name_fights)}"
         rate, wins, n = fights.overall_older_win_rate(name_fights, seed=0)
-        assert abs(rate - 0.30) <= 0.03, f"older-win rate {rate:.4f}"
+        assert abs(rate - (1 - synth.NAME_FIGHT_YOUNGER_WIN)) <= 0.03, f"older-win rate {rate:.4f}"
         p_value = analytics.binomial_test(wins, n, 0.5)
         assert p_value < 0.01, f"p={p_value}"
         # visible title fights: high experience dominant in 57% of 1500 pairs
-        cfg = synth.SynthConfig(seed=701, preset="title-fights", n_title_pairs=1500,
-                                title_high_dominance=0.57)
+        cfg = synth.SynthConfig(seed=701, preset="title-fights", n_title_pairs=1500)
         result = synth.generate(cfg)
         manifest, _ = synth.write_output(result, tmp_path / "titlefights")
         corpus = load_corpus(manifest).corpus
-        title_fights = fights.detect_title_fights(corpus, "colon")
+        title_fights = fights.detect_title_fights(
+            corpus, "colon", ExperienceLedger(corpus), CoauthorIndex(corpus)
+        )
         assert len(title_fights) == 3000, f"detected {len(title_fights)}"
         pairs, unmatched = fights.match_title_fights(title_fights)
         assert len(pairs) == 1500, f"matched {len(pairs)} (unmatched {unmatched})"
         dom_rate, _, _ = fights.high_dominance_rate(pairs)
-        assert abs(dom_rate - 0.57) <= 0.04, f"dominance rate {dom_rate:.4f}"
+        assert abs(dom_rate - synth.TITLE_HIGH_DOMINANCE) <= 0.04, f"dominance rate {dom_rate:.4f}"
 
 
 _BATTERY = (

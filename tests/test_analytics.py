@@ -16,7 +16,7 @@ from macrolens.analytics import (
     binomial_test,
     logistic_fit,
     logistic_loss_and_grad,
-    logistic_predict,
+    predict_proba,
     split,
     zscore,
 )
@@ -175,7 +175,7 @@ class TestLogistic:
         model = logistic_fit(m, TrainConfig(max_iter=50))
         row = m.X[0]
         z = float(np.dot(model.weights, row) + model.intercept)
-        assert logistic_predict(model, row) == pytest.approx(1 / (1 + math.exp(-z)))
+        assert predict_proba(model, m.take([0]))[0] == pytest.approx(1 / (1 + math.exp(-z)))
 
 
 def _direct_binomial_two_sided(k, n, p0):

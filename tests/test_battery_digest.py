@@ -1,0 +1,41 @@
+"""Byte-identity of the whole CLI battery against a committed digest.
+
+``tests/data/battery_digest.txt`` holds the ``battery_digest`` lines for
+the golden manifest and a small synthetic ``full`` corpus.  A change that
+alters any output byte fails here; after a deliberate output change,
+regenerate the file with::
+
+    PYTHONPATH=src python3 tests/test_battery_digest.py > tests/data/battery_digest.txt
+"""
+
+import logging
+import sys
+import tempfile
+from pathlib import Path
+
+from battery_digest import digest_lines, run_battery
+from macrolens import synth
+
+DATA = Path(__file__).parent / "data"
+SYNTH = synth.SynthConfig(seed=9, preset="full", n_changeover_pairs=3,
+                          n_name_fights=20, n_body_fights=16, n_title_pairs=8)
+
+
+def battery_lines(workdir: Path) -> list[str]:
+    manifest, _ = synth.write_output(synth.generate(SYNTH), workdir / "synth")
+    root = workdir / "battery"
+    status = run_battery([DATA / "golden" / "manifest.jsonl", manifest], root)
+    # predict's outputs come from numpy's BLAS, which may round the last
+    # ulp differently on another machine; their exit lines stay above
+    return status + [line for line in digest_lines(root) if "/predict-" not in line]
+
+
+def test_battery_output_matches_committed_digest(tmp_path):
+    expected = (DATA / "battery_digest.txt").read_text(encoding="utf-8").splitlines()
+    assert battery_lines(tmp_path) == expected
+
+
+if __name__ == "__main__":
+    logging.disable(logging.CRITICAL)  # warnings are not outputs
+    with tempfile.TemporaryDirectory(prefix="battery-digest-") as tmp:
+        sys.stdout.write("".join(line + "\n" for line in battery_lines(Path(tmp))))

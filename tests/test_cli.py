@@ -56,6 +56,28 @@ class TestExtract:
                 "defining_command": "def"} in data
 
 
+@pytest.mark.parametrize("mode", ["name", "body"])
+def test_no_fights_still_writes_every_table(mode, tmp_path, capsys):
+    """The golden corpus has no fights: the feature and gap tables are
+    still written, and predict rejects the empty feature table."""
+    assert invoke("fights", mode, "--corpus", str(GOLDEN / "manifest.jsonl"),
+                  "--out", str(tmp_path)) == 0
+    tables = {}
+    for table in ("fights", "fight_features", "fight_gap_table"):
+        with open(tmp_path / f"{mode}_{table}.csv", encoding="utf-8", newline="") as fh:
+            tables[table] = list(csv.reader(fh))
+    assert len(tables["fights"]) == len(tables["fight_features"]) == 1  # header only
+    assert tables["fight_features"][0][-1] == "label"
+    gap_rows = tables["fight_gap_table"][1:]
+    assert gap_rows and all(row[-1] == "0" for row in gap_rows)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        invoke("predict", "--features", str(tmp_path / f"{mode}_fight_features.csv"),
+               "--out", str(tmp_path / "predict"))
+    assert exc.value.code == 2
+    assert "both labels must be present" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def synth_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("synthcorpus")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from macrolens.extraction import MacroDefinition
 from macrolens.fights import (
     DEFAULT_BODY_FIGHT_NAMES,
+    STYLE_NAMES,
     FightFilters,
     FightRecord,
     TitleFight,
@@ -372,26 +373,46 @@ class TestFightFeatures:
         assert int(matrix.y[0]) == 1
 
 
+FIRST_WORD_STYLES = ("first_noun", "first_verb", "first_adjective", "first_determiner")
+
+
 class TestClassifyTitle:
     def test_colon_and_noun(self):
         style = classify_title("Diffusion of Conventions: A Case Study")
-        assert style.has_colon and style.first_noun
-        assert not style.has_question_mark
+        assert {"colon", "first_noun"} <= style
+        assert "question_mark" not in style
 
     def test_question_math_verb(self):
         style = classify_title("Is $P=NP$?")
-        assert style.has_question_mark and style.has_math and style.first_verb
+        assert {"question_mark", "math", "first_verb"} <= style
 
     def test_determiner(self):
         style = classify_title("The evolution of conventions")
-        assert style.first_determiner and not style.has_math
+        assert "first_determiner" in style and "math" not in style
 
     def test_control_sequence_is_math(self):
-        assert classify_title("On \\epsilon expansions").has_math
+        assert "math" in classify_title("On \\epsilon expansions")
 
     def test_unknown_first_word_all_false(self):
         style = classify_title("Xyzzy and friends")
-        assert not (style.first_noun or style.first_verb or style.first_adjective or style.first_determiner)
+        assert not style & set(FIRST_WORD_STYLES)
+
+    # (title showing the style, title not showing it), one pair per style
+    STYLE_EXAMPLES = {
+        "colon": ("Diffusion: a study", "Diffusion as a study"),
+        "question_mark": ("Diffusion as a study?", "Diffusion as a study"),
+        "math": ("Diffusion in $\\mathbb{R}^n$", "Diffusion in space"),
+        "first_noun": ("Diffusion of conventions", "The diffusion of conventions"),
+        "first_verb": ("Is diffusion slow", "The diffusion is slow"),
+        "first_adjective": ("Fast diffusion of conventions", "The fast diffusion"),
+        "first_determiner": ("The diffusion of conventions", "Diffusion of conventions"),
+    }
+
+    @pytest.mark.parametrize("style", STYLE_NAMES)
+    def test_every_style_name_is_reported(self, style):
+        shows, lacks = self.STYLE_EXAMPLES[style]
+        assert style in classify_title(shows)
+        assert style not in classify_title(lacks)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -402,9 +423,7 @@ class TestClassifyTitle:
     def test_first_word_classes_mutually_exclusive(self, title):
         if not title.strip():
             return
-        style = classify_title(title)
-        flags = [style.first_noun, style.first_verb, style.first_adjective, style.first_determiner]
-        assert sum(flags) <= 1
+        assert len(classify_title(title) & set(FIRST_WORD_STYLES)) <= 1
 
 
 class TestTitleProfile:
@@ -464,10 +483,16 @@ def title_corpus(first_collab_extra=(), y_titles=3, o_titles=5):
 SMALL_TITLE_FILTERS = TitleFightFilters(older_exp_threshold=5, min_younger_papers=3)
 
 
+def colon_fights(corpus, filters):
+    return detect_title_fights(
+        corpus, "colon", ExperienceLedger(corpus), CoauthorIndex(corpus), filters
+    )
+
+
 class TestDetectTitleFights:
     def test_qualifying_first_collaboration(self):
         corpus = title_corpus()
-        fights = detect_title_fights(corpus, "colon", SMALL_TITLE_FILTERS)
+        fights = colon_fights(corpus, SMALL_TITLE_FILTERS)
         assert len(fights) == 1
         f = fights[0]
         assert (f.younger, f.older) == ("y", "o")
@@ -480,18 +505,18 @@ class TestDetectTitleFights:
         corpus = title_corpus(
             first_collab_extra=[("collab2", "2002-01-01", ["y", "o"], "Delta: again")]
         )
-        fights = detect_title_fights(corpus, "colon", SMALL_TITLE_FILTERS)
+        fights = colon_fights(corpus, SMALL_TITLE_FILTERS)
         assert [f.paper_id for f in fights] == ["collab"]
 
     def test_young_author_with_too_few_papers_excluded(self):
         corpus = title_corpus()
         strict = TitleFightFilters(older_exp_threshold=5, min_younger_papers=10)
-        assert detect_title_fights(corpus, "colon", strict) == []
+        assert colon_fights(corpus, strict) == []
 
     def test_older_experience_threshold(self):
         corpus = title_corpus()
         strict = TitleFightFilters(older_exp_threshold=20, min_younger_papers=3)
-        assert detect_title_fights(corpus, "colon", strict) == []
+        assert colon_fights(corpus, strict) == []
 
 
 def tf(pid, p_y, p_o, indicator, e_y=5, e_o=15, rank=0):

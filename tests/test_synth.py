@@ -1,7 +1,11 @@
+import ast
+import math
 import random
+from pathlib import Path
 
 import pytest
 
+from macrolens import changeover, synth
 from macrolens.changeover import ChangeoverParams, detect_changeover
 from macrolens.corpus import load_corpus, normalize_author
 from macrolens.extraction import extract_definitions
@@ -77,10 +81,26 @@ class TestGenerator:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             SynthConfig(preset="bogus")
-        with pytest.raises(ValueError):
-            SynthConfig(name_fight_younger_win=1.5)
-        with pytest.raises(ValueError):
-            SynthConfig(base_volume=10)
+
+    def test_schedule_consistent_with_detection(self):
+        params = ChangeoverParams()
+        assert synth.BASE_VOLUME >= params.s == synth.CHANGEOVER_S
+        assert synth.CHANGEOVER_Q == params.q
+        assert synth.VOLUME_GROWTH > changeover.MATCH_RATIO_HI
+        for p in (synth.NAME_FIGHT_YOUNGER_WIN, synth.BODY_FIGHT_YOUNGER_WIN,
+                  synth.TITLE_HIGH_DOMINANCE):
+            assert 0.0 <= p <= 1.0
+        # planted switch points sit between the edge windows, and the
+        # early-window seeds stay a minority of the smallest early window
+        assert all(params.q <= t <= 1.0 - params.q for t in synth.SWITCH_FRACTIONS)
+        assert 2 * synth.EARLY_SEED_USES < math.floor(params.q * synth.BASE_VOLUME)
+
+    def test_imports_no_detection_module(self):
+        """The checks above hold only if synth does not share the code it plants for."""
+        tree = ast.parse(Path(synth.__file__).read_text(encoding="utf-8"))
+        imported = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        imported += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        assert not {"changeover", "timelines"} & {m.split(".")[-1] for m in imported if m}
 
 
 class TestDirectTimelines:

@@ -9,7 +9,6 @@ from macrolens.timelines import (
     coauthor_graph,
     flexibility,
     interval,
-    prior_uses,
 )
 
 from conftest import corpus_of, paper, simple_timeline, timeline
@@ -273,8 +272,9 @@ class TestFlexibilityAndPriorUses:
 
     def test_prior_uses_counts(self):
         corpus, tl = self.make(["\\A", "\\B", "\\A"])
-        assert prior_uses(tl, "u", "cut", corpus) == 3
-        assert prior_uses(tl, "nobody", "cut", corpus) == 0
+        cutoff = corpus.rank_of("cut")
+        assert len(tl.prior_positions("u", cutoff)) == 3
+        assert tl.prior_positions("nobody", cutoff) == []
 
     def test_same_tie_group_use_not_counted(self):
         papers = [
@@ -293,7 +293,7 @@ class TestFlexibilityAndPriorUses:
         strict = [
             o for o in tl.occurrences if o.group_rank < corpus.rank_of("query")
         ]
-        assert prior_uses(tl, "u", "query", corpus) == len(strict) == 1
+        assert len(tl.prior_positions("u", corpus.rank_of("query"))) == len(strict) == 1
 
     def test_prior_positions_match_linear_filter(self, rng):
         pool = [f"w{k}" for k in range(6)]
