@@ -301,18 +301,25 @@ def binomial_ci(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
 def betweenness(adjacency: Mapping[str, Iterable[str]]) -> dict[str, float]:
     """Unnormalized shortest-path betweenness, unordered pairs counted once.
 
-    Single-source shortest-path accumulation over every source; the
-    ordered-pair total is halved at the end.  Disconnected pairs
-    contribute nothing.
+    Brandes' single-source accumulation from every source, over node
+    indices in sorted-name order; the ordered-pair total is halved at the
+    end.  Disconnected pairs contribute nothing, and a source adds to the
+    nodes it reaches only, so a node's score depends on its own connected
+    component alone.  Each source resets just the nodes it reached, which
+    makes a graph of many small components cost the sum of their own
+    Brandes costs.
     """
     nodes = sorted(adjacency)
-    adj = {v: sorted(adjacency[v]) for v in nodes}
-    scores = {v: 0.0 for v in nodes}
-    for source in nodes:
-        stack: list[str] = []
-        preds: dict[str, list[str]] = {v: [] for v in nodes}
-        sigma = {v: 0.0 for v in nodes}
-        dist = {v: -1 for v in nodes}
+    position = {v: i for i, v in enumerate(nodes)}
+    adj = [sorted(position[w] for w in adjacency[v]) for v in nodes]
+    n = len(nodes)
+    scores = [0.0] * n
+    preds: list[list[int]] = [[] for _ in range(n)]
+    sigma = [0.0] * n
+    dist = [-1] * n
+    delta = [0.0] * n
+    for source in range(n):
+        stack: list[int] = []  # BFS order
         sigma[source] = 1.0
         dist[source] = 0
         queue = deque([source])
@@ -326,11 +333,14 @@ def betweenness(adjacency: Mapping[str, Iterable[str]]) -> dict[str, float]:
                 if dist[w] == dist[v] + 1:
                     sigma[w] += sigma[v]
                     preds[w].append(v)
-        delta = {v: 0.0 for v in nodes}
-        while stack:
-            w = stack.pop()
+        for w in reversed(stack):
             for v in preds[w]:
                 delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
             if w != source:
                 scores[w] += delta[w]
-    return {v: s / 2.0 for v, s in scores.items()}
+        for v in stack:
+            preds[v] = []
+            sigma[v] = 0.0
+            dist[v] = -1
+            delta[v] = 0.0
+    return {v: s / 2.0 for v, s in zip(nodes, scores)}

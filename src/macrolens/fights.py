@@ -301,8 +301,16 @@ def fight_features(
     """
     graph = coauthor_graph(corpus, timeline, fight.paper_id, index=index)
     adj = graph.adjacency()
-    central = betweenness(adj)
     authors = (fight.author_a, fight.author_b)
+    # a node's betweenness depends on its own component only
+    reached = {a for a in authors if a in adj}
+    todo = list(reached)
+    while todo:
+        for w in adj[todo.pop()]:
+            if w not in reached:
+                reached.add(w)
+                todo.append(w)
+    central = betweenness({v: adj[v] for v in reached})
     row: list[float] = [float(fight.exp_a), float(fight.exp_b)]
     for author in authors:
         row.append(float(len(timeline.prior_positions(author, fight.group_rank))))

@@ -138,6 +138,37 @@ def oracle_betweenness(nodes: list[str], edges: list[tuple[str, str]]) -> dict[s
     return scores
 
 
+def oracle_coauthor_edges(
+    papers: list[tuple[int, tuple[str, ...]]],
+    uses: list[tuple[int, tuple[str, ...]]],
+    cutoff_rank: int,
+) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """A body's prior users and the co-author pairs among them.
+
+    ``papers`` lists every paper of the corpus and ``uses`` the papers that
+    used the body, each as (tie-group rank, authors).  The users are the
+    authors of uses strictly before ``cutoff_rank``; two users are joined
+    when some paper strictly before the cutoff lists both, whether or not
+    it used the body.  Nodes are sorted, edges are sorted (smaller,
+    larger) name pairs.
+    """
+    users: list[str] = []
+    for rank, authors in uses:
+        if rank < cutoff_rank:
+            for a in authors:
+                if a not in users:
+                    users.append(a)
+    edges: list[tuple[str, str]] = []
+    for rank, authors in papers:
+        if rank >= cutoff_rank:
+            continue
+        for x in authors:
+            for y in authors:
+                if x < y and x in users and y in users and (x, y) not in edges:
+                    edges.append((x, y))
+    return tuple(sorted(users)), tuple(sorted(edges))
+
+
 def oracle_validate_matched_pair(pair, q: float, ratio_lo: float, ratio_hi: float, tol: float) -> list[str]:
     """Recheck a matched pair's invariants from its raw timelines.
 

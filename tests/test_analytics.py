@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -276,6 +277,87 @@ class TestBetweenness:
             ref = oracle_betweenness(nodes, edges)
             for v in nodes:
                 assert abs(mine[v] - ref[v]) <= 1e-9
+
+
+def dict_brandes(adjacency, sources=None):
+    """Per-source dict Brandes with sources in sorted-name order (or the
+    given order): the summation-order reference that ``betweenness`` must
+    reproduce bit for bit."""
+    nodes = sorted(adjacency)
+    adj = {v: sorted(adjacency[v]) for v in nodes}
+    scores = {v: 0.0 for v in nodes}
+    for source in nodes if sources is None else sources:
+        stack = []
+        preds = {v: [] for v in nodes}
+        sigma = {v: 0.0 for v in nodes}
+        dist = {v: -1 for v in nodes}
+        sigma[source] = 1.0
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = {v: 0.0 for v in nodes}
+        while stack:
+            w = stack.pop()
+            for v in preds[w]:
+                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
+            if w != source:
+                scores[w] += delta[w]
+    return {v: s / 2.0 for v, s in scores.items()}
+
+
+def component(adj, roots):
+    reached = set(roots)
+    todo = list(roots)
+    while todo:
+        for w in adj[todo.pop()]:
+            if w not in reached:
+                reached.add(w)
+                todo.append(w)
+    return reached
+
+
+class TestBetweennessBitExact:
+    @staticmethod
+    def random_graph(rng):
+        """Up to ~40 nodes in 1-5 components of mixed density; random
+        names, so the components interleave in sorted-name order."""
+        names = rng.sample([a + b + c for a in "abcdefgh" for b in "ijklmn" for c in "opqrst"], 40)
+        edges = []
+        nodes = []
+        for _ in range(rng.randint(1, 5)):
+            part = [names.pop() for _ in range(rng.randint(1, 8))]
+            nodes += part
+            density = rng.choice((0.15, 0.3, 0.5, 0.8))
+            edges += [
+                (x, y) for i, x in enumerate(part) for y in part[i + 1 :] if rng.random() < density
+            ]
+        return adjacency(edges, nodes=nodes)
+
+    def test_equals_dict_reference_on_graph_and_fighter_components(self):
+        rng = random.Random(301)
+        order_sensitive = 0
+        for _ in range(300):
+            adj = self.random_graph(rng)
+            ref = dict_brandes(adj)
+            assert betweenness(adj) == ref
+            fighters = rng.choices(sorted(adj), k=2)
+            reached = component(adj, fighters)
+            sub = betweenness({v: adj[v] for v in reached})
+            assert sorted(sub) == sorted(reached)
+            assert all(sub[v] == ref[v] for v in reached)
+            reverse = dict_brandes(adj, sources=sorted(adj, reverse=True))
+            order_sensitive += reverse != ref
+        # another summation order changes some last bits, so == can see it
+        assert order_sensitive > 0
 
 
 class TestOracleBetweenness:

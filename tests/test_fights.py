@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macrolens import fights as fights_module
+from macrolens.analytics import betweenness
 from macrolens.extraction import MacroDefinition
 from macrolens.fights import (
     DEFAULT_BODY_FIGHT_NAMES,
@@ -371,6 +373,39 @@ class TestFightFeatures:
         fights = detect_name_fights(corpus, tls, ledger, LOOSE)
         matrix = fight_feature_matrix(fights, tls, corpus, ledger, CoauthorIndex(corpus))
         assert int(matrix.y[0]) == 1
+
+    def test_no_pair_tests_and_betweenness_sees_fighters_component_only(self, monkeypatch):
+        """2,000 prior single-author users: an all-pairs graph would make
+        about two million pair tests; the graph and betweenness stay
+        proportional to the co-author lists and the fighters' component."""
+        sketch = [
+            (f"s{i:04d}", "2000-01-01", [f"user {i:04d}"], [("\\R", BODY)]) for i in range(2000)
+        ]
+        sketch += [
+            ("pab", "2000-02-01", ["a", "b"], []),
+            ("pa", "2000-02-02", ["a"], [("\\Reals", BODY)]),
+            ("pb", "2000-02-03", ["b"], [("\\R", BODY)]),
+            ("pj", "2000-03-01", ["a", "b"], [("\\R", BODY)]),
+        ]
+        corpus, defs, ledger, tls = build(sketch)
+        fights = detect_name_fights(corpus, tls, ledger, LOOSE)
+        assert [f.paper_id for f in fights] == ["pj"]
+
+        def no_pair_tests(*args):
+            raise AssertionError("coauthored_before called")
+
+        sizes = []
+
+        def recorded(adj):
+            sizes.append(sorted(adj))
+            return betweenness(adj)
+
+        monkeypatch.setattr(CoauthorIndex, "coauthored_before", no_pair_tests)
+        monkeypatch.setattr(fights_module, "betweenness", recorded)
+        matrix = fight_feature_matrix(fights, tls, corpus, ledger, CoauthorIndex(corpus))
+        assert sizes == [["a", "b"]]
+        row = dict(zip(matrix.columns, matrix.X[0]))
+        assert row["degree_1"] == row["degree_2"] == 1.0
 
 
 FIRST_WORD_STYLES = ("first_noun", "first_verb", "first_adjective", "first_determiner")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from macrolens.extraction import extract_definitions
@@ -12,6 +14,7 @@ from macrolens.timelines import (
 )
 
 from conftest import corpus_of, paper, simple_timeline, timeline
+from oracles import oracle_coauthor_edges
 
 
 def macro_paper(pid, date, authors, source):
@@ -237,6 +240,57 @@ class TestCoauthorGraph:
         )
         g = coauthor_graph(corpus, tl, "cut", CoauthorIndex(corpus))
         assert set(g.edges) == {("a", "b")}
+
+
+class TestCoauthorGraphAgainstOracle:
+    @staticmethod
+    def random_corpus(rng):
+        """Papers over four months, some month-granular (tie groups); a
+        small author pool, single-author papers and repeated bylines; about
+        half the papers use the body."""
+        pool = [f"u{i:02d}" for i in range(rng.randint(2, 12))]
+        papers = []
+        for i in range(rng.randint(1, 30)):
+            month = rng.randint(1, 4)
+            if rng.random() < 0.4:
+                date = f"2000-{month:02d}"
+            else:
+                date = f"2000-{month:02d}-{rng.randint(1, 28):02d}"
+            if papers and rng.random() < 0.2:
+                authors = list(rng.choice(papers).authors)
+            else:
+                authors = rng.sample(pool, min(rng.choice((1, 1, 2, 2, 3, 4)), len(pool)))
+            papers.append(paper(f"p{i:02d}", date, authors))
+        corpus = corpus_of(*papers)
+        used = [p for p in corpus if rng.random() < 0.5]
+        tl = timeline([(p.paper_id, corpus.rank_of(p.paper_id), "\\n", p.authors) for p in used])
+        return corpus, tl
+
+    def test_nodes_and_edges_match_oracle(self):
+        rng = random.Random(2024)
+        seen = dict.fromkeys(
+            ("tie_cutoff", "repeated_joint", "single_author", "non_user_coauthor", "edge"), 0
+        )
+        for _ in range(250):
+            corpus, tl = self.random_corpus(rng)
+            index = CoauthorIndex(corpus)
+            papers = [(corpus.rank_of(p.paper_id), p.authors) for p in corpus]
+            uses = [(o.group_rank, o.authors) for o in tl.occurrences]
+            ranks = [r for r, _ in papers]
+            for p in corpus:
+                cutoff = corpus.rank_of(p.paper_id)
+                g = coauthor_graph(corpus, tl, p.paper_id, index)
+                assert (g.nodes, g.edges) == oracle_coauthor_edges(papers, uses, cutoff)
+                seen["tie_cutoff"] += ranks.count(cutoff) > 1
+                seen["edge"] += len(g.edges)
+                users = set(g.nodes)
+                seen["non_user_coauthor"] += any(
+                    r < cutoff and len(users & set(a)) not in (0, len(a)) for r, a in papers
+                )
+            bylines = [tuple(sorted(a)) for _, a in papers if len(a) > 1]
+            seen["repeated_joint"] += len(bylines) - len(set(bylines))
+            seen["single_author"] += sum(1 for _, a in papers if len(a) == 1)
+        assert all(seen.values()), seen
 
 
 class TestFlexibilityAndPriorUses:
