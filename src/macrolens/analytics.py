@@ -4,7 +4,7 @@ Everything the prediction harness needs, implemented directly so that
 oracle tests can check it against naive re-derivations: z-score
 normalization, balanced train/test splitting, maximum-likelihood
 logistic regression via line-searched gradient descent, the exact
-binomial test, and shortest-path betweenness centrality.
+binomial confidence interval, and shortest-path betweenness centrality.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def accuracy(model: LogisticModel, test: FeatureMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact binomial test
+# Exact binomial confidence interval
 # ---------------------------------------------------------------------------
 
 
@@ -244,25 +244,6 @@ def _log_pmf(k: int, n: int, p: float) -> float:
         + k * math.log(p)
         + (n - k) * math.log1p(-p)
     )
-
-
-def binomial_test(k: int, n: int, p0: float = 0.5) -> float:
-    """Exact two-sided p-value under Binomial(n, p0).
-
-    Sums the probability of every outcome no more likely than the
-    observed one (with a tiny relative slack for floating point).
-    """
-    if not (0 <= k <= n) or n < 0:
-        raise ValueError(f"invalid binomial counts k={k}, n={n}")
-    if not (0.0 <= p0 <= 1.0):
-        raise ValueError(f"invalid null probability {p0}")
-    threshold = _log_pmf(k, n, p0) + 1e-9
-    total = 0.0
-    for i in range(n + 1):
-        lp = _log_pmf(i, n, p0)
-        if lp <= threshold:
-            total += math.exp(lp)
-    return min(total, 1.0)
 
 
 def _cdf(k: int, n: int, p: float) -> float:

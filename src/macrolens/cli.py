@@ -8,6 +8,7 @@ fully deterministic for a fixed ``--seed``.
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import os
 import sys
@@ -342,17 +343,21 @@ def _title_fights(args) -> int:
 
 
 def _read_feature_csv(path: Path) -> analytics.FeatureMatrix:
-    import csv as _csv
-
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        if header[-1] != "label":
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"empty feature CSV: {path}")
+        if header[-1:] != ["label"]:
             raise ValueError("feature CSV must end with a 'label' column")
         columns = header[:-1]
         rows = []
         labels = []
         for rec in reader:
+            if len(rec) != len(header):
+                raise ValueError(
+                    f"feature CSV line {reader.line_num} has {len(rec)} fields, not {len(header)}"
+                )
             rows.append([float(v) for v in rec[:-1]])
             labels.append(int(float(rec[-1])))
     return analytics.FeatureMatrix.from_rows(columns, rows, labels)
@@ -391,8 +396,7 @@ def cmd_synth(args) -> int:
         n_title_pairs=args.title_pairs,
     )
     result = synth.generate(config)
-    out = Path(args.out if args.out is not None else _default_outdir())
-    manifest, truth = synth.write_output(result, out)
+    manifest, truth = synth.write_output(result, _outdir(args))
     log.info("wrote %s (%d papers) and %s", manifest, len(result.records), truth)
     return 0
 
@@ -493,7 +497,7 @@ def run(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         parser.exit(2 if isinstance(exc, ValueError) else 1, f"macrolens: error: {exc}\n")
         return 2  # unreachable; parser.exit raises SystemExit
 

@@ -2,24 +2,47 @@
 
 Recognizes ``\\def``, ``\\newcommand`` and ``\\renewcommand`` in raw
 (possibly non-compilable) LaTeX source without expanding anything.
-Comments are stripped first; bodies are captured as balanced brace
-groups with backslash escapes honored (``\\{`` is not a brace).
+Three lexical rules, each stated once below:
+
+* escape (``_ESCAPE``): a backslash and the character after it are one
+  opaque token, so ``\\{`` is not a brace and ``\\%`` starts no comment;
+* comment (``_COMMENT``): an unescaped ``%`` drops the rest of its line;
+* name (``_NAME``): a control-sequence name is a backslash followed by
+  ASCII letters, or by one character that is neither a brace nor
+  whitespace.
+
+Comments are stripped first.  One pass over the stripped text then pairs
+every brace (:func:`_brace_pairs`), so a body, the balanced brace group
+after a definition's name, is found by a table lookup.
 
 Definitions nested inside another definition's body are not emitted:
 scanning resumes after a successfully parsed body, which matches what
 the source defines at end-of-preamble.  Malformed candidates (bad name,
 unbalanced body) are skipped and counted, and scanning continues.
+
+Scanning is linear in source length: a candidate's scan stops before the
+position where the main scan resumes, and brace groups are jumped over
+through the table rather than read again.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-_COMMANDS = ("\\def", "\\newcommand", "\\renewcommand")
-
-
-def _is_letter(ch: str) -> bool:
-    return ("a" <= ch <= "z") or ("A" <= ch <= "Z")
+_ESCAPE = r"\\."
+# Escape tokens and braces; ``.`` spans newlines, so any character can
+# be escaped.  Only a lone trailing backslash matches nothing.
+_TOKEN = re.compile(_ESCAPE + r"|[{}]", re.S)
+# A comment ends at its line's end, so here ``.`` stops at a newline.
+# The lookahead passes over lines without ``%`` at once.
+_COMMENT = re.compile(rf"^(?=[^%\n]*%)((?:{_ESCAPE}|[^\\%\n])*)%.*", re.M)
+# ``\s`` matches exactly the characters for which ``str.isspace()`` holds.
+_NAME = re.compile(r"\\(?:[A-Za-z]+|[^{}\s])")
+# A defining command not followed by a letter, or any other control
+# sequence, which the main loop steps over as a whole.
+_CANDIDATE = re.compile(r"\\(def|newcommand|renewcommand)(?![A-Za-z])|" + _NAME.pattern)
+_SPACE = re.compile(r"\s*")
 
 
 @dataclass(frozen=True)
@@ -53,93 +76,30 @@ class ExtractionResult:
 
 def strip_comments(source: str) -> str:
     """Drop ``%`` to end-of-line comments; ``\\%`` survives."""
-    out: list[str] = []
-    for line in source.split("\n"):
-        i = 0
-        n = len(line)
-        while i < n:
-            c = line[i]
-            if c == "\\":
-                i += 2
-                continue
-            if c == "%":
-                line = line[:i]
-                break
-            i += 1
-        out.append(line)
-    return "\n".join(out)
+    return _COMMENT.sub(r"\1", source)
 
 
-def _scan_control_sequence(text: str, i: int) -> tuple[str | None, int]:
-    """Parse a control sequence starting at the backslash at ``i``.
-
-    Returns (sequence including backslash, next index), or (None, next
-    index) when the backslash starts nothing usable as a name.
-    """
-    j = i + 1
-    n = len(text)
-    if j >= n:
-        return None, j
-    c = text[j]
-    if _is_letter(c):
-        k = j
-        while k < n and _is_letter(text[k]):
-            k += 1
-        return text[i:k], k
-    if c in "{}" or c.isspace():
-        return None, j + 1
-    return text[i : j + 1], j + 1
-
-
-def _scan_group(text: str, i: int) -> tuple[str | None, int]:
-    """Scan the balanced ``{...}`` group starting at ``text[i]``.
-
-    Returns (group content without the outer braces, index after the
-    closing brace), or (None, len(text)) when unbalanced.
-    """
-    depth = 0
-    j = i
-    n = len(text)
-    while j < n:
-        c = text[j]
-        if c == "\\":
-            j += 2
-            continue
+def _brace_pairs(text: str) -> tuple[dict[int, int], int]:
+    """Each paired ``{``'s index mapped to its ``}``'s index, and the
+    number of braces left unpaired."""
+    pairs: dict[int, int] = {}
+    opened: list[int] = []
+    stray = 0
+    for tok in _TOKEN.finditer(text):
+        c = tok.group()
         if c == "{":
-            depth += 1
+            opened.append(tok.start())
         elif c == "}":
-            depth -= 1
-            if depth == 0:
-                return text[i + 1 : j], j + 1
-        j += 1
-    return None, n
-
-
-def _skip_ws(text: str, i: int) -> int:
-    n = len(text)
-    while i < n and text[i].isspace():
-        i += 1
-    return i
+            if opened:
+                pairs[opened.pop()] = tok.start()
+            else:
+                stray += 1
+    return pairs, stray + len(opened)
 
 
 def check_balanced(text: str) -> bool:
     """True iff braces balance, treating ``\\X`` as opaque."""
-    depth = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\\":
-            i += 2
-            continue
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth < 0:
-                return False
-        i += 1
-    return depth == 0
+    return _brace_pairs(text)[1] == 0
 
 
 def normalize_body(raw: str) -> str:
@@ -153,160 +113,142 @@ def normalize_body(raw: str) -> str:
     return " ".join(raw.split())
 
 
-def _parse_def(text: str, i: int, paper_id: str, start: int) -> tuple[MacroDefinition | None, int]:
-    """Parse a ``\\def`` at ``i`` (just past the command word)."""
-    k = _skip_ws(text, i)
-    if k >= len(text) or text[k] != "\\":
-        return None, k
-    name, k = _scan_control_sequence(text, k)
-    if name is None:
-        return None, k
-    sig_start = k
-    n = len(text)
-    while k < n:
-        c = text[k]
-        if c == "\\":
-            k += 2
-            continue
-        if c == "{":
-            break
-        if c == "}":
-            return None, k + 1  # stray close brace in parameter text
-        k += 1
-    if k >= n:
-        return None, n
-    signature = " ".join(text[sig_start:k].split())
-    body, k2 = _scan_group(text, k)
-    if body is None:
-        return None, k + 1  # resume inside the unbalanced group
-    return (
-        MacroDefinition(
-            paper_id=paper_id,
-            name=name,
-            body=normalize_body(body),
-            command="def",
-            signature=signature,
-            offset=start,
-        ),
-        k2,
-    )
-
-
-def _parse_newcommand(
-    text: str, i: int, paper_id: str, start: int, command: str
-) -> tuple[MacroDefinition | None, int]:
-    """Parse a ``\\newcommand``/``\\renewcommand`` at ``i``."""
-    n = len(text)
-    if i < n and text[i] == "*":
-        i += 1
-    k = _skip_ws(text, i)
-    if k >= n:
-        return None, n
-    if text[k] == "{":
-        inner, k2 = _scan_group(text, k)
-        if inner is None:
-            return None, k + 1  # resume inside the unbalanced group
-        k = k2
-        name = inner.strip()
-        if not _valid_name(name):
-            return None, k
-    elif text[k] == "\\":
-        name, k = _scan_control_sequence(text, k)
-        if name is None:
-            return None, k
-    else:
+def _group(text: str, pairs: dict[int, int], k: int) -> tuple[str | None, int]:
+    """The content of the brace group opening at ``text[k]`` and the index
+    after it, or (None, k + 1) when that brace has no pair."""
+    close = pairs.get(k)
+    if close is None:
         return None, k + 1
-    signature = ""
-    k = _skip_ws(text, k)
-    if k < n and text[k] == "[":
-        arg_count, k = _scan_bracket_group(text, k)
-        if arg_count is None or not (arg_count.strip().isdigit() and len(arg_count.strip()) == 1):
-            return None, k
-        signature = f"[{arg_count.strip()}]"
-        k = _skip_ws(text, k)
-        if k < n and text[k] == "[":
-            default, k = _scan_bracket_group(text, k)
-            if default is None:
-                return None, k
-            signature += f"[{default}]"
-        k = _skip_ws(text, k)
-    if k >= n or text[k] != "{":
-        return None, k
-    body, k2 = _scan_group(text, k)
-    if body is None:
-        return None, k + 1
-    return (
-        MacroDefinition(
-            paper_id=paper_id,
-            name=name,
-            body=normalize_body(body),
-            command=command,
-            signature=signature,
-            offset=start,
-        ),
-        k2,
-    )
+    return text[k + 1 : close], close + 1
 
 
-def _scan_bracket_group(text: str, i: int) -> tuple[str | None, int]:
-    """Scan ``[...]`` starting at ``text[i]``; braces inside are opaque."""
-    depth = 0
+def _control_sequence(text: str, k: int) -> tuple[str | None, int]:
+    """The name at the backslash ``text[k]`` and the index after it, or
+    (None, index after the backslash's escape token) when it starts none."""
+    m = _NAME.match(text, k)
+    if m is not None:
+        return m.group(), m.end()
+    m = _TOKEN.match(text, k)
+    return None, (len(text) if m is None else m.end())
+
+
+def _bracket_group(text: str, pairs: dict[int, int], i: int) -> tuple[str | None, int]:
+    """Scan the ``[...]`` opening at ``text[i]``, jumping over brace groups.
+
+    Returns (content, index after the ``]``); (None, index after a stray
+    ``}``); or (None, len(text)) at an unpaired ``{`` or the text's end.
+    """
     j = i + 1
-    n = len(text)
-    while j < n:
-        c = text[j]
-        if c == "\\":
-            j += 2
-            continue
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth < 0:
-                return None, j + 1
-        elif c == "]" and depth == 0:
-            return text[i + 1 : j], j + 1
-        j += 1
-    return None, n
+    while True:
+        tok = _TOKEN.search(text, j)
+        stop = len(text) if tok is None else tok.start()
+        close = text.find("]", j, stop)
+        if close >= 0:
+            return text[i + 1 : close], close + 1
+        if tok is None:
+            return None, len(text)
+        if tok.group() == "}":
+            return None, tok.end()
+        if tok.group() == "{":
+            group_close = pairs.get(tok.start())
+            if group_close is None:
+                return None, len(text)
+            j = group_close + 1
+        else:
+            j = tok.end()
 
 
-def _valid_name(name: str) -> bool:
-    if len(name) < 2 or name[0] != "\\":
-        return False
-    rest = name[1:]
-    if all(_is_letter(c) for c in rest):
-        return True
-    return len(rest) == 1 and not rest.isspace() and rest not in "{}"
+def _parse_def(text: str, i: int) -> tuple[str | None, str, int]:
+    """Parse a ``\\def`` from ``i`` (just past the command word) up to its
+    body: (name, signature, index of the body's ``{``), or (None, "",
+    index to resume at)."""
+    k = _SPACE.match(text, i).end()
+    if not text.startswith("\\", k):
+        return None, "", k
+    name, k = _control_sequence(text, k)
+    if name is None:
+        return None, "", k
+    for tok in _TOKEN.finditer(text, k):
+        if tok.group() == "}":
+            return None, "", tok.end()  # stray close brace in parameter text
+        if tok.group() == "{":
+            return name, " ".join(text[k : tok.start()].split()), tok.start()
+    return None, "", len(text)
+
+
+def _parse_newcommand(text: str, pairs: dict[int, int], i: int) -> tuple[str | None, str, int]:
+    """Parse a ``\\newcommand``/``\\renewcommand`` from ``i``, as
+    :func:`_parse_def` does."""
+    if text.startswith("*", i):
+        i += 1
+    k = _SPACE.match(text, i).end()
+    if k >= len(text):
+        return None, "", k
+    if text[k] == "{":
+        inner, k = _group(text, pairs, k)
+        if inner is None:
+            return None, "", k  # resume inside the unbalanced group
+        name = inner.strip()
+        if not _NAME.fullmatch(name):
+            return None, "", k
+    elif text[k] == "\\":
+        name, k = _control_sequence(text, k)
+        if name is None:
+            return None, "", k
+    else:
+        return None, "", k + 1
+    signature = ""
+    k = _SPACE.match(text, k).end()
+    if text.startswith("[", k):
+        arg_count, k = _bracket_group(text, pairs, k)
+        count = "" if arg_count is None else arg_count.strip()
+        if len(count) != 1 or not count.isdigit():
+            return None, "", k
+        signature = f"[{count}]"
+        k = _SPACE.match(text, k).end()
+        if text.startswith("[", k):
+            default, k = _bracket_group(text, pairs, k)
+            if default is None:
+                return None, "", k
+            signature += f"[{default}]"
+        k = _SPACE.match(text, k).end()
+    if not text.startswith("{", k):
+        return None, "", k
+    return name, signature, k
 
 
 def extract_definitions(source: str, paper_id: str) -> ExtractionResult:
     """All recognized macro definitions in ``source``, in source order."""
     text = strip_comments(source)
+    pairs, _ = _brace_pairs(text)
     defs: list[MacroDefinition] = []
     skipped = 0
     i = 0
-    n = len(text)
-    while i < n:
-        if text[i] != "\\":
-            i += 1
-            continue
-        seq, j = _scan_control_sequence(text, i)
-        if seq is None:
-            i = j
-            continue
-        if seq == "\\def":
-            parsed, j2 = _parse_def(text, j, paper_id, i)
-        elif seq in ("\\newcommand", "\\renewcommand"):
-            parsed, j2 = _parse_newcommand(text, j, paper_id, i, seq[1:])
+    while (m := _CANDIDATE.search(text, i)) is not None:
+        i = m.end()
+        command = m.group(1)
+        if command is None:
+            continue  # some other control sequence
+        if command == "def":
+            name, signature, i = _parse_def(text, i)
         else:
-            i = j
-            continue
-        if parsed is None:
+            name, signature, i = _parse_newcommand(text, pairs, i)
+        body = None
+        if name is not None:
+            body, i = _group(text, pairs, i)  # an unpaired ``{`` resumes after itself
+        if body is None:
             skipped += 1
-            i = max(j2, j)
-        else:
-            defs.append(parsed)
-            i = j2
+            continue
+        defs.append(
+            MacroDefinition(
+                paper_id=paper_id,
+                name=name,
+                body=normalize_body(body),
+                command=command,
+                signature=signature,
+                offset=m.start(),
+            )
+        )
     return ExtractionResult(definitions=defs, skipped=skipped)
 
 
@@ -376,20 +318,12 @@ def name_features(name: str) -> NameFeatures:
 def body_features(body: str) -> BodyFeatures:
     if not body:
         raise ValueError("empty body")
-    non_alpha = sum(1 for c in body if not _is_letter(c))
-    depth = 0
-    max_depth = 0
-    i = 0
-    n = len(body)
-    while i < n:
-        c = body[i]
-        if c == "\\":
-            i += 2
-            continue
-        if c == "{":
+    letters = sum(1 for c in body if "a" <= c <= "z" or "A" <= c <= "Z")
+    depth = max_depth = 0
+    for tok in _TOKEN.finditer(body):
+        if tok.group() == "{":
             depth += 1
             max_depth = max(max_depth, depth)
-        elif c == "}":
+        elif tok.group() == "}":
             depth -= 1
-        i += 1
-    return BodyFeatures(length=len(body), non_alpha=non_alpha, max_brace_depth=max_depth)
+    return BodyFeatures(length=len(body), non_alpha=len(body) - letters, max_brace_depth=max_depth)

@@ -251,18 +251,6 @@ def win_rate_by_gap(
     return _bucket_rows(values, bucket_edges)
 
 
-def overall_older_win_rate(
-    fights: Sequence[FightRecord], seed: int = 0
-) -> tuple[float, int, int]:
-    """(rate, older wins, decided fights) over the balanced set."""
-    usable = balance_by_position(fights, seed)
-    decided = [f.older_won() for f in usable if f.older_won() is not None]
-    if not decided:
-        raise ValueError("no decided fights")
-    wins = sum(decided)
-    return wins / len(decided), wins, len(decided)
-
-
 # ---------------------------------------------------------------------------
 # Fight features
 # ---------------------------------------------------------------------------
@@ -365,6 +353,9 @@ class TitleLexicon:
     part-of-speech guesses.  Swappable via a JSON file."""
 
     def __init__(self, data: dict):
+        lists = ("determiners", "verbs", "adjectives", "nouns")
+        if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in lists):
+            raise ValueError(f"title lexicon needs a JSON object with word lists {', '.join(lists)}")
         self.determiners = frozenset(data["determiners"])
         self.verbs = frozenset(data["verbs"])
         self.adjectives = frozenset(data["adjectives"])
@@ -623,10 +614,3 @@ def dominance_by_gap(
     sits in the bucket of the mean of its two gaps."""
     values = [(p.mean_gap, p.verdict() == "high") for p in pairs]
     return _bucket_rows(values, bucket_edges)
-
-
-def high_dominance_rate(pairs: Sequence[TitleFightPair]) -> tuple[float, int, int]:
-    if not pairs:
-        raise ValueError("no pairs")
-    highs = sum(1 for p in pairs if p.verdict() == "high")
-    return highs / len(pairs), highs, len(pairs)

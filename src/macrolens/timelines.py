@@ -166,7 +166,6 @@ class ExperienceLedger:
     """
 
     def __init__(self, corpus: Corpus):
-        self._corpus = corpus
         self._papers: dict[str, list[Paper]] = {}
         self._ranks: dict[str, list[int]] = {}
         for paper in corpus:
@@ -177,10 +176,6 @@ class ExperienceLedger:
 
     def papers_of(self, author: str) -> list[Paper]:
         return list(self._papers.get(author, []))
-
-    def experience(self, author: str, paper: Paper | str) -> int:
-        paper_id = paper.paper_id if isinstance(paper, Paper) else paper
-        return self.experience_at_rank(author, self._corpus.rank_of(paper_id))
 
     def experience_at_rank(self, author: str, group_rank: int) -> int:
         ranks = self._ranks.get(author)

@@ -21,6 +21,7 @@ from macrolens.corpus import load_corpus
 from macrolens.timelines import CoauthorIndex, ExperienceLedger, build_timelines
 
 from conftest import crossover_timeline, random_timeline
+from headline import binomial_test, high_dominance_rate, overall_older_win_rate
 from oracles import oracle_betweenness, oracle_changeover, oracle_validate_matched_pair
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -214,9 +215,9 @@ def test_criterion_7_planted_effects(tmp_path):
         ledger = ExperienceLedger(corpus)
         name_fights = fights.detect_name_fights(corpus, timelines, ledger)
         assert len(name_fights) == 2000, f"detected {len(name_fights)}"
-        rate, wins, n = fights.overall_older_win_rate(name_fights, seed=0)
+        rate, wins, n = overall_older_win_rate(name_fights, seed=0)
         assert abs(rate - (1 - synth.NAME_FIGHT_YOUNGER_WIN)) <= 0.03, f"older-win rate {rate:.4f}"
-        p_value = analytics.binomial_test(wins, n, 0.5)
+        p_value = binomial_test(wins, n, 0.5)
         assert p_value < 0.01, f"p={p_value}"
         # visible title fights: high experience dominant in 57% of 1500 pairs
         cfg = synth.SynthConfig(seed=701, preset="title-fights", n_title_pairs=1500)
@@ -229,7 +230,7 @@ def test_criterion_7_planted_effects(tmp_path):
         assert len(title_fights) == 3000, f"detected {len(title_fights)}"
         pairs, unmatched = fights.match_title_fights(title_fights)
         assert len(pairs) == 1500, f"matched {len(pairs)} (unmatched {unmatched})"
-        dom_rate, _, _ = fights.high_dominance_rate(pairs)
+        dom_rate, _, _ = high_dominance_rate(pairs)
         assert abs(dom_rate - synth.TITLE_HIGH_DOMINANCE) <= 0.04, f"dominance rate {dom_rate:.4f}"
 
 

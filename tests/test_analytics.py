@@ -14,7 +14,6 @@ from macrolens.analytics import (
     apply_zscore,
     betweenness,
     binomial_ci,
-    binomial_test,
     logistic_fit,
     logistic_loss_and_grad,
     predict_proba,
@@ -22,6 +21,7 @@ from macrolens.analytics import (
     zscore,
 )
 
+from headline import binomial_test
 from oracles import oracle_betweenness
 
 

@@ -32,6 +32,26 @@ class TestArgHandling:
             invoke("extract", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path))
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "case", ["empty features", "blank feature row", "features directory", "lexicon lacks list"]
+    )
+    def test_bad_input_files_exit_cleanly(self, case, tmp_path, capsys):
+        if case in ("empty features", "blank feature row"):
+            text = "" if case == "empty features" else "a,label\n1,0\n\n2,1\n"
+            (tmp_path / "features.csv").write_text(text, encoding="utf-8")
+            argv, code = ["predict", "--features", str(tmp_path / "features.csv")], 2
+        elif case == "features directory":
+            argv, code = ["predict", "--features", str(tmp_path)], 1
+        else:
+            (tmp_path / "lexicon.json").write_text('{"determiners": ["the"]}', encoding="utf-8")
+            argv = ["fights", "title", "--corpus", str(GOLDEN / "manifest.jsonl"),
+                    "--lexicon", str(tmp_path / "lexicon.json")]
+            code = 2
+        with pytest.raises(SystemExit) as exc:
+            invoke(*argv, "--out", str(tmp_path / "out"))
+        assert exc.value.code == code
+        assert capsys.readouterr().err.startswith("macrolens: error: ")
+
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MACROLENS_OUTDIR", str(tmp_path / "envout"))
         assert invoke("extract", "--corpus", str(GOLDEN / "manifest.jsonl")) == 0

@@ -1,15 +1,26 @@
+import random
+import time
+from collections import Counter
+from dataclasses import astuple, fields
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from macrolens.extraction import (
+    MacroDefinition,
     body_features,
     check_balanced,
     extract_definitions,
     name_features,
     normalize_body,
     paper_conventions,
+    strip_comments,
 )
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def defs_of(source):
@@ -200,3 +211,92 @@ class TestParserProperties:
         names = [d.name for d in combined]
         expected = [c[4:6] for c in chunks if c.startswith("\\def")]
         assert names == [e for e in expected]
+
+
+# Atoms of the random sources: the lexical specials one by one, escapes,
+# whitespace beyond `` \t\n\r\f\v`` that ``str.isspace()`` accepts (U+2003,
+# U+001C), and whole command words so that candidates are common.
+_ATOMS = [
+    "\\", "{", "}", "[", "]", "%", "*", "\n", " ", "def", "newcommand", "renewcommand",
+    "\\\\", "\\{", "\\%", "\u2003", "\x1c", "\\def", "\\newcommand",
+    "\\renewcommand", "\\a", "\\Bc", "{\\x}", "[1]", "[2][d]", "#1", "x", "3",
+]
+_EDIT_CHARS = "{}[]\\%"
+
+
+def _compare(source, seen):
+    """Assert the extractor and the reference scanner agree on ``source``;
+    tally what the source exercised into ``seen``."""
+    got = extract_definitions(source, "p")
+    ref = oracles.oracle_extract_definitions(source, "p")
+    assert [astuple(d) for d in got.definitions] == [astuple(d) for d in ref.definitions], source
+    assert got.skipped == ref.skipped, source
+    stripped = strip_comments(source)
+    assert stripped == oracles.oracle_strip_comments(source), source
+    for text in (source, stripped):
+        assert check_balanced(text) == oracles.oracle_check_balanced(text), text
+    if source:
+        assert astuple(body_features(source)) == astuple(oracles.oracle_body_features(source)), source
+    seen["skipped"] += got.skipped
+    seen["comment stripped"] += stripped != source
+    seen["unbalanced"] += not check_balanced(stripped)
+    seen["lone trailing backslash"] += (len(source) - len(source.rstrip("\\"))) % 2
+    for d in got.definitions:
+        seen[d.command] += 1
+        seen["signature"] += d.signature != ""
+        seen["[n] signature"] += d.signature.startswith("[")
+
+
+class TestAgainstReferenceScanner:
+    """Every output of the extractor equals the former char-by-char
+    scanner's (``tests/oracles.py``), offsets and skip counts included."""
+
+    def test_definition_fields_match_reference(self):
+        assert [f.name for f in fields(MacroDefinition)] == [
+            f.name for f in fields(oracles.OracleDefinition)
+        ]
+
+    def test_random_sources(self):
+        rng = random.Random(20261018)
+        seen = Counter()
+        for _ in range(12000):
+            _compare("".join(rng.choices(_ATOMS, k=rng.randint(0, 40))), seen)
+        for key in ("def", "newcommand", "renewcommand", "signature", "[n] signature",
+                    "skipped", "comment stripped", "unbalanced", "lone trailing backslash"):
+            assert seen[key] > 50, (key, seen)
+
+    def test_mutated_golden_sources(self):
+        rng = random.Random(7)
+        seen = Counter()
+        sources = [p.read_text(encoding="utf-8") for p in sorted(GOLDEN.glob("g*.tex"))]
+        assert len(sources) == 20
+        for source in sources:
+            _compare(source, seen)
+            for _ in range(300):
+                chars = list(source)
+                for _ in range(rng.randint(1, 4)):
+                    specials = [i for i, c in enumerate(chars) if c in _EDIT_CHARS]
+                    if specials and rng.random() < 0.5:
+                        del chars[rng.choice(specials)]
+                    else:
+                        chars.insert(rng.randint(0, len(chars)), rng.choice(_EDIT_CHARS))
+                _compare("".join(chars), seen)
+        for key in ("def", "newcommand", "renewcommand", "[n] signature", "skipped", "unbalanced"):
+            assert seen[key] > 50, (key, seen)
+
+    def test_whitespace_agrees_with_isspace(self):
+        """Names, separators and ``strip`` see the same whitespace as
+        ``str.isspace()``, for every character up to U+3000, the last one
+        it accepts."""
+        seen = Counter()
+        for c in map(chr, range(0x3001)):
+            _compare(f"\\def\\{c}{{x}}\\newcommand{c}{{{c}\\a{c}}}{c}[1]{c}{{y}}", seen)
+        assert seen["def"] > 0 and seen["skipped"] > 0
+
+    def test_broken_bodies_extract_in_linear_time(self):
+        source = "\\def\\a{x\n" * 4000
+        start = time.perf_counter()
+        result = extract_definitions(source, "p")
+        elapsed = time.perf_counter() - start
+        assert (result.definitions, result.skipped) == ([], 4000)
+        assert elapsed < 1.0

@@ -22,9 +22,7 @@ from macrolens.fights import (
     detect_title_fights,
     dominance_by_gap,
     fight_feature_matrix,
-    high_dominance_rate,
     match_title_fights,
-    overall_older_win_rate,
     title_profile,
     win_rate_by_gap,
 )
@@ -36,6 +34,7 @@ from macrolens.timelines import (
 )
 
 from conftest import corpus_of, paper
+from headline import high_dominance_rate, overall_older_win_rate
 
 BODY = "\\mathbb{R}"  # 10 chars
 

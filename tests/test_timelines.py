@@ -83,11 +83,11 @@ class TestExperience:
 
     def test_first_paper_zero(self):
         corpus, ledger = self.make()
-        assert ledger.experience("luty", "first") == 0
+        assert ledger.experience_at_rank("luty", corpus.rank_of("first")) == 0
 
     def test_one_strict_predecessor(self):
         corpus, ledger = self.make()
-        assert ledger.experience("luty", "second") == 1
+        assert ledger.experience_at_rank("luty", corpus.rank_of("second")) == 1
 
     def test_same_tie_group_excluded(self):
         corpus, ledger = self.make()
@@ -99,17 +99,17 @@ class TestExperience:
                 if "tied" in other.authors
                 and corpus.rank_of(other.paper_id) < corpus.rank_of(pid)
             )
-            assert ledger.experience("tied", pid) == expected == 0
+            assert ledger.experience_at_rank("tied", corpus.rank_of(pid)) == expected == 0
 
     def test_unknown_author_zero(self):
-        _, ledger = self.make()
-        assert ledger.experience("nobody", "first") == 0
+        corpus, ledger = self.make()
+        assert ledger.experience_at_rank("nobody", corpus.rank_of("first")) == 0
 
     def test_monotone_along_author_sequence(self):
         papers = [paper(f"p{i}", f"200{i}-01-0{i+1}", ["w"]) for i in range(5)]
         corpus = corpus_of(*papers)
         ledger = ExperienceLedger(corpus)
-        values = [ledger.experience("w", p.paper_id) for p in corpus.papers]
+        values = [ledger.experience_at_rank("w", corpus.rank_of(p.paper_id)) for p in corpus.papers]
         assert values == sorted(values)
 
 
