@@ -14,6 +14,7 @@ from __future__ import annotations
 import datetime
 import json
 import logging
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,16 +22,24 @@ from typing import Iterable, Iterator
 
 log = logging.getLogger(__name__)
 
+# Zero-padded ASCII digits only: ``re.ASCII`` keeps ``\d`` from matching
+# other scripts' digits, which ``int`` would accept.
+_DATE = re.compile(r"(\d{4})-(\d{2})(?:-(\d{2}))?", re.ASCII)
+
 
 def normalize_author(raw: str) -> str:
     """Collapse an author byline string to a canonical key.
 
     Case-folded, diacritics-stripped, whitespace-collapsed.  Uses the
     Unicode compatibility-caseless fold (NFD/casefold/NFKD rounds) so the
-    result is idempotent, then drops combining marks.
+    result is idempotent, then drops combining marks.  On ASCII text the
+    normalizations are the identity, ``casefold`` equals ``lower`` and
+    there are no combining marks, so that fold is ``lower`` alone.
     """
     if not raw or not raw.strip():
         raise ValueError("author string is empty")
+    if raw.isascii():
+        return " ".join(raw.lower().split())
     t = unicodedata.normalize("NFD", raw).casefold()
     t = unicodedata.normalize("NFKD", t).casefold()
     t = unicodedata.normalize("NFKD", t)
@@ -58,12 +67,11 @@ class PaperDate:
 
     @classmethod
     def parse(cls, text: str) -> "PaperDate":
-        parts = text.strip().split("-")
-        if len(parts) == 2:
-            return cls(int(parts[0]), int(parts[1]), None)
-        if len(parts) == 3:
-            return cls(int(parts[0]), int(parts[1]), int(parts[2]))
-        raise ValueError(f"date {text!r} is neither YYYY-MM nor YYYY-MM-DD")
+        m = _DATE.fullmatch(text.strip())
+        if m is None:
+            raise ValueError(f"date {text!r} is neither YYYY-MM nor YYYY-MM-DD")
+        year, month, day = m.groups()
+        return cls(int(year), int(month), None if day is None else int(day))
 
     @property
     def month_granular(self) -> bool:
@@ -154,7 +162,7 @@ def _parse_record(rec: dict, base_dir: Path) -> Paper:
     raw_authors = rec["authors"]
     if not isinstance(raw_authors, list) or not raw_authors:
         raise ValueError("authors must be a non-empty list")
-    authors = tuple(normalize_author(a) for a in raw_authors)
+    authors = tuple(map(normalize_author, raw_authors))
     title = rec.get("title", "")
     if not isinstance(title, str):
         raise ValueError("title must be a string")

@@ -11,9 +11,18 @@ Three lexical rules, each stated once below:
   ASCII letters, or by one character that is neither a brace nor
   whitespace.
 
-Comments are stripped first.  One pass over the stripped text then pairs
-every brace (:func:`_brace_pairs`), so a body, the balanced brace group
-after a definition's name, is found by a table lookup.
+A source that holds neither ``\\def`` nor ``newcommand`` defines
+nothing and is returned empty before any other work.  This is exact:
+every defining command the scan accepts contains one of the two
+substrings, and comment stripping cannot create one, because it removes
+text from a ``%`` up to a newline it keeps, so any text it joins holds
+that newline.
+
+Otherwise comments are stripped first.  One pass over the stripped text
+then pairs every brace (:func:`_brace_pairs`), so a body, the balanced
+brace group after a definition's name, is found by a table lookup.  A
+body lies between a ``{`` and the ``}`` paired with it, so it is balanced
+by construction and its braces are not paired again.
 
 Definitions nested inside another definition's body are not emitted:
 scanning resumes after a successfully parsed body, which matches what
@@ -34,6 +43,9 @@ _ESCAPE = r"\\."
 # Escape tokens and braces; ``.`` spans newlines, so any character can
 # be escaped.  Only a lone trailing backslash matches nothing.
 _TOKEN = re.compile(_ESCAPE + r"|[{}]", re.S)
+# Text and escape tokens up to the next brace, or up to a lone trailing
+# backslash, or to the end.
+_TO_BRACE = re.compile(rf"[^\\{{}}]*(?:{_ESCAPE}[^\\{{}}]*)*", re.S).match
 # A comment ends at its line's end, so here ``.`` stops at a newline.
 # The lookahead passes over lines without ``%`` at once.
 _COMMENT = re.compile(rf"^(?=[^%\n]*%)((?:{_ESCAPE}|[^\\%\n])*)%.*", re.M)
@@ -85,21 +97,30 @@ def _brace_pairs(text: str) -> tuple[dict[int, int], int]:
     pairs: dict[int, int] = {}
     opened: list[int] = []
     stray = 0
-    for tok in _TOKEN.finditer(text):
-        c = tok.group()
+    i = _TO_BRACE(text).end()
+    while i < len(text):
+        c = text[i]
         if c == "{":
-            opened.append(tok.start())
+            opened.append(i)
         elif c == "}":
             if opened:
-                pairs[opened.pop()] = tok.start()
+                pairs[opened.pop()] = i
             else:
                 stray += 1
+        else:
+            break  # a lone trailing backslash
+        i = _TO_BRACE(text, i + 1).end()
     return pairs, stray + len(opened)
 
 
 def check_balanced(text: str) -> bool:
     """True iff braces balance, treating ``\\X`` as opaque."""
     return _brace_pairs(text)[1] == 0
+
+
+def _collapse_space(text: str) -> str:
+    """Whitespace runs collapsed to one space, ends trimmed."""
+    return " ".join(text.split())
 
 
 def normalize_body(raw: str) -> str:
@@ -110,7 +131,7 @@ def normalize_body(raw: str) -> str:
     """
     if not check_balanced(raw):
         raise ValueError("unbalanced braces in macro body")
-    return " ".join(raw.split())
+    return _collapse_space(raw)
 
 
 def _group(text: str, pairs: dict[int, int], k: int) -> tuple[str | None, int]:
@@ -172,7 +193,7 @@ def _parse_def(text: str, i: int) -> tuple[str | None, str, int]:
         if tok.group() == "}":
             return None, "", tok.end()  # stray close brace in parameter text
         if tok.group() == "{":
-            return name, " ".join(text[k : tok.start()].split()), tok.start()
+            return name, _collapse_space(text[k : tok.start()]), tok.start()
     return None, "", len(text)
 
 
@@ -219,6 +240,8 @@ def _parse_newcommand(text: str, pairs: dict[int, int], i: int) -> tuple[str | N
 
 def extract_definitions(source: str, paper_id: str) -> ExtractionResult:
     """All recognized macro definitions in ``source``, in source order."""
+    if "\\def" not in source and "newcommand" not in source:
+        return ExtractionResult(definitions=[], skipped=0)
     text = strip_comments(source)
     pairs, _ = _brace_pairs(text)
     defs: list[MacroDefinition] = []
@@ -243,7 +266,7 @@ def extract_definitions(source: str, paper_id: str) -> ExtractionResult:
             MacroDefinition(
                 paper_id=paper_id,
                 name=name,
-                body=normalize_body(body),
+                body=_collapse_space(body),
                 command=command,
                 signature=signature,
                 offset=m.start(),

@@ -8,6 +8,7 @@ that a bug would have to occur twice, independently, to go unnoticed.
 from __future__ import annotations
 
 import math
+import unicodedata
 from dataclasses import dataclass
 
 
@@ -511,3 +512,31 @@ def oracle_body_features(body: str) -> OracleBodyFeatures:
             depth -= 1
         i += 1
     return OracleBodyFeatures(length=len(body), non_alpha=non_alpha, max_brace_depth=max_depth)
+
+
+# ---------------------------------------------------------------------------
+# Author keys: the full Unicode chain on every input, with no ASCII shortcut,
+# and whitespace collapsed by a character loop rather than ``str.split``.
+# ---------------------------------------------------------------------------
+
+
+def oracle_normalize_author(raw: str) -> str:
+    """NFD, casefold, NFKD, casefold, NFKD; combining marks dropped;
+    whitespace runs collapsed to one space and ends trimmed."""
+    t = unicodedata.normalize("NFD", raw).casefold()
+    t = unicodedata.normalize("NFKD", t).casefold()
+    t = unicodedata.normalize("NFKD", t)
+    words: list[str] = []
+    word = ""
+    for ch in t:
+        if unicodedata.combining(ch):
+            continue
+        if ch.isspace():
+            if word:
+                words.append(word)
+            word = ""
+        else:
+            word += ch
+    if word:
+        words.append(word)
+    return " ".join(words)

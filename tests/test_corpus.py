@@ -1,5 +1,6 @@
 import json
 import logging
+import random
 import unicodedata
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from macrolens.cli import run
 from macrolens.corpus import PaperDate, load_corpus, normalize_author
 
+import oracles
 from conftest import corpus_of, paper
 
 
@@ -129,6 +131,35 @@ class TestNormalizeAuthor:
         assert normalize_author(raw) == normalize_author(doubled)
 
 
+class TestNormalizeAuthorAgainstOracle:
+    """The ASCII path agrees with the full Unicode chain in ``oracles``."""
+
+    @staticmethod
+    def check(raw):
+        if raw.strip():
+            assert normalize_author(raw) == oracles.oracle_normalize_author(raw), repr(raw)
+        else:
+            with pytest.raises(ValueError):
+                normalize_author(raw)
+
+    def test_every_ascii_code_point(self):
+        for c in map(chr, range(128)):
+            self.check(c)
+            self.check(f"Ab{c}Cd")
+            self.check(f" M.{c}{c}Luty ")
+
+    def test_random_ascii_strings(self):
+        # ``str.split`` also splits at \x0b, \x0c and \x1c-\x1f
+        alphabet = "aZ.-, \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x00\x7f'"
+        rng = random.Random(6)
+        for _ in range(5000):
+            self.check("".join(rng.choices(alphabet, k=rng.randint(1, 12))))
+
+    def test_non_ascii_names(self):
+        for raw in ("Ürånga", "STRAßE", "ﬁrst Ǆ", "Łukasz\u2003Nowak", "É\u0301cole", "Ａｂｃ", "x\u00a0y"):
+            self.check(raw)
+
+
 class TestTemporalOrder:
     def test_month_buckets_ordered(self):
         c = corpus_of(paper("late", "1996-05", ["a"]), paper("early", "1996-03", ["a b"]))
@@ -166,6 +197,15 @@ class TestTemporalOrder:
             corpus_of(paper("x", "2000-01", ["a"]), paper("x", "2000-02", ["b"]))
 
     def test_bad_date_strings(self):
-        for bad in ("1999", "1999-13", "1999-02-30", "99-01-01x"):
+        for bad in (
+            "1999", "1999-13", "1999-02-30", "99-01-01x",
+            # ``int`` accepts each of these parts; the manifest format does not
+            "20_05-06-07", "+2005-06-07", "\u0662\u0660\u0660\u0665-06-07", "2005- 6-07",
+            "2005-6-07", "2005-06-7", "2005-06-07-01", "2005-06-07\n1",
+        ):
             with pytest.raises(ValueError):
                 PaperDate.parse(bad)
+
+    def test_good_date_strings(self):
+        assert PaperDate.parse(" 2005-06-07\n") == PaperDate(2005, 6, 7)
+        assert PaperDate.parse("2005-06") == PaperDate(2005, 6, None)

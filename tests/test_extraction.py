@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from macrolens import extraction
 from macrolens.extraction import (
     MacroDefinition,
     body_features,
@@ -238,6 +239,7 @@ def _compare(source, seen):
     if source:
         assert astuple(body_features(source)) == astuple(oracles.oracle_body_features(source)), source
     seen["skipped"] += got.skipped
+    seen["early exit" if "\\def" not in source and "newcommand" not in source else "full path"] += 1
     seen["comment stripped"] += stripped != source
     seen["unbalanced"] += not check_balanced(stripped)
     seen["lone trailing backslash"] += (len(source) - len(source.rstrip("\\"))) % 2
@@ -262,7 +264,8 @@ class TestAgainstReferenceScanner:
         for _ in range(12000):
             _compare("".join(rng.choices(_ATOMS, k=rng.randint(0, 40))), seen)
         for key in ("def", "newcommand", "renewcommand", "signature", "[n] signature",
-                    "skipped", "comment stripped", "unbalanced", "lone trailing backslash"):
+                    "skipped", "comment stripped", "unbalanced", "lone trailing backslash",
+                    "early exit", "full path"):
             assert seen[key] > 50, (key, seen)
 
     def test_mutated_golden_sources(self):
@@ -293,6 +296,19 @@ class TestAgainstReferenceScanner:
             _compare(f"\\def\\{c}{{x}}\\newcommand{c}{{{c}\\a{c}}}{c}[1]{c}{{y}}", seen)
         assert seen["def"] > 0 and seen["skipped"] > 0
 
+    @pytest.mark.parametrize("source, defined, skipped", [
+        ("% \\def\\x{y}\nplain", 0, 0),  # defining command only in a comment
+        ("\\de%x\nf\\x{y}", 0, 0),  # stripping keeps the newline: no ``\def``
+        ("\\\\def\\x{y}", 0, 0),  # an escaped backslash, then the letters
+        ("\\newcommandx{\\x}{y}", 0, 0),  # a longer control sequence
+        ("\\renewcommand", 0, 1),  # a lone defining command
+        ("\\newcommand{\\x}{y}", 1, 0),
+    ])
+    def test_early_exit_edges(self, source, defined, skipped):
+        _compare(source, Counter())
+        got = extract_definitions(source, "p")
+        assert (len(got.definitions), got.skipped) == (defined, skipped)
+
     def test_broken_bodies_extract_in_linear_time(self):
         source = "\\def\\a{x\n" * 4000
         start = time.perf_counter()
@@ -300,3 +316,30 @@ class TestAgainstReferenceScanner:
         elapsed = time.perf_counter() - start
         assert (result.definitions, result.skipped) == ([], 4000)
         assert elapsed < 1.0
+
+
+class TestBracePassCount:
+    """Braces are paired once per defining paper, never per body, and
+    not at all for a paper that defines nothing."""
+
+    @staticmethod
+    def pairing_calls(monkeypatch, source):
+        calls = []
+        real = extraction._brace_pairs
+
+        def counted(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(extraction, "_brace_pairs", counted)
+        return extract_definitions(source, "p"), len(calls)
+
+    def test_no_defining_command(self, monkeypatch):
+        result, calls = self.pairing_calls(monkeypatch, "\\section{A}{\\bf x} % \\gdef\n\\edef\\y{z}")
+        assert (result.definitions, result.skipped, calls) == ([], 0, 0)
+
+    def test_several_definitions(self, monkeypatch):
+        source = "\\def\\a{{x}{y}}\n\\newcommand{\\b}[1]{#1 {z}}\n\\renewcommand\\c{\\{ {w} \\}}"
+        result, calls = self.pairing_calls(monkeypatch, source)
+        assert [d.body for d in result.definitions] == ["{x}{y}", "#1 {z}", "\\{ {w} \\}"]
+        assert calls == 1
