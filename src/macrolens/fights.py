@@ -24,7 +24,7 @@ import random
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .analytics import FeatureMatrix, betweenness
 from .corpus import Corpus, Paper
@@ -444,18 +444,15 @@ def title_profile(
     author: str,
     style: str,
     exclude_coauthor: str,
-    shows: Callable[[Paper], bool] | None = None,
+    lexicon: TitleLexicon | None = None,
 ) -> float:
     """Lifetime fraction of the author's papers showing the style,
     skipping papers co-authored with ``exclude_coauthor`` and papers
-    without a title.  Uses the whole corpus horizon by design.
-    ``shows`` tells whether a paper's title shows the style; by default
-    the title is classified with the default lexicon."""
+    without a title.  Uses the whole corpus horizon by design."""
     eligible = _titled_papers_without(ledger, author, exclude_coauthor)
     if not eligible:
         raise ValueError(f"author {author!r} has no eligible papers")
-    shows = shows or (lambda p: style in classify_title(p.title))
-    positives = sum(1 for p in eligible if shows(p))
+    positives = sum(1 for p in eligible if style in classify_title(p.title, lexicon))
     return positives / len(eligible)
 
 
@@ -500,16 +497,6 @@ def detect_title_fights(
         raise ValueError(f"unknown style {style!r}")
     flt = filters or TitleFightFilters()
     lex = lexicon or default_lexicon()
-    shown: dict[str, bool] = {}
-
-    def shows(p: Paper) -> bool:
-        """Whether the paper's title shows the style; each title is
-        classified once per call."""
-        hit = shown.get(p.paper_id)
-        if hit is None:
-            hit = shown[p.paper_id] = style in classify_title(p.title, lex)
-        return hit
-
     fights: list[TitleFight] = []
     for paper in corpus:
         if len(paper.authors) != 2 or not paper.title:
@@ -533,8 +520,8 @@ def detect_title_fights(
         if len(_titled_papers_without(ledger, younger, older)) < flt.min_younger_papers:
             continue
         try:
-            p_y = title_profile(ledger, younger, style, older, shows)
-            p_o = title_profile(ledger, older, style, younger, shows)
+            p_y = title_profile(ledger, younger, style, exclude_coauthor=older, lexicon=lex)
+            p_o = title_profile(ledger, older, style, exclude_coauthor=younger, lexicon=lex)
         except ValueError:
             continue
         fights.append(
@@ -548,7 +535,7 @@ def detect_title_fights(
                 exp_older=exp_o,
                 profile_younger=p_y,
                 profile_older=p_o,
-                indicator=1 if shows(paper) else 0,
+                indicator=1 if style in classify_title(paper.title, lex) else 0,
             )
         )
     fights.sort(key=lambda f: (f.group_rank, f.paper_id))

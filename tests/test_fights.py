@@ -552,25 +552,6 @@ class TestDetectTitleFights:
         strict = TitleFightFilters(older_exp_threshold=20, min_younger_papers=3)
         assert colon_fights(corpus, strict) == []
 
-    def test_each_title_classified_once(self, monkeypatch):
-        # a second younger author's first collaboration with 'o' reuses
-        # o's solo papers in a second profile
-        extra = [(f"z{i}", f"2000-03-{i+1:02d}", ["z"], f"Zeta{':' * (i % 2)} z{i}") for i in range(6)]
-        extra.append(("collab2", "2001-02-01", ["z", "o"], "Eta joint"))
-        corpus = title_corpus(first_collab_extra=extra)
-        expected = colon_fights(corpus, SMALL_TITLE_FILTERS)
-        calls = []
-        real = fights_module.classify_title
-
-        def counted(title, lexicon=None):
-            calls.append(title)
-            return real(title, lexicon)
-
-        monkeypatch.setattr(fights_module, "classify_title", counted)
-        assert colon_fights(corpus, SMALL_TITLE_FILTERS) == expected
-        assert [f.paper_id for f in expected] == ["collab", "collab2"]
-        assert len(calls) == len(set(calls)) == 6 + 10 + 6 + 2
-
 
 def tf(pid, p_y, p_o, indicator, e_y=5, e_o=15, rank=0):
     return TitleFight(
