@@ -103,6 +103,8 @@ def split(
     label class is then split train/test separately so both sides keep
     a 50/50 label mix.
     """
+    if not 0 < train_frac < 1:  # also rejects NaN
+        raise ValueError("train_frac must be in (0, 1)")
     rng = random.Random(seed)
     pos = [i for i, v in enumerate(matrix.y) if v == 1]
     neg = [i for i, v in enumerate(matrix.y) if v == 0]

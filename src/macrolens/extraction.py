@@ -18,20 +18,51 @@ substrings, and comment stripping cannot create one, because it removes
 text from a ``%`` up to a newline it keeps, so any text it joins holds
 that newline.
 
-Otherwise comments are stripped first.  One pass over the stripped text
-then pairs every brace (:func:`_brace_pairs`), so a body, the balanced
-brace group after a definition's name, is found by a table lookup.  A
-body lies between a ``{`` and the ``}`` paired with it, so it is balanced
-by construction and its braces are not paired again.
+Otherwise comments are stripped first, and the main loop steps from one
+control sequence to the next.  At a defining command it first tries one
+pattern (``_WELL_FORMED``) that matches a whole well-formed definition,
+from just after the command word to just after the body: a ``\\def``
+name, parameter text and body; or a ``\\(re)newcommand`` with an
+optional ``*``, a ``{\\name}`` or ``\\name``, an optional ``[n]`` and
+``[default]``, and a body.  The body is a brace group nested at most
+``_MAX_FAST_DEPTH`` deep, written as an unrolled loop so that every
+position has one way to match.  A match yields the record the general
+parser below would build, with the same name, signature, body, offset,
+resume position and skip count:
+
+* the general parser pairs braces with one stack over the whole text, so
+  a ``{`` at k gets the first ``}`` after k where the depth counted from
+  k returns to zero, and that is the only place where a balanced group
+  matched from k can end;
+* both read escape tokens from the same positions: the main loop steps
+  over whole tokens, so the pattern starts on a token boundary, and the
+  body's ``{`` is a real brace to both;
+* ``_NAME`` takes a letter run whole; a shorter name would put the same
+  parameter text and body at the same place, so it fails where the whole
+  run failed and the pattern returns the general parser's name;
+* ``\\s`` matches exactly ``str.isspace()`` (as ``strip`` does), and
+  every ``\\d`` character passes ``str.isdigit()``.
+
+The general parser stays the only path for what the pattern rejects: a
+damaged body, nesting deeper than the bound, braces inside ``[...]``, a
+count such as ``[²]`` that ``isdigit`` accepts and ``\\d`` does not.  At
+the first candidate the pattern rejects, one pass over the stripped text
+pairs every brace (:func:`_brace_pairs`), and from that candidate on the
+paper is parsed as before, finding each body by a table lookup; the
+pattern is not tried again.  A body lies between a ``{`` and the ``}``
+paired with it, so it is balanced by construction and its braces are
+not paired again.
 
 Definitions nested inside another definition's body are not emitted:
 scanning resumes after a successfully parsed body, which matches what
 the source defines at end-of-preamble.  Malformed candidates (bad name,
 unbalanced body) are skipped and counted, and scanning continues.
 
-Scanning is linear in source length: a candidate's scan stops before the
-position where the main scan resumes, and brace groups are jumped over
-through the table rather than read again.
+Scanning is linear in source length.  A paper makes at most one failed
+pattern attempt, which reads each character a bounded number of times.
+After it, a candidate's scan stops before the position where the main
+scan resumes, and brace groups are jumped over through the table rather
+than read again.
 """
 
 from __future__ import annotations
@@ -40,21 +71,45 @@ import re
 from dataclasses import dataclass
 
 _ESCAPE = r"\\."
+# Brace groups nested deeper than this inside a body are left to the
+# general parser; the pattern grows linearly with the bound.
+_MAX_FAST_DEPTH = 8
+
+
+def _balanced(depth: int) -> str:
+    """Pattern for text whose brace groups are balanced and nest at most
+    ``depth`` deep, unrolled so that every position has one way to match."""
+    unit = _ESCAPE if depth == 0 else rf"{_ESCAPE}|\{{{_balanced(depth - 1)}\}}"
+    return rf"[^\\{{}}]*(?:(?:{unit})[^\\{{}}]*)*"
+
+
 # Escape tokens and braces; ``.`` spans newlines, so any character can
 # be escaped.  Only a lone trailing backslash matches nothing.
 _TOKEN = re.compile(_ESCAPE + r"|[{}]", re.S)
 # Text and escape tokens up to the next brace, or up to a lone trailing
 # backslash, or to the end.
-_TO_BRACE = re.compile(rf"[^\\{{}}]*(?:{_ESCAPE}[^\\{{}}]*)*", re.S).match
+_TO_BRACE = re.compile(_balanced(0), re.S).match
 # A comment ends at its line's end, so here ``.`` stops at a newline.
 # The lookahead passes over lines without ``%`` at once.
 _COMMENT = re.compile(rf"^(?=[^%\n]*%)((?:{_ESCAPE}|[^\\%\n])*)%.*", re.M)
 # ``\s`` matches exactly the characters for which ``str.isspace()`` holds.
-_NAME = re.compile(r"\\(?:[A-Za-z]+|[^{}\s])")
+# The lookahead keeps a failed match from retrying shorter letter runs.
+_NAME = re.compile(r"\\(?:[A-Za-z]+(?![A-Za-z])|[^{}\s])")
 # A defining command not followed by a letter, or any other control
 # sequence, which the main loop steps over as a whole.
 _CANDIDATE = re.compile(r"\\(def|newcommand|renewcommand)(?![A-Za-z])|" + _NAME.pattern)
 _SPACE = re.compile(r"\s*")
+# A whole well-formed definition (see the module docstring); the
+# lookbehinds pick the branch for the command word just matched.  Groups:
+# \def name and parameter text; \newcommand name in braces or bare, the
+# count and the default; the body.
+_WELL_FORMED = re.compile(
+    rf"(?:(?<=\\def)\s*({_NAME.pattern})({_balanced(0)})"
+    rf"|(?<=newcommand)\*?\s*(?:\{{\s*({_NAME.pattern})\s*\}}|({_NAME.pattern}))"
+    rf"\s*(?:\[\s*(\d)\s*\]\s*(?:\[([^\\{{}}\]]*(?:{_ESCAPE}[^\\{{}}\]]*)*)\]\s*)?)?)"
+    rf"\{{({_balanced(_MAX_FAST_DEPTH)})\}}",
+    re.S,
+)
 
 
 @dataclass(frozen=True)
@@ -243,7 +298,7 @@ def extract_definitions(source: str, paper_id: str) -> ExtractionResult:
     if "\\def" not in source and "newcommand" not in source:
         return ExtractionResult(definitions=[], skipped=0)
     text = strip_comments(source)
-    pairs, _ = _brace_pairs(text)
+    pairs = None  # built at the first candidate that _WELL_FORMED rejects
     defs: list[MacroDefinition] = []
     skipped = 0
     i = 0
@@ -252,16 +307,29 @@ def extract_definitions(source: str, paper_id: str) -> ExtractionResult:
         command = m.group(1)
         if command is None:
             continue  # some other control sequence
-        if command == "def":
-            name, signature, i = _parse_def(text, i)
+        if pairs is None and (whole := _WELL_FORMED.match(text, i)) is not None:
+            def_name, params, braced_name, bare_name, count, default, body = whole.groups()
+            i = whole.end()
+            if params is not None:
+                name, signature = def_name, _collapse_space(params)
+            else:
+                name = braced_name or bare_name
+                signature = "" if count is None else f"[{count}]"
+                if default is not None:
+                    signature += f"[{default}]"
         else:
-            name, signature, i = _parse_newcommand(text, pairs, i)
-        body = None
-        if name is not None:
-            body, i = _group(text, pairs, i)  # an unpaired ``{`` resumes after itself
-        if body is None:
-            skipped += 1
-            continue
+            if pairs is None:
+                pairs, _ = _brace_pairs(text)
+            if command == "def":
+                name, signature, i = _parse_def(text, i)
+            else:
+                name, signature, i = _parse_newcommand(text, pairs, i)
+            body = None
+            if name is not None:
+                body, i = _group(text, pairs, i)  # an unpaired ``{`` resumes after itself
+            if body is None:
+                skipped += 1
+                continue
         defs.append(
             MacroDefinition(
                 paper_id=paper_id,

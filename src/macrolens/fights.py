@@ -216,6 +216,8 @@ class GapBucketRow:
 def _bucket_rows(
     values: Sequence[tuple[float, bool | None]], bucket_edges: Sequence[int]
 ) -> list[GapBucketRow]:
+    if any(edge < 1 for edge in bucket_edges):
+        raise ValueError("gap bucket edges must be at least 1")
     edges = sorted(set(bucket_edges))
     bounds: list[tuple[int, int | None]] = [(0, edges[0] if edges else None)]
     for i, lo in enumerate(edges):

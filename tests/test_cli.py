@@ -52,6 +52,27 @@ class TestArgHandling:
         assert exc.value.code == code
         assert capsys.readouterr().err.startswith("macrolens: error: ")
 
+    @pytest.mark.parametrize("train_frac", ["-0.5", "1.0", "1.5", "nan"])
+    def test_train_frac_outside_unit_interval(self, train_frac, tmp_path, capsys):
+        rows = "".join(f"{i},{i % 2}\n" for i in range(20))
+        (tmp_path / "features.csv").write_text("a,label\n" + rows, encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            invoke("predict", "--features", str(tmp_path / "features.csv"),
+                   "--train-frac", train_frac, "--out", str(tmp_path / "out"))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("macrolens: error: train_frac must be in (0, 1)")
+
+    @pytest.mark.parametrize("mode", ["name", "title"])
+    @pytest.mark.parametrize("edges", [["-4", "2"], ["0"]])
+    def test_gap_bucket_edges_below_one(self, mode, edges, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            invoke("fights", mode, "--corpus", str(GOLDEN / "manifest.jsonl"),
+                   "--out", str(tmp_path), "--bucket-edges", *edges)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(
+            "macrolens: error: gap bucket edges must be at least 1"
+        )
+
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MACROLENS_OUTDIR", str(tmp_path / "envout"))
         assert invoke("extract", "--corpus", str(GOLDEN / "manifest.jsonl")) == 0

@@ -1,8 +1,10 @@
 import random
+import re
 import time
 from collections import Counter
 from dataclasses import astuple, fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -225,10 +227,26 @@ _ATOMS = [
 _EDIT_CHARS = "{}[]\\%"
 
 
+def _extract_counting_pairings(source):
+    """``extract_definitions(source)`` and the number of brace tables it built."""
+    real = extraction._brace_pairs
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return real(text)
+
+    extraction._brace_pairs = counted
+    try:
+        return extract_definitions(source, "p"), len(calls)
+    finally:
+        extraction._brace_pairs = real
+
+
 def _compare(source, seen):
     """Assert the extractor and the reference scanner agree on ``source``;
     tally what the source exercised into ``seen``."""
-    got = extract_definitions(source, "p")
+    got, pairings = _extract_counting_pairings(source)
     ref = oracles.oracle_extract_definitions(source, "p")
     assert [astuple(d) for d in got.definitions] == [astuple(d) for d in ref.definitions], source
     assert got.skipped == ref.skipped, source
@@ -239,7 +257,14 @@ def _compare(source, seen):
     if source:
         assert astuple(body_features(source)) == astuple(oracles.oracle_body_features(source)), source
     seen["skipped"] += got.skipped
-    seen["early exit" if "\\def" not in source and "newcommand" not in source else "full path"] += 1
+    if "\\def" not in source and "newcommand" not in source:
+        seen["early exit"] += 1
+    else:
+        seen["full path"] += 1
+        if pairings:
+            seen["table built"] += 1
+        elif got.definitions:
+            seen["defined by the pattern alone"] += 1
     seen["comment stripped"] += stripped != source
     seen["unbalanced"] += not check_balanced(stripped)
     seen["lone trailing backslash"] += (len(source) - len(source.rstrip("\\"))) % 2
@@ -265,7 +290,7 @@ class TestAgainstReferenceScanner:
             _compare("".join(rng.choices(_ATOMS, k=rng.randint(0, 40))), seen)
         for key in ("def", "newcommand", "renewcommand", "signature", "[n] signature",
                     "skipped", "comment stripped", "unbalanced", "lone trailing backslash",
-                    "early exit", "full path"):
+                    "early exit", "full path", "defined by the pattern alone", "table built"):
             assert seen[key] > 50, (key, seen)
 
     def test_mutated_golden_sources(self):
@@ -309,6 +334,27 @@ class TestAgainstReferenceScanner:
         got = extract_definitions(source, "p")
         assert (len(got.definitions), got.skipped) == (defined, skipped)
 
+    _DEEPEST = "{" * extraction._MAX_FAST_DEPTH + "x" + "}" * extraction._MAX_FAST_DEPTH
+
+    @pytest.mark.parametrize("source, pairings", [
+        (f"\\def\\a{{{_DEEPEST}}}", 0),  # nested as deep as the pattern reaches
+        (f"\\def\\a{{{{{_DEEPEST}}}}}", 1),  # one level deeper
+        ("\\newcommand{\\a}[1][{x}]{y#1}", 1),  # a brace group inside [...]
+        ("\\newcommand{\\a}[1][x\\]]{y#1}", 0),  # an escaped ] inside [...]
+        ("\\newcommand{\\a}[\u00b2]{y}", 1),  # isdigit() but not \\d
+        ("\\def\\a#1\\{{x#1}", 0),  # an escaped brace in the parameter text
+        ("\\def\\a}{x}", 1),  # a stray } before the body
+        ("\\newcommand{\u2003\\a\u2003}{x}", 0),  # whitespace that isspace() accepts
+        ("\\newcommand*{\\a}[2]{#1#2}\\renewcommand* \\b {y}", 0),
+        ("\\def\\a{x}\\def\\b\\", 1),  # a lone trailing backslash as parameter text
+        ("\\def\\a{x\\", 1),  # and inside a body
+        ("\\def\\a{x}\\", 0),  # and after the last definition
+    ])
+    def test_pattern_or_table(self, source, pairings):
+        """Each case agrees with the reference, and takes the path named."""
+        _compare(source, Counter())
+        assert _extract_counting_pairings(source)[1] == pairings
+
     def test_broken_bodies_extract_in_linear_time(self):
         source = "\\def\\a{x\n" * 4000
         start = time.perf_counter()
@@ -317,29 +363,49 @@ class TestAgainstReferenceScanner:
         assert (result.definitions, result.skipped) == ([], 4000)
         assert elapsed < 1.0
 
+    def test_one_failed_pattern_attempt_per_paper(self):
+        """After the pattern's first rejection the rest of the paper goes
+        through the brace table: 4,000 good definitions after an unmatched
+        ``{`` take one pattern attempt, in linear time."""
+        source = "\\def\\a{\n" + "\\def\\b{x}\n" * 4000
+        with mock.patch.object(extraction, "_WELL_FORMED", wraps=extraction._WELL_FORMED) as pattern:
+            start = time.perf_counter()
+            result = extract_definitions(source, "p")
+            elapsed = time.perf_counter() - start
+        assert (len(result.definitions), result.skipped) == (4000, 1)
+        assert pattern.match.call_count == 1
+        assert elapsed < 1.0
+        _compare(source, Counter())
+
+    def test_no_possessive_or_atomic_syntax(self):
+        """The patterns compile on every Python the project supports (3.10
+        has neither possessive quantifiers nor atomic groups)."""
+        patterns = [v for v in vars(extraction).values() if isinstance(v, re.Pattern)]
+        patterns.append(extraction._TO_BRACE.__self__)
+        assert extraction._WELL_FORMED in patterns
+        for pattern in patterns:
+            for syntax in ("(?>", "*+", "++", "?+"):
+                assert syntax not in pattern.pattern, (syntax, pattern.pattern)
+
 
 class TestBracePassCount:
-    """Braces are paired once per defining paper, never per body, and
-    not at all for a paper that defines nothing."""
+    """Braces are paired at most once per paper, and only for a paper
+    holding a definition that the whole-definition pattern rejects."""
 
-    @staticmethod
-    def pairing_calls(monkeypatch, source):
-        calls = []
-        real = extraction._brace_pairs
-
-        def counted(text):
-            calls.append(text)
-            return real(text)
-
-        monkeypatch.setattr(extraction, "_brace_pairs", counted)
-        return extract_definitions(source, "p"), len(calls)
-
-    def test_no_defining_command(self, monkeypatch):
-        result, calls = self.pairing_calls(monkeypatch, "\\section{A}{\\bf x} % \\gdef\n\\edef\\y{z}")
+    def test_no_defining_command(self):
+        result, calls = _extract_counting_pairings("\\section{A}{\\bf x} % \\gdef\n\\edef\\y{z}")
         assert (result.definitions, result.skipped, calls) == ([], 0, 0)
 
-    def test_several_definitions(self, monkeypatch):
+    def test_several_definitions(self):
         source = "\\def\\a{{x}{y}}\n\\newcommand{\\b}[1]{#1 {z}}\n\\renewcommand\\c{\\{ {w} \\}}"
-        result, calls = self.pairing_calls(monkeypatch, source)
+        result, calls = _extract_counting_pairings(source)
         assert [d.body for d in result.definitions] == ["{x}{y}", "#1 {z}", "\\{ {w} \\}"]
+        assert calls == 0
+
+    def test_damaged_definition_first(self):
+        source = "\\def\\a{x\n\\def\\b{{y}}\n\\newcommand{\\c}[1]{#1}"
+        result, calls = _extract_counting_pairings(source)
+        reference = oracles.oracle_extract_definitions(source, "p")
+        assert [astuple(d) for d in result.definitions] == [astuple(d) for d in reference.definitions]
+        assert (len(result.definitions), result.skipped) == (2, reference.skipped) == (2, 1)
         assert calls == 1
