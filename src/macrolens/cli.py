@@ -33,6 +33,17 @@ def _default_outdir() -> str:
     return os.environ.get(DEFAULT_OUT_ENV, "out")
 
 
+class _GapEdges(argparse.Action):
+    """Stores ``--bucket-edges``; an edge below 1 exits 2 while the
+    arguments are parsed, before any corpus is read or output written
+    (``fights`` makes the same check for library callers)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if any(edge < 1 for edge in values):
+            parser.exit(2, "macrolens: error: gap bucket edges must be at least 1\n")
+        setattr(namespace, self.dest, values)
+
+
 def _add_corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True, help="path to a JSONL corpus manifest")
     p.add_argument("--out", default=None, help=f"output directory (default ${DEFAULT_OUT_ENV} or ./out)")
@@ -458,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-younger-papers", type=int, default=10, dest="min_younger_papers")
     p.add_argument("--match-tolerance", type=float, default=0.05, dest="match_tolerance")
     p.add_argument("--lexicon", default=None, help="path to a title lexicon JSON")
-    p.add_argument("--bucket-edges", type=int, nargs="*",
+    p.add_argument("--bucket-edges", type=int, nargs="*", action=_GapEdges,
                    default=list(fights.DEFAULT_GAP_EDGES), dest="bucket_edges")
     p.set_defaults(func=cmd_fights)
 

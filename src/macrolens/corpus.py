@@ -7,6 +7,31 @@ papers that share a month form a *tie group* whose internal order is
 unknown.  Downstream analyses that need a strict order must check tie
 groups rather than rely on the (deterministic, but arbitrary) secondary
 sort by paper id.
+
+Decoding a manifest line costs one call of the C scanner that
+``json.loads`` itself runs, and gives what ``json.loads`` gives:
+
+* ``json.loads(s)`` (no hooks) skips JSON whitespace (``" \\t\\n\\r"``),
+  scans one value with the default decoder's ``scan_once`` and fails
+  with "Extra data" unless only JSON whitespace follows; a leading BOM
+  fails first.  The loader calls the same ``scan_once`` at index 0 and
+  accepts its value only when the rest of the line is JSON whitespace,
+  tested with ``strip(" \\t\\n\\r")`` rather than ``str.strip``'s larger
+  set (which also holds ``\\x1c`` and U+0085).
+* An accepted line starts with a value, so neither a BOM nor whitespace
+  precedes it: ``json.loads`` would scan from the same index 0, reach the
+  same end and return an equal value.
+* Every other line (leading whitespace or BOM, no value, bad JSON,
+  trailing data) goes to ``json.loads``, which raises the exception the
+  record's problem line reports.  An error that is neither
+  ``StopIteration`` nor ``ValueError`` (deep nesting's ``RecursionError``)
+  comes from a scan at index 0 that ``json.loads`` would repeat as it is.
+* One bound is not the same: before Python 3.12 the scanner's nesting limit
+  is what is left of the recursion limit, and ``json.loads`` scans three
+  frames deeper.  So a value nested within three levels of that limit
+  (994 to 996 deep, called from a shallow stack) loads here where
+  ``json.loads`` raises ``RecursionError``; both limits move with the
+  caller's stack depth.
 """
 
 from __future__ import annotations
@@ -18,13 +43,18 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 log = logging.getLogger(__name__)
 
 # Zero-padded ASCII digits only: ``re.ASCII`` keeps ``\d`` from matching
 # other scripts' digits, which ``int`` would accept.
 _DATE = re.compile(r"(\d{4})-(\d{2})(?:-(\d{2}))?", re.ASCII)
+
+# The C scanner behind ``json.loads`` and the whitespace it skips after a
+# value (its ``WHITESPACE`` pattern); see the module docstring.
+_scan_once = json.JSONDecoder().scan_once
+_JSON_WS = " \t\n\r"
 
 
 def normalize_author(raw: str) -> str:
@@ -47,60 +77,48 @@ def normalize_author(raw: str) -> str:
     return " ".join(t.split())
 
 
-@dataclass(frozen=True, order=True)
-class PaperDate:
+class PaperDate(NamedTuple):
     """A timestamp that is either exact or resolved only to a month.
 
-    ``day`` is None for month-granular dates.  Sorting places a
+    ``day`` is None for month-granular dates.  The corpus order places a
     month-granular date before exact dates in the same month (day None
-    compares as day 0); the relative order of the two granularities
-    within one month is not meaningful and only needs to be consistent.
+    counts as day 0); the relative order of the two granularities within
+    one month is not meaningful and only needs to be consistent.
+    Construct checked dates through :meth:`parse`.
     """
 
     year: int
     month: int
     day: int | None = None
 
-    def __post_init__(self) -> None:
-        probe = 1 if self.day is None else self.day
-        datetime.date(self.year, self.month, probe)  # raises on bad fields
-
     @classmethod
     def parse(cls, text: str) -> "PaperDate":
-        m = _DATE.fullmatch(text.strip())
+        # A string that matches as it stands has nothing to strip.
+        m = _DATE.fullmatch(text) if isinstance(text, str) else None
         if m is None:
-            raise ValueError(f"date {text!r} is neither YYYY-MM nor YYYY-MM-DD")
+            m = _DATE.fullmatch(text.strip())
+            if m is None:
+                raise ValueError(f"date {text!r} is neither YYYY-MM nor YYYY-MM-DD")
         year, month, day = m.groups()
-        return cls(int(year), int(month), None if day is None else int(day))
-
-    @property
-    def month_granular(self) -> bool:
-        return self.day is None
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.year, self.month, 0 if self.day is None else self.day)
-
-    def __str__(self) -> str:
-        if self.day is None:
-            return f"{self.year:04d}-{self.month:02d}"
-        return f"{self.year:04d}-{self.month:02d}-{self.day:02d}"
+        year, month = int(year), int(month)
+        day = None if day is None else int(day)
+        datetime.date(year, month, 1 if day is None else day)  # raises on a date off the calendar
+        # the generated ``__new__`` less its Python-level argument binding
+        return tuple.__new__(cls, (year, month, day))
 
 
-@dataclass(frozen=True)
-class Paper:
-    """One corpus document.  ``authors`` are normalized keys in byline order."""
+class Paper(NamedTuple):
+    """One corpus document.  ``authors`` are normalized keys in byline order.
+
+    The loader checks a record (non-empty byline, no author twice) before
+    it builds one.
+    """
 
     paper_id: str
     date: PaperDate
     authors: tuple[str, ...]
     title: str
     source: str
-
-    def __post_init__(self) -> None:
-        if not self.authors:
-            raise ValueError(f"paper {self.paper_id!r} has no authors")
-        if len(set(self.authors)) != len(self.authors):
-            raise ValueError(f"paper {self.paper_id!r} has duplicate authors")
 
 
 class Corpus:
@@ -113,26 +131,31 @@ class Corpus:
     """
 
     def __init__(self, papers: Iterable[Paper]):
-        ordered = sorted(papers, key=lambda p: (p.date.sort_key(), p.paper_id))
-        seen: set[str] = set()
-        for p in ordered:
-            if p.paper_id in seen:
-                raise ValueError(f"duplicate paper id {p.paper_id!r}")
-            seen.add(p.paper_id)
+        ordered = sorted(
+            papers, key=lambda p: (p.date.year, p.date.month, p.date.day or 0, p.paper_id)
+        )
+        by_id = {p.paper_id: p for p in ordered}
+        if len(by_id) != len(ordered):
+            seen: set[str] = set()
+            for p in ordered:
+                if p.paper_id in seen:
+                    raise ValueError(f"duplicate paper id {p.paper_id!r}")
+                seen.add(p.paper_id)
         ranks: dict[str, int] = {}
         rank = -1
-        prev_bucket: tuple[int, int] | None = None
+        tie_month: tuple[int, int] | None = None  # month of the open tie group
         for p in ordered:
-            bucket = (p.date.year, p.date.month)
-            if p.date.month_granular and bucket == prev_bucket:
-                pass  # same month-granular tie group
-            else:
+            year, month, day = p.date
+            if day is not None:
                 rank += 1
+                tie_month = None
+            elif (year, month) != tie_month:
+                rank += 1
+                tie_month = (year, month)
             ranks[p.paper_id] = rank
-            prev_bucket = bucket if p.date.month_granular else None
         self.papers: tuple[Paper, ...] = tuple(ordered)
         self.group_rank: dict[str, int] = ranks
-        self._by_id: dict[str, Paper] = {p.paper_id: p for p in ordered}
+        self._by_id: dict[str, Paper] = by_id
 
     def __len__(self) -> int:
         return len(self.papers)
@@ -174,16 +197,19 @@ def _parse_record(rec: dict, base_dir: Path) -> Paper:
         source = (base_dir / rec["source_path"]).read_text(encoding="utf-8")
     else:
         raise ValueError("record has neither source nor source_path")
-    return Paper(paper_id=paper_id, date=date, authors=authors, title=title, source=source)
+    if len(authors) > 1 and len(set(authors)) != len(authors):
+        raise ValueError(f"paper {paper_id!r} has duplicate authors")
+    return tuple.__new__(Paper, (paper_id, date, authors, title, source))
 
 
 def load_corpus(path: Path | str) -> LoadResult:
     """Load a corpus from a JSONL manifest.
 
-    Malformed records (bad JSON, bad date, duplicate authors, duplicate
-    ids, missing source files) are skipped and counted, never silently
-    dropped; each is listed in ``problems`` and logged at DEBUG, so a
-    damaged snapshot does not flood the log.  A missing manifest is fatal.
+    Malformed records (bad JSON, bytes that are not UTF-8, bad date,
+    duplicate authors, duplicate ids, missing source files) are skipped
+    and counted, never silently dropped; each is listed in ``problems``
+    and logged at DEBUG, so a damaged snapshot does not flood the log.
+    A missing manifest is fatal.
     """
     path = Path(path)
     if not path.is_file():
@@ -193,12 +219,21 @@ def load_corpus(path: Path | str) -> LoadResult:
     seen_ids: set[str] = set()
     skipped = 0
     problems: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    # A byte that is not UTF-8 decodes to a lone surrogate, so that only its
+    # own line fails; no line that decoded cleanly holds one.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
-                rec = json.loads(line)
+                if not line.isascii():
+                    line.encode("utf-8")  # raises on an escaped byte
+                try:
+                    rec, end = _scan_once(line, 0)
+                    if line[end:].strip(_JSON_WS):
+                        raise ValueError("trailing data")
+                except (StopIteration, ValueError):
+                    rec = json.loads(line)
                 paper = _parse_record(rec, base_dir)
                 if paper.paper_id in seen_ids:
                     raise ValueError(f"duplicate paper id {paper.paper_id!r}")

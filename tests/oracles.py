@@ -3,13 +3,20 @@
 These deliberately share no code with the production modules: every
 rule is re-derived here with plain loops and explicit enumeration so
 that a bug would have to occur twice, independently, to go unnoticed.
+Where a faster production function replaced a former one, the former
+one is kept here as it was.
 """
 
 from __future__ import annotations
 
+import datetime
+import json
+import logging
 import math
+import re
 import unicodedata
 from dataclasses import dataclass
+from pathlib import Path
 
 
 @dataclass(frozen=True)
@@ -540,3 +547,147 @@ def oracle_normalize_author(raw: str) -> str:
     if word:
         words.append(word)
     return " ".join(words)
+
+
+# ---------------------------------------------------------------------------
+# Manifest loading: the loader as it stood before its decode fast path,
+# copied as it was.  Every line goes through ``json.loads``, and the records
+# are frozen dataclasses that check themselves in ``__post_init__``.
+# ---------------------------------------------------------------------------
+
+_ORACLE_DATE = re.compile(r"(\d{4})-(\d{2})(?:-(\d{2}))?", re.ASCII)
+
+_oracle_log = logging.getLogger("oracles.load_corpus")
+
+
+def _oracle_author_key(raw: str) -> str:
+    if not raw or not raw.strip():
+        raise ValueError("author string is empty")
+    if raw.isascii():
+        return " ".join(raw.lower().split())
+    t = unicodedata.normalize("NFD", raw).casefold()
+    t = unicodedata.normalize("NFKD", t).casefold()
+    t = unicodedata.normalize("NFKD", t)
+    t = "".join(ch for ch in t if not unicodedata.combining(ch))
+    return " ".join(t.split())
+
+
+@dataclass(frozen=True, order=True)
+class _OracleDate:
+    year: int
+    month: int
+    day: int | None = None
+
+    def __post_init__(self) -> None:
+        probe = 1 if self.day is None else self.day
+        datetime.date(self.year, self.month, probe)  # raises on bad fields
+
+    @classmethod
+    def parse(cls, text: str) -> "_OracleDate":
+        m = _ORACLE_DATE.fullmatch(text.strip())
+        if m is None:
+            raise ValueError(f"date {text!r} is neither YYYY-MM nor YYYY-MM-DD")
+        year, month, day = m.groups()
+        return cls(int(year), int(month), None if day is None else int(day))
+
+    @property
+    def month_granular(self) -> bool:
+        return self.day is None
+
+    def sort_key(self) -> tuple[int, int, int]:
+        return (self.year, self.month, 0 if self.day is None else self.day)
+
+
+@dataclass(frozen=True)
+class _OraclePaper:
+    paper_id: str
+    date: _OracleDate
+    authors: tuple[str, ...]
+    title: str
+    source: str
+
+    def __post_init__(self) -> None:
+        if not self.authors:
+            raise ValueError(f"paper {self.paper_id!r} has no authors")
+        if len(set(self.authors)) != len(self.authors):
+            raise ValueError(f"paper {self.paper_id!r} has duplicate authors")
+
+
+def _oracle_order(papers) -> tuple[list[_OraclePaper], dict[str, int]]:
+    ordered = sorted(papers, key=lambda p: (p.date.sort_key(), p.paper_id))
+    seen: set[str] = set()
+    for p in ordered:
+        if p.paper_id in seen:
+            raise ValueError(f"duplicate paper id {p.paper_id!r}")
+        seen.add(p.paper_id)
+    ranks: dict[str, int] = {}
+    rank = -1
+    prev_bucket: tuple[int, int] | None = None
+    for p in ordered:
+        bucket = (p.date.year, p.date.month)
+        if p.date.month_granular and bucket == prev_bucket:
+            pass  # same month-granular tie group
+        else:
+            rank += 1
+        ranks[p.paper_id] = rank
+        prev_bucket = bucket if p.date.month_granular else None
+    return ordered, ranks
+
+
+def _oracle_parse_record(rec: dict, base_dir: Path) -> _OraclePaper:
+    paper_id = rec["id"]
+    if not isinstance(paper_id, str) or not paper_id:
+        raise ValueError("missing or empty id")
+    date = _OracleDate.parse(rec["date"])
+    raw_authors = rec["authors"]
+    if not isinstance(raw_authors, list) or not raw_authors:
+        raise ValueError("authors must be a non-empty list")
+    authors = tuple(map(_oracle_author_key, raw_authors))
+    title = rec.get("title", "")
+    if not isinstance(title, str):
+        raise ValueError("title must be a string")
+    if "source" in rec:
+        source = rec["source"]
+        if not isinstance(source, str):
+            raise ValueError("source must be a string")
+    elif "source_path" in rec:
+        source = (base_dir / rec["source_path"]).read_text(encoding="utf-8")
+    else:
+        raise ValueError("record has neither source nor source_path")
+    return _OraclePaper(paper_id=paper_id, date=date, authors=authors, title=title, source=source)
+
+
+def oracle_load_corpus(path) -> tuple[list[tuple], dict[str, int], int, list[str]]:
+    """``(papers, group_rank, skipped, problems)``; each paper in corpus
+    order as ``(id, (year, month, day), authors, title, source)``."""
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"corpus manifest not found: {path}")
+    base_dir = path.parent
+    papers: list[_OraclePaper] = []
+    seen_ids: set[str] = set()
+    skipped = 0
+    problems: list[str] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                paper = _oracle_parse_record(rec, base_dir)
+                if paper.paper_id in seen_ids:
+                    raise ValueError(f"duplicate paper id {paper.paper_id!r}")
+            except Exception as exc:  # per-record failures are non-fatal
+                skipped += 1
+                msg = f"{path.name}:{lineno}: skipped record ({exc})"
+                problems.append(msg)
+                _oracle_log.debug(msg)
+                continue
+            seen_ids.add(paper.paper_id)
+            papers.append(paper)
+    ordered, ranks = _oracle_order(papers)
+    rows = [
+        (p.paper_id, (p.date.year, p.date.month, p.date.day), p.authors, p.title, p.source)
+        for p in ordered
+    ]
+    return rows, ranks, skipped, problems

@@ -73,6 +73,17 @@ class TestArgHandling:
             "macrolens: error: gap bucket edges must be at least 1"
         )
 
+    @pytest.mark.parametrize("mode", ["name", "body", "title"])
+    def test_gap_bucket_edges_rejected_while_parsing(self, mode, tmp_path, capsys):
+        # a corpus that is never read: loading it would exit 1, not 2
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            invoke("fights", mode, "--corpus", str(tmp_path / "absent.jsonl"),
+                   "--out", str(out), "--bucket-edges", "2", "0")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "macrolens: error: gap bucket edges must be at least 1\n"
+        assert not out.exists()
+
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MACROLENS_OUTDIR", str(tmp_path / "envout"))
         assert invoke("extract", "--corpus", str(GOLDEN / "manifest.jsonl")) == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macrolens import corpus
 from macrolens.cli import run
 from macrolens.corpus import PaperDate, load_corpus, normalize_author
 
@@ -96,6 +97,61 @@ class TestLoadCorpus:
         write_manifest(m, [rec])
         res = load_corpus(m)
         assert res.corpus.papers[0].source == "\\def\\x{y}"
+
+    def test_line_not_utf8_skipped(self, tmp_path):
+        m = tmp_path / "m.jsonl"
+        bad = json.dumps(record("b", authors=["X. Autor"])).encode().replace(b"X.", b"\xff.")
+        lines = [json.dumps(record("a")).encode(), bad, json.dumps(record("c")).encode()]
+        m.write_bytes(b"\n".join(lines) + b"\n")
+        res = load_corpus(m)
+        assert [p.paper_id for p in res.corpus] == ["a", "c"]
+        assert res.skipped == 1
+        assert res.problems[0].startswith("m.jsonl:2: skipped record (")
+        assert run(["extract", "--corpus", str(m), "--out", str(tmp_path / "out")]) == 0
+
+    def test_records_immutable(self):
+        p = paper("a", "2005-06-07", ["x"])
+        with pytest.raises(AttributeError):
+            p.title = "u"
+        with pytest.raises(AttributeError):
+            p.date.day = 8
+
+
+class TestDecodeFastPath:
+    """Only a line the C scanner rejects as a whole goes to ``json.loads``."""
+
+    @staticmethod
+    def load_counting(monkeypatch, path):
+        real = corpus.json.loads
+        calls = []
+
+        def counted(s, *args, **kwargs):
+            calls.append(s)
+            return real(s, *args, **kwargs)
+
+        monkeypatch.setattr(corpus.json, "loads", counted)
+        return load_corpus(path), calls
+
+    def test_clean_manifest_never_falls_back(self, tmp_path, monkeypatch):
+        m = tmp_path / "m.jsonl"
+        recs = [record(f"p{i}", f"2005-06-{i + 1:02d}") for i in range(5)]
+        recs.append(record("u", title="Über \u2028 zeta", source="\u0085"))
+        lines = [json.dumps(r) for r in recs] + [json.dumps(recs[-1] | {"id": "v"}, ensure_ascii=False)]
+        m.write_text("\n".join(lines) + " \t\n", encoding="utf-8")
+        res, calls = self.load_counting(monkeypatch, m)
+        assert (len(res.corpus), res.skipped, calls) == (7, 0, [])
+
+    def test_one_call_per_rejected_line(self, tmp_path, monkeypatch):
+        good = [json.dumps(record(f"p{i}")) for i in range(8)]
+        accepted = [good[0], good[1] + " \t", "[]", '{"id": 1}']
+        rejected = [" " + good[2], "\t" + good[3], "\ufeff" + good[4], good[5] + " x",
+                    good[6] + "\x1c", good[7][:-3], "{}{}", "nul"]
+        m = tmp_path / "m.jsonl"
+        m.write_text("\n".join(accepted + rejected) + "\n", encoding="utf-8")
+        res, calls = self.load_counting(monkeypatch, m)
+        assert calls == [line + "\n" for line in rejected]
+        assert sorted(p.paper_id for p in res.corpus) == ["p0", "p1", "p2", "p3"]
+        assert res.skipped == 8
 
 
 class TestNormalizeAuthor:
@@ -209,3 +265,105 @@ class TestTemporalOrder:
     def test_good_date_strings(self):
         assert PaperDate.parse(" 2005-06-07\n") == PaperDate(2005, 6, 7)
         assert PaperDate.parse("2005-06") == PaperDate(2005, 6, None)
+
+
+class TestLoaderAgainstOracle:
+    """Papers, ranks, skip count and problem lines equal the former
+    loader's (``oracles.oracle_load_corpus``) on seeded damaged manifests."""
+
+    DATES = ("1996-03", "1996-03-02", "1996-03-15", "1996-04", "1997-01", "1997-01-02")
+    AUTHORS = ("M. A. Luty", "M. Schmaltz", "Ürånga", "x\u00a0y", "A. B.", "STRAßE", "Q")
+    LINE_ENDS = ("\n", "\r\n", "\r")
+
+    def good(self, rng, pid):
+        return {
+            "id": pid,
+            "date": rng.choice(self.DATES),
+            "authors": rng.sample(self.AUTHORS, rng.randint(1, 3)),
+            "title": rng.choice(("", "A study", "Über alles")),
+            "source": rng.choice(("", "\\def\\x{y}", "text\n\\newcommand{\\a}{b}")),
+        }
+
+    def kinds(self, rng, pid, used_ids):
+        """Kind name -> one manifest line for it (no line terminator)."""
+        rec = self.good(rng, pid)
+        text = json.dumps(rec, ensure_ascii=rng.random() < 0.5)
+        other = json.dumps(self.good(rng, pid + "x"))
+
+        def variant(**fields):
+            return json.dumps({**rec, **fields})
+
+        def without(*keys, **fields):
+            return json.dumps({k: v for k, v in {**rec, **fields}.items() if k not in keys})
+
+        pad = ("\t", "\r", " ", " \t")
+        return {
+            "good": text,
+            "truncated": text[: rng.randrange(1, len(text))],
+            "trailing word": text + rng.choice((" x", "x", " 1")),
+            "two objects": text + rng.choice(("", " ")) + other,
+            "padded": rng.choice(pad + ("",)) + text + rng.choice(pad),
+            "bom": "\ufeff" + text,
+            "non-object": rng.choice(("[]", '"s"', "1", "null", "[1, 2]")),
+            "blank": rng.choice(("\x1c", " ", "\x1c \t", "\u0085", "")),
+            "separators in strings": json.dumps(
+                {**rec, "title": "a\u2028b", "source": "c\u0085d\u2029"}, ensure_ascii=False
+            ),
+            "non-string date": variant(date=rng.choice((2005, None, ["1996-03"], 1996.03))),
+            "odd date": variant(date=rng.choice(("1996-3-02", "1996-03-2", " 1996-03-02 ", "1996-03\n"))),
+            "off-calendar date": variant(date=rng.choice(("2005-02-30", "2005-13", "2005-00", "0000-01-01", "2005-06-00"))),
+            "empty byline": variant(authors=rng.choice(([], [""], ["  "]))),
+            # with a later field bad too: the byline check comes last
+            "duplicate byline": rng.choice((
+                variant(authors=["A. B.", "a.  b."]),
+                variant(authors=["A. B.", "a.  b."], title=5),
+                without("source", authors=["Q", "q"]),
+            )),
+            "non-list byline": variant(authors=rng.choice(("A. B.", {"a": 1}, [1]))),
+            "duplicate id": variant(id=rng.choice(sorted(used_ids)) if used_ids else pid),
+            "bad id": rng.choice((without("id"), variant(id=""), variant(id=5))),
+            "source_path": without("source", source_path="s.tex"),
+            "missing source_path": without("source", source_path="absent.tex"),
+            "both sources": variant(source_path=rng.choice(("s.tex", "absent.tex"))),
+            "no source": without("source"),
+            "bad title or source": rng.choice((variant(title=5), variant(source=None))),
+            "deep nesting": '{"id": ' + "[" * 3000 + "]" * 3000 + "}",
+        }
+
+    def manifest(self, rng, path):
+        names = list(self.kinds(rng, "p", set()))
+        order = names + rng.choices(names, k=40)
+        order += ["good"] * 20
+        rng.shuffle(order)
+        used_ids: set[str] = set()
+        parts = []
+        for n, kind in enumerate(order):
+            pid = f"p{n:03d}"
+            parts.append(self.kinds(rng, pid, used_ids)[kind])
+            parts.append(rng.choice(self.LINE_ENDS))
+            used_ids.add(pid)
+        if rng.random() < 0.5:
+            parts.pop()  # last line without a terminator
+        path.write_bytes("".join(parts).encode("utf-8"))
+        return set(order) | set(parts[1::2])
+
+    def test_seeded_damaged_manifests(self, tmp_path):
+        (tmp_path / "s.tex").write_text("\\def\\s{t}", encoding="utf-8")
+        seen_kinds = set()
+        loaded = skipped = 0
+        for seed in range(30):
+            rng = random.Random(seed)
+            m = tmp_path / f"m{seed}.jsonl"
+            seen_kinds.update(self.manifest(rng, m))
+            res = load_corpus(m)
+            got = (
+                [(p.paper_id, tuple(p.date), p.authors, p.title, p.source) for p in res.corpus],
+                res.corpus.group_rank,
+                res.skipped,
+                res.problems,
+            )
+            assert got == oracles.oracle_load_corpus(m), seed
+            loaded += len(res.corpus)
+            skipped += res.skipped
+        assert seen_kinds == set(self.kinds(random.Random(0), "p", set())) | set(self.LINE_ENDS)
+        assert loaded > 0 and skipped > 0
