@@ -94,11 +94,9 @@ class PaperDate(NamedTuple):
     @classmethod
     def parse(cls, text: str) -> "PaperDate":
         # A string that matches as it stands has nothing to strip.
-        m = _DATE.fullmatch(text) if isinstance(text, str) else None
+        m = _DATE.fullmatch(text) or _DATE.fullmatch(text.strip())
         if m is None:
-            m = _DATE.fullmatch(text.strip())
-            if m is None:
-                raise ValueError(f"date {text!r} is neither YYYY-MM nor YYYY-MM-DD")
+            raise ValueError(f"date {text!r} is neither YYYY-MM nor YYYY-MM-DD")
         year, month, day = m.groups()
         year, month = int(year), int(month)
         day = None if day is None else int(day)
@@ -177,23 +175,41 @@ class LoadResult:
     problems: list[str] = field(default_factory=list)
 
 
+def _field_problem(rec: dict, name: str, kind: type = str) -> ValueError:
+    """Why ``rec[name]`` is not a non-empty ``kind``."""
+    if name not in rec:
+        return ValueError(f"missing field {name!r}")
+    if isinstance(rec[name], kind):
+        return ValueError(f"field {name!r} is empty")
+    expected = "a list" if kind is list else "a string"
+    return ValueError(f"field {name!r} must be {expected}, not {type(rec[name]).__name__}")
+
+
 def _parse_record(rec: dict, base_dir: Path) -> Paper:
-    paper_id = rec["id"]
+    if not isinstance(rec, dict):
+        raise ValueError(f"record must be a JSON object, not {type(rec).__name__}")
+    paper_id, raw_date, raw_authors = rec.get("id"), rec.get("date"), rec.get("authors")
     if not isinstance(paper_id, str) or not paper_id:
-        raise ValueError("missing or empty id")
-    date = PaperDate.parse(rec["date"])
-    raw_authors = rec["authors"]
+        raise _field_problem(rec, "id")
+    if not isinstance(raw_date, str):
+        raise _field_problem(rec, "date")
+    date = PaperDate.parse(raw_date)
     if not isinstance(raw_authors, list) or not raw_authors:
-        raise ValueError("authors must be a non-empty list")
+        raise _field_problem(rec, "authors", list)
+    for raw in raw_authors:
+        if not isinstance(raw, str):
+            raise ValueError(f"field 'authors' item must be a string, not {type(raw).__name__}")
     authors = tuple(map(normalize_author, raw_authors))
     title = rec.get("title", "")
     if not isinstance(title, str):
-        raise ValueError("title must be a string")
+        raise _field_problem(rec, "title")
     if "source" in rec:
         source = rec["source"]
         if not isinstance(source, str):
-            raise ValueError("source must be a string")
+            raise _field_problem(rec, "source")
     elif "source_path" in rec:
+        if not isinstance(rec["source_path"], str):
+            raise _field_problem(rec, "source_path")
         source = (base_dir / rec["source_path"]).read_text(encoding="utf-8")
     else:
         raise ValueError("record has neither source nor source_path")

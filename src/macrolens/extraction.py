@@ -6,10 +6,24 @@ Three lexical rules, each stated once below:
 
 * escape (``_ESCAPE``): a backslash and the character after it are one
   opaque token, so ``\\{`` is not a brace and ``\\%`` starts no comment;
-* comment (``_COMMENT``): an unescaped ``%`` drops the rest of its line;
+* comment: an unescaped ``%`` drops the rest of its line (see below);
 * name (``_NAME``): a control-sequence name is a backslash followed by
   ASCII letters, or by one character that is neither a brace nor
   whitespace.
+
+Read from a token boundary, escaping comes down to parity: a character
+is escaped exactly when the run of backslashes right before it has odd
+length, because the character before the run ends a token (or the scan
+starts at the run) and the run is then read as pairs.  Both scans apply
+this rule instead of stepping token by token:
+
+* :func:`strip_comments` finds each ``%`` with ``str.find`` and counts
+  the backslashes before it within its line, whose start is a boundary.
+* The main loop searches (``_CANDIDATE``) from where it resumes only for
+  a defining command or a backslash pair, stepped over as one token.
+  Only an escaped backslash holds a backslash past its first character,
+  so a command word is found exactly where a token scan from the same
+  position finds it.
 
 A source that holds neither ``\\def`` nor ``newcommand`` defines
 nothing and is returned empty before any other work.  This is exact:
@@ -18,8 +32,8 @@ substrings, and comment stripping cannot create one, because it removes
 text from a ``%`` up to a newline it keeps, so any text it joins holds
 that newline.
 
-Otherwise comments are stripped first, and the main loop steps from one
-control sequence to the next.  At a defining command it first tries one
+Otherwise comments are stripped first, and the main loop goes from one
+defining command to the next.  At a defining command it first tries one
 pattern (``_WELL_FORMED``) that matches a whole well-formed definition,
 from just after the command word to just after the body: a ``\\def``
 name, parameter text and body; or a ``\\(re)newcommand`` with an
@@ -34,9 +48,9 @@ resume position and skip count:
   a ``{`` at k gets the first ``}`` after k where the depth counted from
   k returns to zero, and that is the only place where a balanced group
   matched from k can end;
-* both read escape tokens from the same positions: the main loop steps
-  over whole tokens, so the pattern starts on a token boundary, and the
-  body's ``{`` is a real brace to both;
+* both read escape tokens from the same positions: the main loop finds a
+  command word only on a token boundary, so the pattern starts on one,
+  and the body's ``{`` is a real brace to both;
 * ``_NAME`` takes a letter run whole; a shorter name would put the same
   parameter text and body at the same place, so it fails where the whole
   run failed and the pattern returns the general parser's name;
@@ -58,17 +72,20 @@ scanning resumes after a successfully parsed body, which matches what
 the source defines at end-of-preamble.  Malformed candidates (bad name,
 unbalanced body) are skipped and counted, and scanning continues.
 
-Scanning is linear in source length.  A paper makes at most one failed
-pattern attempt, which reads each character a bounded number of times.
-After it, a candidate's scan stops before the position where the main
-scan resumes, and brace groups are jumped over through the table rather
-than read again.
+Scanning is linear in source length.  Stripping counts each backslash
+for at most one ``%``, and each candidate search reads on from where the
+last ended.  A paper makes at most one failed pattern attempt, which
+reads each character a bounded number of times.  After it, a candidate's
+scan stops before the position where the main scan resumes, and brace
+groups are jumped over through the table rather than read again.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 _ESCAPE = r"\\."
 # Brace groups nested deeper than this inside a body are left to the
@@ -89,16 +106,14 @@ _TOKEN = re.compile(_ESCAPE + r"|[{}]", re.S)
 # Text and escape tokens up to the next brace, or up to a lone trailing
 # backslash, or to the end.
 _TO_BRACE = re.compile(_balanced(0), re.S).match
-# A comment ends at its line's end, so here ``.`` stops at a newline.
-# The lookahead passes over lines without ``%`` at once.
-_COMMENT = re.compile(rf"^(?=[^%\n]*%)((?:{_ESCAPE}|[^\\%\n])*)%.*", re.M)
 # ``\s`` matches exactly the characters for which ``str.isspace()`` holds.
 # The lookahead keeps a failed match from retrying shorter letter runs.
 _NAME = re.compile(r"\\(?:[A-Za-z]+(?![A-Za-z])|[^{}\s])")
-# A defining command not followed by a letter, or any other control
-# sequence, which the main loop steps over as a whole.
-_CANDIDATE = re.compile(r"\\(def|newcommand|renewcommand)(?![A-Za-z])|" + _NAME.pattern)
+# A defining command not followed by a letter, or an escaped backslash,
+# which the main loop steps over as one token.
+_CANDIDATE = re.compile(r"\\(?:(def|newcommand|renewcommand)(?![A-Za-z])|\\)")
 _SPACE = re.compile(r"\s*")
+_OFFSET = attrgetter("offset")
 # A whole well-formed definition (see the module docstring); the
 # lookbehinds pick the branch for the command word just matched.  Groups:
 # \def name and parameter text; \newcommand name in braces or bare, the
@@ -112,8 +127,7 @@ _WELL_FORMED = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class MacroDefinition:
+class MacroDefinition(NamedTuple):
     """One extracted definition: ``name`` expands to ``body``.
 
     ``signature`` records the parameter text (``#1#2`` style for \\def,
@@ -143,7 +157,21 @@ class ExtractionResult:
 
 def strip_comments(source: str) -> str:
     """Drop ``%`` to end-of-line comments; ``\\%`` survives."""
-    return _COMMENT.sub(r"\1", source)
+    kept: list[str] = []
+    start = 0  # the first character neither kept nor dropped yet
+    k = source.find("%")
+    while k >= 0:
+        j = k
+        while j > start and source[j - 1] == "\\":
+            j -= 1
+        if (k - j) % 2 == 0:  # not an escaped ``%``
+            kept.append(source[start:k])
+            start = k = source.find("\n", k)
+            if k < 0:
+                return "".join(kept)
+        k = source.find("%", k + 1)
+    kept.append(source[start:])
+    return "".join(kept)
 
 
 def _brace_pairs(text: str) -> tuple[dict[int, int], int]:
@@ -306,7 +334,7 @@ def extract_definitions(source: str, paper_id: str) -> ExtractionResult:
         i = m.end()
         command = m.group(1)
         if command is None:
-            continue  # some other control sequence
+            continue  # an escaped backslash
         if pairs is None and (whole := _WELL_FORMED.match(text, i)) is not None:
             def_name, params, braced_name, bare_name, count, default, body = whole.groups()
             i = whole.end()
@@ -331,20 +359,12 @@ def extract_definitions(source: str, paper_id: str) -> ExtractionResult:
                 skipped += 1
                 continue
         defs.append(
-            MacroDefinition(
-                paper_id=paper_id,
-                name=name,
-                body=_collapse_space(body),
-                command=command,
-                signature=signature,
-                offset=m.start(),
-            )
+            MacroDefinition(paper_id, name, _collapse_space(body), command, signature, m.start())
         )
     return ExtractionResult(definitions=defs, skipped=skipped)
 
 
-@dataclass(frozen=True)
-class Convention:
+class Convention(NamedTuple):
     """One paper's effective use of a body: the name it settled on."""
 
     body_key: tuple[str, str]
@@ -355,10 +375,7 @@ class Convention:
 def effective_definitions(definitions: list[MacroDefinition]) -> dict[str, MacroDefinition]:
     """Each name's surviving definition in one paper: the last definition
     of a name wins (redefinition semantics)."""
-    effective: dict[str, MacroDefinition] = {}
-    for d in sorted(definitions, key=lambda d: d.offset):
-        effective[d.name] = d
-    return effective
+    return {d.name: d for d in sorted(definitions, key=_OFFSET)}
 
 
 def paper_conventions(definitions: list[MacroDefinition]) -> list[Convention]:
@@ -369,11 +386,11 @@ def paper_conventions(definitions: list[MacroDefinition]) -> list[Convention]:
     """
     best: dict[tuple[str, str], MacroDefinition] = {}
     for d in effective_definitions(definitions).values():
-        cur = best.get(d.body_key)
+        key = d.body_key
+        cur = best.get(key)
         if cur is None or d.offset < cur.offset:
-            best[d.body_key] = d
-    chosen = sorted(best.values(), key=lambda d: d.offset)
-    return [Convention(body_key=d.body_key, name=d.name, offset=d.offset) for d in chosen]
+            best[key] = d
+    return sorted((Convention(key, d.name, d.offset) for key, d in best.items()), key=_OFFSET)
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,7 @@ def write_table(
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([fmt_value(v) for v in row])
+            writer.writerows([v if type(v) is str else fmt_value(v) for v in row] for row in rows)
         return path
     if fmt == "json":
         path = base.with_suffix(".json")
@@ -75,12 +74,8 @@ def corpus_summary(
     """
     papers_with = [p for p in corpus if definitions.get(p.paper_id)]
     total_defs = sum(len(definitions.get(p.paper_id, [])) for p in corpus)
-    bodies: set[tuple[str, str]] = set()
-    named: set[tuple[tuple[str, str], str]] = set()
-    for defs in definitions.values():
-        for d in defs:
-            bodies.add(d.body_key)
-            named.add((d.body_key, d.name))
+    named = {(d.body_key, d.name) for defs in definitions.values() for d in defs}
+    bodies = {body_key for body_key, _ in named}
     authors = {a for p in papers_with for a in p.authors}
     author_slots = sum(len(p.authors) for p in papers_with)
     return {

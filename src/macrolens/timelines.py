@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping
+from operator import attrgetter
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .corpus import Corpus, Paper
 from .extraction import MacroDefinition, effective_definitions, paper_conventions
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """One paper's use of a body: which name it used, by whom."""
 
     paper_id: str
@@ -89,12 +89,9 @@ def _occurrences_by_key(
             continue
         rank = corpus.rank_of(paper.paper_id)
         for key, name in uses(defs):
-            occ = Occurrence(
-                paper_id=paper.paper_id, group_rank=rank, name=name, authors=paper.authors
-            )
-            buckets.setdefault(key, []).append(occ)
+            buckets.setdefault(key, []).append(Occurrence(paper.paper_id, rank, name, paper.authors))
     return {
-        key: tuple(sorted(buckets[key], key=lambda o: (o.group_rank, o.paper_id)))
+        key: tuple(sorted(buckets[key], key=attrgetter("group_rank", "paper_id")))
         for key in sorted(buckets)
     }
 

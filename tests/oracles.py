@@ -634,24 +634,35 @@ def _oracle_order(papers) -> tuple[list[_OraclePaper], dict[str, int]]:
     return ordered, ranks
 
 
+def _oracle_field(rec: dict, name: str, kind: type, expected: str):
+    """``rec[name]``, or the problem that names the field."""
+    if name not in rec:
+        raise ValueError(f"missing field {name!r}")
+    if not isinstance(rec[name], kind):
+        raise ValueError(f"field {name!r} must be {expected}, not {type(rec[name]).__name__}")
+    return rec[name]
+
+
 def _oracle_parse_record(rec: dict, base_dir: Path) -> _OraclePaper:
-    paper_id = rec["id"]
-    if not isinstance(paper_id, str) or not paper_id:
-        raise ValueError("missing or empty id")
-    date = _OracleDate.parse(rec["date"])
-    raw_authors = rec["authors"]
-    if not isinstance(raw_authors, list) or not raw_authors:
-        raise ValueError("authors must be a non-empty list")
+    if not isinstance(rec, dict):
+        raise ValueError(f"record must be a JSON object, not {type(rec).__name__}")
+    paper_id = _oracle_field(rec, "id", str, "a string")
+    if not paper_id:
+        raise ValueError("field 'id' is empty")
+    date = _OracleDate.parse(_oracle_field(rec, "date", str, "a string"))
+    raw_authors = _oracle_field(rec, "authors", list, "a list")
+    if not raw_authors:
+        raise ValueError("field 'authors' is empty")
+    for raw in raw_authors:
+        if not isinstance(raw, str):
+            raise ValueError(f"field 'authors' item must be a string, not {type(raw).__name__}")
     authors = tuple(map(_oracle_author_key, raw_authors))
-    title = rec.get("title", "")
-    if not isinstance(title, str):
-        raise ValueError("title must be a string")
+    title = _oracle_field(rec, "title", str, "a string") if "title" in rec else ""
     if "source" in rec:
-        source = rec["source"]
-        if not isinstance(source, str):
-            raise ValueError("source must be a string")
+        source = _oracle_field(rec, "source", str, "a string")
     elif "source_path" in rec:
-        source = (base_dir / rec["source_path"]).read_text(encoding="utf-8")
+        path = _oracle_field(rec, "source_path", str, "a string")
+        source = (base_dir / path).read_text(encoding="utf-8")
     else:
         raise ValueError("record has neither source nor source_path")
     return _OraclePaper(paper_id=paper_id, date=date, authors=authors, title=title, source=source)

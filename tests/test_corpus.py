@@ -117,6 +117,68 @@ class TestLoadCorpus:
             p.date.day = 8
 
 
+def _without(name, **changes):
+    rec = {**record("a"), **changes}
+    del rec[name]
+    return rec
+
+
+_WRONG_TYPES = [(5, "int"), (1.5, "float"), (True, "bool"), (None, "NoneType"), (["a"], "list"),
+                ({"a": 1}, "dict")]
+# One skipped record per line: the record, then its problem text.
+_FIELD_PROBLEMS = [
+    ([], "record must be a JSON object, not list"),
+    ("s", "record must be a JSON object, not str"),
+    (1, "record must be a JSON object, not int"),
+    (1.5, "record must be a JSON object, not float"),
+    (True, "record must be a JSON object, not bool"),
+    (None, "record must be a JSON object, not NoneType"),
+    (_without("id"), "missing field 'id'"),
+    (_without("date"), "missing field 'date'"),
+    (_without("authors"), "missing field 'authors'"),
+    (_without("source"), "record has neither source nor source_path"),
+    ({**record("a"), "id": ""}, "field 'id' is empty"),
+    ({**record("a"), "authors": []}, "field 'authors' is empty"),
+] + [
+    ({**record("a"), name: value}, f"field {name!r} must be {expected}, not {kind}")
+    for name, expected, wrong in [
+        ("id", "a string", _WRONG_TYPES),
+        ("date", "a string", _WRONG_TYPES),
+        ("authors", "a list", [("A. B.", "str")] + [w for w in _WRONG_TYPES if w[1] != "list"]),
+        ("title", "a string", _WRONG_TYPES),
+        ("source", "a string", _WRONG_TYPES),
+    ]
+    for value, kind in wrong
+] + [
+    (_without("source", source_path=value), f"field 'source_path' must be a string, not {kind}")
+    for value, kind in _WRONG_TYPES
+] + [
+    # every item is checked for its type before any is read as a name
+    (record("a", authors=["A. B.", value]), f"field 'authors' item must be a string, not {kind}")
+    for value, kind in [(5, "int"), (0, "int"), (1.5, "float"), (False, "bool"), (None, "NoneType"),
+                        (["A"], "list"), ({"a": 1}, "dict")]
+] + [
+    (record("a", authors=["", 5]), "field 'authors' item must be a string, not int"),
+    (record("a", authors=["", "B"]), "author string is empty"),
+]
+
+
+class TestProblemText:
+    """A skipped record's problem line names the field at fault and the
+    type it holds; the oracle loader writes the same lines."""
+
+    def test_each_field_and_type(self, tmp_path):
+        m = tmp_path / "m.jsonl"
+        write_manifest(m, [rec for rec, _ in _FIELD_PROBLEMS] + [record("ok")])
+        res = load_corpus(m)
+        assert [p.paper_id for p in res.corpus] == ["ok"]
+        assert res.problems == [
+            f"m.jsonl:{n}: skipped record ({problem})"
+            for n, (_, problem) in enumerate(_FIELD_PROBLEMS, start=1)
+        ]
+        assert oracles.oracle_load_corpus(m)[3] == res.problems
+
+
 class TestDecodeFastPath:
     """Only a line the C scanner rejects as a whole goes to ``json.loads``."""
 

@@ -22,6 +22,7 @@ from macrolens.extraction import (
     paper_conventions,
     strip_comments,
 )
+from macrolens.timelines import Occurrence
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -169,6 +170,29 @@ class TestPaperConventions:
         assert keys == {("#1", "#1"), ("", "#1")}
 
 
+class TestRecords:
+    """Definitions, conventions and timeline occurrences are immutable
+    tuple records."""
+
+    def test_fields_cannot_be_assigned(self):
+        d = extract_definitions("\\def\\x{a}", "p").definitions[0]
+        records = [
+            (d, "body"),
+            (paper_conventions([d])[0], "name"),
+            (Occurrence("p", 0, "\\x", ("a",)), "group_rank"),
+        ]
+        for record, name in records:
+            with pytest.raises(AttributeError):
+                setattr(record, name, "y")
+            assert getattr(record, name) != "y"
+
+    def test_positional_fields(self):
+        d = extract_definitions("\\newcommand{\\x}[1]{a}", "p").definitions[0]
+        assert tuple(d) == ("p", "\\x", "a", "newcommand", "[1]", 0)
+        assert d.body_key == ("[1]", "a")
+        assert Occurrence._fields == ("paper_id", "group_rank", "name", "authors")
+
+
 _NAME_CHARS = st.text(alphabet="abcdefgXYZ", min_size=1, max_size=8)
 _BODY_ATOMS = st.sampled_from(["x", "y z", "\\cmd", "\\{", "\\}", "#1", "$a$", ""])
 
@@ -216,15 +240,18 @@ class TestParserProperties:
         assert names == [e for e in expected]
 
 
-# Atoms of the random sources: the lexical specials one by one, escapes,
-# whitespace beyond `` \t\n\r\f\v`` that ``str.isspace()`` accepts (U+2003,
-# U+001C), and whole command words so that candidates are common.
+# Atoms of the random sources: the lexical specials one by one, escapes
+# and runs of two and three backslashes, whitespace beyond `` \t\n\r\f\v``
+# that ``str.isspace()`` accepts (U+2003, U+001C), and whole command words
+# so that candidates are common.
 _ATOMS = [
     "\\", "{", "}", "[", "]", "%", "*", "\n", " ", "def", "newcommand", "renewcommand",
-    "\\\\", "\\{", "\\%", "\u2003", "\x1c", "\\def", "\\newcommand",
+    "\\\\", "\\\\\\", "\\{", "\\%", "\u2003", "\x1c", "\\def", "\\newcommand",
     "\\renewcommand", "\\a", "\\Bc", "{\\x}", "[1]", "[2][d]", "#1", "x", "3",
 ]
 _EDIT_CHARS = "{}[]\\%"
+# A whole run of backslashes, then a command word.
+_RUN_BEFORE_COMMAND = re.compile(r"(?<!\\)(\\+)(?:def|newcommand|renewcommand)")
 
 
 def _extract_counting_pairings(source):
@@ -248,7 +275,7 @@ def _compare(source, seen):
     tally what the source exercised into ``seen``."""
     got, pairings = _extract_counting_pairings(source)
     ref = oracles.oracle_extract_definitions(source, "p")
-    assert [astuple(d) for d in got.definitions] == [astuple(d) for d in ref.definitions], source
+    assert [tuple(d) for d in got.definitions] == [astuple(d) for d in ref.definitions], source
     assert got.skipped == ref.skipped, source
     stripped = strip_comments(source)
     assert stripped == oracles.oracle_strip_comments(source), source
@@ -268,6 +295,9 @@ def _compare(source, seen):
     seen["comment stripped"] += stripped != source
     seen["unbalanced"] += not check_balanced(stripped)
     seen["lone trailing backslash"] += (len(source) - len(source.rstrip("\\"))) % 2
+    runs = {len(m.group(1)) for m in _RUN_BEFORE_COMMAND.finditer(stripped)}
+    seen["command word after an odd run of 3 or more"] += any(r % 2 and r >= 3 for r in runs)
+    seen["command word after an even run"] += any(r % 2 == 0 for r in runs)
     for d in got.definitions:
         seen[d.command] += 1
         seen["signature"] += d.signature != ""
@@ -279,18 +309,17 @@ class TestAgainstReferenceScanner:
     scanner's (``tests/oracles.py``), offsets and skip counts included."""
 
     def test_definition_fields_match_reference(self):
-        assert [f.name for f in fields(MacroDefinition)] == [
-            f.name for f in fields(oracles.OracleDefinition)
-        ]
+        assert MacroDefinition._fields == tuple(f.name for f in fields(oracles.OracleDefinition))
 
     def test_random_sources(self):
         rng = random.Random(20261018)
         seen = Counter()
-        for _ in range(12000):
+        for _ in range(15000):
             _compare("".join(rng.choices(_ATOMS, k=rng.randint(0, 40))), seen)
         for key in ("def", "newcommand", "renewcommand", "signature", "[n] signature",
                     "skipped", "comment stripped", "unbalanced", "lone trailing backslash",
-                    "early exit", "full path", "defined by the pattern alone", "table built"):
+                    "early exit", "full path", "defined by the pattern alone", "table built",
+                    "command word after an odd run of 3 or more", "command word after an even run"):
             assert seen[key] > 50, (key, seen)
 
     def test_mutated_golden_sources(self):
@@ -388,6 +417,69 @@ class TestAgainstReferenceScanner:
                 assert syntax not in pattern.pattern, (syntax, pattern.pattern)
 
 
+# Atoms for comment stripping: backslash runs of length 1 to 6, the line
+# break ``\n`` and characters that end a line elsewhere but not here.
+_COMMENT_ATOMS = ["\\" * n for n in range(1, 7)] + [
+    "%", "%", "\n", "\r", "\r\n", "\u2028", "\x85", "x", " ", "{", "\\def",
+]
+
+
+class TestEscapeParity:
+    """Comment stripping and the candidate search find escapes by the
+    parity of the backslash run before a character: stripping agrees with
+    the reference's token-by-token scan, and both stay linear on long
+    runs and many escapes."""
+
+    def test_strip_comments_against_reference(self):
+        rng = random.Random(2028)
+        seen = Counter()
+        for _ in range(20000):
+            source = "".join(rng.choices(_COMMENT_ATOMS, k=rng.randint(0, 30)))
+            stripped = strip_comments(source)
+            assert stripped == oracles.oracle_strip_comments(source), source
+            seen["comment stripped"] += stripped != source
+            seen["escaped % kept"] += "%" in stripped
+            seen["no final newline"] += "%" in source and not source.endswith("\n")
+            for line in source.split("\n"):
+                k = line.find("%")
+                if k > 0 and line[k - 1] == "\\":
+                    run = k - len(line[:k].rstrip("\\"))
+                    seen["odd run before %" if run % 2 else "even run before %"] += 1
+        for key in ("comment stripped", "escaped % kept", "no final newline",
+                    "odd run before %", "even run before %"):
+            assert seen[key] > 500, (key, seen)
+
+    @staticmethod
+    def _timed(function, *args):
+        start = time.perf_counter()
+        result = function(*args)
+        return result, time.perf_counter() - start
+
+    def test_long_backslash_run_then_percent(self):
+        for run in (1 << 20, (1 << 20) + 1):
+            source = "\\def\\a{b}\n" + "\\" * run + "%\\def\\c{d}\nx"
+            stripped, elapsed = self._timed(strip_comments, source)
+            kept = "%\\def\\c{d}" if run % 2 else ""
+            assert stripped == "\\def\\a{b}\n" + "\\" * run + kept + "\nx"
+            assert elapsed < 1.0
+            result, elapsed = self._timed(extract_definitions, source, "p")
+            assert [d.name for d in result.definitions] == ["\\a"] + (["\\c"] if run % 2 else [])
+            assert elapsed < 1.0
+
+    def test_many_escaped_percents(self):
+        source = "\\def\\a{b}\n" + "\\%\n" * 100_000
+        stripped, elapsed = self._timed(strip_comments, source)
+        assert stripped == source and elapsed < 1.0
+        result, elapsed = self._timed(extract_definitions, source, "p")
+        assert len(result.definitions) == 1 and elapsed < 1.0
+
+    def test_many_escaped_backslashes_before_def(self):
+        source = "\\\\def\\x{y}\n" * 100_000
+        result, elapsed = self._timed(extract_definitions, source, "p")
+        assert (result.definitions, result.skipped) == ([], 0)
+        assert elapsed < 1.0
+
+
 class TestBracePassCount:
     """Braces are paired at most once per paper, and only for a paper
     holding a definition that the whole-definition pattern rejects."""
@@ -406,6 +498,6 @@ class TestBracePassCount:
         source = "\\def\\a{x\n\\def\\b{{y}}\n\\newcommand{\\c}[1]{#1}"
         result, calls = _extract_counting_pairings(source)
         reference = oracles.oracle_extract_definitions(source, "p")
-        assert [astuple(d) for d in result.definitions] == [astuple(d) for d in reference.definitions]
+        assert [tuple(d) for d in result.definitions] == [astuple(d) for d in reference.definitions]
         assert (len(result.definitions), result.skipped) == (2, reference.skipped) == (2, 1)
         assert calls == 1
