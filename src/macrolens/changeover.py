@@ -42,8 +42,8 @@ class ChangeoverParams:
             raise ValueError("theta must be in (0, 1]")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
-        if self.persistence <= 0:
-            raise ValueError("persistence must be positive")
+        if not 0 < self.persistence < math.inf:
+            raise ValueError("persistence must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -64,18 +64,22 @@ def window_grid(delta: float) -> tuple[float, ...]:
     return tuple(k * delta for k in range(k_max + 1))
 
 
-def usage_fraction(timeline: BodyTimeline, name: str, t0: float, t1: float) -> float:
-    """Share of interval authors that used ``name`` there."""
-    occs = interval(timeline, t0, t1)
-    all_authors: set[str] = set()
-    name_authors: set[str] = set()
-    for occ in occs:
-        all_authors.update(occ.authors)
-        if occ.name == name:
-            name_authors.update(occ.authors)
-    if not all_authors:
+def name_users(occurrences: Sequence) -> dict[str, set[str]]:
+    """Each name's set of authors in one window, by first occurrence."""
+    users: dict[str, set[str]] = {}
+    for occ in occurrences:
+        users.setdefault(occ.name, set()).update(occ.authors)
+    return users
+
+
+def name_shares(occurrences: Sequence) -> dict[str, float]:
+    """Each name's author share in one window, by first occurrence: the
+    share of the window's authors that used the name there."""
+    users = name_users(occurrences)
+    n_authors = len(set().union(*users.values()))
+    if not n_authors:
         raise ValueError("interval has no authors")
-    return len(name_authors) / len(all_authors)
+    return {name: len(authors) / n_authors for name, authors in users.items()}
 
 
 def most_used_name(occurrences: Sequence) -> str:
@@ -89,12 +93,6 @@ def most_used_name(occurrences: Sequence) -> str:
         counts[occ.name] = counts.get(occ.name, 0) + 1
         first.setdefault(occ.name, idx)
     return min(counts, key=lambda n: (-counts[n], first[n]))
-
-
-def sliding_curve(timeline: BodyTimeline, name: str, delta: float) -> Curve:
-    grid = window_grid(delta)
-    values = tuple(usage_fraction(timeline, name, t, t + delta) for t in grid)
-    return Curve(grid=grid, values=values)
 
 
 def crossing_point(f_curve: Curve, g_curve: Curve, persistence: float) -> float | None:
@@ -145,9 +143,7 @@ def changeover_names(timeline: BodyTimeline, params: ChangeoverParams) -> tuple[
     n_late = most_used_name(late)
     if n_early == n_late:
         return None
-    if usage_fraction(timeline, n_early, 0.0, params.q) <= params.theta:
-        return None
-    if usage_fraction(timeline, n_late, 1.0 - params.q, 1.0) <= params.theta:
+    if name_shares(early)[n_early] <= params.theta or name_shares(late)[n_late] <= params.theta:
         return None
     return n_early, n_late
 
@@ -159,8 +155,10 @@ def detect_changeover(timeline: BodyTimeline, params: ChangeoverParams) -> Chang
     if names is None:
         return None
     n_early, n_late = names
-    f_curve = sliding_curve(timeline, n_early, params.delta)
-    g_curve = sliding_curve(timeline, n_late, params.delta)
+    grid = window_grid(params.delta)
+    shares = [name_shares(interval(timeline, t, t + params.delta)) for t in grid]
+    f_curve = Curve(grid, tuple(s.get(n_early, 0.0) for s in shares))
+    g_curve = Curve(grid, tuple(s.get(n_late, 0.0) for s in shares))
     return ChangeoverRecord(
         body=timeline.body,
         signature=timeline.signature,
@@ -211,9 +209,9 @@ class ControlCandidate:
     timeline: BodyTimeline
     early_name: str
     early_prevalence: float
-    # other early names and their prevalences, with first-occurrence
-    # position in the early window for deterministic tie-breaking
-    others: dict[str, tuple[float, int]]
+    # the other early names' prevalences, in first-occurrence order in
+    # the early window (match_pairs breaks ties by that order)
+    others: dict[str, float]
 
 
 def find_control_candidates(
@@ -230,20 +228,10 @@ def find_control_candidates(
             continue
         early = interval(tl, 0.0, params.q)
         n_early = most_used_name(early)
-        others: dict[str, tuple[float, int]] = {}
-        for idx, occ in enumerate(early):
-            if occ.name != n_early and occ.name not in others:
-                others[occ.name] = (usage_fraction(tl, occ.name, 0.0, params.q), idx)
-        if not others:
-            continue
-        out.append(
-            ControlCandidate(
-                timeline=tl,
-                early_name=n_early,
-                early_prevalence=usage_fraction(tl, n_early, 0.0, params.q),
-                others=others,
-            )
-        )
+        others = name_shares(early)
+        prevalence = others.pop(n_early)
+        if others:
+            out.append(ControlCandidate(tl, n_early, prevalence, others))
     return out
 
 
@@ -277,16 +265,16 @@ def match_pairs(
     A control matches when the volume ratio sits in the allowed band and
     both early-prevalence gaps are under the tolerance; its second name
     is the one closest in early prevalence to the changeover's late
-    name.  Returns the pairs and the count of unmatched changeovers.
+    name, ties going to the name that occurs first in the control's
+    early window.  Returns the pairs and the count of unmatched changeovers.
     """
-    q = params.q
     pool = sorted(candidates, key=lambda c: (-c.timeline.m, c.timeline.key))
     used = [False] * len(pool)
     pairs: list[MatchedPair] = []
     unmatched = 0
     for rec in sorted(changeovers, key=lambda r: (-r.m, (r.signature, r.body))):
-        f_b = usage_fraction(rec.timeline, rec.early_name, 0.0, q)
-        g_b = usage_fraction(rec.timeline, rec.late_name, 0.0, q)
+        shares = name_shares(interval(rec.timeline, 0.0, params.q))
+        f_b, g_b = shares.get(rec.early_name, 0.0), shares.get(rec.late_name, 0.0)
         hit = None
         for idx, cand in enumerate(pool):
             if used[idx]:
@@ -296,20 +284,11 @@ def match_pairs(
                 continue
             if abs(f_b - cand.early_prevalence) >= MATCH_PREVALENCE_TOL:
                 continue
-            best_name = None
-            best_rank: tuple[float, int, str] | None = None
-            for name in sorted(cand.others):
-                prevalence, first_idx = cand.others[name]
-                gap = abs(g_b - prevalence)
-                if gap >= MATCH_PREVALENCE_TOL:
-                    continue
-                rank = (gap, first_idx, name)
-                if best_rank is None or rank < best_rank:
-                    best_rank = rank
-                    best_name = name
-            if best_name is None:
+            gaps = {name: abs(g_b - share) for name, share in cand.others.items()}
+            late_name = min(gaps, key=gaps.__getitem__)
+            if gaps[late_name] >= MATCH_PREVALENCE_TOL:
                 continue
-            hit = (idx, cand, best_name)
+            hit = (idx, cand, late_name)
             break
         if hit is None:
             unmatched += 1
@@ -325,7 +304,7 @@ def match_pairs(
                 f_beta=f_b,
                 g_beta=g_b,
                 f_gamma=cand.early_prevalence,
-                g_gamma=cand.others[late_name][0],
+                g_gamma=cand.others[late_name],
             )
         )
     return pairs, unmatched
@@ -344,7 +323,15 @@ def _first_use_positions(timeline: BodyTimeline) -> dict[tuple[str, str], int]:
     return first
 
 
-def _window_experiences(
+def _sides(pair: MatchedPair) -> tuple[tuple[BodyTimeline, str, str], ...]:
+    """(timeline, early name, late name) of the changeover, then the control."""
+    return (
+        (pair.record.timeline, pair.record.early_name, pair.record.late_name),
+        (pair.control, pair.control_early_name, pair.control_late_name),
+    )
+
+
+def _mean_experience(
     timeline: BodyTimeline,
     name: str,
     t0: float,
@@ -352,7 +339,9 @@ def _window_experiences(
     ledger: ExperienceLedger,
     adoption_only: bool,
     first_use: dict[tuple[str, str], int],
-) -> list[int]:
+) -> float | None:
+    """Mean experience of the authors using ``name`` in the window, one
+    value per use (per first use with ``adoption_only``); None if none."""
     start, end = window_bounds(timeline.m, t0, t1)
     values: list[int] = []
     for idx in range(start, end):
@@ -363,7 +352,7 @@ def _window_experiences(
             if adoption_only and first_use[(author, name)] != idx:
                 continue
             values.append(ledger.experience_at_rank(author, occ.group_rank))
-    return values
+    return sum(values) / len(values) if values else None
 
 
 EXPERIENCE_SERIES = (
@@ -395,29 +384,18 @@ def experience_curves(
     sums = {name: [0.0] * len(grid) for name in EXPERIENCE_SERIES}
     counts = {name: [0] * len(grid) for name in EXPERIENCE_SERIES}
     for pair in pairs:
-        roles = (
-            ("usage_early", pair.record.timeline, pair.record.early_name, False),
-            ("usage_late", pair.record.timeline, pair.record.late_name, False),
-            ("usage_early_control", pair.control, pair.control_early_name, False),
-            ("usage_late_control", pair.control, pair.control_late_name, False),
-            ("adoption_early", pair.record.timeline, pair.record.early_name, True),
-            ("adoption_late", pair.record.timeline, pair.record.late_name, True),
-            ("adoption_early_control", pair.control, pair.control_early_name, True),
-            ("adoption_late_control", pair.control, pair.control_late_name, True),
-        )
-        first_use_cache = {
-            id(pair.record.timeline): _first_use_positions(pair.record.timeline),
-            id(pair.control): _first_use_positions(pair.control),
-        }
-        for series, timeline, name, adoption in roles:
-            first_use = first_use_cache[id(timeline)]
-            for i, t in enumerate(grid):
-                values = _window_experiences(
-                    timeline, name, t, t + delta, ledger, adoption, first_use
-                )
-                if values:
-                    sums[series][i] += sum(values) / len(values)
-                    counts[series][i] += 1
+        for side, (timeline, *names) in zip(("", "_control"), _sides(pair)):
+            first_use = _first_use_positions(timeline)
+            for kind, adoption in (("usage", False), ("adoption", True)):
+                for edge, name in zip(("early", "late"), names):
+                    series = f"{kind}_{edge}{side}"
+                    for i, t in enumerate(grid):
+                        mean = _mean_experience(
+                            timeline, name, t, t + delta, ledger, adoption, first_use
+                        )
+                        if mean is not None:
+                            sums[series][i] += mean
+                            counts[series][i] += 1
     series_out: dict[str, list[float | None]] = {}
     for name in EXPERIENCE_SERIES:
         series_out[name] = [
@@ -463,28 +441,19 @@ def changeover_features(
     flags, and name orthography."""
     n_windows = _feature_window_count(q)
     rows: list[list[float]] = []
-    for timeline, early_name, late_name in (
-        (pair.record.timeline, pair.record.early_name, pair.record.late_name),
-        (pair.control, pair.control_early_name, pair.control_late_name),
-    ):
+    for timeline, *names in _sides(pair):
         first_use = _first_use_positions(timeline)
-        start, end = window_bounds(timeline.m, 0.0, q)
-        early_occs = timeline.occurrences[start:end]
-        row: list[float] = []
-        for name in (early_name, late_name):
-            row.append(float(len({a for o in early_occs if o.name == name for a in o.authors})))
-        for name in (early_name, late_name):
+        users = name_users(interval(timeline, 0.0, q))
+        row = [float(len(users.get(name, ()))) for name in names]
+        for name in names:
             for adoption in (False, True):
                 for w in range(n_windows):
                     t = w * FEATURE_WINDOW_WIDTH
-                    values = _window_experiences(
+                    mean = _mean_experience(
                         timeline, name, t, t + FEATURE_WINDOW_WIDTH, ledger, adoption, first_use
                     )
-                    if values:
-                        row.extend([sum(values) / len(values), 0.0])
-                    else:
-                        row.extend([0.0, 1.0])
-        for name in (early_name, late_name):
+                    row.extend([0.0, 1.0] if mean is None else [mean, 0.0])
+        for name in names:
             nf = name_features(name)
             row.extend([float(nf.length), float(nf.non_alpha), nf.frac_lower, nf.frac_upper])
         rows.append(row)

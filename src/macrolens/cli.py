@@ -137,8 +137,8 @@ def _detect_changeovers(corpus, defs, params):
 
 
 def cmd_changeovers(args) -> int:
-    corpus, defs = _load_extracted(args)
     params = _changeover_params(args)
+    corpus, defs = _load_extracted(args)
     _, records = _detect_changeovers(corpus, defs, params)
     out = _outdir(args)
     rows = []
@@ -168,8 +168,8 @@ def _matched_pairs(corpus, defs, params):
 
 
 def cmd_matched_pairs(args) -> int:
-    corpus, defs = _load_extracted(args)
     params = _changeover_params(args)
+    corpus, defs = _load_extracted(args)
     _, _, pairs, unmatched = _matched_pairs(corpus, defs, params)
     if unmatched:
         log.warning("%d changeovers had no matching control", unmatched)
@@ -216,8 +216,8 @@ def cmd_matched_pairs(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    corpus, defs = _load_extracted(args)
     params = _changeover_params(args)
+    corpus, defs = _load_extracted(args)
     _, records, pairs, _ = _matched_pairs(corpus, defs, params)
     out = _outdir(args)
     agg_rows, hist = [], []
@@ -314,7 +314,6 @@ def cmd_fights(args) -> int:
 
 def _title_fights(args) -> int:
     corpus = _load(args)
-    out = _outdir(args)
     ledger = ExperienceLedger(corpus)
     lexicon = fights.TitleLexicon.load(args.lexicon) if args.lexicon else None
     filters = fights.TitleFightFilters(
@@ -324,6 +323,9 @@ def _title_fights(args) -> int:
     fight_list = fights.detect_title_fights(
         corpus, args.style, ledger, CoauthorIndex(corpus), filters, lexicon
     )
+    # matched before any table is written, so a bad tolerance writes nothing
+    pairs, unmatched = fights.match_title_fights(fight_list, tolerance=args.match_tolerance)
+    out = _outdir(args)
     report.write_table(
         out / "title_fights",
         ("paper_id", "style", "younger", "older", "exp_younger", "exp_older",
@@ -335,7 +337,6 @@ def _title_fights(args) -> int:
         ],
         args.format,
     )
-    pairs, unmatched = fights.match_title_fights(fight_list, tolerance=args.match_tolerance)
     if unmatched:
         log.warning("%d title fights left unmatched", unmatched)
     report.write_table(

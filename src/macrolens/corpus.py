@@ -100,7 +100,10 @@ class PaperDate(NamedTuple):
         year, month, day = m.groups()
         year, month = int(year), int(month)
         day = None if day is None else int(day)
-        datetime.date(year, month, 1 if day is None else day)  # raises on a date off the calendar
+        try:
+            datetime.date(year, month, 1 if day is None else day)
+        except ValueError as exc:
+            raise ValueError(f"date {text!r} is not on the calendar ({exc})") from None
         # the generated ``__new__`` less its Python-level argument binding
         return tuple.__new__(cls, (year, month, day))
 
@@ -132,17 +135,12 @@ class Corpus:
         ordered = sorted(
             papers, key=lambda p: (p.date.year, p.date.month, p.date.day or 0, p.paper_id)
         )
-        by_id = {p.paper_id: p for p in ordered}
-        if len(by_id) != len(ordered):
-            seen: set[str] = set()
-            for p in ordered:
-                if p.paper_id in seen:
-                    raise ValueError(f"duplicate paper id {p.paper_id!r}")
-                seen.add(p.paper_id)
         ranks: dict[str, int] = {}
         rank = -1
         tie_month: tuple[int, int] | None = None  # month of the open tie group
         for p in ordered:
+            if p.paper_id in ranks:
+                raise ValueError(f"duplicate paper id {p.paper_id!r}")
             year, month, day = p.date
             if day is not None:
                 rank += 1
@@ -153,16 +151,12 @@ class Corpus:
             ranks[p.paper_id] = rank
         self.papers: tuple[Paper, ...] = tuple(ordered)
         self.group_rank: dict[str, int] = ranks
-        self._by_id: dict[str, Paper] = by_id
 
     def __len__(self) -> int:
         return len(self.papers)
 
     def __iter__(self) -> Iterator[Paper]:
         return iter(self.papers)
-
-    def get(self, paper_id: str) -> Paper:
-        return self._by_id[paper_id]
 
     def rank_of(self, paper_id: str) -> int:
         return self.group_rank[paper_id]

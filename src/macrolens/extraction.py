@@ -196,25 +196,10 @@ def _brace_pairs(text: str) -> tuple[dict[int, int], int]:
     return pairs, stray + len(opened)
 
 
-def check_balanced(text: str) -> bool:
-    """True iff braces balance, treating ``\\X`` as opaque."""
-    return _brace_pairs(text)[1] == 0
-
-
 def _collapse_space(text: str) -> str:
-    """Whitespace runs collapsed to one space, ends trimmed."""
+    """Whitespace runs collapsed to one space, ends trimmed; everything
+    else is kept byte-for-byte, so equal bodies compare equal across papers."""
     return " ".join(text.split())
-
-
-def normalize_body(raw: str) -> str:
-    """Canonical body text: whitespace runs collapsed, ends trimmed.
-
-    Everything else (control sequences, braces, punctuation) is kept
-    byte-for-byte so that equal bodies compare equal across papers.
-    """
-    if not check_balanced(raw):
-        raise ValueError("unbalanced braces in macro body")
-    return _collapse_space(raw)
 
 
 def _group(text: str, pairs: dict[int, int], k: int) -> tuple[str | None, int]:

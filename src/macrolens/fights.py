@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -280,7 +281,6 @@ def fight_features(
     fight: FightRecord,
     timeline: BodyTimeline,
     corpus: Corpus,
-    ledger: ExperienceLedger,
     index: CoauthorIndex,
 ) -> list[float]:
     """Per-author history and position features plus token orthography.
@@ -323,11 +323,14 @@ def fight_feature_matrix(
     ledger: ExperienceLedger,
     index: CoauthorIndex,
 ) -> FeatureMatrix:
-    """Label 0 when the first-listed author wins, 1 when the second does."""
+    """Label 0 when the first-listed author wins, 1 when the second does.
+
+    No feature reads ``ledger``; it stays for callers that pass it.
+    """
     rows = []
     labels = []
     for fight in fights:
-        rows.append(fight_features(fight, timelines[fight.shared_key], corpus, ledger, index))
+        rows.append(fight_features(fight, timelines[fight.shared_key], corpus, index))
         labels.append(fight.winner)
     return FeatureMatrix.from_rows(FIGHT_FEATURE_COLUMNS, rows, labels)
 
@@ -575,6 +578,8 @@ def match_title_fights(
     opposite indicators; each fight takes the closest (by the larger of
     the two profile gaps) compatible partner still unmatched.
     """
+    if not 0 <= tolerance < math.inf:
+        raise ValueError("match tolerance must be finite and at least 0")
     styles = {f.style for f in fights}
     if len(styles) > 1:
         raise ValueError("fights must share one style")

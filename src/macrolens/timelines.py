@@ -246,8 +246,6 @@ class CoauthorGraph:
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
-    body: str
-    cutoff_paper_id: str
 
     def adjacency(self) -> dict[str, list[str]]:
         adj: dict[str, list[str]] = {v: [] for v in self.nodes}
@@ -265,8 +263,7 @@ def coauthor_graph(
     cutoff: Paper | str,
     index: CoauthorIndex,
 ) -> CoauthorGraph:
-    cutoff_id = cutoff.paper_id if isinstance(cutoff, Paper) else cutoff
-    cutoff_rank = corpus.rank_of(cutoff_id)
+    cutoff_rank = corpus.rank_of(cutoff.paper_id if isinstance(cutoff, Paper) else cutoff)
     nodes = sorted(
         {a for occ in timeline.occurrences if occ.group_rank < cutoff_rank for a in occ.authors}
     )
@@ -277,9 +274,7 @@ def coauthor_graph(
         for b, ranks in index.neighbours(a).items()
         if a < b and b in users and ranks[0] < cutoff_rank
     )
-    return CoauthorGraph(
-        nodes=tuple(nodes), edges=tuple(edges), body=timeline.body, cutoff_paper_id=cutoff_id
-    )
+    return CoauthorGraph(nodes=tuple(nodes), edges=tuple(edges))
 
 
 def flexibility(timeline: BodyTimeline, author: str, cutoff: Paper | str, corpus: Corpus) -> float:

@@ -588,7 +588,10 @@ class _OracleDate:
         if m is None:
             raise ValueError(f"date {text!r} is neither YYYY-MM nor YYYY-MM-DD")
         year, month, day = m.groups()
-        return cls(int(year), int(month), None if day is None else int(day))
+        try:
+            return cls(int(year), int(month), None if day is None else int(day))
+        except ValueError as exc:
+            raise ValueError(f"date {text!r} is not on the calendar ({exc})") from None
 
     @property
     def month_granular(self) -> bool:

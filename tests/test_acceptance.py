@@ -18,7 +18,7 @@ import pytest
 from macrolens import analytics, changeover, fights, synth
 from macrolens.cli import _extract_all, run
 from macrolens.corpus import load_corpus
-from macrolens.timelines import CoauthorIndex, ExperienceLedger, build_timelines
+from macrolens.timelines import CoauthorIndex, ExperienceLedger, build_timelines, interval
 
 from conftest import crossover_timeline, random_timeline
 from headline import binomial_test, high_dominance_rate, overall_older_win_rate
@@ -80,8 +80,10 @@ def test_criterion_3_crossing_point_recovery():
             t_star = targets[i % len(targets)]
             m = rng.randint(100, 300)
             tl, early, late = crossover_timeline(rng, m=m, t_star=t_star, flip_prob=0.03)
-            f_curve = changeover.sliding_curve(tl, early, 0.05)
-            g_curve = changeover.sliding_curve(tl, late, 0.05)
+            grid = changeover.window_grid(0.05)
+            shares = [changeover.name_shares(interval(tl, t, t + 0.05)) for t in grid]
+            f_curve = changeover.Curve(grid, tuple(s.get(early, 0.0) for s in shares))
+            g_curve = changeover.Curve(grid, tuple(s.get(late, 0.0) for s in shares))
             found = changeover.crossing_point(f_curve, g_curve, 0.1)
             if found is not None and abs(found - t_star) <= 0.05 + 1e-9:
                 hits += 1

@@ -1,8 +1,21 @@
+import random
+import time
+
 import pytest
 
 from macrolens.changeover import (
+    EXPERIENCE_SERIES,
+    FEATURE_WINDOW_WIDTH,
+    MATCH_PREVALENCE_TOL,
+    MATCH_RATIO_HI,
+    MATCH_RATIO_LO,
     ChangeoverParams,
+    ChangeoverRecord,
+    ControlCandidate,
     Curve,
+    ExperienceCurves,
+    MatchedPair,
+    _feature_window_count,
     aggregate_median_curves,
     changeover_feature_columns,
     changeover_features,
@@ -12,11 +25,11 @@ from macrolens.changeover import (
     find_control_candidates,
     match_pairs,
     most_used_name,
-    sliding_curve,
-    usage_fraction,
+    name_shares,
     window_grid,
 )
-from macrolens.timelines import ExperienceLedger
+from macrolens.extraction import name_features
+from macrolens.timelines import ExperienceLedger, interval, window_bounds
 
 from conftest import corpus_of, paper, random_timeline, simple_timeline, timeline
 from oracles import oracle_changeover
@@ -37,17 +50,27 @@ class TestParams:
 
 
 class TestUsageFraction:
+    """``name_shares``: every name's share of a window's authors."""
+
     def test_everyone_uses_it(self):
         tl = simple_timeline(["\\n", "\\n", "\\n"])
-        assert usage_fraction(tl, "\\n", 0, 1) == 1.0
+        assert name_shares(tl.occurrences) == {"\\n": 1.0}
 
     def test_disjoint_halves(self):
         tl = timeline(
             [("p1", 0, "\\a", ["u1"]), ("p2", 1, "\\a", ["u2"]),
              ("p3", 2, "\\b", ["u3"]), ("p4", 3, "\\b", ["u4"])]
         )
-        assert usage_fraction(tl, "\\a", 0, 1) == 0.5
-        assert usage_fraction(tl, "\\b", 0, 1) == 0.5
+        assert name_shares(tl.occurrences) == {"\\a": 0.5, "\\b": 0.5}
+
+    def test_first_occurrence_order(self):
+        tl = simple_timeline(["\\z", "\\a", "\\z", "\\m", "\\a"])
+        assert list(name_shares(tl.occurrences)) == ["\\z", "\\a", "\\m"]
+
+    def test_window_without_authors_rejected(self):
+        tl = timeline([("p1", 0, "\\a", [])])
+        with pytest.raises(ValueError):
+            name_shares(tl.occurrences)
 
     def test_overlapping_users_sum_above_one(self):
         # A and B use N, C uses M, B also uses M once
@@ -59,8 +82,9 @@ class TestUsageFraction:
                 ("p4", 3, "\\M", ["b"]),
             ]
         )
-        assert usage_fraction(tl, "\\N", 0, 1) == pytest.approx(2 / 3)
-        assert usage_fraction(tl, "\\M", 0, 1) == pytest.approx(2 / 3)
+        shares = name_shares(tl.occurrences)
+        assert shares["\\N"] == pytest.approx(2 / 3)
+        assert shares["\\M"] == pytest.approx(2 / 3)
 
 
 def planted_changeover_timeline():
@@ -144,25 +168,36 @@ class TestDetectChangeover:
 
 
 class TestSlidingCurve:
+    """A changeover's curves hold each edge name's share in every grid
+    window; with one fresh author per use, a share is a use count."""
+
+    @staticmethod
+    def counted(tl, name, t, delta):
+        occs = interval(tl, t, t + delta)
+        return sum(o.name == name for o in occs) / len(occs)
+
     def test_constant_curve(self):
-        tl = simple_timeline(["\\n"] * 40)
-        curve = sliding_curve(tl, "\\n", 0.05)
-        assert curve.grid == window_grid(0.05)
-        assert all(v == 1.0 for v in curve.values)
+        # one author throughout, and both names in every 5-use window
+        names = (["\\a"] * 4 + ["\\b"]) * 10 + (["\\b"] * 4 + ["\\a"]) * 10
+        tl = timeline([(f"p{i:03d}", i, n, ["u"]) for i, n in enumerate(names)])
+        rec = detect_changeover(tl, ChangeoverParams(s=50))
+        assert (rec.early_name, rec.late_name) == ("\\a", "\\b")
+        assert rec.f_curve.grid == window_grid(0.05)
+        assert set(rec.f_curve.values) == set(rec.g_curve.values) == {1.0}
 
     def test_two_phase_step(self):
         tl = simple_timeline(["\\a"] * 50 + ["\\b"] * 50)
-        curve = sliding_curve(tl, "\\a", 0.05)
-        # oracle: recompute each window from scratch
-        for t, v in zip(curve.grid, curve.values):
-            assert v == usage_fraction(tl, "\\a", t, t + 0.05)
-        assert curve.values[0] == 1.0 and curve.values[-1] == 0.0
+        rec = detect_changeover(tl, ChangeoverParams(s=50))
+        for t, f, g in zip(rec.f_curve.grid, rec.f_curve.values, rec.g_curve.values):
+            assert (f, g) == (self.counted(tl, "\\a", t, 0.05), self.counted(tl, "\\b", t, 0.05))
+        assert rec.f_curve.values[0] == 1.0 and rec.f_curve.values[-1] == 0.0
+        assert rec.g_curve.values[0] == 0.0 and rec.g_curve.values[-1] == 1.0
 
-    def test_delta_one_single_point(self):
-        tl = simple_timeline(["\\a", "\\b"])
-        curve = sliding_curve(tl, "\\a", 1.0)
-        assert curve.grid == (0.0,)
-        assert curve.values[0] == usage_fraction(tl, "\\a", 0, 1)
+    def test_delta_half_two_points(self):
+        tl = simple_timeline(["\\a"] * 30 + ["\\b"] * 10 + ["\\a"] * 10 + ["\\b"] * 50)
+        rec = detect_changeover(tl, ChangeoverParams(s=50, delta=0.5))
+        assert rec.f_curve.grid == (0.0, 0.5)
+        assert rec.f_curve.values == (0.8, 0.0) and rec.g_curve.values == (0.2, 1.0)
 
 
 class TestCrossingPoint:
@@ -373,13 +408,13 @@ class TestExperienceCurves:
                 ("p1", corpus.rank_of("p1"), "\\n", ["w"]),
             ]
         )
-        from macrolens.changeover import _first_use_positions, _window_experiences
+        from macrolens.changeover import _first_use_positions, _mean_experience
 
         first_use = _first_use_positions(tl)
-        usage = _window_experiences(tl, "\\n", 0.5, 1.0, ledger, False, first_use)
-        adoption = _window_experiences(tl, "\\n", 0.5, 1.0, ledger, True, first_use)
-        assert usage == [1]  # second use counts for usage
-        assert adoption == []  # but not adoption
+        usage = _mean_experience(tl, "\\n", 0.5, 1.0, ledger, False, first_use)
+        adoption = _mean_experience(tl, "\\n", 0.5, 1.0, ledger, True, first_use)
+        assert usage == 1.0  # second use counts for usage
+        assert adoption is None  # but not adoption
 
     def test_planted_adoption_ramp_recovered(self):
         # adopters of the late name arrive with experience growing 0..19;
@@ -402,21 +437,18 @@ class TestExperienceCurves:
         corpus = corpus_of(*papers)
         ledger = ExperienceLedger(corpus)
         tl = timeline([(pid, corpus.rank_of(pid), n, a) for pid, _, n, a in entries])
-        from macrolens.changeover import _first_use_positions, _window_experiences
+        from macrolens.changeover import _first_use_positions, _mean_experience
 
         first_use = _first_use_positions(tl)
         grid = window_grid(0.1)
+        means = []
         for t in grid:
-            got = _window_experiences(tl, "\\late", t, t + 0.1, ledger, True, first_use)
+            got = _mean_experience(tl, "\\late", t, t + 0.1, ledger, True, first_use)
             lo = int(t * m)
             expected = [i // 2 for i in range(lo, lo + 4) if i >= 2]
-            assert got == expected
+            assert got == sum(expected) / len(expected)
+            means.append(got)
         # the ramp rises across windows
-        means = [
-            sum(v) / len(v)
-            for t in grid
-            if (v := _window_experiences(tl, "\\late", t, t + 0.1, ledger, True, first_use))
-        ]
         assert means == sorted(means)
 
 
@@ -477,3 +509,321 @@ class TestMostUsedName:
     def test_tie_breaks_to_earlier_first_occurrence(self):
         tl = simple_timeline(["\\b", "\\a", "\\a", "\\b"])
         assert most_used_name(list(tl.occurrences)) == "\\b"
+
+
+# ---------------------------------------------------------------------------
+# The former share and experience code, one name and one window at a time:
+# the reference the single-pass functions must reproduce bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def former_usage_fraction(tl, name, t0, t1):
+    all_authors, name_authors = set(), set()
+    for occ in interval(tl, t0, t1):
+        all_authors.update(occ.authors)
+        if occ.name == name:
+            name_authors.update(occ.authors)
+    if not all_authors:
+        raise ValueError("interval has no authors")
+    return len(name_authors) / len(all_authors)
+
+
+def former_sliding_curve(tl, name, delta):
+    grid = window_grid(delta)
+    return Curve(grid, tuple(former_usage_fraction(tl, name, t, t + delta) for t in grid))
+
+
+def former_changeover_names(tl, params):
+    if tl.m < params.s:
+        return None
+    n_early = most_used_name(interval(tl, 0.0, params.q))
+    n_late = most_used_name(interval(tl, 1.0 - params.q, 1.0))
+    if n_early == n_late:
+        return None
+    if former_usage_fraction(tl, n_early, 0.0, params.q) <= params.theta:
+        return None
+    if former_usage_fraction(tl, n_late, 1.0 - params.q, 1.0) <= params.theta:
+        return None
+    return n_early, n_late
+
+
+def former_detect_changeover(tl, params):
+    names = former_changeover_names(tl, params)
+    if names is None:
+        return None
+    f_curve = former_sliding_curve(tl, names[0], params.delta)
+    g_curve = former_sliding_curve(tl, names[1], params.delta)
+    return ChangeoverRecord(
+        tl.body, tl.signature, names[0], names[1], tl.m, f_curve, g_curve,
+        crossing_point(f_curve, g_curve, params.persistence), tl,
+    )
+
+
+def former_find_control_candidates(timelines, params):
+    """Candidates whose ``others`` map each name to (share, first index)."""
+    out = []
+    for key in sorted(timelines):
+        tl = timelines[key]
+        if tl.m < params.s or former_changeover_names(tl, params) is not None:
+            continue
+        early = interval(tl, 0.0, params.q)
+        n_early = most_used_name(early)
+        others = {}
+        for idx, occ in enumerate(early):
+            if occ.name != n_early and occ.name not in others:
+                others[occ.name] = (former_usage_fraction(tl, occ.name, 0.0, params.q), idx)
+        if others:
+            prevalence = former_usage_fraction(tl, n_early, 0.0, params.q)
+            out.append(ControlCandidate(tl, n_early, prevalence, others))
+    return out
+
+
+def former_match_pairs(changeovers, candidates, params):
+    pool = sorted(candidates, key=lambda c: (-c.timeline.m, c.timeline.key))
+    used = [False] * len(pool)
+    pairs, unmatched = [], 0
+    for rec in sorted(changeovers, key=lambda r: (-r.m, (r.signature, r.body))):
+        f_b = former_usage_fraction(rec.timeline, rec.early_name, 0.0, params.q)
+        g_b = former_usage_fraction(rec.timeline, rec.late_name, 0.0, params.q)
+        hit = None
+        for idx, cand in enumerate(pool):
+            if used[idx] or not MATCH_RATIO_LO <= rec.m / cand.timeline.m <= MATCH_RATIO_HI:
+                continue
+            if abs(f_b - cand.early_prevalence) >= MATCH_PREVALENCE_TOL:
+                continue
+            best_name, best_rank = None, None
+            for name in sorted(cand.others):
+                prevalence, first_idx = cand.others[name]
+                gap = abs(g_b - prevalence)
+                if gap >= MATCH_PREVALENCE_TOL:
+                    continue
+                if best_rank is None or (gap, first_idx, name) < best_rank:
+                    best_rank, best_name = (gap, first_idx, name), name
+            if best_name is not None:
+                hit = (idx, cand, best_name)
+                break
+        if hit is None:
+            unmatched += 1
+            continue
+        idx, cand, late_name = hit
+        used[idx] = True
+        pairs.append(MatchedPair(
+            rec, cand.timeline, cand.early_name, late_name,
+            f_b, g_b, cand.early_prevalence, cand.others[late_name][0],
+        ))
+    return pairs, unmatched
+
+
+def former_first_use_positions(tl):
+    first = {}
+    for idx, occ in enumerate(tl.occurrences):
+        for author in occ.authors:
+            first.setdefault((author, occ.name), idx)
+    return first
+
+
+def former_window_experiences(tl, name, t0, t1, ledger, adoption_only, first_use):
+    start, end = window_bounds(tl.m, t0, t1)
+    values = []
+    for idx in range(start, end):
+        occ = tl.occurrences[idx]
+        if occ.name != name:
+            continue
+        for author in occ.authors:
+            if adoption_only and first_use[(author, name)] != idx:
+                continue
+            values.append(ledger.experience_at_rank(author, occ.group_rank))
+    return values
+
+
+def former_experience_curves(pairs, ledger, delta):
+    grid = window_grid(delta)
+    sums = {name: [0.0] * len(grid) for name in EXPERIENCE_SERIES}
+    counts = {name: [0] * len(grid) for name in EXPERIENCE_SERIES}
+    for pair in pairs:
+        roles = (
+            ("usage_early", pair.record.timeline, pair.record.early_name, False),
+            ("usage_late", pair.record.timeline, pair.record.late_name, False),
+            ("usage_early_control", pair.control, pair.control_early_name, False),
+            ("usage_late_control", pair.control, pair.control_late_name, False),
+            ("adoption_early", pair.record.timeline, pair.record.early_name, True),
+            ("adoption_late", pair.record.timeline, pair.record.late_name, True),
+            ("adoption_early_control", pair.control, pair.control_early_name, True),
+            ("adoption_late_control", pair.control, pair.control_late_name, True),
+        )
+        first_use_cache = {
+            id(pair.record.timeline): former_first_use_positions(pair.record.timeline),
+            id(pair.control): former_first_use_positions(pair.control),
+        }
+        for series, tl, name, adoption in roles:
+            for i, t in enumerate(grid):
+                values = former_window_experiences(
+                    tl, name, t, t + delta, ledger, adoption, first_use_cache[id(tl)]
+                )
+                if values:
+                    sums[series][i] += sum(values) / len(values)
+                    counts[series][i] += 1
+    return ExperienceCurves(grid, {
+        name: [sums[name][i] / counts[name][i] if counts[name][i] else None
+               for i in range(len(grid))]
+        for name in EXPERIENCE_SERIES
+    })
+
+
+def former_changeover_features(pair, q, ledger):
+    n_windows = _feature_window_count(q)
+    rows = []
+    for tl, early_name, late_name in (
+        (pair.record.timeline, pair.record.early_name, pair.record.late_name),
+        (pair.control, pair.control_early_name, pair.control_late_name),
+    ):
+        first_use = former_first_use_positions(tl)
+        start, end = window_bounds(tl.m, 0.0, q)
+        early_occs = tl.occurrences[start:end]
+        row = []
+        for name in (early_name, late_name):
+            row.append(float(len({a for o in early_occs if o.name == name for a in o.authors})))
+        for name in (early_name, late_name):
+            for adoption in (False, True):
+                for w in range(n_windows):
+                    t = w * FEATURE_WINDOW_WIDTH
+                    values = former_window_experiences(
+                        tl, name, t, t + FEATURE_WINDOW_WIDTH, ledger, adoption, first_use
+                    )
+                    row.extend([sum(values) / len(values), 0.0] if values else [0.0, 1.0])
+        for name in (early_name, late_name):
+            nf = name_features(name)
+            row.extend([float(nf.length), float(nf.non_alpha), nf.frac_lower, nf.frac_upper])
+        rows.append(row)
+    return rows[0], rows[1]
+
+
+class _Ledger:
+    """Experience as a fixed function of author and rank."""
+
+    @staticmethod
+    def experience_at_rank(author, group_rank):
+        return (len(author) * 7 + group_rank) % 11
+
+
+def many_name_pair(rng, index):
+    """A changeover body and a control of the same volume whose early
+    windows hold the same dominant-name share; in the control's early
+    window two or three names sit at exactly the changeover's late-name
+    share, among other names, in shuffled order.  One author per use."""
+    m = rng.randint(100, 260)
+    early = int(0.3 * m)  # the early window's length at q = 0.3
+    k_late, extra = rng.randint(2, 4), rng.randint(0, 4)
+    tied = rng.sample([f"\\tie{c}" for c in "zyxwa"], rng.randint(2, 3))
+    k_dom = early - k_late * len(tied) - extra
+    beta = ["\\dom"] * k_dom + ["\\new"] * k_late + ["\\noise"] * (early - k_dom - k_late)
+    gamma = ["\\dom"] * k_dom + [n for n in tied for _ in range(k_late)]
+    gamma += [f"\\other{rng.randrange(3)}" for _ in range(extra)]
+    rng.shuffle(beta)
+    rng.shuffle(gamma)
+    beta += ["\\dom" if rng.random() < 0.2 else "\\new" for _ in range(m - early)]
+    gamma += ["\\dom"] * (m - early)
+
+    def build(names, tag):
+        return timeline(
+            [(f"{tag}{index}.{i:03d}", i, n, [f"{tag} author {i}"]) for i, n in enumerate(names)],
+            body=f"\\{tag}body{{{index}}}",
+        )
+
+    return build(beta, "b"), build(gamma, "g")
+
+
+def with_body(tl, body):
+    return timeline([(o.paper_id, o.group_rank, o.name, o.authors) for o in tl.occurrences], body=body)
+
+
+class TestFormerImplementationsBitExact:
+    """Every record, candidate, pair, curve and feature row equals the
+    former one-name-at-a-time code's, compared with ``==``."""
+
+    PARAMS = [
+        ChangeoverParams(),
+        ChangeoverParams(s=20),
+        ChangeoverParams(s=20, q=0.2, theta=0.25, delta=0.1, persistence=0.2),
+        ChangeoverParams(s=20, q=0.5, theta=0.4, delta=0.04),
+    ]
+
+    def test_equal_on_random_and_many_name_bodies(self):
+        rng = random.Random(1017)
+        ledger = _Ledger()
+        seen = {"records": 0, "pairs": 0, "tied picks": 0, "candidate names": 0}
+        for trial in range(40):
+            bodies = [with_body(random_timeline(rng, m_range=(20, 260), max_names=6), f"\\r{{{i}}}")
+                      for i in range(8)]
+            for i in range(4):
+                bodies.extend(many_name_pair(rng, i))
+            timelines = {tl.key: tl for tl in bodies}
+            params = self.PARAMS[trial % len(self.PARAMS)]
+            records = [detect_changeover(timelines[k], params) for k in sorted(timelines)]
+            assert records == [former_detect_changeover(timelines[k], params) for k in sorted(timelines)]
+            records = [r for r in records if r is not None]
+            candidates = find_control_candidates(timelines, params)
+            former = former_find_control_candidates(timelines, params)
+            assert [(c.timeline, c.early_name, c.early_prevalence) for c in candidates] == [
+                (c.timeline, c.early_name, c.early_prevalence) for c in former
+            ]
+            for cand, ref in zip(candidates, former):
+                by_first = sorted(ref.others, key=lambda n: ref.others[n][1])
+                assert list(cand.others.items()) == [(n, ref.others[n][0]) for n in by_first]
+                seen["candidate names"] += len(cand.others)
+            pairs, unmatched = match_pairs(records, candidates, params)
+            assert (pairs, unmatched) == former_match_pairs(records, former, params)
+            seen["records"] += len(records)
+            seen["pairs"] += len(pairs)
+            if not pairs:
+                continue
+            assert experience_curves(pairs, ledger, params.delta) == former_experience_curves(
+                pairs, ledger, params.delta
+            )
+            for pair in pairs:
+                assert changeover_features(pair, params.q, ledger) == former_changeover_features(
+                    pair, params.q, ledger
+                )
+                others = next(c.others for c in candidates if c.timeline is pair.control)
+                gaps = [abs(pair.g_beta - share) for share in others.values()]
+                seen["tied picks"] += gaps.count(abs(pair.g_beta - pair.g_gamma)) > 1
+        # the late-name pick met names at exactly equal gap
+        assert seen["tied picks"] > 0, seen
+        assert min(seen.values()) > 0, seen
+
+
+class TestLateNameTie:
+    def test_equal_shares_go_to_the_first_occurring_name(self):
+        # early window (18 of 60 uses): 12 of \dom and 2 of \new in the
+        # changeover; 12 of \dom and 2 each of \zfirst, \alater and \y in
+        # the control, \zfirst first although it sorts last
+        beta = ["\\dom"] * 6 + ["\\new", "\\x", "\\y"] + ["\\dom"] * 6 + ["\\new", "\\x", "\\y"]
+        gamma = ["\\dom"] * 6 + ["\\zfirst", "\\alater", "\\y"] + ["\\dom"] * 6
+        gamma += ["\\alater", "\\zfirst", "\\y"]
+        beta += ["\\new"] * 42
+        gamma += ["\\dom"] * 42
+        params = ChangeoverParams(s=30)
+        b, g = (
+            timeline([(f"{t}{i}", i, n, [f"{t}u{i}"]) for i, n in enumerate(names)], body=f"\\{t}{{0}}")
+            for t, names in (("b", beta), ("g", gamma))
+        )
+        candidates = find_control_candidates({g.key: g}, params)
+        pairs, unmatched = match_pairs([detect_changeover(b, params)], candidates, params)
+        assert unmatched == 0
+        assert pairs[0].g_beta == pairs[0].g_gamma == 2 / 18
+        assert pairs[0].control_late_name == "\\zfirst"
+
+
+class TestControlCandidateScaling:
+    def test_many_early_names_linear(self):
+        # half the uses under one name, half under names used once each:
+        # the early window of 16k uses holds 2.4k distinct names
+        m = 16_000
+        tl = timeline(
+            [(f"p{i:05d}", i, "\\main" if i % 2 else f"\\n{i}", [f"u{i}"]) for i in range(m)]
+        )
+        start = time.perf_counter()
+        (cand,) = find_control_candidates({tl.key: tl}, ChangeoverParams())
+        elapsed = time.perf_counter() - start
+        assert cand.early_name == "\\main" and len(cand.others) == 2400
+        assert elapsed < 0.5, f"took {elapsed:.3f}s"

@@ -84,6 +84,32 @@ class TestArgHandling:
         assert capsys.readouterr().err == "macrolens: error: gap bucket edges must be at least 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["changeovers", "matched-pairs", "curves"])
+    @pytest.mark.parametrize("persistence", ["inf", "nan"])
+    def test_persistence_must_be_finite(self, command, persistence, synth_corpus, tmp_path, capsys):
+        # the corpus holds changeovers, so a crossing point would be sought
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            invoke(command, "--corpus", str(synth_corpus), "--out", str(out),
+                   "--persistence", persistence)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "macrolens: error: persistence must be positive and finite"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.01"])
+    def test_match_tolerance_must_be_finite_and_non_negative(self, tolerance, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            invoke("fights", "title", "--corpus", str(GOLDEN / "manifest.jsonl"), "--out", str(out),
+                   "--match-tolerance", tolerance)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "macrolens: error: match tolerance must be finite and at least 0"
+        )
+        assert not out.exists()
+
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MACROLENS_OUTDIR", str(tmp_path / "envout"))
         assert invoke("extract", "--corpus", str(GOLDEN / "manifest.jsonl")) == 0

@@ -140,6 +140,11 @@ _FIELD_PROBLEMS = [
     ({**record("a"), "id": ""}, "field 'id' is empty"),
     ({**record("a"), "authors": []}, "field 'authors' is empty"),
 ] + [
+    (record("a", date), f"date {date!r} is not on the calendar ({why})")
+    for date, why in [("2005-02-30", "day is out of range for month"),
+                      ("0000-01", "year 0 is out of range"),
+                      ("2005-13", "month must be in 1..12")]
+] + [
     ({**record("a"), name: value}, f"field {name!r} must be {expected}, not {kind}")
     for name, expected, wrong in [
         ("id", "a string", _WRONG_TYPES),

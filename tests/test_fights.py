@@ -175,7 +175,7 @@ class TestNameFights:
         fights = detect_name_fights(corpus, tls, ledger, LOOSE)
         tl = tls[("", BODY)]
         for f in fights:
-            p = corpus.get(f.paper_id)
+            p = next(p for p in corpus if p.paper_id == f.paper_id)
             assert len(p.authors) == 2  # (i)
             rank = corpus.rank_of(f.paper_id)
             for author, variant in ((f.author_a, f.variant_a), (f.author_b, f.variant_b)):
