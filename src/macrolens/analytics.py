@@ -111,6 +111,9 @@ def split(
     if not pos or not neg:
         raise ValueError("both labels must be present")
     k = min(len(pos), len(neg))
+    cut = int(round(train_frac * k))
+    if not 0 < cut < k:
+        raise ValueError(f"train_frac {train_frac} with {k} rows per label leaves a side empty")
     pos = sorted(rng.sample(pos, k))
     neg = sorted(rng.sample(neg, k))
     train_idx: list[int] = []
@@ -118,7 +121,6 @@ def split(
     for group in (neg, pos):
         shuffled = list(group)
         rng.shuffle(shuffled)
-        cut = int(round(train_frac * len(shuffled)))
         train_idx.extend(shuffled[:cut])
         test_idx.extend(shuffled[cut:])
     return matrix.take(sorted(train_idx)), matrix.take(sorted(test_idx))

@@ -371,7 +371,10 @@ def _read_feature_csv(path: Path) -> analytics.FeatureMatrix:
                     f"feature CSV line {reader.line_num} has {len(rec)} fields, not {len(header)}"
                 )
             rows.append([float(v) for v in rec[:-1]])
-            labels.append(int(float(rec[-1])))
+            label = float(rec[-1])
+            if label not in (0.0, 1.0):
+                raise ValueError(f"feature CSV line {reader.line_num}: label must be 0 or 1")
+            labels.append(int(label))
     return analytics.FeatureMatrix.from_rows(columns, rows, labels)
 
 

@@ -153,14 +153,14 @@ def _detect_fights(
                     exp_b=ledger.experience_at_rank(b, rank),
                 )
             )
-    # one fight per author pair: the chronologically earliest
+    # one fight per author pair: the earliest; unique sort keys keep ``chosen`` sorted
     candidates.sort(key=lambda f: (f.group_rank, f.paper_id, f.shared_key))
     chosen: dict[tuple[str, str], FightRecord] = {}
     for fight in candidates:
         pair = (min(fight.author_a, fight.author_b), max(fight.author_a, fight.author_b))
         if pair not in chosen:
             chosen[pair] = fight
-    return sorted(chosen.values(), key=lambda f: (f.group_rank, f.paper_id, f.shared_key))
+    return list(chosen.values())
 
 
 def detect_name_fights(
@@ -278,38 +278,25 @@ FIGHT_FEATURE_COLUMNS = [
 
 
 def fight_features(
-    fight: FightRecord,
-    timeline: BodyTimeline,
-    corpus: Corpus,
-    index: CoauthorIndex,
+    fight: FightRecord, timeline: BodyTimeline, index: CoauthorIndex
 ) -> list[float]:
     """Per-author history and position features plus token orthography.
 
-    For body fights the record's roles are swapped, so the "name"
-    columns describe each author's body and the "body" columns the
-    shared name.
+    Degree and betweenness are read in the fighters' components of the
+    prior users' co-author graph; a node's betweenness depends on its own
+    component only.  For body fights the record's roles are swapped, so
+    the "name" columns describe each author's body and the "body" columns
+    the shared name.
     """
-    graph = coauthor_graph(corpus, timeline, fight.paper_id, index=index)
-    adj = graph.adjacency()
     authors = (fight.author_a, fight.author_b)
-    # a node's betweenness depends on its own component only
-    reached = {a for a in authors if a in adj}
-    todo = list(reached)
-    while todo:
-        for w in adj[todo.pop()]:
-            if w not in reached:
-                reached.add(w)
-                todo.append(w)
-    central = betweenness({v: adj[v] for v in reached})
+    rank = fight.group_rank
+    adj = coauthor_graph(timeline, rank, index, authors).adjacency
+    central = betweenness(adj)
     row: list[float] = [float(fight.exp_a), float(fight.exp_b)]
-    for author in authors:
-        row.append(float(len(timeline.prior_positions(author, fight.group_rank))))
-    for author in authors:
-        row.append(flexibility(timeline, author, fight.paper_id, corpus))
-    for author in authors:
-        row.append(float(len(adj.get(author, []))))
-    for author in authors:
-        row.append(central.get(author, 0.0))
+    row.extend(float(len(timeline.prior_positions(a, rank))) for a in authors)
+    row.extend(flexibility(timeline, a, rank) for a in authors)
+    row.extend(float(len(adj[a])) for a in authors)
+    row.extend(central[a] for a in authors)
     row.extend([float(len(fight.variant_a)), float(len(fight.variant_b))])
     bf = body_features(fight.shared)
     row.extend([float(bf.length), float(bf.non_alpha), float(bf.max_brace_depth)])
@@ -325,14 +312,11 @@ def fight_feature_matrix(
 ) -> FeatureMatrix:
     """Label 0 when the first-listed author wins, 1 when the second does.
 
-    No feature reads ``ledger``; it stays for callers that pass it.
+    No feature reads ``corpus`` or ``ledger``; they stay for callers that
+    pass them.
     """
-    rows = []
-    labels = []
-    for fight in fights:
-        rows.append(fight_features(fight, timelines[fight.shared_key], corpus, index))
-        labels.append(fight.winner)
-    return FeatureMatrix.from_rows(FIGHT_FEATURE_COLUMNS, rows, labels)
+    rows = [fight_features(f, timelines[f.shared_key], index) for f in fights]
+    return FeatureMatrix.from_rows(FIGHT_FEATURE_COLUMNS, rows, [f.winner for f in fights])
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,9 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
+        for count in ("n_changeover_pairs", "n_name_fights", "n_body_fights", "n_title_pairs"):
+            if getattr(self, count) < 0:
+                raise ValueError(f"{count} must be at least 0")
 
 
 @dataclass

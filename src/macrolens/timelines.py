@@ -237,50 +237,51 @@ class CoauthorIndex:
 
 @dataclass(frozen=True)
 class CoauthorGraph:
-    """Co-author graph over one body's prior users at a cutoff paper.
+    """Some authors' components in the co-author graph over one body's
+    prior users at a cutoff rank.
 
     Nodes: authors with at least one occurrence of the body strictly
     before the cutoff.  Edges: pairs that co-authored any paper strictly
-    before the cutoff (not only papers using the body).
+    before the cutoff (not only papers using the body).  ``adjacency``
+    maps each node to its neighbours in sorted order.
     """
 
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    adjacency: dict[str, list[str]]
 
-    def adjacency(self) -> dict[str, list[str]]:
-        adj: dict[str, list[str]] = {v: [] for v in self.nodes}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        for v in adj:
-            adj[v].sort()
-        return adj
+    @property
+    def nodes(self) -> tuple[str, ...]:
+        return tuple(sorted(self.adjacency))
+
+    @property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        return tuple(sorted((a, b) for a, near in self.adjacency.items() for b in near if a < b))
 
 
 def coauthor_graph(
-    corpus: Corpus,
-    timeline: BodyTimeline,
-    cutoff: Paper | str,
-    index: CoauthorIndex,
+    timeline: BodyTimeline, cutoff_rank: int, index: CoauthorIndex, authors: Iterable[str]
 ) -> CoauthorGraph:
-    cutoff_rank = corpus.rank_of(cutoff.paper_id if isinstance(cutoff, Paper) else cutoff)
-    nodes = sorted(
-        {a for occ in timeline.occurrences if occ.group_rank < cutoff_rank for a in occ.authors}
-    )
-    users = set(nodes)
-    edges = sorted(
-        (a, b)
-        for a in nodes
-        for b, ranks in index.neighbours(a).items()
-        if a < b and b in users and ranks[0] < cutoff_rank
-    )
-    return CoauthorGraph(nodes=tuple(nodes), edges=tuple(edges))
+    """The components of those ``authors`` who used the body before
+    ``cutoff_rank``, found by one walk out from them over
+    :meth:`CoauthorIndex.neighbours`; it costs those components, not the
+    body's prior users."""
+    adjacency: dict[str, list[str]] = {}
+    todo = [a for a in authors if timeline.prior_positions(a, cutoff_rank)]
+    while todo:
+        a = todo.pop()
+        if a in adjacency:
+            continue
+        near = adjacency[a] = sorted(
+            b
+            for b, ranks in index.neighbours(a).items()
+            if ranks[0] < cutoff_rank and timeline.prior_positions(b, cutoff_rank)
+        )
+        todo.extend(b for b in near if b not in adjacency)
+    return CoauthorGraph(adjacency)
 
 
-def flexibility(timeline: BodyTimeline, author: str, cutoff: Paper | str, corpus: Corpus) -> float:
+def flexibility(timeline: BodyTimeline, author: str, cutoff_rank: int) -> float:
     """Fraction of the author's consecutive prior uses that switched names."""
-    cutoff_id = cutoff.paper_id if isinstance(cutoff, Paper) else cutoff
-    positions = timeline.prior_positions(author, corpus.rank_of(cutoff_id))
+    positions = timeline.prior_positions(author, cutoff_rank)
     if not positions:
         raise ValueError(f"author {author!r} has no prior use of this body")
     if len(positions) == 1:

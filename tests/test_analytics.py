@@ -89,6 +89,20 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(matrix([[1.0], [2.0]], [1, 1]))
 
+    @pytest.mark.parametrize("labels,train_frac", [
+        ([0, 1, 0, 1], 0.8),  # 2 per label: both in train
+        ([0, 1, 0, 1], 0.2),  # 2 per label: both in test
+        ([0, 1, 0, 0], 0.5),  # 1 per label after subsampling
+    ])
+    def test_split_leaving_a_side_empty_rejected(self, labels, train_frac):
+        m = matrix([[float(i)] for i in range(len(labels))], labels)
+        with pytest.raises(ValueError, match=f"train_frac {train_frac} with"):
+            split(m, train_frac=train_frac)
+
+    def test_smallest_split_with_both_sides(self):
+        train, test = split(matrix([[float(i)] for i in range(4)], [0, 1, 0, 1]), train_frac=0.5)
+        assert train.n_rows == test.n_rows == 2
+
 
 def _separable_data(seed, n=400, margin=0.5):
     rng = random.Random(seed)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from macrolens import synth
 from macrolens.cli import run
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -32,13 +33,17 @@ class TestArgHandling:
             invoke("extract", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path))
         assert exc.value.code == 1
 
-    @pytest.mark.parametrize(
-        "case", ["empty features", "blank feature row", "features directory", "lexicon lacks list"]
-    )
+    BAD_FEATURES = {
+        "empty features": "",
+        "blank feature row": "a,label\n1,0\n\n2,1\n",
+        "infinite label": "a,label\n1,0\n2,inf\n",
+        "fractional label": "a,label\n1,0\n2,0.5\n",
+    }
+
+    @pytest.mark.parametrize("case", [*BAD_FEATURES, "features directory", "lexicon lacks list"])
     def test_bad_input_files_exit_cleanly(self, case, tmp_path, capsys):
-        if case in ("empty features", "blank feature row"):
-            text = "" if case == "empty features" else "a,label\n1,0\n\n2,1\n"
-            (tmp_path / "features.csv").write_text(text, encoding="utf-8")
+        if case in self.BAD_FEATURES:
+            (tmp_path / "features.csv").write_text(self.BAD_FEATURES[case], encoding="utf-8")
             argv, code = ["predict", "--features", str(tmp_path / "features.csv")], 2
         elif case == "features directory":
             argv, code = ["predict", "--features", str(tmp_path)], 1
@@ -61,6 +66,29 @@ class TestArgHandling:
                    "--train-frac", train_frac, "--out", str(tmp_path / "out"))
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("macrolens: error: train_frac must be in (0, 1)")
+
+    def test_split_with_an_empty_side(self, tmp_path, capsys):
+        # two rows per label: the default 0.8 puts both in train
+        (tmp_path / "features.csv").write_text("a,label\n1,0\n2,1\n3,0\n4,1\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            invoke("predict", "--features", str(tmp_path / "features.csv"),
+                   "--out", str(tmp_path / "out"))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(
+            "macrolens: error: train_frac 0.8 with 2 rows per label leaves a side empty"
+        )
+
+    @pytest.mark.parametrize(
+        "count", ["n_changeover_pairs", "n_name_fights", "n_body_fights", "n_title_pairs"]
+    )
+    def test_negative_synth_count(self, count, tmp_path, capsys):
+        synth.SynthConfig(**{count: 0})  # zero plants nothing and is valid
+        flag = "--" + count[2:].replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            invoke("synth", "--preset", "name-fights", flag, "-5", "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"macrolens: error: {count} must be at least 0\n"
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("mode", ["name", "title"])
     @pytest.mark.parametrize("edges", [["-4", "2"], ["0"]])

@@ -375,8 +375,9 @@ class TestFightFeatures:
 
     def test_no_pair_tests_and_betweenness_sees_fighters_component_only(self, monkeypatch):
         """2,000 prior single-author users: an all-pairs graph would make
-        about two million pair tests; the graph and betweenness stay
-        proportional to the co-author lists and the fighters' component."""
+        about two million pair tests, and a whole prior-user graph reads
+        2,002 co-author lists; the walk reads the two fighters' lists, and
+        betweenness sees only their component."""
         sketch = [
             (f"s{i:04d}", "2000-01-01", [f"user {i:04d}"], [("\\R", BODY)]) for i in range(2000)
         ]
@@ -399,10 +400,20 @@ class TestFightFeatures:
             sizes.append(sorted(adj))
             return betweenness(adj)
 
+        lists_read = []
+        index = CoauthorIndex(corpus)
+        neighbours = index.neighbours
+
+        def counted(author):
+            lists_read.append(author)
+            return neighbours(author)
+
         monkeypatch.setattr(CoauthorIndex, "coauthored_before", no_pair_tests)
         monkeypatch.setattr(fights_module, "betweenness", recorded)
-        matrix = fight_feature_matrix(fights, tls, corpus, ledger, CoauthorIndex(corpus))
+        monkeypatch.setattr(index, "neighbours", counted)
+        matrix = fight_feature_matrix(fights, tls, corpus, ledger, index)
         assert sizes == [["a", "b"]]
+        assert sorted(lists_read) == ["a", "b"]
         row = dict(zip(matrix.columns, matrix.X[0]))
         assert row["degree_1"] == row["degree_2"] == 1.0
 

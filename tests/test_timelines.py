@@ -157,6 +157,13 @@ class TestInterval:
             interval(tl, 0.7, 0.3)
 
 
+def whole_graph(corpus, tl, cutoff_id):
+    """The graph over all the body's prior users: a walk from every user."""
+    return coauthor_graph(
+        tl, corpus.rank_of(cutoff_id), CoauthorIndex(corpus), tl.distinct_authors()
+    )
+
+
 class TestCoauthorGraph:
     def make_corpus(self):
         return corpus_of(
@@ -169,7 +176,7 @@ class TestCoauthorGraph:
     def test_no_prior_users_empty(self):
         corpus = self.make_corpus()
         tl = timeline([("cut", corpus.rank_of("cut"), "\\n", ["z"])])
-        g = coauthor_graph(corpus, tl, "cut", CoauthorIndex(corpus))
+        g = whole_graph(corpus, tl, "cut")
         assert g.nodes == () and g.edges == ()
 
     def test_two_users_never_coauthored(self):
@@ -181,7 +188,7 @@ class TestCoauthorGraph:
         tl = timeline(
             [("s1", corpus.rank_of("s1"), "\\n", ["a"]), ("s2", corpus.rank_of("s2"), "\\n", ["c"])]
         )
-        g = coauthor_graph(corpus, tl, "cut", CoauthorIndex(corpus))
+        g = whole_graph(corpus, tl, "cut")
         assert set(g.nodes) == {"a", "c"}
         assert g.edges == ()
 
@@ -194,7 +201,7 @@ class TestCoauthorGraph:
                 ("j3", corpus.rank_of("j3"), "\\n", ["a", "c"]),
             ]
         )
-        g = coauthor_graph(corpus, tl, "cut", CoauthorIndex(corpus))
+        g = whole_graph(corpus, tl, "cut")
         # oracle: enumerate author pairs over prior papers
         expected = set()
         cutoff = corpus.rank_of("cut")
@@ -219,7 +226,7 @@ class TestCoauthorGraph:
         )
         prev_nodes, prev_edges = set(), set()
         for cut in ("j1", "j2", "j3", "cut"):
-            g = coauthor_graph(corpus, tl, cut, CoauthorIndex(corpus))
+            g = whole_graph(corpus, tl, cut)
             assert prev_nodes <= set(g.nodes)
             assert prev_edges <= set(g.edges)
             prev_nodes, prev_edges = set(g.nodes), set(g.edges)
@@ -238,7 +245,7 @@ class TestCoauthorGraph:
                 ("solo2", corpus.rank_of("solo2"), "\\n", ["b"]),
             ]
         )
-        g = coauthor_graph(corpus, tl, "cut", CoauthorIndex(corpus))
+        g = whole_graph(corpus, tl, "cut")
         assert set(g.edges) == {("a", "b")}
 
 
@@ -279,7 +286,7 @@ class TestCoauthorGraphAgainstOracle:
             ranks = [r for r, _ in papers]
             for p in corpus:
                 cutoff = corpus.rank_of(p.paper_id)
-                g = coauthor_graph(corpus, tl, p.paper_id, index)
+                g = coauthor_graph(tl, cutoff, index, tl.distinct_authors())
                 assert (g.nodes, g.edges) == oracle_coauthor_edges(papers, uses, cutoff)
                 seen["tie_cutoff"] += ranks.count(cutoff) > 1
                 seen["edge"] += len(g.edges)
@@ -290,6 +297,36 @@ class TestCoauthorGraphAgainstOracle:
             bylines = [tuple(sorted(a)) for _, a in papers if len(a) > 1]
             seen["repeated_joint"] += len(bylines) - len(set(bylines))
             seen["single_author"] += sum(1 for _, a in papers if len(a) == 1)
+        assert all(seen.values()), seen
+
+    def test_walk_from_two_authors_matches_their_components(self):
+        """Each multi-author paper's first two authors at that paper: the
+        graph is the oracle's whole graph cut down to their components."""
+        rng = random.Random(2025)
+        seen = dict.fromkeys(("smaller_than_whole", "beyond_the_two"), 0)
+        for _ in range(250):
+            corpus, tl = TestCoauthorGraphAgainstOracle.random_corpus(rng)
+            index = CoauthorIndex(corpus)
+            papers = [(corpus.rank_of(p.paper_id), p.authors) for p in corpus]
+            uses = [(o.group_rank, o.authors) for o in tl.occurrences]
+            for p in corpus:
+                if len(p.authors) < 2:
+                    continue
+                cutoff = corpus.rank_of(p.paper_id)
+                nodes, edges = oracle_coauthor_edges(papers, uses, cutoff)
+                reached = {a for a in p.authors[:2] if a in nodes}
+                grown = True
+                while grown:
+                    grown = False
+                    for x, y in edges:
+                        if (x in reached) != (y in reached):
+                            reached |= {x, y}
+                            grown = True
+                g = coauthor_graph(tl, cutoff, index, p.authors[:2])
+                assert g.nodes == tuple(sorted(reached))
+                assert g.edges == tuple(e for e in edges if e[0] in reached)
+                seen["smaller_than_whole"] += len(reached) < len(nodes)
+                seen["beyond_the_two"] += len(reached) > 2
         assert all(seen.values()), seen
 
 
@@ -305,24 +342,24 @@ class TestFlexibilityAndPriorUses:
 
     def test_never_changed(self):
         corpus, tl = self.make(["\\A", "\\A", "\\A"])
-        assert flexibility(tl, "u", "cut", corpus) == 0.0
+        assert flexibility(tl, "u", corpus.rank_of("cut")) == 0.0
 
     def test_always_changed(self):
         corpus, tl = self.make(["\\A", "\\B", "\\A"])
-        assert flexibility(tl, "u", "cut", corpus) == 1.0
+        assert flexibility(tl, "u", corpus.rank_of("cut")) == 1.0
 
     def test_half_changed(self):
         corpus, tl = self.make(["\\A", "\\A", "\\B"])
-        assert flexibility(tl, "u", "cut", corpus) == 0.5
+        assert flexibility(tl, "u", corpus.rank_of("cut")) == 0.5
 
     def test_single_use_zero(self):
         corpus, tl = self.make(["\\A"])
-        assert flexibility(tl, "u", "cut", corpus) == 0.0
+        assert flexibility(tl, "u", corpus.rank_of("cut")) == 0.0
 
     def test_no_prior_use_error(self):
         corpus, tl = self.make(["\\A"])
         with pytest.raises(ValueError):
-            flexibility(tl, "stranger", "cut", corpus)
+            flexibility(tl, "stranger", corpus.rank_of("cut"))
 
     def test_prior_uses_counts(self):
         corpus, tl = self.make(["\\A", "\\B", "\\A"])
