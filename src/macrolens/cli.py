@@ -1,8 +1,11 @@
 """Command-line pipeline: extract, analyze, predict, generate, report.
 
-Every subcommand reads a corpus manifest (or a feature matrix), writes
-plot-ready CSV (or mirrored JSON) into an output directory, and is
-fully deterministic for a fixed ``--seed``.
+Every analysis subcommand reads a corpus manifest (or a feature matrix)
+and returns its plot-ready tables; :func:`run` writes them as CSV (or
+mirrored JSON) into the output directory once the command has returned,
+so a command that fails writes nothing.  ``synth`` writes its own
+manifest and ground truth.  Every command is fully deterministic for a
+fixed ``--seed``.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 from . import analytics, changeover, fights, report, synth
 from .corpus import Corpus, load_corpus
@@ -27,6 +31,15 @@ from .timelines import (
 log = logging.getLogger("macrolens")
 
 DEFAULT_OUT_ENV = "MACROLENS_OUTDIR"
+
+
+class Table(NamedTuple):
+    """One output table; ``name`` is its path under the output directory
+    without the suffix, e.g. ``curves/<hash>``."""
+
+    name: str
+    header: Sequence[str]
+    rows: Sequence[Sequence]
 
 
 def _default_outdir() -> str:
@@ -96,209 +109,127 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_definitions(out: Path, corpus: Corpus, defs, fmt: str) -> None:
-    rows = [
+def _definitions(corpus: Corpus, defs) -> Table:
+    return Table("definitions", ("paper_id", "name", "body", "defining_command"), [
         (d.paper_id, d.name, d.body, d.command)
         for paper in corpus
         for d in defs.get(paper.paper_id, [])
-    ]
-    report.write_table(
-        out / "definitions", ("paper_id", "name", "body", "defining_command"), rows, fmt
-    )
+    ])
 
 
-def cmd_extract(args) -> int:
-    corpus, defs = _load_extracted(args)
-    _write_definitions(_outdir(args), corpus, defs, args.format)
-    return 0
+def cmd_extract(args) -> list[Table]:
+    return [_definitions(*_load_extracted(args))]
 
 
-def cmd_timelines(args) -> int:
+def cmd_timelines(args) -> list[Table]:
     corpus, defs = _load_extracted(args)
     rows = [
         (report.body_hash(tl.signature, tl.body), tl.m, len(tl.names()), len(tl.distinct_authors()))
         for _, tl in sorted(build_timelines(corpus, defs).items())
     ]
-    report.write_table(
-        _outdir(args) / "timelines", ("body_hash", "m", "distinct_names", "distinct_authors"),
-        rows, args.format,
-    )
-    return 0
+    return [Table("timelines", ("body_hash", "m", "distinct_names", "distinct_authors"), rows)]
 
 
-def _detect_changeovers(corpus, defs, params):
-    timelines = build_timelines(corpus, defs)
-    records = []
-    for key in sorted(timelines):
-        rec = changeover.detect_changeover(timelines[key], params)
-        if rec is not None:
-            records.append(rec)
-    return timelines, records
+def _detect_changeovers(timelines, params) -> list[changeover.ChangeoverRecord]:
+    records = (changeover.detect_changeover(timelines[key], params) for key in sorted(timelines))
+    return [rec for rec in records if rec is not None]
 
 
-def cmd_changeovers(args) -> int:
+def cmd_changeovers(args) -> list[Table]:
     params = _changeover_params(args)
     corpus, defs = _load_extracted(args)
-    _, records = _detect_changeovers(corpus, defs, params)
-    out = _outdir(args)
-    rows = []
-    for rec in records:
+    tables, rows = [], []
+    for rec in _detect_changeovers(build_timelines(corpus, defs), params):
         h = report.body_hash(rec.signature, rec.body)
         rows.append((h, rec.body, rec.signature, rec.early_name, rec.late_name, rec.m, rec.crossing))
-        curve_rows = [
-            (t, rec.f_curve.values[i], rec.g_curve.values[i])
-            for i, t in enumerate(rec.f_curve.grid)
-        ]
-        report.write_table(
-            out / "curves" / h, ("t", "early_fraction", "late_fraction"), curve_rows, args.format
-        )
-    report.write_table(
-        out / "changeovers",
-        ("body_hash", "body", "signature", "early_name", "late_name", "m", "crossing"),
-        rows, args.format,
-    )
-    return 0
+        tables.append(Table(
+            f"curves/{h}", ("t", "early_fraction", "late_fraction"),
+            list(zip(rec.f_curve.grid, rec.f_curve.values, rec.g_curve.values)),
+        ))
+    header = ("body_hash", "body", "signature", "early_name", "late_name", "m", "crossing")
+    return tables + [Table("changeovers", header, rows)]
 
 
 def _matched_pairs(corpus, defs, params):
-    timelines, records = _detect_changeovers(corpus, defs, params)
+    timelines = build_timelines(corpus, defs)
+    records = _detect_changeovers(timelines, params)
     candidates = changeover.find_control_candidates(timelines, params)
     pairs, unmatched = changeover.match_pairs(records, candidates, params)
-    return timelines, records, pairs, unmatched
+    return records, pairs, unmatched
 
 
-def cmd_matched_pairs(args) -> int:
+def cmd_matched_pairs(args) -> list[Table]:
     params = _changeover_params(args)
     corpus, defs = _load_extracted(args)
-    _, _, pairs, unmatched = _matched_pairs(corpus, defs, params)
+    _, pairs, unmatched = _matched_pairs(corpus, defs, params)
     if unmatched:
         log.warning("%d changeovers had no matching control", unmatched)
     ledger = ExperienceLedger(corpus)
-    out = _outdir(args)
-    pair_rows = []
-    feat_rows = []
+    pair_rows, feat_rows = [], []
     for pair in pairs:
-        pair_rows.append(
-            (
-                report.body_hash(pair.record.signature, pair.record.body),
-                report.body_hash(pair.control.signature, pair.control.body),
-                pair.record.early_name,
-                pair.record.late_name,
-                pair.control_early_name,
-                pair.control_late_name,
-                pair.m_beta,
-                pair.m_gamma,
-                pair.f_beta,
-                pair.g_beta,
-                pair.f_gamma,
-                pair.g_gamma,
-            )
-        )
+        rec, ctl = pair.record, pair.control
+        pair_rows.append((
+            report.body_hash(rec.signature, rec.body), report.body_hash(ctl.signature, ctl.body),
+            rec.early_name, rec.late_name, pair.control_early_name, pair.control_late_name,
+            pair.m_beta, pair.m_gamma, pair.f_beta, pair.g_beta, pair.f_gamma, pair.g_gamma,
+        ))
         row_beta, row_gamma = changeover.changeover_features(pair, params.q, ledger)
         feat_rows.extend([(*row_beta, 1), (*row_gamma, 0)])
-    report.write_table(
-        out / "matched_pairs",
-        (
+    return [
+        Table("matched_pairs", (
             "beta_hash", "gamma_hash", "early_name", "late_name",
             "control_early_name", "control_late_name", "m_beta", "m_gamma",
             "f_beta", "g_beta", "f_gamma", "g_gamma",
-        ),
-        pair_rows, args.format,
-    )
-    cols = changeover.changeover_feature_columns(params.q)
-    report.write_table(
-        out / "changeover_features",
-        tuple(cols) + ("label",),
-        feat_rows,
-        args.format,
-    )
-    return 0
+        ), pair_rows),
+        Table("changeover_features",
+              (*changeover.changeover_feature_columns(params.q), "label"), feat_rows),
+    ]
 
 
-def cmd_curves(args) -> int:
+def cmd_curves(args) -> list[Table]:
     params = _changeover_params(args)
     corpus, defs = _load_extracted(args)
-    _, records, pairs, _ = _matched_pairs(corpus, defs, params)
-    out = _outdir(args)
+    records, pairs, _ = _matched_pairs(corpus, defs, params)
     agg_rows, hist = [], []
     if records:
         f_med, g_med, hist = changeover.aggregate_median_curves(records)
         agg_rows = [(t, f_med.values[i], "early_median") for i, t in enumerate(f_med.grid)]
         agg_rows += [(t, g_med.values[i], "late_median") for i, t in enumerate(g_med.grid)]
-    report.write_table(out / "aggregate_curves", ("t", "value", "series"), agg_rows, args.format)
-    report.write_table(out / "crossing_histogram", ("t", "count"), hist, args.format)
     exp_rows = []
     if pairs:
         curves = changeover.experience_curves(pairs, ExperienceLedger(corpus), params.delta)
         for series in changeover.EXPERIENCE_SERIES:
             for i, t in enumerate(curves.grid):
                 exp_rows.append((t, curves.series[series][i], series))
-    report.write_table(out / "experience_curves", ("t", "value", "series"), exp_rows, args.format)
-    return 0
+    return [
+        Table("aggregate_curves", ("t", "value", "series"), agg_rows),
+        Table("crossing_histogram", ("t", "count"), hist),
+        Table("experience_curves", ("t", "value", "series"), exp_rows),
+    ]
 
 
-def _gap_table_rows(rows):
-    return [(r.lo, r.hi, r.rate, r.n) for r in rows]
+def _gap_table(name: str, rate_label: str, rows: list[fights.GapBucketRow]) -> Table:
+    return Table(name, ("gap_lo", "gap_hi", rate_label, "n"),
+                 [(r.lo, r.hi, r.rate, r.n) for r in rows])
 
 
-def _write_variant_fights(out, prefix, fight_list, timelines_by_key, corpus, ledger, args):
-    """The fights table, the feature matrix and the gap table; with no
-    fights the last two hold only their header and rows with ``n`` 0."""
-    shared_label = "body_hash" if prefix == "name" else "name"
-    rows = []
-    for f in fight_list:
-        shared = (
-            report.body_hash(f.shared_key[0], f.shared_key[1])
-            if prefix == "name"
-            else f.shared
-        )
-        rows.append(
-            (
-                f.paper_id, f.author_a, f.author_b, shared,
-                f.variant_a, f.variant_b, f.winner + 1, f.exp_a, f.exp_b,
-            )
-        )
-    report.write_table(
-        out / f"{prefix}_fights",
-        ("paper_id", "author_1", "author_2", shared_label, "choice_1", "choice_2",
-         "winner", "exp_1", "exp_2"),
-        rows, args.format,
-    )
-    if not fight_list:
-        log.warning("no %s fights detected", prefix)
-    index = CoauthorIndex(corpus)
-    matrix = fights.fight_feature_matrix(fight_list, timelines_by_key, corpus, ledger, index)
-    report.write_table(
-        out / f"{prefix}_fight_features",
-        tuple(matrix.columns) + ("label",),
-        [tuple(matrix.X[i]) + (int(matrix.y[i]),) for i in range(matrix.n_rows)],
-        args.format,
-    )
-    gap_rows = fights.win_rate_by_gap(
-        fight_list, bucket_edges=args.bucket_edges, seed=args.seed
-    )
-    report.write_table(
-        out / f"{prefix}_fight_gap_table",
-        ("gap_lo", "gap_hi", "older_win_rate", "n"),
-        _gap_table_rows(gap_rows), args.format,
-    )
-
-
-def cmd_fights(args) -> int:
+def cmd_fights(args) -> list[Table]:
+    """Name and body fights give the fights table, the feature matrix and
+    the gap table; with no fights the last two hold only their header and
+    rows with ``n`` 0."""
     if args.mode == "title":
         return _title_fights(args)
     corpus, defs = _load_extracted(args)
-    out = _outdir(args)
     ledger = ExperienceLedger(corpus)
     if args.mode == "name":
-        timelines = build_timelines(corpus, defs)
+        by_key = build_timelines(corpus, defs)
         filters = fights.FightFilters(
             min_distinct_authors=args.min_authors,
             min_shared_len=args.min_body_len,
             three_author=args.three_author,
         )
-        fight_list = fights.detect_name_fights(corpus, timelines, ledger, filters)
-        by_key = timelines
+        fight_list = fights.detect_name_fights(corpus, by_key, ledger, filters)
+        shared_label, shared = "body_hash", lambda f: report.body_hash(*f.shared_key)
     else:
         whitelist = args.whitelist or list(fights.DEFAULT_BODY_FIGHT_NAMES)
         name_timelines = build_name_timelines(corpus, defs, whitelist=whitelist)
@@ -308,11 +239,32 @@ def cmd_fights(args) -> int:
             three_author=args.three_author,
         )
         by_key = {tl.key: tl for tl in name_timelines.values()}
-    _write_variant_fights(out, args.mode, fight_list, by_key, corpus, ledger, args)
-    return 0
+        shared_label, shared = "name", lambda f: f.shared
+    if not fight_list:
+        log.warning("no %s fights detected", args.mode)
+    matrix = fights.fight_feature_matrix(fight_list, by_key, corpus, ledger, CoauthorIndex(corpus))
+    gap_rows = fights.win_rate_by_gap(fight_list, bucket_edges=args.bucket_edges, seed=args.seed)
+    return [
+        Table(
+            f"{args.mode}_fights",
+            ("paper_id", "author_1", "author_2", shared_label, "choice_1", "choice_2",
+             "winner", "exp_1", "exp_2"),
+            [
+                (f.paper_id, f.author_a, f.author_b, shared(f),
+                 f.variant_a, f.variant_b, f.winner + 1, f.exp_a, f.exp_b)
+                for f in fight_list
+            ],
+        ),
+        Table(
+            f"{args.mode}_fight_features",
+            (*matrix.columns, "label"),
+            [tuple(matrix.X[i]) + (int(matrix.y[i]),) for i in range(matrix.n_rows)],
+        ),
+        _gap_table(f"{args.mode}_fight_gap_table", "older_win_rate", gap_rows),
+    ]
 
 
-def _title_fights(args) -> int:
+def _title_fights(args) -> list[Table]:
     corpus = _load(args)
     ledger = ExperienceLedger(corpus)
     lexicon = fights.TitleLexicon.load(args.lexicon) if args.lexicon else None
@@ -323,35 +275,37 @@ def _title_fights(args) -> int:
     fight_list = fights.detect_title_fights(
         corpus, args.style, ledger, CoauthorIndex(corpus), filters, lexicon
     )
-    # matched before any table is written, so a bad tolerance writes nothing
     pairs, unmatched = fights.match_title_fights(fight_list, tolerance=args.match_tolerance)
-    out = _outdir(args)
-    report.write_table(
-        out / "title_fights",
-        ("paper_id", "style", "younger", "older", "exp_younger", "exp_older",
-         "profile_younger", "profile_older", "indicator"),
-        [
-            (f.paper_id, f.style, f.younger, f.older, f.exp_younger, f.exp_older,
-             f.profile_younger, f.profile_older, f.indicator)
-            for f in fight_list
-        ],
-        args.format,
-    )
     if unmatched:
         log.warning("%d title fights left unmatched", unmatched)
-    report.write_table(
-        out / "title_fight_pairs",
-        ("paper_id_1", "paper_id_2", "verdict", "mean_gap"),
-        [(p.first.paper_id, p.second.paper_id, p.verdict(), p.mean_gap) for p in pairs],
-        args.format,
-    )
-    report.write_table(
-        out / "dominance_gap_table",
-        ("gap_lo", "gap_hi", "high_dominance_rate", "n"),
-        _gap_table_rows(fights.dominance_by_gap(pairs, bucket_edges=args.bucket_edges)),
-        args.format,
-    )
-    return 0
+    return [
+        Table(
+            "title_fights",
+            ("paper_id", "style", "younger", "older", "exp_younger", "exp_older",
+             "profile_younger", "profile_older", "indicator"),
+            [
+                (f.paper_id, f.style, f.younger, f.older, f.exp_younger, f.exp_older,
+                 f.profile_younger, f.profile_older, f.indicator)
+                for f in fight_list
+            ],
+        ),
+        Table(
+            "title_fight_pairs",
+            ("paper_id_1", "paper_id_2", "verdict", "mean_gap"),
+            [(p.first.paper_id, p.second.paper_id, p.verdict(), p.mean_gap) for p in pairs],
+        ),
+        _gap_table(
+            "dominance_gap_table", "high_dominance_rate",
+            fights.dominance_by_gap(pairs, bucket_edges=args.bucket_edges),
+        ),
+    ]
+
+
+def _number(text: str, line: int, column: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"feature CSV line {line}, column {column!r}: {text!r} is not a number")
 
 
 def _read_feature_csv(path: Path) -> analytics.FeatureMatrix:
@@ -366,19 +320,20 @@ def _read_feature_csv(path: Path) -> analytics.FeatureMatrix:
         rows = []
         labels = []
         for rec in reader:
+            line = reader.line_num
             if len(rec) != len(header):
                 raise ValueError(
-                    f"feature CSV line {reader.line_num} has {len(rec)} fields, not {len(header)}"
+                    f"feature CSV line {line} has {len(rec)} fields, not {len(header)}"
                 )
-            rows.append([float(v) for v in rec[:-1]])
-            label = float(rec[-1])
+            rows.append([_number(v, line, c) for v, c in zip(rec, columns)])
+            label = _number(rec[-1], line, "label")
             if label not in (0.0, 1.0):
-                raise ValueError(f"feature CSV line {reader.line_num}: label must be 0 or 1")
+                raise ValueError(f"feature CSV line {line}: label must be 0 or 1")
             labels.append(int(label))
     return analytics.FeatureMatrix.from_rows(columns, rows, labels)
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> list[Table]:
     matrix = _read_feature_csv(Path(args.features))
     train_raw, test_raw = analytics.split(matrix, train_frac=args.train_frac, seed=args.seed)
     train, stats = analytics.zscore(train_raw)
@@ -387,21 +342,20 @@ def cmd_predict(args) -> int:
     acc = analytics.accuracy(model, test)
     correct = round(acc * test.n_rows)
     ci_lo, ci_hi = analytics.binomial_ci(correct, test.n_rows)
-    out = _outdir(args)
     coef_rows = [("intercept", model.intercept)] + sorted(model.coefficients().items())
-    report.write_table(out / "coefficients", ("feature", "coefficient"), coef_rows, args.format)
-    report.write_table(
-        out / "prediction_metrics",
-        ("accuracy", "ci_low", "ci_high", "n_train", "n_test",
-         "iterations", "converged", "final_loss", "seed"),
-        [(acc, ci_lo, ci_hi, train.n_rows, test.n_rows,
-          model.iterations, model.converged, model.final_loss, args.seed)],
-        args.format,
-    )
-    return 0
+    return [
+        Table("coefficients", ("feature", "coefficient"), coef_rows),
+        Table(
+            "prediction_metrics",
+            ("accuracy", "ci_low", "ci_high", "n_train", "n_test",
+             "iterations", "converged", "final_loss", "seed"),
+            [(acc, ci_lo, ci_hi, train.n_rows, test.n_rows,
+              model.iterations, model.converged, model.final_loss, args.seed)],
+        ),
+    ]
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> list[Table]:
     config = synth.SynthConfig(
         seed=args.seed,
         preset=args.preset,
@@ -413,18 +367,17 @@ def cmd_synth(args) -> int:
     result = synth.generate(config)
     manifest, truth = synth.write_output(result, _outdir(args))
     log.info("wrote %s (%d papers) and %s", manifest, len(result.records), truth)
-    return 0
+    return []
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> list[Table]:
     corpus, defs = _load_extracted(args)
-    out = _outdir(args)
-    _write_definitions(out, corpus, defs, args.format)
+    # the summary's sets are freed before the definitions rows exist
     summary = report.corpus_summary(corpus, defs)
-    report.write_table(
-        out / "summary", ("metric", "value"), report.summary_rows(summary), args.format
-    )
-    return 0
+    return [
+        _definitions(corpus, defs),
+        Table("summary", ("metric", "value"), list(summary.items())),
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,10 +464,13 @@ def run(argv: list[str] | None = None) -> int:
         stream=sys.stderr,
     )
     try:
-        return args.func(args)
+        tables = args.func(args)
+        out = _outdir(args)
+        for t in tables:
+            report.write_table(out / t.name, t.header, t.rows, args.format)
     except (ValueError, OSError) as exc:
         parser.exit(2 if isinstance(exc, ValueError) else 1, f"macrolens: error: {exc}\n")
-        return 2  # unreachable; parser.exit raises SystemExit
+    return 0
 
 
 def main() -> None:

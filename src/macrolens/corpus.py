@@ -129,6 +129,10 @@ class Corpus:
     global order; papers share a rank exactly when their relative order
     is unknown (same month, month-granular).  Exact-dated papers always
     get singleton groups, even when they share a day.
+
+    Iteration follows (group rank, paper id): a month-granular paper sorts
+    as day 0, so a month's tie group comes before that month's exact
+    dates, and papers within a group are sorted by id.
     """
 
     def __init__(self, papers: Iterable[Paper]):

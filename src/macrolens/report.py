@@ -54,20 +54,11 @@ def write_table(
     raise ValueError(f"unknown format {fmt!r}")
 
 
-SUMMARY_METRICS = (
-    "papers_with_macro",
-    "definitions",
-    "unique_bodies",
-    "avg_names_per_body",
-    "unique_authors",
-    "avg_authors_per_paper",
-)
-
-
 def corpus_summary(
     corpus: Corpus, definitions: Mapping[str, list[MacroDefinition]]
 ) -> dict[str, float | int]:
-    """The six headline dataset statistics.
+    """The six headline dataset statistics, in the row order of the
+    ``summary`` table.
 
     Author counts cover papers that define at least one macro, matching
     the denominator used for the other quantities.
@@ -86,7 +77,3 @@ def corpus_summary(
         "unique_authors": len(authors),
         "avg_authors_per_paper": (author_slots / len(papers_with)) if papers_with else 0.0,
     }
-
-
-def summary_rows(summary: Mapping[str, float | int]) -> list[tuple[str, float | int]]:
-    return [(metric, summary[metric]) for metric in SUMMARY_METRICS]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .corpus import Corpus, Paper
@@ -81,7 +80,8 @@ def _occurrences_by_key(
     uses: Callable[[list[MacroDefinition]], list[tuple[Hashable, str]]],
 ) -> dict:
     """Each key's occurrences in (tie group, paper id) order, keys sorted;
-    ``uses`` gives one paper's (key, name used) pairs."""
+    ``uses`` gives one paper's (key, name used) pairs, at most one per key.
+    The corpus iterates in that order, so each bucket is already sorted."""
     buckets: dict = {}
     for paper in corpus:
         defs = definitions.get(paper.paper_id)
@@ -90,10 +90,7 @@ def _occurrences_by_key(
         rank = corpus.rank_of(paper.paper_id)
         for key, name in uses(defs):
             buckets.setdefault(key, []).append(Occurrence(paper.paper_id, rank, name, paper.authors))
-    return {
-        key: tuple(sorted(buckets[key], key=attrgetter("group_rank", "paper_id")))
-        for key in sorted(buckets)
-    }
+    return {key: tuple(buckets[key]) for key in sorted(buckets)}
 
 
 def build_timelines(

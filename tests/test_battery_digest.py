@@ -8,13 +8,14 @@ regenerate the file with::
     PYTHONPATH=src python3 tests/test_battery_digest.py > tests/data/battery_digest.txt
 """
 
+import argparse
 import logging
 import sys
 import tempfile
 from pathlib import Path
 
-from battery_digest import digest_lines, run_battery
-from macrolens import synth
+from battery_digest import CORPUS_COMMANDS, FEATURE_TABLES, digest_lines, run_battery
+from macrolens import cli, synth
 
 DATA = Path(__file__).parent / "data"
 SYNTH = synth.SynthConfig(seed=9, preset="full", n_changeover_pairs=3,
@@ -33,6 +34,19 @@ def battery_lines(workdir: Path) -> list[str]:
 def test_battery_output_matches_committed_digest(tmp_path):
     expected = (DATA / "battery_digest.txt").read_text(encoding="utf-8").splitlines()
     assert battery_lines(tmp_path) == expected
+
+
+def test_battery_runs_every_subcommand_and_fights_mode():
+    """A subcommand or mode the battery skips would escape the check
+    above; ``synth`` writes the inputs, not tables."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    covered = {command[0] for command in CORPUS_COMMANDS}
+    if FEATURE_TABLES:
+        covered.add("predict")
+    assert set(commands.choices) - {"synth"} <= covered
+    modes = next(a for a in commands.choices["fights"]._actions if a.dest == "mode").choices
+    assert set(modes) <= {command[1] for command in CORPUS_COMMANDS if command[0] == "fights"}
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from macrolens import synth
+from macrolens import changeover, fights, report, synth
 from macrolens.cli import run
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -21,23 +21,33 @@ class TestArgHandling:
         assert exc.value.code == 0
 
     def test_invalid_q_rejected(self, tmp_path):
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             invoke(
                 "changeovers", "--corpus", str(GOLDEN / "manifest.jsonl"),
-                "--out", str(tmp_path), "--q", "0.9",
+                "--out", str(out), "--q", "0.9",
             )
         assert exc.value.code == 2
+        assert not out.exists()
 
     def test_missing_corpus_exit_one(self, tmp_path):
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            invoke("extract", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path))
+            invoke("extract", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(out))
         assert exc.value.code == 1
+        assert not out.exists()
 
     BAD_FEATURES = {
         "empty features": "",
         "blank feature row": "a,label\n1,0\n\n2,1\n",
         "infinite label": "a,label\n1,0\n2,inf\n",
         "fractional label": "a,label\n1,0\n2,0.5\n",
+        "non-numeric feature": "a,b,label\n1,2,0\nx,3,1\n",
+        "non-numeric label": "a,b,label\n1,2,0\n4,3,yes\n",
+    }
+    NAMED_CELLS = {
+        "non-numeric feature": "feature CSV line 3, column 'a': 'x' is not a number",
+        "non-numeric label": "feature CSV line 3, column 'label': 'yes' is not a number",
     }
 
     @pytest.mark.parametrize("case", [*BAD_FEATURES, "features directory", "lexicon lacks list"])
@@ -52,10 +62,15 @@ class TestArgHandling:
             argv = ["fights", "title", "--corpus", str(GOLDEN / "manifest.jsonl"),
                     "--lexicon", str(tmp_path / "lexicon.json")]
             code = 2
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            invoke(*argv, "--out", str(tmp_path / "out"))
+            invoke(*argv, "--out", str(out))
         assert exc.value.code == code
-        assert capsys.readouterr().err.startswith("macrolens: error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("macrolens: error: ")
+        if case in self.NAMED_CELLS:
+            assert err == f"macrolens: error: {self.NAMED_CELLS[case]}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("train_frac", ["-0.5", "1.0", "1.5", "nan"])
     def test_train_frac_outside_unit_interval(self, train_frac, tmp_path, capsys):
@@ -194,6 +209,37 @@ def synth_corpus(tmp_path_factory):
     ])
     assert rc == 0
     return out / "manifest.jsonl"
+
+
+# a stage each command reaches after some of its tables are complete, and
+# which call of it fails (changeovers: the second record's hash, after the
+# first record's curve table)
+LAST_STAGES = {
+    "fights name": (("fights", "name"), fights, "win_rate_by_gap", 1),
+    "fights body": (("fights", "body"), fights, "win_rate_by_gap", 1),
+    "curves": (("curves",), changeover, "experience_curves", 1),
+    "changeovers": (("changeovers",), report, "body_hash", 2),
+}
+
+
+@pytest.mark.parametrize("case", LAST_STAGES)
+def test_failure_in_last_stage_writes_nothing(case, synth_corpus, tmp_path, monkeypatch, capsys):
+    command, module, name, failing_call = LAST_STAGES[case]
+    stage, calls = getattr(module, name), []
+
+    def fail_on_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise ValueError("stage failed")
+        return stage(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, fail_on_call)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        invoke(*command, "--corpus", str(synth_corpus), "--out", str(out))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "macrolens: error: stage failed"
+    assert not out.exists()
 
 
 class TestPipelineCommands:

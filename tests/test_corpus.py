@@ -315,6 +315,21 @@ class TestTemporalOrder:
         # ranks are dense from 0
         assert sorted(set(ranks)) == list(range(len(set(ranks))))
 
+    def test_iteration_in_rank_then_id_order(self):
+        # timelines rely on this order to keep each body's occurrences
+        # sorted; month-granular and exact dates share the same months
+        rng = random.Random(12)
+        for _ in range(300):
+            papers = []
+            for i in range(rng.randint(1, 40)):
+                day = rng.choice((None, None, 1, 2, 15, 28))
+                date = f"2001-0{rng.randint(1, 3)}" + (f"-{day:02d}" if day else "")
+                papers.append(paper(f"p{rng.randrange(1000):03d}-{i}", date, ["a"]))
+            rng.shuffle(papers)
+            c = corpus_of(*papers)
+            keys = [(c.rank_of(p.paper_id), p.paper_id) for p in c]
+            assert keys == sorted(keys)
+
     def test_duplicate_paper_id_rejected(self):
         with pytest.raises(ValueError):
             corpus_of(paper("x", "2000-01", ["a"]), paper("x", "2000-02", ["b"]))
