@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import analytics, changeover, fights, report, synth
+from . import changeover, fights, report, synth
 from .corpus import Corpus, load_corpus
 from .extraction import MacroDefinition, extract_definitions
 from .timelines import (
@@ -27,6 +28,9 @@ from .timelines import (
     build_name_timelines,
     build_timelines,
 )
+
+if TYPE_CHECKING:  # numpy loads only in the commands that use it
+    from . import analytics
 
 log = logging.getLogger("macrolens")
 
@@ -110,10 +114,9 @@ def _outdir(args) -> Path:
 
 
 def _definitions(corpus: Corpus, defs) -> Table:
+    # a definition's first four fields are the table's columns, in order
     return Table("definitions", ("paper_id", "name", "body", "defining_command"), [
-        (d.paper_id, d.name, d.body, d.command)
-        for paper in corpus
-        for d in defs.get(paper.paper_id, [])
+        d[:4] for paper in corpus for d in defs.get(paper.paper_id, ())
     ])
 
 
@@ -303,12 +306,17 @@ def _title_fights(args) -> list[Table]:
 
 def _number(text: str, line: int, column: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise ValueError(f"feature CSV line {line}, column {column!r}: {text!r} is not a number")
+        value = None
+    if value is None or not math.isfinite(value):
+        kind = "a number" if value is None else "a finite number"
+        raise ValueError(f"feature CSV line {line}, column {column!r}: {text!r} is not {kind}")
+    return value
 
 
 def _read_feature_csv(path: Path) -> analytics.FeatureMatrix:
+    from . import analytics
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -334,6 +342,7 @@ def _read_feature_csv(path: Path) -> analytics.FeatureMatrix:
 
 
 def cmd_predict(args) -> list[Table]:
+    from . import analytics
     matrix = _read_feature_csv(Path(args.features))
     train_raw, test_raw = analytics.split(matrix, train_frac=args.train_frac, seed=args.seed)
     train, stats = analytics.zscore(train_raw)

@@ -19,8 +19,8 @@ this rule instead of stepping token by token:
 
 * :func:`strip_comments` finds each ``%`` with ``str.find`` and counts
   the backslashes before it within its line, whose start is a boundary.
-* The main loop searches (``_CANDIDATE``) from where it resumes only for
-  a defining command or a backslash pair, stepped over as one token.
+* The main loop's searches (``_DEFINITION``, ``_CANDIDATE``) look only
+  for a defining command or a backslash pair, stepped over as one token.
   Only an escaped backslash holds a backslash past its first character,
   so a command word is found exactly where a token scan from the same
   position finds it.
@@ -32,17 +32,16 @@ substrings, and comment stripping cannot create one, because it removes
 text from a ``%`` up to a newline it keeps, so any text it joins holds
 that newline.
 
-Otherwise comments are stripped first, and the main loop goes from one
-defining command to the next.  At a defining command it first tries one
-pattern (``_WELL_FORMED``) that matches a whole well-formed definition,
-from just after the command word to just after the body: a ``\\def``
-name, parameter text and body; or a ``\\(re)newcommand`` with an
-optional ``*``, a ``{\\name}`` or ``\\name``, an optional ``[n]`` and
-``[default]``, and a body.  The body is a brace group nested at most
-``_MAX_FAST_DEPTH`` deep, written as an unrolled loop so that every
-position has one way to match.  A match yields the record the general
-parser below would build, with the same name, signature, body, offset,
-resume position and skip count:
+Otherwise comments are stripped first, and ``finditer`` drives one
+pattern (``_DEFINITION``) from one defining command to the next.  Past
+the command word it tries (``_WELL_FORMED``) a whole well-formed
+definition up to just after the body: a ``\\def`` name, parameter text
+and body; or a ``\\(re)newcommand`` with an optional ``*``, a
+``{\\name}`` or ``\\name``, an optional ``[n]`` and ``[default]``, and a
+body.  The body is a brace group nested at most ``_MAX_FAST_DEPTH``
+deep, unrolled so that every position has one way to match.  A match
+yields the general parser's record, with the same name, signature, body,
+offset, resume position and skip count:
 
 * the general parser pairs braces with one stack over the whole text, so
   a ``{`` at k gets the first ``}`` after k where the depth counted from
@@ -59,13 +58,13 @@ resume position and skip count:
 
 The general parser stays the only path for what the pattern rejects: a
 damaged body, nesting deeper than the bound, braces inside ``[...]``, a
-count such as ``[²]`` that ``isdigit`` accepts and ``\\d`` does not.  At
-the first candidate the pattern rejects, one pass over the stripped text
-pairs every brace (:func:`_brace_pairs`), and from that candidate on the
-paper is parsed as before, finding each body by a table lookup; the
-pattern is not tried again.  A body lies between a ``{`` and the ``}``
-paired with it, so it is balanced by construction and its braces are
-not paired again.
+count such as ``[²]`` that ``isdigit`` accepts and ``\\d`` does not.  A
+rejection matches the command word alone.  At the first one, one pass
+over the stripped text pairs every brace (:func:`_brace_pairs`), and
+from that candidate on the paper is parsed as before (``_CANDIDATE``),
+finding each body by a table lookup.  A body lies between a ``{`` and
+the ``}`` paired with it, so it is balanced by construction and its
+braces are not paired again.
 
 Definitions nested inside another definition's body are not emitted:
 scanning resumes after a successfully parsed body, which matches what
@@ -111,20 +110,21 @@ _TO_BRACE = re.compile(_balanced(0), re.S).match
 _NAME = re.compile(r"\\(?:[A-Za-z]+(?![A-Za-z])|[^{}\s])")
 # A defining command not followed by a letter, or an escaped backslash,
 # which the main loop steps over as one token.
-_CANDIDATE = re.compile(r"\\(?:(def|newcommand|renewcommand)(?![A-Za-z])|\\)")
+_COMMAND = r"(def|newcommand|renewcommand)(?![A-Za-z])"
+_CANDIDATE = re.compile(rf"\\(?:{_COMMAND}|\\)")
 _SPACE = re.compile(r"\s*")
 _OFFSET = attrgetter("offset")
-# A whole well-formed definition (see the module docstring); the
-# lookbehinds pick the branch for the command word just matched.  Groups:
-# \def name and parameter text; \newcommand name in braces or bare, the
-# count and the default; the body.
-_WELL_FORMED = re.compile(
+# The rest of a whole well-formed definition (see the module docstring);
+# the lookbehinds pick the branch for the command word just matched.
+_WELL_FORMED = (
     rf"(?:(?<=\\def)\s*({_NAME.pattern})({_balanced(0)})"
     rf"|(?<=newcommand)\*?\s*(?:\{{\s*({_NAME.pattern})\s*\}}|({_NAME.pattern}))"
     rf"\s*(?:\[\s*(\d)\s*\]\s*(?:\[([^\\{{}}\]]*(?:{_ESCAPE}[^\\{{}}\]]*)*)\]\s*)?)?)"
-    rf"\{{({_balanced(_MAX_FAST_DEPTH)})\}}",
-    re.S,
+    rf"\{{({_balanced(_MAX_FAST_DEPTH)})\}}"
 )
+# A candidate and, when well formed, the rest of its definition.  Groups: the command
+# word; \def name and parameters; \newcommand name braced or bare, count, default; the body.
+_DEFINITION = re.compile(rf"\\(?:{_COMMAND}(?:{_WELL_FORMED})?|\\)", re.S)
 
 
 class MacroDefinition(NamedTuple):
@@ -311,38 +311,40 @@ def extract_definitions(source: str, paper_id: str) -> ExtractionResult:
     if "\\def" not in source and "newcommand" not in source:
         return ExtractionResult(definitions=[], skipped=0)
     text = strip_comments(source)
-    pairs = None  # built at the first candidate that _WELL_FORMED rejects
     defs: list[MacroDefinition] = []
+    for m in _DEFINITION.finditer(text):
+        command, def_name, params, braced_name, bare_name, count, default, body = m.groups()
+        if body is None:
+            if command is None:
+                continue  # an escaped backslash
+            break  # the first candidate the pattern rejects
+        defs.append(tuple.__new__(MacroDefinition, (  # the generated __new__ less its binding
+            paper_id, def_name or braced_name or bare_name, _collapse_space(body), command,
+            _collapse_space(params) if params is not None
+            else "" if count is None else f"[{count}]" if default is None
+            else f"[{count}][{default}]",
+            m.start(),
+        )))
+    else:
+        return ExtractionResult(definitions=defs, skipped=0)
+    pairs, _ = _brace_pairs(text)
     skipped = 0
-    i = 0
+    i = m.start()  # the general search finds the rejected candidate again
     while (m := _CANDIDATE.search(text, i)) is not None:
         i = m.end()
         command = m.group(1)
         if command is None:
             continue  # an escaped backslash
-        if pairs is None and (whole := _WELL_FORMED.match(text, i)) is not None:
-            def_name, params, braced_name, bare_name, count, default, body = whole.groups()
-            i = whole.end()
-            if params is not None:
-                name, signature = def_name, _collapse_space(params)
-            else:
-                name = braced_name or bare_name
-                signature = "" if count is None else f"[{count}]"
-                if default is not None:
-                    signature += f"[{default}]"
+        if command == "def":
+            name, signature, i = _parse_def(text, i)
         else:
-            if pairs is None:
-                pairs, _ = _brace_pairs(text)
-            if command == "def":
-                name, signature, i = _parse_def(text, i)
-            else:
-                name, signature, i = _parse_newcommand(text, pairs, i)
-            body = None
-            if name is not None:
-                body, i = _group(text, pairs, i)  # an unpaired ``{`` resumes after itself
-            if body is None:
-                skipped += 1
-                continue
+            name, signature, i = _parse_newcommand(text, pairs, i)
+        body = None
+        if name is not None:
+            body, i = _group(text, pairs, i)  # an unpaired ``{`` resumes after itself
+        if body is None:
+            skipped += 1
+            continue
         defs.append(
             MacroDefinition(paper_id, name, _collapse_space(body), command, signature, m.start())
         )

@@ -25,9 +25,8 @@ import random
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .analytics import FeatureMatrix, betweenness
 from .corpus import Corpus, Paper
 from .extraction import body_features
 from .timelines import (
@@ -37,6 +36,9 @@ from .timelines import (
     coauthor_graph,
     flexibility,
 )
+
+if TYPE_CHECKING:  # numpy loads only with the commands that build a feature matrix
+    from .analytics import FeatureMatrix
 
 DEFAULT_BODY_FIGHT_NAMES = ("\\proof", "\\eps", "\\Re")
 
@@ -288,6 +290,7 @@ def fight_features(
     the "name" columns describe each author's body and the "body" columns
     the shared name.
     """
+    from .analytics import betweenness
     authors = (fight.author_a, fight.author_b)
     rank = fight.group_rank
     adj = coauthor_graph(timeline, rank, index, authors).adjacency
@@ -315,6 +318,7 @@ def fight_feature_matrix(
     No feature reads ``corpus`` or ``ledger``; they stay for callers that
     pass them.
     """
+    from .analytics import FeatureMatrix
     rows = [fight_features(f, timelines[f.shared_key], index) for f in fights]
     return FeatureMatrix.from_rows(FIGHT_FEATURE_COLUMNS, rows, [f.winner for f in fights])
 
@@ -349,17 +353,13 @@ class TitleLexicon:
         self.verbs = frozenset(data["verbs"])
         self.adjectives = frozenset(data["adjectives"])
         self.nouns = frozenset(data["nouns"])
-        self.suffixes: list[tuple[str, str]] = []
-        for cls, key in (
-            ("noun", "noun_suffixes"),
-            ("verb", "verb_suffixes"),
-            ("adjective", "adjective_suffixes"),
-        ):
-            for suf in data.get(key, []):
-                self.suffixes.append((suf, cls))
-        # longest suffix wins; fixed class order breaks exact ties
-        order = {"noun": 0, "adjective": 1, "verb": 2}
-        self.suffixes.sort(key=lambda sc: (-len(sc[0]), order[sc[1]]))
+        # a suffix listed under two classes takes the first in this order
+        self.suffix_class: dict[str, str] = {}
+        for cls in ("noun", "adjective", "verb"):
+            for suf in data.get(f"{cls}_suffixes", []):
+                self.suffix_class.setdefault(suf, cls)
+        # the longest suffix the word ends with wins
+        self.suffix_lengths = sorted({len(suf) for suf in self.suffix_class}, reverse=True)
 
     @classmethod
     def load(cls, path: str | None = None) -> "TitleLexicon":
@@ -383,8 +383,8 @@ class TitleLexicon:
         if word in self.nouns:
             return "noun"
         if len(word) >= 5:
-            for suf, cls in self.suffixes:
-                if word.endswith(suf) and len(word) > len(suf) + 1:
+            for n in self.suffix_lengths:  # ``len(word) - n`` keeps an empty suffix exact
+                if len(word) > n + 1 and (cls := self.suffix_class.get(word[len(word) - n:])):
                     return cls
         return None
 
@@ -395,13 +395,11 @@ def default_lexicon() -> TitleLexicon:
 
 
 def _first_word(title: str) -> str | None:
-    tokens = title.split()
+    tokens = title.split(None, 1)
     if not tokens:
         return None
     word = tokens[0].strip("$\\{}()[]\"'`.,:;!?*~^_-")
-    if word and all(("a" <= c <= "z") or ("A" <= c <= "Z") for c in word):
-        return word
-    return None
+    return word if word.isascii() and word.isalpha() else None
 
 
 def classify_title(title: str, lexicon: TitleLexicon | None = None) -> set[str]:

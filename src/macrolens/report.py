@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -42,7 +43,11 @@ def write_table(
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows([v if type(v) is str else fmt_value(v) for v in row] for row in rows)
+            # ``csv.writer`` writes these cell types as ``fmt_value`` does
+            if set(map(type, chain.from_iterable(rows))) <= {str, int, float, type(None)}:
+                writer.writerows(rows)
+            else:
+                writer.writerows([fmt_value(v) for v in row] for row in rows)
         return path
     if fmt == "json":
         path = base.with_suffix(".json")

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import macrolens
 from macrolens import changeover, fights, report, synth
 from macrolens.cli import run
 
@@ -44,10 +49,16 @@ class TestArgHandling:
         "fractional label": "a,label\n1,0\n2,0.5\n",
         "non-numeric feature": "a,b,label\n1,2,0\nx,3,1\n",
         "non-numeric label": "a,b,label\n1,2,0\n4,3,yes\n",
+        "nan feature": "a,x,label\n" + "1,2,0\n" * 4 + "1,nan,1\n",
+        "inf feature": "a,x,label\n1,inf,0\n",
+        "-inf feature": "a,x,label\n1,2,0\n-inf,3,1\n",
     }
     NAMED_CELLS = {
         "non-numeric feature": "feature CSV line 3, column 'a': 'x' is not a number",
         "non-numeric label": "feature CSV line 3, column 'label': 'yes' is not a number",
+        "nan feature": "feature CSV line 6, column 'x': 'nan' is not a finite number",
+        "inf feature": "feature CSV line 2, column 'x': 'inf' is not a finite number",
+        "-inf feature": "feature CSV line 3, column 'a': '-inf' is not a finite number",
     }
 
     @pytest.mark.parametrize("case", [*BAD_FEATURES, "features directory", "lexicon lacks list"])
@@ -240,6 +251,29 @@ def test_failure_in_last_stage_writes_nothing(case, synth_corpus, tmp_path, monk
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == "macrolens: error: stage failed"
     assert not out.exists()
+
+
+def test_numpy_loads_only_for_feature_matrices(synth_corpus, tmp_path):
+    """Importing the CLI and running the commands that build no feature
+    matrix leaves numpy unimported; ``fights name`` then imports it."""
+    script = textwrap.dedent("""
+        import sys
+        from macrolens import cli
+        loaded = ["numpy" in sys.modules]
+        for command in (["extract"], ["changeovers"], ["report"], ["fights", "title"],
+                        ["fights", "name"]):
+            assert cli.run([*command, "--corpus", sys.argv[1], "--out", sys.argv[2]]) == 0
+            loaded.append("numpy" in sys.modules)
+        print(loaded)
+    """)
+    src = str(Path(macrolens.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(synth_corpus), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[False, False, False, False, False, True]\n"
 
 
 class TestPipelineCommands:

@@ -400,14 +400,23 @@ class TestAgainstReferenceScanner:
     def test_one_failed_pattern_attempt_per_paper(self):
         """After the pattern's first rejection the rest of the paper goes
         through the brace table: 4,000 good definitions after an unmatched
-        ``{`` take one pattern attempt, in linear time."""
+        ``{`` take one whole-definition attempt, in linear time."""
         source = "\\def\\a{\n" + "\\def\\b{x}\n" * 4000
-        with mock.patch.object(extraction, "_WELL_FORMED", wraps=extraction._WELL_FORMED) as pattern:
+        attempts = Counter()
+        finditer = extraction._DEFINITION.finditer
+
+        def counted(text):
+            for m in finditer(text):
+                if m.group(1) is not None:  # a defining command, not an escaped backslash
+                    attempts["matched" if m.group(8) is not None else "failed"] += 1
+                yield m
+
+        with mock.patch.object(extraction, "_DEFINITION", mock.Mock(finditer=counted)):
             start = time.perf_counter()
             result = extract_definitions(source, "p")
             elapsed = time.perf_counter() - start
         assert (len(result.definitions), result.skipped) == (4000, 1)
-        assert pattern.match.call_count == 1
+        assert attempts == Counter(failed=1)
         assert elapsed < 1.0
         _compare(source, Counter())
 
@@ -416,7 +425,7 @@ class TestAgainstReferenceScanner:
         has neither possessive quantifiers nor atomic groups)."""
         patterns = [v for v in vars(extraction).values() if isinstance(v, re.Pattern)]
         patterns.append(extraction._TO_BRACE.__self__)
-        assert extraction._WELL_FORMED in patterns
+        assert extraction._DEFINITION in patterns
         for pattern in patterns:
             for syntax in ("(?>", "*+", "++", "?+"):
                 assert syntax not in pattern.pattern, (syntax, pattern.pattern)

@@ -1,15 +1,19 @@
+import json
 import random
+from collections import Counter
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macrolens import fights as fights_module
+from macrolens import analytics, synth
 from macrolens.analytics import betweenness
 from macrolens.extraction import MacroDefinition
 from macrolens.fights import (
     DEFAULT_BODY_FIGHT_NAMES,
     STYLE_NAMES,
+    TitleLexicon,
     FightFilters,
     FightRecord,
     TitleFight,
@@ -409,7 +413,7 @@ class TestFightFeatures:
             return neighbours(author)
 
         monkeypatch.setattr(CoauthorIndex, "coauthored_before", no_pair_tests)
-        monkeypatch.setattr(fights_module, "betweenness", recorded)
+        monkeypatch.setattr(analytics, "betweenness", recorded)
         monkeypatch.setattr(index, "neighbours", counted)
         matrix = fight_feature_matrix(fights, tls, corpus, ledger, index)
         assert sizes == [["a", "b"]]
@@ -469,6 +473,113 @@ class TestClassifyTitle:
         if not title.strip():
             return
         assert len(classify_title(title) & set(FIRST_WORD_STYLES)) <= 1
+
+
+class _FormerLexicon(TitleLexicon):
+    """The suffix rule as it was written before the suffix table: every
+    suffix tested in (longest first, noun, adjective, verb) order."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.suffixes = []
+        for cls, key in (
+            ("noun", "noun_suffixes"),
+            ("verb", "verb_suffixes"),
+            ("adjective", "adjective_suffixes"),
+        ):
+            for suf in data.get(key, []):
+                self.suffixes.append((suf, cls))
+        order = {"noun": 0, "adjective": 1, "verb": 2}
+        self.suffixes.sort(key=lambda sc: (-len(sc[0]), order[sc[1]]))
+
+    def first_word_class(self, word):
+        word = word.casefold()
+        for words, cls in ((self.determiners, "determiner"), (self.verbs, "verb"),
+                           (self.adjectives, "adjective"), (self.nouns, "noun")):
+            if word in words:
+                return cls
+        if len(word) >= 5:
+            for suf, cls in self.suffixes:
+                if word.endswith(suf) and len(word) > len(suf) + 1:
+                    return cls
+        return None
+
+
+def _former_first_word(title):
+    tokens = title.split()
+    if not tokens:
+        return None
+    word = tokens[0].strip("$\\{}()[]\"'`.,:;!?*~^_-")
+    if word and all(("a" <= c <= "z") or ("A" <= c <= "Z") for c in word):
+        return word
+    return None
+
+
+class TestClassificationAgainstFormerCode:
+    """The suffix table and the first-word test give exactly the classes
+    of the former code, on the packaged lexicon and on a custom one with
+    a suffix shared by classes and an empty suffix."""
+
+    PACKAGED = json.loads(
+        resources.files("macrolens.data").joinpath("title_lexicon.json").read_text(encoding="utf-8")
+    )
+    CUSTOM = {
+        "determiners": ["the"], "verbs": ["is"], "adjectives": [], "nouns": ["tion"],
+        "noun_suffixes": ["al", "tion", "ation", "al"],
+        "verb_suffixes": ["al", "", "ize", "ation"],
+        "adjective_suffixes": ["ation", "ical", "al", "ic"],
+    }
+    CHARS = "aeiolnstzAZ  :$?-.({\\'\u00e9\u00df\ufb01\u0130"
+
+    def _words(self, data, rng):
+        vocab = [w for key in ("determiners", "verbs", "adjectives", "nouns") for w in data[key]]
+        suffixes = [s for key in data if key.endswith("_suffixes") for s in data[key]]
+        words = list(vocab) + suffixes
+        for suf in suffixes:
+            for stem in ("", "a", "xy", "abc", "word", "Stems", "\u00dfa"):
+                words.append(stem + suf)
+        for _ in range(3000):
+            parts = rng.choices(vocab + suffixes + ["x", "re", "un", "ß"], k=rng.randint(1, 3))
+            word = "".join(parts)
+            words.append(word.upper() if rng.random() < 0.2 else word)
+        return words
+
+    def _titles(self, words, rng):
+        titles = list(words)
+        for _ in range(3000):
+            titles.append("".join(rng.choices(self.CHARS, k=rng.randint(1, 12))))
+            lead = "".join(rng.choices("$\\{(\"'` ", k=rng.randint(0, 2)))
+            titles.append(lead + rng.choice(words) + rng.choice(["", ":", ".", " of", "? x", "\t"]))
+        config = synth.SynthConfig(seed=3, preset="full", n_changeover_pairs=1,
+                                   n_name_fights=2, n_body_fights=2, n_title_pairs=4)
+        titles += [r["title"] for r in synth.generate(config).records]
+        return [t for t in titles if t]
+
+    @pytest.mark.parametrize("which", ["packaged", "custom"])
+    def test_same_classes(self, which):
+        data = self.PACKAGED if which == "packaged" else self.CUSTOM
+        rng = random.Random(13)
+        lexicon, former = TitleLexicon(data), _FormerLexicon(data)
+        words = self._words(data, rng)
+        seen = Counter(former.first_word_class(w) for w in words)
+        for word in words:
+            assert lexicon.first_word_class(word) == former.first_word_class(word), word
+        for title in self._titles(words, rng):
+            word = _former_first_word(title)
+            former_cls = former.first_word_class(word) if word else None
+            expected = {f"first_{former_cls}"} if former_cls else set()
+            got = classify_title(title, lexicon) & set(FIRST_WORD_STYLES)
+            assert got == expected, title
+            seen["titles with a first word"] += word is not None
+        assert seen["titles with a first word"] > 1000
+        for cls in ("noun", "verb", "adjective", "determiner", None):
+            assert seen[cls] > 0, (cls, seen)
+        if which == "custom":
+            # the shared suffixes keep the class order: "...ation" is a noun
+            # and "...al" a noun; the empty suffix makes other words verbs
+            assert former.first_word_class("variation") == "noun"
+            assert former.first_word_class("nominal") == "noun"
+            assert former.first_word_class("blurb") == "verb"
 
 
 class TestTitleProfile:

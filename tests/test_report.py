@@ -1,4 +1,7 @@
+import csv
+
 import numpy
+import pytest
 
 from macrolens import report
 
@@ -37,3 +40,32 @@ class TestWriteTable:
 
         path = report.write_table(tmp_path / "t", ("a",), [(Label("raw"),)], "csv")
         assert path.read_bytes() == b'"a"\n"label"\n'
+
+    PLAIN_ROWS = [
+        ("text", 2**70, -0.0, None),
+        ("", -1, float("nan"), 1e16),
+        ('q"', 0, float("inf"), float("-inf")),
+    ]
+
+    def test_plain_cells_written_as_fmt_value_writes_them(self, tmp_path):
+        """A table of only ``str``, ``int``, ``float`` and ``None`` cells
+        goes to ``csv.writer`` as it stands, with the per-cell bytes."""
+        path = report.write_table(tmp_path / "t", ("a", "b", "c", "d"), self.PLAIN_ROWS, "csv")
+        with open(tmp_path / "per_cell.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n")
+            writer.writerow(("a", "b", "c", "d"))
+            writer.writerows([report.fmt_value(v) for v in row] for row in self.PLAIN_ROWS)
+        assert path.read_bytes() == (tmp_path / "per_cell.csv").read_bytes() == (
+            b'"a","b","c","d"\n'
+            b'"text","1180591620717411303424","-0.0",""\n'
+            b'"","-1","nan","1e+16"\n'
+            b'"q""","0","inf","-inf"\n'
+        )
+
+    @pytest.mark.parametrize("cell, written", [
+        (True, b"1"), (False, b"0"), (numpy.float64(0.1), b"0.1"), (numpy.float64(1e16), b"1e+16"),
+    ])
+    def test_one_other_cell_sends_the_table_through_fmt_value(self, cell, written, tmp_path):
+        rows = [*self.PLAIN_ROWS, ("x", 1, 0.5, cell)]
+        path = report.write_table(tmp_path / "t", ("a", "b", "c", "d"), rows, "csv")
+        assert path.read_bytes().splitlines()[-1] == b'"x","1","0.5","' + written + b'"'
