@@ -6,6 +6,14 @@ mirrored JSON) into the output directory once the command has returned,
 so a command that fails writes nothing.  ``synth`` writes its own
 manifest and ground truth.  Every command is fully deterministic for a
 fixed ``--seed``.
+
+A manifest is opened through :mod:`macrolens.store`: the first command
+on it loads and extracts it and writes one store file under
+``$XDG_CACHE_HOME/macrolens/`` (or ``~/.cache/macrolens/``), keyed by the
+manifest's bytes, its ``source_path`` files and the loader's and
+extractor's source; later commands read that file.  Deleting the store is
+always safe, and it never changes an output byte or writes under
+``--out``.
 """
 
 from __future__ import annotations
@@ -19,9 +27,9 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import changeover, fights, report, synth
-from .corpus import Corpus, load_corpus
-from .extraction import MacroDefinition, extract_definitions
+from . import changeover, fights, report, store, synth
+from .corpus import Corpus
+from .extraction import MacroDefinition
 from .timelines import (
     CoauthorIndex,
     ExperienceLedger,
@@ -81,30 +89,18 @@ def _changeover_params(args) -> changeover.ChangeoverParams:
     )
 
 
-def _load(args) -> Corpus:
-    result = load_corpus(args.corpus)
-    if result.skipped:
-        log.warning("skipped %d malformed corpus records", result.skipped)
-    return result.corpus
-
-
-def _extract_all(corpus: Corpus) -> tuple[dict[str, list[MacroDefinition]], int]:
-    by_paper: dict[str, list[MacroDefinition]] = {}
-    skipped = 0
-    for paper in corpus:
-        res = extract_definitions(paper.source, paper.paper_id)
-        skipped += res.skipped
-        if res.definitions:
-            by_paper[paper.paper_id] = res.definitions
-    if skipped:
-        log.warning("skipped %d malformed macro definitions", skipped)
-    return by_paper, skipped
+def _load(args, definitions: bool = False) -> store.Opened:
+    opened = store.open_corpus(args.corpus, definitions)
+    if opened.skipped:
+        log.warning("skipped %d malformed corpus records", opened.skipped)
+    if opened.definitions_skipped:
+        log.warning("skipped %d malformed macro definitions", opened.definitions_skipped)
+    return opened
 
 
 def _load_extracted(args) -> tuple[Corpus, dict[str, list[MacroDefinition]]]:
-    corpus = _load(args)
-    defs, _ = _extract_all(corpus)
-    return corpus, defs
+    opened = _load(args, definitions=True)
+    return opened.corpus, opened.definitions
 
 
 def _outdir(args) -> Path:
@@ -268,7 +264,7 @@ def cmd_fights(args) -> list[Table]:
 
 
 def _title_fights(args) -> list[Table]:
-    corpus = _load(args)
+    corpus = _load(args).corpus
     ledger = ExperienceLedger(corpus)
     lexicon = fights.TitleLexicon.load(args.lexicon) if args.lexicon else None
     filters = fights.TitleFightFilters(

@@ -38,14 +38,11 @@ from __future__ import annotations
 
 import datetime
 import json
-import logging
 import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
-
-log = logging.getLogger(__name__)
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 # Zero-padded ASCII digits only: ``re.ASCII`` keeps ``\d`` from matching
 # other scripts' digits, which ``int`` would accept.
@@ -156,6 +153,14 @@ class Corpus:
         self.papers: tuple[Paper, ...] = tuple(ordered)
         self.group_rank: dict[str, int] = ranks
 
+    @classmethod
+    def ordered(cls, papers: tuple[Paper, ...], group_rank: dict[str, int]) -> "Corpus":
+        """A corpus whose papers are already in corpus order, with the
+        ranks :meth:`__init__` gave them (as a corpus store holds them)."""
+        corpus = object.__new__(cls)
+        corpus.papers, corpus.group_rank = papers, group_rank
+        return corpus
+
     def __len__(self) -> int:
         return len(self.papers)
 
@@ -183,7 +188,12 @@ def _field_problem(rec: dict, name: str, kind: type = str) -> ValueError:
     return ValueError(f"field {name!r} must be {expected}, not {type(rec[name]).__name__}")
 
 
-def _parse_record(rec: dict, base_dir: Path) -> Paper:
+def read_source(base_dir: Path, name: str) -> str:
+    """The text of a ``source_path`` record's file."""
+    return (base_dir / name).read_text(encoding="utf-8")
+
+
+def _parse_record(rec: dict, base_dir: Path, read: Callable[[Path, str], str]) -> Paper:
     if not isinstance(rec, dict):
         raise ValueError(f"record must be a JSON object, not {type(rec).__name__}")
     paper_id, raw_date, raw_authors = rec.get("id"), rec.get("date"), rec.get("authors")
@@ -208,7 +218,7 @@ def _parse_record(rec: dict, base_dir: Path) -> Paper:
     elif "source_path" in rec:
         if not isinstance(rec["source_path"], str):
             raise _field_problem(rec, "source_path")
-        source = (base_dir / rec["source_path"]).read_text(encoding="utf-8")
+        source = read(base_dir, rec["source_path"])
     else:
         raise ValueError("record has neither source nor source_path")
     if len(authors) > 1 and len(set(authors)) != len(authors):
@@ -216,14 +226,15 @@ def _parse_record(rec: dict, base_dir: Path) -> Paper:
     return tuple.__new__(Paper, (paper_id, date, authors, title, source))
 
 
-def load_corpus(path: Path | str) -> LoadResult:
+def load_corpus(path: Path | str, read: Callable[[Path, str], str] = read_source) -> LoadResult:
     """Load a corpus from a JSONL manifest.
 
     Malformed records (bad JSON, bytes that are not UTF-8, bad date,
     duplicate authors, duplicate ids, missing source files) are skipped
-    and counted, never silently dropped; each is listed in ``problems``
-    and logged at DEBUG, so a damaged snapshot does not flood the log.
-    A missing manifest is fatal.
+    and counted, never silently dropped; each is listed in ``problems``,
+    which the CLI logs at DEBUG, so a damaged snapshot does not flood the
+    log.  A missing manifest is fatal.  ``read(manifest directory,
+    source_path)`` gives a ``source_path`` record's source.
     """
     path = Path(path)
     if not path.is_file():
@@ -248,14 +259,12 @@ def load_corpus(path: Path | str) -> LoadResult:
                         raise ValueError("trailing data")
                 except (StopIteration, ValueError):
                     rec = json.loads(line)
-                paper = _parse_record(rec, base_dir)
+                paper = _parse_record(rec, base_dir, read)
                 if paper.paper_id in seen_ids:
                     raise ValueError(f"duplicate paper id {paper.paper_id!r}")
             except Exception as exc:  # per-record failures are non-fatal
                 skipped += 1
-                msg = f"{path.name}:{lineno}: skipped record ({exc})"
-                problems.append(msg)
-                log.debug(msg)
+                problems.append(f"{path.name}:{lineno}: skipped record ({exc})")
                 continue
             seen_ids.add(paper.paper_id)
             papers.append(paper)

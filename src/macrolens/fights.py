@@ -349,6 +349,10 @@ class TitleLexicon:
         lists = ("determiners", "verbs", "adjectives", "nouns")
         if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in lists):
             raise ValueError(f"title lexicon needs a JSON object with word lists {', '.join(lists)}")
+        for key in (*lists, "noun_suffixes", "adjective_suffixes", "verb_suffixes"):
+            words = data.get(key, [])
+            if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+                raise ValueError(f"title lexicon {key!r} must be a list of strings")
         self.determiners = frozenset(data["determiners"])
         self.verbs = frozenset(data["verbs"])
         self.adjectives = frozenset(data["adjectives"])

@@ -108,6 +108,13 @@ def crossover_timeline(
     )
 
 
+@pytest.fixture(autouse=True)
+def _corpus_store_cache(tmp_path_factory, monkeypatch):
+    """Each test's corpus store files go to its own cache directory, never
+    to the user's."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+
+
 @pytest.fixture
 def rng():
     return random.Random(12345)

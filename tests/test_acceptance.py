@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from macrolens import analytics, changeover, fights, synth
-from macrolens.cli import _extract_all, run
+from macrolens.cli import run
 from macrolens.corpus import load_corpus
+from macrolens.store import extract_all
 from macrolens.timelines import CoauthorIndex, ExperienceLedger, build_timelines, interval
 
 from conftest import crossover_timeline, random_timeline
@@ -95,7 +96,7 @@ def _changeover_pipeline(tmp_path, seed, n_pairs):
     result = synth.generate(cfg)
     manifest, _ = synth.write_output(result, tmp_path)
     corpus = load_corpus(manifest).corpus
-    defs, _ = _extract_all(corpus)
+    defs, _ = extract_all(corpus)
     timelines = build_timelines(corpus, defs)
     params = changeover.ChangeoverParams()
     records = [
@@ -118,7 +119,7 @@ def test_criterion_4_matched_pair_validity(tmp_path):
             violations += oracle_validate_matched_pair(pair, params.q, 0.91, 1.1, 0.01)
         # mini-corpus run with permissive parameters
         mini = load_corpus(GOLDEN / "manifest.jsonl").corpus
-        mini_defs, _ = _extract_all(mini)
+        mini_defs, _ = extract_all(mini)
         mini_tls = build_timelines(mini, mini_defs)
         mini_params = changeover.ChangeoverParams(s=2, q=0.5)
         mini_records = [
@@ -212,7 +213,7 @@ def test_criterion_7_planted_effects(tmp_path):
         result = synth.generate(cfg)
         manifest, _ = synth.write_output(result, tmp_path / "namefights")
         corpus = load_corpus(manifest).corpus
-        defs, _ = _extract_all(corpus)
+        defs, _ = extract_all(corpus)
         timelines = build_timelines(corpus, defs)
         ledger = ExperienceLedger(corpus)
         name_fights = fights.detect_name_fights(corpus, timelines, ledger)

@@ -9,13 +9,15 @@ regenerate the file with::
 """
 
 import argparse
+import itertools
 import logging
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 from battery_digest import CORPUS_COMMANDS, FEATURE_TABLES, digest_lines, run_battery
-from macrolens import cli, synth
+from macrolens import cli, store, synth
 
 DATA = Path(__file__).parent / "data"
 SYNTH = synth.SynthConfig(seed=9, preset="full", n_changeover_pairs=3,
@@ -34,6 +36,27 @@ def battery_lines(workdir: Path) -> list[str]:
 def test_battery_output_matches_committed_digest(tmp_path):
     expected = (DATA / "battery_digest.txt").read_text(encoding="utf-8").splitlines()
     assert battery_lines(tmp_path) == expected
+
+
+def test_battery_digest_with_cold_and_warm_corpus_stores(tmp_path, monkeypatch):
+    """Cold: every command starts from an empty cache and builds its own
+    store file.  Warm: every command opens a store file that an earlier
+    pass built, and none loads a manifest."""
+    expected = (DATA / "battery_digest.txt").read_text(encoding="utf-8").splitlines()
+    run, caches = cli.run, itertools.count()
+
+    def cold(argv):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "caches" / str(next(caches))))
+        return run(argv)
+
+    monkeypatch.setattr(cli, "run", cold)
+    assert battery_lines(tmp_path / "cold") == expected
+    monkeypatch.setattr(cli, "run", run)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "warm-cache"))
+    battery_lines(tmp_path / "warm")
+    shutil.rmtree(tmp_path / "warm" / "battery")
+    monkeypatch.setattr(store, "load_corpus", None)  # a load would fail the command
+    assert battery_lines(tmp_path / "warm") == expected
 
 
 def test_battery_runs_every_subcommand_and_fights_mode():

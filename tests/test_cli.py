@@ -61,7 +61,20 @@ class TestArgHandling:
         "-inf feature": "feature CSV line 3, column 'a': '-inf' is not a finite number",
     }
 
-    @pytest.mark.parametrize("case", [*BAD_FEATURES, "features directory", "lexicon lacks list"])
+    WORD_LISTS = '"determiners": ["the"], "verbs": [], "adjectives": [], "nouns": []'
+    BAD_LEXICONS = {
+        "lexicon lacks list": '{"determiners": ["the"]}',
+        "lexicon suffix not a string": '{%s, "noun_suffixes": [5]}' % WORD_LISTS,
+        "lexicon word not a string": '{%s}' % WORD_LISTS.replace('["the"]', '[["a"]]'),
+        "lexicon suffixes a string": '{%s, "noun_suffixes": "ion"}' % WORD_LISTS,
+    }
+    NAMED_KEYS = {
+        "lexicon suffix not a string": "title lexicon 'noun_suffixes' must be a list of strings",
+        "lexicon word not a string": "title lexicon 'determiners' must be a list of strings",
+        "lexicon suffixes a string": "title lexicon 'noun_suffixes' must be a list of strings",
+    }
+
+    @pytest.mark.parametrize("case", [*BAD_FEATURES, "features directory", *BAD_LEXICONS])
     def test_bad_input_files_exit_cleanly(self, case, tmp_path, capsys):
         if case in self.BAD_FEATURES:
             (tmp_path / "features.csv").write_text(self.BAD_FEATURES[case], encoding="utf-8")
@@ -69,7 +82,7 @@ class TestArgHandling:
         elif case == "features directory":
             argv, code = ["predict", "--features", str(tmp_path)], 1
         else:
-            (tmp_path / "lexicon.json").write_text('{"determiners": ["the"]}', encoding="utf-8")
+            (tmp_path / "lexicon.json").write_text(self.BAD_LEXICONS[case], encoding="utf-8")
             argv = ["fights", "title", "--corpus", str(GOLDEN / "manifest.jsonl"),
                     "--lexicon", str(tmp_path / "lexicon.json")]
             code = 2
@@ -79,8 +92,9 @@ class TestArgHandling:
         assert exc.value.code == code
         err = capsys.readouterr().err
         assert err.startswith("macrolens: error: ")
-        if case in self.NAMED_CELLS:
-            assert err == f"macrolens: error: {self.NAMED_CELLS[case]}\n"
+        named = {**self.NAMED_CELLS, **self.NAMED_KEYS}
+        if case in named:
+            assert err == f"macrolens: error: {named[case]}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("train_frac", ["-0.5", "1.0", "1.5", "nan"])
@@ -255,7 +269,8 @@ def test_failure_in_last_stage_writes_nothing(case, synth_corpus, tmp_path, monk
 
 def test_numpy_loads_only_for_feature_matrices(synth_corpus, tmp_path):
     """Importing the CLI and running the commands that build no feature
-    matrix leaves numpy unimported; ``fights name`` then imports it."""
+    matrix leaves numpy unimported; ``fights name`` then imports it.  The
+    second pass opens the corpus store that the first one built."""
     script = textwrap.dedent("""
         import sys
         from macrolens import cli
@@ -268,12 +283,18 @@ def test_numpy_loads_only_for_feature_matrices(synth_corpus, tmp_path):
     """)
     src = str(Path(macrolens.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(synth_corpus), str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[False, False, False, False, False, True]\n"
+    built = None
+    for _ in range(2):
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(synth_corpus), str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[False, False, False, False, False, True]\n"
+        store = Path(os.environ["XDG_CACHE_HOME"], "macrolens")
+        files = {path.name: path.stat().st_mtime_ns for path in store.iterdir()}
+        assert len(files) == 1 and files == (built or files)  # the warm pass rebuilt nothing
+        built = files
 
 
 class TestPipelineCommands:
