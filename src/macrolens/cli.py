@@ -112,7 +112,7 @@ def _outdir(args) -> Path:
 def _definitions(corpus: Corpus, defs) -> Table:
     # a definition's first four fields are the table's columns, in order
     return Table("definitions", ("paper_id", "name", "body", "defining_command"), [
-        d[:4] for paper in corpus for d in defs.get(paper.paper_id, ())
+        d[:4] for i in corpus.positions_in(defs) for d in defs[corpus.paper_id(i)]
     ])
 
 

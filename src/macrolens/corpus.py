@@ -37,12 +37,19 @@ Decoding a manifest line costs one call of the C scanner that
 from __future__ import annotations
 
 import datetime
+import functools
+import hashlib
+import io
 import json
+import operator
 import re
 import unicodedata
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # Zero-padded ASCII digits only: ``re.ASCII`` keeps ``\d`` from matching
 # other scripts' digits, which ``int`` would accept.
@@ -120,55 +127,139 @@ class Paper(NamedTuple):
 
 
 class Corpus:
-    """An immutable, temporally ordered collection of papers.
+    """An immutable, temporally ordered collection of papers, held as columns.
 
-    ``group_rank`` maps paper id to the index of its tie group in the
-    global order; papers share a rank exactly when their relative order
-    is unknown (same month, month-granular).  Exact-dated papers always
-    get singleton groups, even when they share a day.
+    Papers are numbered by their position in corpus order, which follows
+    (group rank, paper id): a month-granular paper sorts as day 0, so a
+    month's tie group comes before that month's exact dates, and papers
+    within a group are sorted by id.  ``ranks[i]`` is the index of paper
+    ``i``'s tie group in the global order; papers share a rank exactly when
+    their relative order is unknown (same month, month-granular).
+    Exact-dated papers always get singleton groups, even when they share a
+    day.
 
-    Iteration follows (group rank, paper id): a month-granular paper sorts
-    as day 0, so a month's tie group comes before that month's exact
-    dates, and papers within a group are sorted by id.
+    Strings are ids into ``strings``: ``strings[i]`` is paper ``i``'s id,
+    ``title_ids[i]`` its title's, and ``author_ids[author_offsets[i]
+    :author_offsets[i + 1]]`` its authors' in byline order, with one id per
+    distinct author key.  ``dates[i]`` is yyyymmdd, dd 0 when
+    month-granular.  ``sources`` holds each paper's source, or is None when
+    every source is ``""`` (a corpus read back from a store).  A ``Paper``
+    record is built only when a caller asks for one.
     """
 
     def __init__(self, papers: Iterable[Paper]):
         ordered = sorted(
             papers, key=lambda p: (p.date.year, p.date.month, p.date.day or 0, p.paper_id)
         )
-        ranks: dict[str, int] = {}
-        rank = -1
-        tie_month: tuple[int, int] | None = None  # month of the open tie group
-        for p in ordered:
-            if p.paper_id in ranks:
-                raise ValueError(f"duplicate paper id {p.paper_id!r}")
-            year, month, day = p.date
-            if day is not None:
-                rank += 1
-                tie_month = None
-            elif (year, month) != tie_month:
-                rank += 1
-                tie_month = (year, month)
-            ranks[p.paper_id] = rank
-        self.papers: tuple[Paper, ...] = tuple(ordered)
-        self.group_rank: dict[str, int] = ranks
+        # strings: the paper ids (paper i's is string i), the titles, then each distinct author
+        n = len(ordered)
+        strings = [p.paper_id for p in ordered]
+        if len(dict.fromkeys(strings)) < n:
+            duplicate = next(pid for pid, k in Counter(strings).items() if k > 1)
+            raise ValueError(f"duplicate paper id {duplicate!r}")
+        strings.extend(p.title for p in ordered)
+        authors: dict[str, int] = {}
+        author_ids = array("i", (
+            authors.setdefault(a, 2 * n + len(authors)) for p in ordered for a in p.authors
+        ))
+        strings.extend(authors)
+        self._columns(
+            strings=strings,
+            dates=array("i", (
+                (y * 100 + m) * 100 + (d or 0) for y, m, d in (p.date for p in ordered)
+            )),
+            ranks=_tie_group_ranks(ordered),
+            title_ids=array("i", range(n, 2 * n)),
+            author_offsets=array("i", accumulate((len(p.authors) for p in ordered), initial=0)),
+            author_ids=author_ids,
+        )
+        self.sources: list[str] | None = [p.source for p in ordered]
 
     @classmethod
-    def ordered(cls, papers: tuple[Paper, ...], group_rank: dict[str, int]) -> "Corpus":
-        """A corpus whose papers are already in corpus order, with the
-        ranks :meth:`__init__` gave them (as a corpus store holds them)."""
+    def from_columns(cls, **columns: Sequence) -> "Corpus":
+        """A corpus from the columns :meth:`__init__` would build (as a
+        corpus store holds them), with every source ``""``."""
         corpus = object.__new__(cls)
-        corpus.papers, corpus.group_rank = papers, group_rank
+        corpus._columns(**columns)
+        corpus.sources = None
         return corpus
 
+    def _columns(self, *, strings: Sequence[str], dates: Sequence[int], ranks: Sequence[int],
+                 title_ids: Sequence[int], author_offsets: Sequence[int],
+                 author_ids: Sequence[int]) -> None:
+        self.strings, self.dates, self.ranks, self.title_ids = strings, dates, ranks, title_ids
+        self.author_offsets, self.author_ids = author_offsets, author_ids
+
     def __len__(self) -> int:
-        return len(self.papers)
+        return len(self.ranks)
 
     def __iter__(self) -> Iterator[Paper]:
-        return iter(self.papers)
+        return map(self.paper, range(len(self)))
+
+    @property
+    def papers(self) -> tuple[Paper, ...]:
+        return tuple(self)
+
+    def paper_id(self, i: int) -> str:
+        return self.strings[i]
+
+    def title(self, i: int) -> str:
+        return self.strings[self.title_ids[i]]
+
+    def authors(self, i: int) -> tuple[str, ...]:
+        ids = self.author_ids[self.author_offsets[i]:self.author_offsets[i + 1]]
+        return tuple(map(self.strings.__getitem__, ids))
+
+    def author_counts(self) -> Iterator[int]:
+        """Each paper's number of authors, in corpus order."""
+        offsets = self.author_offsets
+        return map(operator.sub, offsets[1:], offsets)
+
+    def paper(self, i: int) -> Paper:
+        date = self.dates[i]
+        return tuple.__new__(Paper, (
+            self.paper_id(i),
+            tuple.__new__(PaperDate, (date // 10000, date // 100 % 100, date % 100 or None)),
+            self.authors(i),
+            self.title(i),
+            "" if self.sources is None else self.sources[i],
+        ))
+
+    @functools.cached_property
+    def positions(self) -> dict[str, int]:
+        """Each paper id's position (decodes every id once)."""
+        return dict(zip(map(self.strings.__getitem__, range(len(self))), range(len(self))))
+
+    @functools.cached_property
+    def group_rank(self) -> dict[str, int]:
+        """Paper id to tie-group rank, in corpus order."""
+        return dict(zip(self.positions, self.ranks))
 
     def rank_of(self, paper_id: str) -> int:
-        return self.group_rank[paper_id]
+        return self.ranks[self.positions[paper_id]]
+
+    def positions_in(self, paper_ids: Iterable[str]) -> list[int]:
+        """The positions of those ``paper_ids`` that are in the corpus, in
+        corpus order."""
+        positions = self.positions
+        return sorted(positions[p] for p in paper_ids if p in positions)
+
+
+def _tie_group_ranks(ordered: list[Paper]) -> array:
+    """Each paper's tie-group rank, the papers in corpus order."""
+    ranks = array("i")
+    rank = -1
+    tie_month: tuple[int, int] | None = None  # month of the open tie group
+    for p in ordered:
+        year, month, day = p.date
+        if day is not None:
+            rank += 1
+            tie_month = None
+        elif (year, month) != tie_month:
+            rank += 1
+            tie_month = (year, month)
+        ranks.append(rank)
+    return ranks
 
 
 @dataclass
@@ -176,6 +267,20 @@ class LoadResult:
     corpus: Corpus
     skipped: int
     problems: list[str] = field(default_factory=list)
+    sha256: str = ""  # of the manifest bytes the corpus was parsed from
+
+
+class _HashedFile(io.FileIO):
+    """A file opened for reading that hashes the bytes read from it."""
+
+    def __init__(self, path: Path):
+        super().__init__(path)
+        self.sha256 = hashlib.sha256()
+
+    def readinto(self, buffer) -> int:
+        n = super().readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
 
 
 def _field_problem(rec: dict, name: str, kind: type = str) -> ValueError:
@@ -234,7 +339,8 @@ def load_corpus(path: Path | str, read: Callable[[Path, str], str] = read_source
     and counted, never silently dropped; each is listed in ``problems``,
     which the CLI logs at DEBUG, so a damaged snapshot does not flood the
     log.  A missing manifest is fatal.  ``read(manifest directory,
-    source_path)`` gives a ``source_path`` record's source.
+    source_path)`` gives a ``source_path`` record's source.  The manifest
+    is read once, and ``sha256`` hashes the bytes that were parsed.
     """
     path = Path(path)
     if not path.is_file():
@@ -246,7 +352,9 @@ def load_corpus(path: Path | str, read: Callable[[Path, str], str] = read_source
     problems: list[str] = []
     # A byte that is not UTF-8 decodes to a lone surrogate, so that only its
     # own line fails; no line that decoded cleanly holds one.
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    hashed = _HashedFile(path)
+    buffered = io.BufferedReader(hashed)
+    with io.TextIOWrapper(buffered, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
@@ -268,4 +376,4 @@ def load_corpus(path: Path | str, read: Callable[[Path, str], str] = read_source
                 continue
             seen_ids.add(paper.paper_id)
             papers.append(paper)
-    return LoadResult(corpus=Corpus(papers), skipped=skipped, problems=problems)
+    return LoadResult(Corpus(papers), skipped, problems, hashed.sha256.hexdigest())

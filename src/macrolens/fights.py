@@ -25,9 +25,10 @@ import random
 import re
 from dataclasses import dataclass
 from importlib import resources
+from itertools import compress
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .corpus import Corpus, Paper
+from .corpus import Corpus
 from .extraction import body_features
 from .timelines import (
     BodyTimeline,
@@ -425,9 +426,12 @@ def classify_title(title: str, lexicon: TitleLexicon | None = None) -> set[str]:
     return styles
 
 
-def _titled_papers_without(ledger: ExperienceLedger, author: str, coauthor: str) -> list[Paper]:
-    """The author's titled papers not co-authored with ``coauthor``."""
-    return [p for p in ledger.papers_of(author) if coauthor not in p.authors and p.title]
+def _titles_without(ledger: ExperienceLedger, author: str, coauthor: str) -> list[str]:
+    """The titles of the author's titled papers not co-authored with ``coauthor``."""
+    joint = set(ledger.positions_of(coauthor))
+    strings, title_ids = ledger.corpus.strings, ledger.corpus.title_ids
+    titles = (strings[title_ids[i]] for i in ledger.positions_of(author) if i not in joint)
+    return [title for title in titles if title]
 
 
 def title_profile(
@@ -440,10 +444,10 @@ def title_profile(
     """Lifetime fraction of the author's papers showing the style,
     skipping papers co-authored with ``exclude_coauthor`` and papers
     without a title.  Uses the whole corpus horizon by design."""
-    eligible = _titled_papers_without(ledger, author, exclude_coauthor)
+    eligible = _titles_without(ledger, author, exclude_coauthor)
     if not eligible:
         raise ValueError(f"author {author!r} has no eligible papers")
-    positives = sum(1 for p in eligible if style in classify_title(p.title, lexicon))
+    positives = sum(1 for title in eligible if style in classify_title(title, lexicon))
     return positives / len(eligible)
 
 
@@ -489,11 +493,12 @@ def detect_title_fights(
     flt = filters or TitleFightFilters()
     lex = lexicon or default_lexicon()
     fights: list[TitleFight] = []
-    for paper in corpus:
-        if len(paper.authors) != 2 or not paper.title:
+    for i in compress(range(len(corpus)), map((2).__eq__, corpus.author_counts())):
+        title = corpus.title(i)
+        if not title:
             continue
-        a, b = paper.authors
-        rank = corpus.rank_of(paper.paper_id)
+        a, b = corpus.authors(i)
+        rank = corpus.ranks[i]
         if index.joint_count_before(a, b, rank) > 0:
             continue
         if index.joint_count_in_group(a, b, rank) > 1:
@@ -508,7 +513,7 @@ def detect_title_fights(
             exp_y, exp_o = exp_b, exp_a
         if exp_o < flt.older_exp_threshold:
             continue
-        if len(_titled_papers_without(ledger, younger, older)) < flt.min_younger_papers:
+        if len(_titles_without(ledger, younger, older)) < flt.min_younger_papers:
             continue
         try:
             p_y = title_profile(ledger, younger, style, exclude_coauthor=older, lexicon=lex)
@@ -518,7 +523,7 @@ def detect_title_fights(
         fights.append(
             TitleFight(
                 style=style,
-                paper_id=paper.paper_id,
+                paper_id=corpus.paper_id(i),
                 group_rank=rank,
                 younger=younger,
                 older=older,
@@ -526,7 +531,7 @@ def detect_title_fights(
                 exp_older=exp_o,
                 profile_younger=p_y,
                 profile_older=p_o,
-                indicator=1 if style in classify_title(paper.title, lex) else 0,
+                indicator=1 if style in classify_title(title, lex) else 0,
             )
         )
     fights.sort(key=lambda f: (f.group_rank, f.paper_id))

@@ -68,12 +68,13 @@ def corpus_summary(
     Author counts cover papers that define at least one macro, matching
     the denominator used for the other quantities.
     """
-    papers_with = [p for p in corpus if definitions.get(p.paper_id)]
-    total_defs = sum(len(definitions.get(p.paper_id, [])) for p in corpus)
+    papers_with = corpus.positions_in(p for p, defs in definitions.items() if defs)
+    total_defs = sum(len(definitions[corpus.paper_id(i)]) for i in papers_with)
     named = {(d.body_key, d.name) for defs in definitions.values() for d in defs}
     bodies = {body_key for body_key, _ in named}
-    authors = {a for p in papers_with for a in p.authors}
-    author_slots = sum(len(p.authors) for p in papers_with)
+    bylines = list(map(corpus.authors, papers_with))
+    authors = {a for byline in bylines for a in byline}
+    author_slots = sum(map(len, bylines))
     return {
         "papers_with_macro": len(papers_with),
         "definitions": total_defs,

@@ -1,26 +1,32 @@
 """Corpus store: each manifest is loaded and extracted once, then reopened.
 
 :func:`open_corpus` gives what a fresh :func:`~macrolens.corpus.load_corpus`
-plus :func:`extract_all` give, with every ``Paper.source`` set to ``""``.
-It reads them from one file per manifest under ``$XDG_CACHE_HOME/macrolens/``
-(or ``~/.cache/macrolens/``), named by the sha256 of the resolved manifest
-path.  On a miss the loader and the extractor run once and write the file,
-which is then opened exactly as on a hit.
+plus :func:`extract_all` give, with every source ``""``.  It reads them
+from one file per manifest under ``$XDG_CACHE_HOME/macrolens/`` (or
+``~/.cache/macrolens/``), named by the sha256 of the resolved manifest path.
+On a miss the loader and the extractor run once and write the file, which
+is then opened exactly as on a hit.  Each build also deletes the store
+files whose recorded manifest no longer exists.
 
 A file is used only when the sha256 of its contents holds and its key
 matches: the format, the Python version and byte order, the sha256 of the
 source of ``corpus.py``, ``extraction.py`` and this module, the sha256 of
-the manifest's bytes, and, for every ``source_path`` file the loader read,
-the file's sha256 or its read error.  Anything else is rebuilt.  When no file
-can be written the command loads the manifest as before, after one DEBUG
-line.  The file holds a JSON header, ``array`` ints and one UTF-8 string
-table, so reading it runs no code; deleting it is always safe.
+the manifest's bytes (those the build parsed), and, for every
+``source_path`` file the loader read, the file's sha256 or its read error.
+Anything else is rebuilt.  When no file can be written the command loads
+the manifest as before, after one DEBUG line.  The file holds a JSON
+header, ``array`` ints and two UTF-8 string tables, so reading it runs no
+code; deleting it is always safe.
 
 Layout: magic, sha256 of the rest, header length (8 bytes), header (key,
-``source_path`` fingerprints, skip counts, problem lines without the
-manifest name, column lengths), the int columns in ``_COLUMNS`` order, then
-the string table whose lengths are the last column.  Lone surrogates pass
-through the table by ``surrogatepass``.
+resolved manifest path, ``source_path`` fingerprints, skip counts, problem
+lines without the manifest name, column lengths), the int columns in
+``_COLUMNS`` order, then the text of the corpus's string table followed by
+the definitions' one.  A hit copies the columns into arrays and decodes
+that text as one string; a corpus string is cut from it only when a caller
+asks for it, and the definitions' strings only when definitions are asked
+for.  Lone
+surrogates pass through the tables by ``surrogatepass``.
 """
 
 from __future__ import annotations
@@ -33,26 +39,37 @@ import os
 import sys
 from array import array
 from functools import partial
-from itertools import accumulate, chain, islice, pairwise, repeat, starmap
+from itertools import accumulate, chain, compress, pairwise, repeat, starmap
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Corpus, Paper, PaperDate, load_corpus, read_source
+from .corpus import Corpus, load_corpus, read_source
 from .extraction import MacroDefinition, extract_definitions
 
 log = logging.getLogger(__name__)
 _problem_log = logging.getLogger("macrolens.corpus")  # the loader's problem lines
 
-_FORMAT = 1
+_FORMAT = 2
 _MAGIC = b"macrolens corpus store\n"
-# Papers in corpus order (a date is yyyymmdd, dd 0 when month-granular;
-# ``authors`` and ``definitions`` count each paper's), their authors, their
-# definitions, and the string table's lengths.
-_PAPER = ("paper_id", "date", "rank", "title", "authors", "definitions")
+# The corpus's columns (see ``Corpus``) and each paper's number of
+# definitions, in corpus order; the definitions' fields; and the char
+# offsets of the corpus's strings and then of the definitions' strings.
+_PAPER = ("date", "rank", "title", "definitions", "author_offsets", "author")
 _DEFINITION = ("name", "body", "command", "signature", "offset")
-_COLUMNS = (*_PAPER, "author", *_DEFINITION, "lengths")
+_COLUMNS = (*_PAPER, *_DEFINITION, "corpus_strings", "definition_strings")
 _INT, _SIZE = "i", 4  # signed 32-bit: a larger value fails the build, not the command
 _make_definition = partial(tuple.__new__, MacroDefinition)
+
+
+class _Strings:
+    """A string table cut from one decoded text by char offsets, one
+    string at a time."""
+
+    def __init__(self, text: str, offsets: Sequence[int]):
+        self._text, self._offsets = text, offsets
+
+    def __getitem__(self, i: int) -> str:
+        return self._text[self._offsets[i]:self._offsets[i + 1]]
 
 
 class Opened(NamedTuple):
@@ -72,11 +89,11 @@ def extract_all(corpus: Corpus) -> tuple[dict[str, list[MacroDefinition]], int]:
     number of malformed definitions skipped."""
     by_paper: dict[str, list[MacroDefinition]] = {}
     skipped = 0
-    for paper in corpus:
-        res = extract_definitions(paper.source, paper.paper_id)
+    for i, source in enumerate(corpus.sources or ()):  # a stored corpus has no sources
+        res = extract_definitions(source, corpus.paper_id(i))
         skipped += res.skipped
         if res.definitions:
-            by_paper[paper.paper_id] = res.definitions
+            by_paper[corpus.paper_id(i)] = res.definitions
     return by_paper, skipped
 
 
@@ -121,7 +138,7 @@ def _open_store(path: Path, definitions: bool) -> Opened:
     except (OSError, ValueError, LookupError, TypeError):  # unreadable or garbled: rebuilt
         opened = None
     if opened is None:
-        _write(file, path, key)
+        key = _write(file, path, key)
         opened = _read(file, path, key, definitions)
         if opened is None:
             raise ValueError("the store file changed while it was built")
@@ -146,14 +163,15 @@ def _digest(fh, start: int) -> bytes:
     return digest.digest()
 
 
-def _write(file: Path, path: Path, key: dict) -> None:
-    """Builds the store file of ``path`` beside ``file``, then moves it in."""
+def _write(file: Path, path: Path, key: dict) -> dict:
+    """Builds the store file of ``path`` beside ``file``, moves it in and
+    prunes the directory; returns the file's key."""
     import tempfile
 
     fd, tmp = tempfile.mkstemp(dir=file.parent, prefix=file.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w+b") as fh:
-            header, cols, strings = _build(path, key)
+            key, header, cols, strings = _build(path, key)
             fh.write(_MAGIC + bytes(32) + len(header).to_bytes(8, "little") + header)
             fh.writelines(cols.pop(name) for name in _COLUMNS)
             text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogatepass", newline="")
@@ -166,11 +184,14 @@ def _write(file: Path, path: Path, key: dict) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+    _prune(file.parent)
+    return key
 
 
-def _build(path: Path, key: dict) -> tuple[bytes, dict[str, array], dict[str, int]]:
-    """Loads and extracts ``path``: the store's header, its int columns and
-    its strings (in table order)."""
+def _build(path: Path, key: dict) -> tuple[dict, bytes, dict[str, array], Iterable[str]]:
+    """Loads and extracts ``path``: the store's key (naming the manifest
+    bytes that were parsed), header, int columns and strings in table
+    order."""
     read: list[tuple[str, str]] = []
 
     def recorded(base_dir: Path, name: str) -> str:
@@ -181,40 +202,57 @@ def _build(path: Path, key: dict) -> tuple[bytes, dict[str, array], dict[str, in
         return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
     result = load_corpus(path, recorded)
-    papers, ranks = list(result.corpus), result.corpus.group_rank
-    skipped, problems = result.skipped, result.problems
-    del result  # so that each paper's source goes once it is extracted
-    cols = {name: array(_INT) for name in _COLUMNS}
+    corpus, key = result.corpus, {**key, "manifest": result.sha256}
+    sources, corpus.sources = corpus.sources, None  # so that each source goes once it is extracted
+    cols = {name: array(_INT) for name in (*_DEFINITION, "definitions")}
     strings: dict[str, int] = {}
 
     def index(text: str) -> int:
         return strings.setdefault(text, len(strings))
 
     defs_skipped = 0
-    for i, p in enumerate(papers):
-        papers[i] = None
-        res = extract_definitions(p.source, p.paper_id)
+    for i, source in enumerate(sources):
+        sources[i] = None
+        res = extract_definitions(source, corpus.paper_id(i))
         defs_skipped += res.skipped
-        year, month, day = p.date
-        for column, value in zip(_PAPER, (
-            index(p.paper_id), (year * 100 + month) * 100 + (day or 0),
-            ranks[p.paper_id], index(p.title), len(p.authors), len(res.definitions),
-        )):
-            cols[column].append(value)
-        cols["author"].extend(map(index, p.authors))
+        cols["definitions"].append(len(res.definitions))
         for d in res.definitions:
             for column, value in zip(_DEFINITION, (
                 index(d.name), index(d.body), index(d.command), index(d.signature), d.offset,
             )):
                 cols[column].append(value)
-    cols["lengths"].extend(map(len, strings))
+    cols.update(date=corpus.dates, rank=corpus.ranks, title=corpus.title_ids,
+                author_offsets=corpus.author_offsets, author=corpus.author_ids)
+    cols["corpus_strings"] = array(_INT, accumulate(map(len, corpus.strings), initial=0))
+    end = cols["corpus_strings"][-1]
+    cols["definition_strings"] = array(_INT, accumulate(map(len, strings), initial=end))
     prefix = len(path.name) + 1  # the problem lines' "<manifest name>:"
     header = json.dumps({
-        "key": key, "read": read, "skipped": skipped, "definitions_skipped": defs_skipped,
-        "problems": [line[prefix:] for line in problems],
+        "key": key, "path": os.fsdecode(path.resolve()), "read": read, "skipped": result.skipped,
+        "definitions_skipped": defs_skipped,
+        "problems": [line[prefix:] for line in result.problems],
         "columns": [len(cols[name]) for name in _COLUMNS],
     }).encode("ascii")
-    return header, cols, strings
+    return key, header, cols, chain(corpus.strings, strings)
+
+
+def _prune(directory: Path) -> None:
+    """Deletes the store files in ``directory`` whose recorded manifest no
+    longer exists.  A file being written (``.tmp``), a file of another
+    format and a file whose header does not parse stay."""
+    for file in directory.iterdir():
+        if file.suffix == ".tmp":
+            continue
+        try:
+            with open(file, "rb") as fh:
+                head = fh.read(len(_MAGIC) + 40)
+                if head[:len(_MAGIC)] != _MAGIC:
+                    continue
+                header = json.loads(fh.read(int.from_bytes(head[-8:], "little")))
+            if header["key"]["format"] == _FORMAT and not os.path.exists(header["path"]):
+                file.unlink()
+        except (OSError, ValueError, LookupError, TypeError):
+            continue
 
 
 def _read(file: Path, path: Path, key: dict, definitions: bool) -> Opened | None:
@@ -236,36 +274,32 @@ def _read(file: Path, path: Path, key: dict, definitions: bool) -> Opened | None
         return None
     cols = {}
     for name, length in zip(_COLUMNS, header["columns"], strict=True):
-        cols[name] = data[pos:pos + _SIZE * length].cast(_INT)
+        cols[name] = array(_INT)
+        cols[name].frombytes(data[pos:pos + _SIZE * length])
         pos += _SIZE * length
     text = str(data[pos:], "utf-8", "surrogatepass")
-    bounds = starmap(slice, pairwise(accumulate(cols["lengths"], initial=0)))
-    string = list(map(text.__getitem__, bounds)).__getitem__
-    del text
-    ids = list(map(string, cols["paper_id"]))
-    dates: dict[int, PaperDate] = {}
-    for v in cols["date"]:
-        if v not in dates:
-            dates[v] = tuple.__new__(PaperDate, (v // 10000, v // 100 % 100, v % 100 or None))
-    authors = map(string, cols["author"])
-    papers = tuple(
-        tuple.__new__(Paper, (pid, dates[date], tuple(islice(authors, n)), string(title), ""))
-        for pid, date, n, title in zip(ids, cols["date"], cols["authors"], cols["title"])
+    del data  # the corpus keeps copies of its columns and of its part of the text
+    offsets = cols["corpus_strings"]
+    corpus = Corpus.from_columns(
+        strings=_Strings(text[:offsets[-1]], offsets), dates=cols["date"], ranks=cols["rank"],
+        title_ids=cols["title"], author_offsets=cols["author_offsets"], author_ids=cols["author"],
     )
     by_paper: dict[str, list[MacroDefinition]] = {}
     if definitions:
+        bounds = starmap(slice, pairwise(cols["definition_strings"]))
+        string = list(map(text.__getitem__, bounds)).__getitem__
+        counts = cols["definitions"]
+        ids = list(map(corpus.paper_id, compress(range(len(counts)), counts)))
         flat = list(map(_make_definition, zip(
-            chain.from_iterable(map(repeat, ids, cols["definitions"])),
+            chain.from_iterable(map(repeat, ids, filter(None, counts))),
             *(map(string, cols[name]) for name in _DEFINITION[:4]),
             cols["offset"],
         )))
         end = 0
-        for pid, n in zip(ids, cols["definitions"]):
-            if n:
-                by_paper[pid] = flat[end:end + n]
-                end += n
+        for pid, n in zip(ids, filter(None, counts)):
+            by_paper[pid] = flat[end:end + n]
+            end += n
     return Opened(
-        Corpus.ordered(papers, dict(zip(ids, cols["rank"]))), by_paper, header["skipped"],
-        [f"{path.name}:{line}" for line in header["problems"]],
+        corpus, by_paper, header["skipped"], [f"{path.name}:{line}" for line in header["problems"]],
         header["definitions_skipped"] if definitions else 0,
     )

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, compress, islice, pairwise
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .corpus import Corpus, Paper
@@ -81,15 +83,13 @@ def _occurrences_by_key(
 ) -> dict:
     """Each key's occurrences in (tie group, paper id) order, keys sorted;
     ``uses`` gives one paper's (key, name used) pairs, at most one per key.
-    The corpus iterates in that order, so each bucket is already sorted."""
+    Papers with definitions are visited in corpus order, which is that
+    order, so each bucket is already sorted."""
     buckets: dict = {}
-    for paper in corpus:
-        defs = definitions.get(paper.paper_id)
-        if not defs:
-            continue
-        rank = corpus.rank_of(paper.paper_id)
-        for key, name in uses(defs):
-            buckets.setdefault(key, []).append(Occurrence(paper.paper_id, rank, name, paper.authors))
+    for i in corpus.positions_in(p for p, defs in definitions.items() if defs):
+        paper_id, rank, authors = corpus.paper_id(i), corpus.ranks[i], corpus.authors(i)
+        for key, name in uses(definitions[paper_id]):
+            buckets.setdefault(key, []).append(Occurrence(paper_id, rank, name, authors))
     return {key: tuple(buckets[key]) for key in sorted(buckets)}
 
 
@@ -157,32 +157,46 @@ class ExperienceLedger:
 
     Experience at a paper counts the author's strictly earlier papers;
     papers in the same tie group are excluded as order-ambiguous.
+
+    The corpus's author slots, stably sorted by author, give each author
+    one run of papers in corpus order: ``_papers`` holds their positions,
+    ``_ranks`` their ranks and ``_span`` each author's run.
     """
 
     def __init__(self, corpus: Corpus):
-        self._papers: dict[str, list[Paper]] = {}
-        self._ranks: dict[str, list[int]] = {}
-        for paper in corpus:
-            rank = corpus.rank_of(paper.paper_id)
-            for a in paper.authors:
-                self._papers.setdefault(a, []).append(paper)
-                self._ranks.setdefault(a, []).append(rank)
+        self.corpus = corpus
+        authors = list(corpus.author_ids)
+        # each slot's paper position counts the papers that start at or before it
+        starts = [0] * (len(authors) + 1)
+        for offset in corpus.author_offsets[1:-1]:
+            starts[offset] += 1
+        slot_papers = list(accumulate(islice(starts, len(authors))))
+        slots = sorted(range(len(authors)), key=authors.__getitem__)
+        self._papers = list(map(slot_papers.__getitem__, slots))
+        self._ranks = list(map(corpus.ranks.__getitem__, self._papers))
+        counts = Counter(authors)
+        ids = sorted(counts)
+        runs = pairwise(accumulate(map(counts.__getitem__, ids), initial=0))
+        self._span: dict[str, tuple[int, int]] = dict(zip(map(corpus.strings.__getitem__, ids),
+                                                          runs))
+
+    def positions_of(self, author: str) -> list[int]:
+        """The corpus positions of the author's papers, in corpus order."""
+        lo, hi = self._span.get(author, (0, 0))
+        return self._papers[lo:hi]
 
     def papers_of(self, author: str) -> list[Paper]:
-        return list(self._papers.get(author, []))
+        return list(map(self.corpus.paper, self.positions_of(author)))
 
     def experience_at_rank(self, author: str, group_rank: int) -> int:
-        ranks = self._ranks.get(author)
-        if not ranks:
-            return 0
-        return bisect_left(ranks, group_rank)
+        lo, hi = self._span.get(author, (0, 0))
+        return bisect_left(self._ranks, group_rank, lo, hi) - lo
 
     def count_in_group(self, author: str, group_rank: int) -> int:
         """How many of the author's papers sit in one tie group."""
-        ranks = self._ranks.get(author, [])
-        lo = bisect_left(ranks, group_rank)
-        hi = bisect_left(ranks, group_rank + 1)
-        return hi - lo
+        lo, hi = self._span.get(author, (0, 0))
+        ranks = self._ranks
+        return bisect_left(ranks, group_rank + 1, lo, hi) - bisect_left(ranks, group_rank, lo, hi)
 
 
 class CoauthorIndex:
@@ -190,14 +204,16 @@ class CoauthorIndex:
 
     ``neighbours(a)[b]`` and ``neighbours(b)[a]`` are the same rank list,
     in rank order, so a graph over a set of authors costs the sum of their
-    co-author counts rather than a test per pair.
+    co-author counts rather than a test per pair.  Only papers with two or
+    more authors are read.
     """
 
     def __init__(self, corpus: Corpus):
         self._joint: dict[str, dict[str, list[int]]] = {}
-        for paper in corpus:
-            rank = corpus.rank_of(paper.paper_id)
-            authors = paper.authors
+        shared = map((2).__le__, corpus.author_counts())
+        for paper in compress(range(len(corpus)), shared):
+            rank = corpus.ranks[paper]
+            authors = corpus.authors(paper)
             for i in range(len(authors)):
                 for j in range(i + 1, len(authors)):
                     a, b = authors[i], authors[j]

@@ -59,6 +59,23 @@ def test_battery_digest_with_cold_and_warm_corpus_stores(tmp_path, monkeypatch):
     assert battery_lines(tmp_path / "warm") == expected
 
 
+def test_battery_digest_without_a_usable_corpus_store(tmp_path, monkeypatch):
+    """The cache path is a file, so every corpus command loads and extracts
+    its manifest as it stands."""
+    expected = (DATA / "battery_digest.txt").read_text(encoding="utf-8").splitlines()
+    (tmp_path / "cache").write_text("", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    load, loads = store.load_corpus, []
+
+    def counted(*args):
+        loads.append(args)
+        return load(*args)
+
+    monkeypatch.setattr(store, "load_corpus", counted)
+    assert battery_lines(tmp_path / "fallback") == expected
+    assert len(loads) == 2 * 2 * len(CORPUS_COMMANDS)  # manifests, formats, commands
+
+
 def test_battery_runs_every_subcommand_and_fights_mode():
     """A subcommand or mode the battery skips would escape the check
     above; ``synth`` writes the inputs, not tables."""

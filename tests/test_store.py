@@ -167,7 +167,7 @@ def test_moved_manifest_gets_its_own_store(golden, tmp_path, monkeypatch):
     moved = tmp_path / "elsewhere"
     golden.parent.rename(moved)
     assert_fresh(open_corpus(moved / "manifest.jsonl"), moved / "manifest.jsonl")
-    assert len(store_files()) == 2
+    assert len(store_files()) == 1  # the build pruned the old path's file
     assert_fresh(open_hit(moved / "manifest.jsonl", monkeypatch), moved / "manifest.jsonl")
 
 
@@ -284,3 +284,55 @@ def test_relative_cache_path_is_ignored(golden, tmp_path, monkeypatch):
 def test_store_directory_is_private(golden):
     open_corpus(golden)
     assert Path(os.environ["XDG_CACHE_HOME"], "macrolens").stat().st_mode & 0o777 == 0o700
+
+
+def test_manifest_rewritten_during_a_build_keys_the_parsed_bytes(tmp_path, monkeypatch):
+    """The manifest is rewritten after the store hashed it to look its file
+    up and before the build loads it.  The file must name the bytes the
+    build parsed, so the first bytes never open the second corpus."""
+    manifest = tmp_path / "m.jsonl"
+    first = json.dumps({"id": "a", "date": "2001-01", "authors": ["x"], "source": "\\def\\a{A}"})
+    second = json.dumps({"id": "b", "date": "2002-02", "authors": ["y"], "source": "\\def\\b{B}"})
+    manifest.write_text(first + "\n", encoding="utf-8")
+    read = store._read
+
+    def rewritten_then_read(*args):
+        manifest.write_text(second + "\n", encoding="utf-8")
+        return read(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(store, "_read", rewritten_then_read)
+        opened = open_corpus(manifest)
+    assert [p.paper_id for p in opened.corpus] == ["b"]  # the bytes that were parsed
+    manifest.write_text(first + "\n", encoding="utf-8")
+    assert_fresh(open_corpus(manifest), manifest)
+    assert_fresh(open_hit(manifest, monkeypatch), manifest)
+
+
+def test_a_build_prunes_store_files_whose_manifest_is_gone(tmp_path):
+    manifests = {}
+    for name in ("a", "b", "c"):
+        manifests[name] = tmp_path / name / "m.jsonl"
+        manifests[name].parent.mkdir()
+        record = {"id": name, "date": "2001-01", "authors": ["x"], "source": ""}
+        manifests[name].write_text(json.dumps(record) + "\n", encoding="utf-8")
+    open_corpus(manifests["a"])
+    [file_a] = store_files()
+    open_corpus(manifests["c"])
+    [file_c] = [f for f in store_files() if f != file_a]
+    data = file_a.read_bytes()
+    header_at = len(store._MAGIC) + 40
+    kept = {
+        "garbled": data[:header_at] + b"x" + data[header_at + 1:],  # its header does not parse
+        file_a.name + ".1234.tmp": data,  # being written
+        # an older format's file whose manifest is gone
+        "old": data.replace(b'"format": 2', b'"format": 1', 1),
+    }
+    assert kept["old"] != data
+    for name, content in kept.items():
+        (file_a.parent / name).write_bytes(content)
+    manifests["a"].unlink()
+    opened = open_corpus(manifests["b"])
+    assert [p.paper_id for p in opened.corpus] == ["b"]
+    [file_b] = [f for f in store_files() if f.name not in kept and f != file_c]
+    assert store_files() == sorted([file_b, file_c, *(file_a.parent / name for name in kept)])
