@@ -107,7 +107,7 @@ def crossing_point(f_curve: Curve, g_curve: Curve, persistence: float) -> float 
     if not grid:
         return None
     delta = grid[1] - grid[0] if len(grid) > 1 else 1.0
-    span = int(round(persistence / delta))
+    span = int(round(min(persistence / delta, len(grid))))  # any span >= last ends at last
     last = len(grid) - 1
     for i in range(len(grid)):
         hi = min(i + span, last)

@@ -55,6 +55,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 # other scripts' digits, which ``int`` would accept.
 _DATE = re.compile(r"(\d{4})-(\d{2})(?:-(\d{2}))?", re.ASCII)
 
+COLUMN_TYPE = "i"  # of every int column; the corpus store writes and reads them in it
+
 # The C scanner behind ``json.loads`` and the whitespace it skips after a
 # value (its ``WHITESPACE`` pattern); see the module docstring.
 _scan_once = json.JSONDecoder().scan_once
@@ -159,18 +161,20 @@ class Corpus:
             raise ValueError(f"duplicate paper id {duplicate!r}")
         strings.extend(p.title for p in ordered)
         authors: dict[str, int] = {}
-        author_ids = array("i", (
+        author_ids = array(COLUMN_TYPE, (
             authors.setdefault(a, 2 * n + len(authors)) for p in ordered for a in p.authors
         ))
         strings.extend(authors)
         self._columns(
             strings=strings,
-            dates=array("i", (
+            dates=array(COLUMN_TYPE, (
                 (y * 100 + m) * 100 + (d or 0) for y, m, d in (p.date for p in ordered)
             )),
             ranks=_tie_group_ranks(ordered),
-            title_ids=array("i", range(n, 2 * n)),
-            author_offsets=array("i", accumulate((len(p.authors) for p in ordered), initial=0)),
+            title_ids=array(COLUMN_TYPE, range(n, 2 * n)),
+            author_offsets=array(COLUMN_TYPE, accumulate(
+                (len(p.authors) for p in ordered), initial=0
+            )),
             author_ids=author_ids,
         )
         self.sources: list[str] | None = [p.source for p in ordered]
@@ -195,10 +199,6 @@ class Corpus:
 
     def __iter__(self) -> Iterator[Paper]:
         return map(self.paper, range(len(self)))
-
-    @property
-    def papers(self) -> tuple[Paper, ...]:
-        return tuple(self)
 
     def paper_id(self, i: int) -> str:
         return self.strings[i]
@@ -230,14 +230,6 @@ class Corpus:
         """Each paper id's position (decodes every id once)."""
         return dict(zip(map(self.strings.__getitem__, range(len(self))), range(len(self))))
 
-    @functools.cached_property
-    def group_rank(self) -> dict[str, int]:
-        """Paper id to tie-group rank, in corpus order."""
-        return dict(zip(self.positions, self.ranks))
-
-    def rank_of(self, paper_id: str) -> int:
-        return self.ranks[self.positions[paper_id]]
-
     def positions_in(self, paper_ids: Iterable[str]) -> list[int]:
         """The positions of those ``paper_ids`` that are in the corpus, in
         corpus order."""
@@ -247,7 +239,7 @@ class Corpus:
 
 def _tie_group_ranks(ordered: list[Paper]) -> array:
     """Each paper's tie-group rank, the papers in corpus order."""
-    ranks = array("i")
+    ranks = array(COLUMN_TYPE)
     rank = -1
     tie_month: tuple[int, int] | None = None  # month of the open tie group
     for p in ordered:

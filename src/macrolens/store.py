@@ -4,8 +4,10 @@
 plus :func:`extract_all` give, with every source ``""``.  It reads them
 from one file per manifest under ``$XDG_CACHE_HOME/macrolens/`` (or
 ``~/.cache/macrolens/``), named by the sha256 of the resolved manifest path.
-On a miss the loader and the extractor run once and write the file, which
-is then opened exactly as on a hit.  Each build also deletes the store
+On a miss the loader and the extractor run once and write the file; the
+command then decodes the bytes it wrote, read back through its own
+descriptor (so a process that replaces the file cannot change them), and
+later opens verify them as below.  Each build also deletes the store
 files whose recorded manifest no longer exists.
 
 A file is used only when the sha256 of its contents holds and its key
@@ -22,11 +24,10 @@ Layout: magic, sha256 of the rest, header length (8 bytes), header (key,
 resolved manifest path, ``source_path`` fingerprints, skip counts, problem
 lines without the manifest name, column lengths), the int columns in
 ``_COLUMNS`` order, then the text of the corpus's string table followed by
-the definitions' one.  A hit copies the columns into arrays and decodes
+the definitions' one.  Decoding copies the columns into arrays and decodes
 that text as one string; a corpus string is cut from it only when a caller
 asks for it, and the definitions' strings only when definitions are asked
-for.  Lone
-surrogates pass through the tables by ``surrogatepass``.
+for.  Lone surrogates pass through the tables by ``surrogatepass``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from itertools import accumulate, chain, compress, pairwise, repeat, starmap
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Corpus, load_corpus, read_source
+from .corpus import COLUMN_TYPE, Corpus, load_corpus, read_source
 from .extraction import MacroDefinition, extract_definitions
 
 log = logging.getLogger(__name__)
@@ -57,7 +58,7 @@ _MAGIC = b"macrolens corpus store\n"
 _PAPER = ("date", "rank", "title", "definitions", "author_offsets", "author")
 _DEFINITION = ("name", "body", "command", "signature", "offset")
 _COLUMNS = (*_PAPER, *_DEFINITION, "corpus_strings", "definition_strings")
-_INT, _SIZE = "i", 4  # signed 32-bit: a larger value fails the build, not the command
+_SIZE = array(COLUMN_TYPE).itemsize  # a value too large for it fails the build, not the command
 _make_definition = partial(tuple.__new__, MacroDefinition)
 
 
@@ -108,7 +109,7 @@ def open_corpus(path: Path | str, definitions: bool = True) -> Opened:
             opened = _open_store(path, definitions)
         except Exception as exc:
             log.debug("corpus store not used for %s (%s: %s)", path.name, type(exc).__name__, exc)
-    if opened is None:
+    if opened is None:  # not a build into memory, which measured 0.95-7.6x this load's CPU
         result = load_corpus(path)
         defs, defs_skipped = extract_all(result.corpus) if definitions else ({}, 0)
         opened = Opened(result.corpus, defs, result.skipped, result.problems, defs_skipped)
@@ -129,20 +130,19 @@ def _open_store(path: Path, definitions: bool) -> Opened:
     code = hashlib.sha256()
     for name in ("corpus.py", "extraction.py", "store.py"):
         code.update(Path(__file__).with_name(name).read_bytes())
+    manifest = hashlib.sha256()
     with open(path, "rb") as fh:
-        manifest = _digest(fh, 0).hex()
+        while chunk := fh.read(1 << 20):
+            manifest.update(chunk)
     key = {"format": _FORMAT, "python": f"{sys.version} {sys.byteorder}", "code": code.hexdigest(),
-           "manifest": manifest}
+           "manifest": manifest.hexdigest()}
     try:
-        opened = _read(file, path, key, definitions)
+        data = _read(file, path, key)
     except (OSError, ValueError, LookupError, TypeError):  # unreadable or garbled: rebuilt
-        opened = None
-    if opened is None:
-        key = _write(file, path, key)
-        opened = _read(file, path, key, definitions)
-        if opened is None:
-            raise ValueError("the store file changed while it was built")
-    return opened
+        data = None
+    if data is None:
+        data = _write(file, path, key)
+    return _decode(data, path, definitions)
 
 
 def _fingerprint(file: Path) -> tuple[str, bytes | None]:
@@ -154,43 +154,37 @@ def _fingerprint(file: Path) -> tuple[str, bytes | None]:
     return hashlib.sha256(data).hexdigest(), data
 
 
-def _digest(fh, start: int) -> bytes:
-    """sha256 of ``fh`` from ``start`` to its end, read in chunks."""
-    fh.seek(start)
-    digest = hashlib.sha256()
-    while chunk := fh.read(1 << 20):
-        digest.update(chunk)
-    return digest.digest()
-
-
-def _write(file: Path, path: Path, key: dict) -> dict:
+def _write(file: Path, path: Path, key: dict) -> memoryview:
     """Builds the store file of ``path`` beside ``file``, moves it in and
-    prunes the directory; returns the file's key."""
+    prunes the directory; returns the file's bytes, less its digest."""
     import tempfile
 
     fd, tmp = tempfile.mkstemp(dir=file.parent, prefix=file.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w+b") as fh:
-            key, header, cols, strings = _build(path, key)
+            header, cols, strings = _build(path, key)
             fh.write(_MAGIC + bytes(32) + len(header).to_bytes(8, "little") + header)
             fh.writelines(cols.pop(name) for name in _COLUMNS)
             text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogatepass", newline="")
             text.writelines(strings)
             text.detach()
-            digest = _digest(fh, len(_MAGIC) + 32)
+            # read back once the build's columns and strings are gone, so
+            # that they and the file's bytes are never held together
+            fh.seek(0)
+            data = fh.read()
             fh.seek(len(_MAGIC))
-            fh.write(digest)
+            fh.write(hashlib.sha256(memoryview(data)[len(_MAGIC) + 32:]).digest())
         os.replace(tmp, file)
     except BaseException:
         os.unlink(tmp)
         raise
     _prune(file.parent)
-    return key
+    return memoryview(data)
 
 
-def _build(path: Path, key: dict) -> tuple[dict, bytes, dict[str, array], Iterable[str]]:
-    """Loads and extracts ``path``: the store's key (naming the manifest
-    bytes that were parsed), header, int columns and strings in table
+def _build(path: Path, key: dict) -> tuple[bytes, dict[str, array], Iterable[str]]:
+    """Loads and extracts ``path``: the store's header (whose key names
+    the manifest bytes that were parsed), int columns and strings in table
     order."""
     read: list[tuple[str, str]] = []
 
@@ -204,7 +198,7 @@ def _build(path: Path, key: dict) -> tuple[dict, bytes, dict[str, array], Iterab
     result = load_corpus(path, recorded)
     corpus, key = result.corpus, {**key, "manifest": result.sha256}
     sources, corpus.sources = corpus.sources, None  # so that each source goes once it is extracted
-    cols = {name: array(_INT) for name in (*_DEFINITION, "definitions")}
+    cols = {name: array(COLUMN_TYPE) for name in (*_DEFINITION, "definitions")}
     strings: dict[str, int] = {}
 
     def index(text: str) -> int:
@@ -223,9 +217,9 @@ def _build(path: Path, key: dict) -> tuple[dict, bytes, dict[str, array], Iterab
                 cols[column].append(value)
     cols.update(date=corpus.dates, rank=corpus.ranks, title=corpus.title_ids,
                 author_offsets=corpus.author_offsets, author=corpus.author_ids)
-    cols["corpus_strings"] = array(_INT, accumulate(map(len, corpus.strings), initial=0))
+    cols["corpus_strings"] = array(COLUMN_TYPE, accumulate(map(len, corpus.strings), initial=0))
     end = cols["corpus_strings"][-1]
-    cols["definition_strings"] = array(_INT, accumulate(map(len, strings), initial=end))
+    cols["definition_strings"] = array(COLUMN_TYPE, accumulate(map(len, strings), initial=end))
     prefix = len(path.name) + 1  # the problem lines' "<manifest name>:"
     header = json.dumps({
         "key": key, "path": os.fsdecode(path.resolve()), "read": read, "skipped": result.skipped,
@@ -233,7 +227,7 @@ def _build(path: Path, key: dict) -> tuple[dict, bytes, dict[str, array], Iterab
         "problems": [line[prefix:] for line in result.problems],
         "columns": [len(cols[name]) for name in _COLUMNS],
     }).encode("ascii")
-    return key, header, cols, chain(corpus.strings, strings)
+    return header, cols, chain(corpus.strings, strings)
 
 
 def _prune(directory: Path) -> None:
@@ -255,9 +249,16 @@ def _prune(directory: Path) -> None:
             continue
 
 
-def _read(file: Path, path: Path, key: dict, definitions: bool) -> Opened | None:
-    """The store file's contents, or None when it is missing or does not
-    hold for ``path`` as it is now."""
+def _header(data: memoryview) -> tuple[dict, int]:
+    """A store file's header, and where its columns start."""
+    start = len(_MAGIC) + 40
+    end = start + int.from_bytes(data[start - 8:start], "little")
+    return json.loads(bytes(data[start:end])), end
+
+
+def _read(file: Path, path: Path, key: dict) -> memoryview | None:
+    """The store file's bytes, or None when it is missing or does not hold
+    for ``path`` as it is now."""
     try:
         data = memoryview(file.read_bytes())
     except FileNotFoundError:
@@ -266,19 +267,25 @@ def _read(file: Path, path: Path, key: dict, definitions: bool) -> Opened | None
     digest = hashlib.sha256(data[start:]).digest()
     if data[:len(_MAGIC)] != _MAGIC or data[start - 32:start] != digest:
         return None
-    pos = start + 8 + int.from_bytes(data[start:start + 8], "little")
-    header = json.loads(bytes(data[start + 8:pos]))
+    header = _header(data)[0]
     if header["key"] != key or any(
         _fingerprint(path.parent / name)[0] != fingerprint for name, fingerprint in header["read"]
     ):
         return None
-    cols = {}
-    for name, length in zip(_COLUMNS, header["columns"], strict=True):
-        cols[name] = array(_INT)
-        cols[name].frombytes(data[pos:pos + _SIZE * length])
-        pos += _SIZE * length
-    text = str(data[pos:], "utf-8", "surrogatepass")
-    del data  # the corpus keeps copies of its columns and of its part of the text
+    return data
+
+
+def _decode(data: memoryview, path: Path, definitions: bool) -> Opened:
+    """The corpus, definitions (if asked for) and skip counts that a store
+    file's bytes hold; ``data`` is released once they are copied out."""
+    with data:  # the corpus keeps copies of its columns and of its part of the text
+        header, pos = _header(data)
+        cols = {}
+        for name, length in zip(_COLUMNS, header["columns"], strict=True):
+            cols[name] = array(COLUMN_TYPE)
+            cols[name].frombytes(data[pos:pos + _SIZE * length])
+            pos += _SIZE * length
+        text = str(data[pos:], "utf-8", "surrogatepass")
     offsets = cols["corpus_strings"]
     corpus = Corpus.from_columns(
         strings=_Strings(text[:offsets[-1]], offsets), dates=cols["date"], ranks=cols["rank"],

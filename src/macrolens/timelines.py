@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, compress, islice, pairwise
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
-from .corpus import Corpus, Paper
+from .corpus import Corpus
 from .extraction import MacroDefinition, effective_definitions, paper_conventions
 
 
@@ -184,9 +184,6 @@ class ExperienceLedger:
         """The corpus positions of the author's papers, in corpus order."""
         lo, hi = self._span.get(author, (0, 0))
         return self._papers[lo:hi]
-
-    def papers_of(self, author: str) -> list[Paper]:
-        return list(map(self.corpus.paper, self.positions_of(author)))
 
     def experience_at_rank(self, author: str, group_rank: int) -> int:
         lo, hi = self._span.get(author, (0, 0))

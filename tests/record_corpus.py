@@ -3,7 +3,8 @@ fight detection that the column-backed ones replaced, kept as they were
 so that ``test_columns.py`` can compare the two on the same inputs.
 
 Each paper is one ``Paper`` record; the ledger keeps each author's records
-and ranks in lists, and the index reads every paper.
+and ranks in lists, and the index reads every paper.  ``rank_of`` and
+``group_ranks`` read a column-backed ``Corpus`` by paper id for tests.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Iterator
 
-from macrolens.corpus import Paper
+from macrolens.corpus import Corpus, Paper
 from macrolens.fights import (
     STYLE_NAMES,
     TitleFight,
@@ -20,6 +21,16 @@ from macrolens.fights import (
     classify_title,
     default_lexicon,
 )
+
+
+def rank_of(corpus: Corpus, paper_id: str) -> int:
+    """The tie-group rank of the paper ``paper_id``."""
+    return corpus.ranks[corpus.positions[paper_id]]
+
+
+def group_ranks(corpus: Corpus) -> dict[str, int]:
+    """Paper id to tie-group rank, in corpus order."""
+    return {p.paper_id: rank for p, rank in zip(corpus, corpus.ranks)}
 
 
 class RecordCorpus:

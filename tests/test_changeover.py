@@ -33,6 +33,7 @@ from macrolens.timelines import ExperienceLedger, interval, window_bounds
 
 from conftest import corpus_of, paper, random_timeline, simple_timeline, timeline
 from oracles import oracle_changeover
+from record_corpus import rank_of
 
 
 class TestParams:
@@ -379,7 +380,7 @@ class TestExperienceCurves:
         beta, gamma = paired_timelines(m=40, seeds=(2,))
         # overwrite one early occurrence with the veteran author
         entries = [
-            ("use0" if i == 0 else f"b{i:03d}", corpus.rank_of("use0") if i == 0 else 100 + i,
+            ("use0" if i == 0 else f"b{i:03d}", rank_of(corpus, "use0") if i == 0 else 100 + i,
              o.name, ["veteran"] if i == 0 else list(o.authors))
             for i, o in enumerate(beta.occurrences)
         ]
@@ -404,8 +405,8 @@ class TestExperienceCurves:
         ledger = ExperienceLedger(corpus)
         tl = timeline(
             [
-                ("p0", corpus.rank_of("p0"), "\\n", ["w"]),
-                ("p1", corpus.rank_of("p1"), "\\n", ["w"]),
+                ("p0", rank_of(corpus, "p0"), "\\n", ["w"]),
+                ("p1", rank_of(corpus, "p1"), "\\n", ["w"]),
             ]
         )
         from macrolens.changeover import _first_use_positions, _mean_experience
@@ -436,7 +437,7 @@ class TestExperienceCurves:
             entries.append((pid, None, "\\late" if i >= 2 else "\\early", [author]))
         corpus = corpus_of(*papers)
         ledger = ExperienceLedger(corpus)
-        tl = timeline([(pid, corpus.rank_of(pid), n, a) for pid, _, n, a in entries])
+        tl = timeline([(pid, rank_of(corpus, pid), n, a) for pid, _, n, a in entries])
         from macrolens.changeover import _first_use_positions, _mean_experience
 
         first_use = _first_use_positions(tl)

@@ -166,6 +166,18 @@ class TestArgHandling:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["changeovers", "matched-pairs", "curves"])
+    def test_persistence_past_the_grid_is_the_whole_grid(self, command, synth_corpus, tmp_path):
+        # 1e308 / delta overflows to inf; 1 already spans the whole grid
+        trees = []
+        for persistence in ("1e308", "1"):
+            out = tmp_path / persistence
+            assert invoke(command, "--corpus", str(synth_corpus), "--out", str(out),
+                          "--persistence", persistence) == 0
+            files = sorted(p for p in out.rglob("*") if p.is_file())
+            trees.append({p.relative_to(out): p.read_bytes() for p in files})
+        assert trees[0] == trees[1]
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.01"])
     def test_match_tolerance_must_be_finite_and_non_negative(self, tolerance, tmp_path, capsys):
         out = tmp_path / "out"

@@ -22,6 +22,8 @@ from record_corpus import (
     RecordCoauthorIndex,
     RecordCorpus,
     RecordLedger,
+    group_ranks,
+    rank_of,
     record_detect_title_fights,
 )
 
@@ -88,9 +90,10 @@ def test_corpus_iteration_and_ranks(seed, source, tmp_path, monkeypatch):
     corpus, ref = built(papers, tmp_path, monkeypatch, source), RecordCorpus(papers)
     assert len(corpus) == len(ref)
     assert list(corpus) == list(ref)
-    assert corpus.papers == ref.papers
-    assert list(corpus.group_rank.items()) == list(ref.group_rank.items())
-    assert [corpus.rank_of(p.paper_id) for p in papers] == [ref.rank_of(p.paper_id) for p in papers]
+    assert tuple(corpus) == ref.papers
+    assert list(group_ranks(corpus).items()) == list(ref.group_rank.items())
+    ids = [p.paper_id for p in papers]
+    assert [rank_of(corpus, pid) for pid in ids] == [ref.rank_of(pid) for pid in ids]
     assert len(set(ref.group_rank.values())) < len(ref) / 3  # dense in tie groups
 
 
@@ -104,7 +107,7 @@ def test_ledger(seed, source, tmp_path, monkeypatch):
     assert max(len(expected.papers_of(a)) for a in authors) > 200
     top = max(ref.group_rank.values())
     for a in authors:
-        assert ledger.papers_of(a) == expected.papers_of(a)
+        assert list(map(corpus.paper, ledger.positions_of(a))) == expected.papers_of(a)
         for rank in range(-1, top + 2):
             assert ledger.experience_at_rank(a, rank) == expected.experience_at_rank(a, rank)
             assert ledger.count_in_group(a, rank) == expected.count_in_group(a, rank)

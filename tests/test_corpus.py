@@ -13,6 +13,7 @@ from macrolens.corpus import PaperDate, load_corpus, normalize_author
 
 import oracles
 from conftest import corpus_of, paper
+from record_corpus import group_ranks, rank_of
 
 
 def write_manifest(path, records):
@@ -96,7 +97,7 @@ class TestLoadCorpus:
         rec["source_path"] = "s.tex"
         write_manifest(m, [rec])
         res = load_corpus(m)
-        assert res.corpus.papers[0].source == "\\def\\x{y}"
+        assert res.corpus.paper(0).source == "\\def\\x{y}"
 
     def test_line_not_utf8_skipped(self, tmp_path):
         m = tmp_path / "m.jsonl"
@@ -286,20 +287,20 @@ class TestNormalizeAuthorAgainstOracle:
 class TestTemporalOrder:
     def test_month_buckets_ordered(self):
         c = corpus_of(paper("late", "1996-05", ["a"]), paper("early", "1996-03", ["a b"]))
-        assert [p.paper_id for p in c.papers] == ["early", "late"]
-        assert c.rank_of("early") < c.rank_of("late")
+        assert [p.paper_id for p in c] == ["early", "late"]
+        assert rank_of(c, "early") < rank_of(c, "late")
 
     def test_same_month_share_tie_group(self):
         c = corpus_of(paper("x", "1998-05", ["a"]), paper("y", "1998-05", ["b"]))
-        assert c.rank_of("x") == c.rank_of("y")
+        assert rank_of(c, "x") == rank_of(c, "y")
 
     def test_exact_dates_distinct_groups(self):
         c = corpus_of(paper("x", "2015-09-01", ["a"]), paper("y", "2015-09-02", ["b"]))
-        assert c.rank_of("x") < c.rank_of("y")
+        assert rank_of(c, "x") < rank_of(c, "y")
 
     def test_same_exact_day_still_singleton_groups(self):
         c = corpus_of(paper("x", "2015-09-01", ["a"]), paper("y", "2015-09-01", ["b"]))
-        assert c.rank_of("x") != c.rank_of("y")
+        assert rank_of(c, "x") != rank_of(c, "y")
 
     def test_total_preorder(self):
         papers = [
@@ -310,7 +311,7 @@ class TestTemporalOrder:
             paper("e", "1997-01-02", ["e"]),
         ]
         c = corpus_of(*papers)
-        ranks = [c.rank_of(p.paper_id) for p in c.papers]
+        ranks = [rank_of(c, p.paper_id) for p in c]
         assert ranks == sorted(ranks)  # comparable and consistent
         # ranks are dense from 0
         assert sorted(set(ranks)) == list(range(len(set(ranks))))
@@ -327,7 +328,7 @@ class TestTemporalOrder:
                 papers.append(paper(f"p{rng.randrange(1000):03d}-{i}", date, ["a"]))
             rng.shuffle(papers)
             c = corpus_of(*papers)
-            keys = [(c.rank_of(p.paper_id), p.paper_id) for p in c]
+            keys = [(rank_of(c, p.paper_id), p.paper_id) for p in c]
             assert keys == sorted(keys)
 
     def test_duplicate_paper_id_rejected(self):
@@ -440,7 +441,7 @@ class TestLoaderAgainstOracle:
             res = load_corpus(m)
             got = (
                 [(p.paper_id, tuple(p.date), p.authors, p.title, p.source) for p in res.corpus],
-                res.corpus.group_rank,
+                group_ranks(res.corpus),
                 res.skipped,
                 res.problems,
             )

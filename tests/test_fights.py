@@ -39,6 +39,7 @@ from macrolens.timelines import (
 
 from conftest import corpus_of, paper
 from headline import high_dominance_rate, overall_older_win_rate
+from record_corpus import rank_of
 
 BODY = "\\mathbb{R}"  # 10 chars
 
@@ -181,7 +182,7 @@ class TestNameFights:
         for f in fights:
             p = next(p for p in corpus if p.paper_id == f.paper_id)
             assert len(p.authors) == 2  # (i)
-            rank = corpus.rank_of(f.paper_id)
+            rank = rank_of(corpus, f.paper_id)
             for author, variant in ((f.author_a, f.variant_a), (f.author_b, f.variant_b)):
                 prior = [
                     o for o in tl.occurrences
@@ -606,7 +607,7 @@ class TestTitleProfile:
     def test_joint_papers_excluded_from_both_sides(self):
         corpus, ledger = self.make()
         # oracle recompute from raw lists
-        eligible = [p for p in ledger.papers_of("w") if "z" not in p.authors]
+        eligible = [p for p in map(corpus.paper, ledger.positions_of("w")) if "z" not in p.authors]
         expected = sum(1 for p in eligible if ":" in p.title) / len(eligible)
         assert title_profile(ledger, "w", "colon", exclude_coauthor="z") == pytest.approx(expected)
 

@@ -12,6 +12,7 @@ import logging
 import os
 import shutil
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from macrolens import store
 from macrolens.cli import run
 from macrolens.corpus import load_corpus
 from macrolens.store import extract_all, open_corpus
+from record_corpus import group_ranks
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -30,8 +32,8 @@ def assert_fresh(opened: store.Opened, manifest: Path) -> None:
     """``opened`` equals a fresh load and extraction, less the sources."""
     result = load_corpus(manifest)
     defs, defs_skipped = extract_all(result.corpus)
-    assert opened.corpus.papers == tuple(p._replace(source="") for p in result.corpus)
-    assert list(opened.corpus.group_rank.items()) == list(result.corpus.group_rank.items())
+    assert list(opened.corpus) == [p._replace(source="") for p in result.corpus]
+    assert list(group_ranks(opened.corpus).items()) == list(group_ranks(result.corpus).items())
     assert list(opened.definitions.items()) == list(defs.items())
     assert opened.skipped == result.skipped
     assert opened.problems == result.problems
@@ -110,7 +112,7 @@ def test_store_round_trip_equals_a_fresh_load(lines, monkeypatch):
         assert_fresh(full, manifest)
         opened = open_hit(manifest, monkeypatch, definitions=False)
         assert (opened.definitions, opened.definitions_skipped) == ({}, 0)
-        assert opened.corpus.papers == full.corpus.papers
+        assert list(opened.corpus) == list(full.corpus)
         assert (opened.skipped, opened.problems) == (full.skipped, full.problems)
 
 
@@ -121,9 +123,9 @@ def test_lone_surrogates_and_nul_survive_the_string_table(tmp_path, monkeypatch)
     manifest.write_text(json.dumps(rec) + "\n", encoding="ascii")
     open_corpus(manifest)
     opened = open_hit(manifest, monkeypatch)
-    assert opened.corpus.papers[0].paper_id == "a\ud83d"
-    assert opened.corpus.papers[0].authors == ("\ude00x", "\x00")
-    assert opened.corpus.papers[0].title == "𐀀"
+    assert opened.corpus.paper(0).paper_id == "a\ud83d"
+    assert opened.corpus.paper(0).authors == ("\ude00x", "\x00")
+    assert opened.corpus.paper(0).title == "𐀀"
     assert opened.definitions["a\ud83d"][0].body == "\ud800"
     assert_fresh(opened, manifest)
 
@@ -143,7 +145,7 @@ def test_edited_manifest_byte_rebuilds(golden, monkeypatch):
     data = golden.read_bytes()
     golden.write_bytes(data.replace(b'"Golden case 1"', b'"Golden case 9"', 1))
     assert_fresh(open_corpus(golden), golden)
-    assert open_hit(golden, monkeypatch).corpus.papers[0].title == "Golden case 9"
+    assert open_hit(golden, monkeypatch).corpus.paper(0).title == "Golden case 9"
 
 
 @pytest.mark.parametrize("change", ["edited", "deleted", "not UTF-8"])
@@ -169,6 +171,36 @@ def test_moved_manifest_gets_its_own_store(golden, tmp_path, monkeypatch):
     assert_fresh(open_corpus(moved / "manifest.jsonl"), moved / "manifest.jsonl")
     assert len(store_files()) == 1  # the build pruned the old path's file
     assert_fresh(open_hit(moved / "manifest.jsonl", monkeypatch), moved / "manifest.jsonl")
+
+
+def test_a_build_decodes_the_bytes_it_wrote(golden, monkeypatch):
+    """A cold open fingerprints each ``source_path`` file once and does not
+    read the store file back by path; a warm open verifies each file once."""
+    sources = [json.loads(line)["source_path"] for line in golden.read_text("utf-8").splitlines()]
+    assert len(set(sources)) == len(sources) == 20
+    fingerprinted, read = Counter(), []
+    fingerprint, read_bytes = store._fingerprint, Path.read_bytes
+
+    def counted(file: Path):
+        fingerprinted[file.name] += 1
+        return fingerprint(file)
+
+    def recorded(file: Path) -> bytes:
+        data = read_bytes(file)  # a missing file raises and is not recorded
+        read.append(file)
+        return data
+
+    for expected_store_reads in (0, 1):  # cold, then warm
+        fingerprinted.clear()
+        read.clear()
+        with monkeypatch.context() as m:
+            m.setattr(store, "_fingerprint", counted)
+            m.setattr(Path, "read_bytes", recorded)
+            opened = open_corpus(golden)
+        assert fingerprinted == Counter(sources)
+        [file] = store_files()
+        assert read.count(file) == expected_store_reads
+        assert_fresh(opened, golden)
 
 
 def test_code_change_rebuilds(golden, tmp_path, monkeypatch):

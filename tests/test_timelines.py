@@ -15,6 +15,7 @@ from macrolens.timelines import (
 
 from conftest import corpus_of, paper, simple_timeline, timeline
 from oracles import oracle_coauthor_edges
+from record_corpus import rank_of
 
 
 def macro_paper(pid, date, authors, source):
@@ -83,11 +84,11 @@ class TestExperience:
 
     def test_first_paper_zero(self):
         corpus, ledger = self.make()
-        assert ledger.experience_at_rank("luty", corpus.rank_of("first")) == 0
+        assert ledger.experience_at_rank("luty", rank_of(corpus, "first")) == 0
 
     def test_one_strict_predecessor(self):
         corpus, ledger = self.make()
-        assert ledger.experience_at_rank("luty", corpus.rank_of("second")) == 1
+        assert ledger.experience_at_rank("luty", rank_of(corpus, "second")) == 1
 
     def test_same_tie_group_excluded(self):
         corpus, ledger = self.make()
@@ -97,19 +98,19 @@ class TestExperience:
                 1
                 for other in corpus
                 if "tied" in other.authors
-                and corpus.rank_of(other.paper_id) < corpus.rank_of(pid)
+                and rank_of(corpus, other.paper_id) < rank_of(corpus, pid)
             )
-            assert ledger.experience_at_rank("tied", corpus.rank_of(pid)) == expected == 0
+            assert ledger.experience_at_rank("tied", rank_of(corpus, pid)) == expected == 0
 
     def test_unknown_author_zero(self):
         corpus, ledger = self.make()
-        assert ledger.experience_at_rank("nobody", corpus.rank_of("first")) == 0
+        assert ledger.experience_at_rank("nobody", rank_of(corpus, "first")) == 0
 
     def test_monotone_along_author_sequence(self):
         papers = [paper(f"p{i}", f"200{i}-01-0{i+1}", ["w"]) for i in range(5)]
         corpus = corpus_of(*papers)
         ledger = ExperienceLedger(corpus)
-        values = [ledger.experience_at_rank("w", corpus.rank_of(p.paper_id)) for p in corpus.papers]
+        values = [ledger.experience_at_rank("w", rank_of(corpus, p.paper_id)) for p in corpus]
         assert values == sorted(values)
 
 
@@ -160,7 +161,7 @@ class TestInterval:
 def whole_graph(corpus, tl, cutoff_id):
     """The graph over all the body's prior users: a walk from every user."""
     return coauthor_graph(
-        tl, corpus.rank_of(cutoff_id), CoauthorIndex(corpus), tl.distinct_authors()
+        tl, rank_of(corpus, cutoff_id), CoauthorIndex(corpus), tl.distinct_authors()
     )
 
 
@@ -175,7 +176,7 @@ class TestCoauthorGraph:
 
     def test_no_prior_users_empty(self):
         corpus = self.make_corpus()
-        tl = timeline([("cut", corpus.rank_of("cut"), "\\n", ["z"])])
+        tl = timeline([("cut", rank_of(corpus, "cut"), "\\n", ["z"])])
         g = whole_graph(corpus, tl, "cut")
         assert g.nodes == () and g.edges == ()
 
@@ -185,9 +186,10 @@ class TestCoauthorGraph:
             paper("s2", "2000-01-02", ["c"]),
             paper("cut", "2000-01-03", ["z"]),
         )
-        tl = timeline(
-            [("s1", corpus.rank_of("s1"), "\\n", ["a"]), ("s2", corpus.rank_of("s2"), "\\n", ["c"])]
-        )
+        tl = timeline([
+            ("s1", rank_of(corpus, "s1"), "\\n", ["a"]),
+            ("s2", rank_of(corpus, "s2"), "\\n", ["c"]),
+        ])
         g = whole_graph(corpus, tl, "cut")
         assert set(g.nodes) == {"a", "c"}
         assert g.edges == ()
@@ -196,18 +198,18 @@ class TestCoauthorGraph:
         corpus = self.make_corpus()
         tl = timeline(
             [
-                ("j1", corpus.rank_of("j1"), "\\n", ["a", "b"]),
-                ("j2", corpus.rank_of("j2"), "\\n", ["b", "c"]),
-                ("j3", corpus.rank_of("j3"), "\\n", ["a", "c"]),
+                ("j1", rank_of(corpus, "j1"), "\\n", ["a", "b"]),
+                ("j2", rank_of(corpus, "j2"), "\\n", ["b", "c"]),
+                ("j3", rank_of(corpus, "j3"), "\\n", ["a", "c"]),
             ]
         )
         g = whole_graph(corpus, tl, "cut")
         # oracle: enumerate author pairs over prior papers
         expected = set()
-        cutoff = corpus.rank_of("cut")
+        cutoff = rank_of(corpus, "cut")
         users = {a for o in tl.occurrences if o.group_rank < cutoff for a in o.authors}
         for p in corpus:
-            if corpus.rank_of(p.paper_id) >= cutoff:
+            if rank_of(corpus, p.paper_id) >= cutoff:
                 continue
             named = [a for a in p.authors if a in users]
             for i in range(len(named)):
@@ -219,9 +221,9 @@ class TestCoauthorGraph:
         corpus = self.make_corpus()
         tl = timeline(
             [
-                ("j1", corpus.rank_of("j1"), "\\n", ["a", "b"]),
-                ("j2", corpus.rank_of("j2"), "\\n", ["b", "c"]),
-                ("j3", corpus.rank_of("j3"), "\\n", ["a", "c"]),
+                ("j1", rank_of(corpus, "j1"), "\\n", ["a", "b"]),
+                ("j2", rank_of(corpus, "j2"), "\\n", ["b", "c"]),
+                ("j3", rank_of(corpus, "j3"), "\\n", ["a", "c"]),
             ]
         )
         prev_nodes, prev_edges = set(), set()
@@ -241,8 +243,8 @@ class TestCoauthorGraph:
         )
         tl = timeline(
             [
-                ("solo1", corpus.rank_of("solo1"), "\\n", ["a"]),
-                ("solo2", corpus.rank_of("solo2"), "\\n", ["b"]),
+                ("solo1", rank_of(corpus, "solo1"), "\\n", ["a"]),
+                ("solo2", rank_of(corpus, "solo2"), "\\n", ["b"]),
             ]
         )
         g = whole_graph(corpus, tl, "cut")
@@ -270,7 +272,7 @@ class TestCoauthorGraphAgainstOracle:
             papers.append(paper(f"p{i:02d}", date, authors))
         corpus = corpus_of(*papers)
         used = [p for p in corpus if rng.random() < 0.5]
-        tl = timeline([(p.paper_id, corpus.rank_of(p.paper_id), "\\n", p.authors) for p in used])
+        tl = timeline([(p.paper_id, rank_of(corpus, p.paper_id), "\\n", p.authors) for p in used])
         return corpus, tl
 
     def test_nodes_and_edges_match_oracle(self):
@@ -281,11 +283,11 @@ class TestCoauthorGraphAgainstOracle:
         for _ in range(250):
             corpus, tl = self.random_corpus(rng)
             index = CoauthorIndex(corpus)
-            papers = [(corpus.rank_of(p.paper_id), p.authors) for p in corpus]
+            papers = [(rank_of(corpus, p.paper_id), p.authors) for p in corpus]
             uses = [(o.group_rank, o.authors) for o in tl.occurrences]
             ranks = [r for r, _ in papers]
             for p in corpus:
-                cutoff = corpus.rank_of(p.paper_id)
+                cutoff = rank_of(corpus, p.paper_id)
                 g = coauthor_graph(tl, cutoff, index, tl.distinct_authors())
                 assert (g.nodes, g.edges) == oracle_coauthor_edges(papers, uses, cutoff)
                 seen["tie_cutoff"] += ranks.count(cutoff) > 1
@@ -307,12 +309,12 @@ class TestCoauthorGraphAgainstOracle:
         for _ in range(250):
             corpus, tl = TestCoauthorGraphAgainstOracle.random_corpus(rng)
             index = CoauthorIndex(corpus)
-            papers = [(corpus.rank_of(p.paper_id), p.authors) for p in corpus]
+            papers = [(rank_of(corpus, p.paper_id), p.authors) for p in corpus]
             uses = [(o.group_rank, o.authors) for o in tl.occurrences]
             for p in corpus:
                 if len(p.authors) < 2:
                     continue
-                cutoff = corpus.rank_of(p.paper_id)
+                cutoff = rank_of(corpus, p.paper_id)
                 nodes, edges = oracle_coauthor_edges(papers, uses, cutoff)
                 reached = {a for a in p.authors[:2] if a in nodes}
                 grown = True
@@ -336,34 +338,34 @@ class TestFlexibilityAndPriorUses:
         papers.append(paper("cut", "2000-02-01", ["u"]))
         corpus = corpus_of(*papers)
         tl = timeline(
-            [(f"p{i}", corpus.rank_of(f"p{i}"), n, ["u"]) for i, n in enumerate(names)]
+            [(f"p{i}", rank_of(corpus, f"p{i}"), n, ["u"]) for i, n in enumerate(names)]
         )
         return corpus, tl
 
     def test_never_changed(self):
         corpus, tl = self.make(["\\A", "\\A", "\\A"])
-        assert flexibility(tl, "u", corpus.rank_of("cut")) == 0.0
+        assert flexibility(tl, "u", rank_of(corpus, "cut")) == 0.0
 
     def test_always_changed(self):
         corpus, tl = self.make(["\\A", "\\B", "\\A"])
-        assert flexibility(tl, "u", corpus.rank_of("cut")) == 1.0
+        assert flexibility(tl, "u", rank_of(corpus, "cut")) == 1.0
 
     def test_half_changed(self):
         corpus, tl = self.make(["\\A", "\\A", "\\B"])
-        assert flexibility(tl, "u", corpus.rank_of("cut")) == 0.5
+        assert flexibility(tl, "u", rank_of(corpus, "cut")) == 0.5
 
     def test_single_use_zero(self):
         corpus, tl = self.make(["\\A"])
-        assert flexibility(tl, "u", corpus.rank_of("cut")) == 0.0
+        assert flexibility(tl, "u", rank_of(corpus, "cut")) == 0.0
 
     def test_no_prior_use_error(self):
         corpus, tl = self.make(["\\A"])
         with pytest.raises(ValueError):
-            flexibility(tl, "stranger", corpus.rank_of("cut"))
+            flexibility(tl, "stranger", rank_of(corpus, "cut"))
 
     def test_prior_uses_counts(self):
         corpus, tl = self.make(["\\A", "\\B", "\\A"])
-        cutoff = corpus.rank_of("cut")
+        cutoff = rank_of(corpus, "cut")
         assert len(tl.prior_positions("u", cutoff)) == 3
         assert tl.prior_positions("nobody", cutoff) == []
 
@@ -376,15 +378,15 @@ class TestFlexibilityAndPriorUses:
         corpus = corpus_of(*papers)
         tl = timeline(
             [
-                ("early", corpus.rank_of("early"), "\\A", ["u"]),
-                ("sametie", corpus.rank_of("sametie"), "\\B", ["u"]),
+                ("early", rank_of(corpus, "early"), "\\A", ["u"]),
+                ("sametie", rank_of(corpus, "sametie"), "\\B", ["u"]),
             ]
         )
         # oracle: strict-order enumeration
         strict = [
-            o for o in tl.occurrences if o.group_rank < corpus.rank_of("query")
+            o for o in tl.occurrences if o.group_rank < rank_of(corpus, "query")
         ]
-        assert len(tl.prior_positions("u", corpus.rank_of("query"))) == len(strict) == 1
+        assert len(tl.prior_positions("u", rank_of(corpus, "query"))) == len(strict) == 1
 
     def test_prior_positions_match_linear_filter(self, rng):
         pool = [f"w{k}" for k in range(6)]
