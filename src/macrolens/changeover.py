@@ -21,6 +21,8 @@ from typing import Mapping, Sequence
 from .extraction import name_features
 from .timelines import BodyTimeline, ExperienceLedger, interval, window_bounds
 
+MAX_WINDOWS = 10_000  # the largest window grid a delta may give
+
 
 @dataclass(frozen=True)
 class ChangeoverParams:
@@ -42,6 +44,9 @@ class ChangeoverParams:
             raise ValueError("theta must be in (0, 1]")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
+        if (windows := _window_count(self.delta)) > MAX_WINDOWS:
+            raise ValueError(f"--delta {self.delta!r} gives {windows} windows, "
+                             f"more than {MAX_WINDOWS}")
         if not 0 < self.persistence < math.inf:
             raise ValueError("persistence must be positive and finite")
 
@@ -58,10 +63,13 @@ class Curve:
             raise ValueError("grid and values differ in length")
 
 
+def _window_count(delta: float) -> int:
+    return int(math.floor((1.0 - delta) / delta + 1e-9)) + 1
+
+
 def window_grid(delta: float) -> tuple[float, ...]:
     """Window start points: multiples of delta up to 1 - delta."""
-    k_max = int(math.floor((1.0 - delta) / delta + 1e-9))
-    return tuple(k * delta for k in range(k_max + 1))
+    return tuple(k * delta for k in range(_window_count(delta)))
 
 
 def name_users(occurrences: Sequence) -> dict[str, set[str]]:

@@ -24,12 +24,13 @@ import logging
 import math
 import os
 import sys
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import changeover, fights, report, store, synth
 from .corpus import Corpus
-from .extraction import MacroDefinition
+from .extraction import Definitions
 from .timelines import (
     CoauthorIndex,
     ExperienceLedger,
@@ -98,7 +99,7 @@ def _load(args, definitions: bool = False) -> store.Opened:
     return opened
 
 
-def _load_extracted(args) -> tuple[Corpus, dict[str, list[MacroDefinition]]]:
+def _load_extracted(args) -> tuple[Corpus, Definitions]:
     opened = _load(args, definitions=True)
     return opened.corpus, opened.definitions
 
@@ -109,11 +110,13 @@ def _outdir(args) -> Path:
     return out
 
 
-def _definitions(corpus: Corpus, defs) -> Table:
-    # a definition's first four fields are the table's columns, in order
-    return Table("definitions", ("paper_id", "name", "body", "defining_command"), [
-        d[:4] for i in corpus.positions_in(defs) for d in defs[corpus.paper_id(i)]
-    ])
+def _definitions(corpus: Corpus, defs: Definitions) -> Table:
+    papers = map(corpus.paper_id, compress(range(len(corpus)), defs.counts))
+    string = defs.strings.__getitem__
+    return Table("definitions", ("paper_id", "name", "body", "defining_command"), list(zip(
+        chain.from_iterable(map(repeat, papers, filter(None, defs.counts))),
+        map(string, defs.name), map(string, defs.body), map(string, defs.command),
+    )))
 
 
 def cmd_extract(args) -> list[Table]:

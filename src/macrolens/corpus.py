@@ -37,7 +37,6 @@ Decoding a manifest line costs one call of the C scanner that
 from __future__ import annotations
 
 import datetime
-import functools
 import hashlib
 import io
 import json
@@ -224,17 +223,6 @@ class Corpus:
             self.title(i),
             "" if self.sources is None else self.sources[i],
         ))
-
-    @functools.cached_property
-    def positions(self) -> dict[str, int]:
-        """Each paper id's position (decodes every id once)."""
-        return dict(zip(map(self.strings.__getitem__, range(len(self))), range(len(self))))
-
-    def positions_in(self, paper_ids: Iterable[str]) -> list[int]:
-        """The positions of those ``paper_ids`` that are in the corpus, in
-        corpus order."""
-        positions = self.positions
-        return sorted(positions[p] for p in paper_ids if p in positions)
 
 
 def _tie_group_ranks(ordered: list[Paper]) -> array:

@@ -82,9 +82,13 @@ groups are jumped over through the table rather than read again.
 from __future__ import annotations
 
 import re
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
+
+from .corpus import COLUMN_TYPE
 
 _ESCAPE = r"\\."
 # Brace groups nested deeper than this inside a body are left to the
@@ -114,6 +118,7 @@ _COMMAND = r"(def|newcommand|renewcommand)(?![A-Za-z])"
 _CANDIDATE = re.compile(rf"\\(?:{_COMMAND}|\\)")
 _SPACE = re.compile(r"\s*")
 _OFFSET = attrgetter("offset")
+_BODY_KEY = attrgetter("signature", "body")  # ``MacroDefinition.body_key``
 # The rest of a whole well-formed definition (see the module docstring);
 # the lookbehinds pick the branch for the command word just matched.
 _WELL_FORMED = (
@@ -365,19 +370,74 @@ def effective_definitions(definitions: list[MacroDefinition]) -> dict[str, Macro
     return {d.name: d for d in sorted(definitions, key=_OFFSET)}
 
 
+def _conventions(effective: Iterable[MacroDefinition]) -> dict[tuple[str, str], MacroDefinition]:
+    """Each body key's earliest definition among a paper's effective ones
+    (an offset tie goes to the one given first)."""
+    latest_first = sorted(effective, key=_OFFSET)
+    latest_first.reverse()
+    return dict(zip(map(_BODY_KEY, latest_first), latest_first))
+
+
 def paper_conventions(definitions: list[MacroDefinition]) -> list[Convention]:
     """Collapse one paper's definitions to its effective (body, name) choices.
 
     When a paper gives several names to one body, the earliest surviving
     definition (see :func:`effective_definitions`) provides the name used.
     """
-    best: dict[tuple[str, str], MacroDefinition] = {}
-    for d in effective_definitions(definitions).values():
-        key = d.body_key
-        cur = best.get(key)
-        if cur is None or d.offset < cur.offset:
-            best[key] = d
+    best = _conventions(effective_definitions(definitions).values())
     return sorted((Convention(key, d.name, d.offset) for key, d in best.items()), key=_OFFSET)
+
+
+class Definitions:
+    """Every paper's definitions and effective definitions as int columns
+    over one string table, the papers in corpus order.
+
+    Paper ``i`` has ``counts[i]`` definitions, the next ones of ``name``,
+    ``body``, ``command``, ``signature`` (string ids) and ``offset`` in
+    source order, and ``effective[i]`` effective definitions
+    (:func:`effective_definitions`), the next ones of ``effective_name``,
+    ``effective_body`` and ``effective_signature`` in name order.
+    ``convention`` is 1 where that definition is the paper's convention
+    for its body key (:func:`paper_conventions`).  Each string has one
+    id, so equal ids are equal strings.
+    """
+
+    COLUMNS = ("counts", "name", "body", "command", "signature", "offset", "effective",
+               "effective_name", "effective_body", "effective_signature", "convention")
+
+    def __init__(self, strings: Sequence[str], **columns: Sequence[int]):
+        self.strings = strings
+        for column in self.COLUMNS:
+            setattr(self, column, columns[column])
+
+    def columns(self) -> dict[str, Sequence[int]]:
+        return {column: getattr(self, column) for column in self.COLUMNS}
+
+
+def definition_columns(by_paper: Iterable[Sequence[MacroDefinition]]) -> Definitions:
+    """The columns of each paper's definitions, the papers in corpus order;
+    the effective definitions and conventions are worked out here, once."""
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__  # a new string gets the next id
+    cols = {column: array(COLUMN_TYPE) for column in Definitions.COLUMNS}
+    for defs in by_paper:
+        cols["counts"].append(len(defs))
+        if not defs:
+            cols["effective"].append(0)
+            continue
+        _, *texts, offsets = zip(*defs)
+        for column, values in zip(("name", "body", "command", "signature"), texts):
+            cols[column].extend(map(ids.__getitem__, values))
+        cols["offset"].extend(offsets)
+        effective = effective_definitions(defs)
+        chosen = {d.name for d in _conventions(effective.values()).values()}
+        _, names, bodies, _, signatures, _ = zip(*(d for _, d in sorted(effective.items())))
+        cols["effective"].append(len(names))
+        for column, values in zip(("effective_name", "effective_body", "effective_signature"),
+                                  (names, bodies, signatures)):
+            cols[column].extend(map(ids.__getitem__, values))
+        cols["convention"].extend(map(chosen.__contains__, names))
+    return Definitions(list(ids), **cols)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .corpus import Corpus
-from .extraction import MacroDefinition
+from .extraction import Definitions
 
 
 def body_hash(signature: str, body: str) -> str:
@@ -59,25 +59,24 @@ def write_table(
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def corpus_summary(
-    corpus: Corpus, definitions: Mapping[str, list[MacroDefinition]]
-) -> dict[str, float | int]:
+def corpus_summary(corpus: Corpus, definitions: Definitions) -> dict[str, float | int]:
     """The six headline dataset statistics, in the row order of the
     ``summary`` table.
 
     Author counts cover papers that define at least one macro, matching
-    the denominator used for the other quantities.
+    the denominator used for the other quantities.  The sets hold ids,
+    and equal ids are equal strings.
     """
-    papers_with = corpus.positions_in(p for p, defs in definitions.items() if defs)
-    total_defs = sum(len(definitions[corpus.paper_id(i)]) for i in papers_with)
-    named = {(d.body_key, d.name) for defs in definitions.values() for d in defs}
-    bodies = {body_key for body_key, _ in named}
-    bylines = list(map(corpus.authors, papers_with))
-    authors = {a for byline in bylines for a in byline}
+    papers_with = list(compress(range(len(corpus)), definitions.counts))
+    named = set(zip(definitions.signature, definitions.body, definitions.name))
+    bodies = {(signature, body) for signature, body, _ in named}
+    offsets, author_ids = corpus.author_offsets, corpus.author_ids
+    bylines = [author_ids[offsets[i]:offsets[i + 1]] for i in papers_with]
+    authors = set(chain.from_iterable(bylines))
     author_slots = sum(map(len, bylines))
     return {
         "papers_with_macro": len(papers_with),
-        "definitions": total_defs,
+        "definitions": len(definitions.name),
         "unique_bodies": len(bodies),
         "avg_names_per_body": (len(named) / len(bodies)) if bodies else 0.0,
         "unique_authors": len(authors),

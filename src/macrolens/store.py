@@ -1,33 +1,39 @@
 """Corpus store: each manifest is loaded and extracted once, then reopened.
 
 :func:`open_corpus` gives what a fresh :func:`~macrolens.corpus.load_corpus`
-plus :func:`extract_all` give, with every source ``""``.  It reads them
+gives, with every source ``""``, plus each paper's definitions extracted
+and filled into a :class:`~macrolens.extraction.Definitions` (their
+effective definitions and conventions worked out once).  It reads them
 from one file per manifest under ``$XDG_CACHE_HOME/macrolens/`` (or
 ``~/.cache/macrolens/``), named by the sha256 of the resolved manifest path.
 On a miss the loader and the extractor run once and write the file; the
 command then decodes the bytes it wrote, read back through its own
 descriptor (so a process that replaces the file cannot change them), and
 later opens verify them as below.  Each build also deletes the store
-files whose recorded manifest no longer exists.
+files, of any format, whose recorded manifest no longer exists.
 
 A file is used only when the sha256 of its contents holds and its key
 matches: the format, the Python version and byte order, the sha256 of the
-source of ``corpus.py``, ``extraction.py`` and this module, the sha256 of
-the manifest's bytes (those the build parsed), and, for every
-``source_path`` file the loader read, the file's sha256 or its read error.
-Anything else is rebuilt.  When no file can be written the command loads
-the manifest as before, after one DEBUG line.  The file holds a JSON
+source of ``corpus.py``, ``extraction.py`` (which fills the definitions'
+columns) and this module, the sha256 of the manifest's bytes (those the
+build parsed), and, for every ``source_path`` file the loader read, the
+file's sha256 or its read error.  Anything else is rebuilt.  When no file
+can be written the command loads and extracts the manifest as it stands,
+filling the same columns, after one DEBUG line.  The file holds a JSON
 header, ``array`` ints and two UTF-8 string tables, so reading it runs no
 code; deleting it is always safe.
 
 Layout: magic, sha256 of the rest, header length (8 bytes), header (key,
 resolved manifest path, ``source_path`` fingerprints, skip counts, problem
 lines without the manifest name, column lengths), the int columns in
-``_COLUMNS`` order, then the text of the corpus's string table followed by
-the definitions' one.  Decoding copies the columns into arrays and decodes
+``_COLUMNS`` order (the corpus's, then ``Definitions.COLUMNS``: each
+paper's definitions and its effective definitions with their convention
+flags), then the text of the corpus's string table followed by the
+definitions' one.  Decoding copies the columns into arrays and decodes
 that text as one string; a corpus string is cut from it only when a caller
-asks for it, and the definitions' strings only when definitions are asked
-for.  Lone surrogates pass through the tables by ``surrogatepass``.
+asks for it, and the definitions' columns and strings are decoded only
+when definitions are asked for.  Lone surrogates pass through the tables
+by ``surrogatepass``.
 """
 
 from __future__ import annotations
@@ -39,27 +45,24 @@ import logging
 import os
 import sys
 from array import array
-from functools import partial
-from itertools import accumulate, chain, compress, pairwise, repeat, starmap
+from itertools import accumulate, chain, pairwise, starmap
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import COLUMN_TYPE, Corpus, load_corpus, read_source
-from .extraction import MacroDefinition, extract_definitions
+from .extraction import Definitions, definition_columns, extract_definitions
 
 log = logging.getLogger(__name__)
 _problem_log = logging.getLogger("macrolens.corpus")  # the loader's problem lines
 
-_FORMAT = 2
+_FORMAT = 3
 _MAGIC = b"macrolens corpus store\n"
-# The corpus's columns (see ``Corpus``) and each paper's number of
-# definitions, in corpus order; the definitions' fields; and the char
-# offsets of the corpus's strings and then of the definitions' strings.
-_PAPER = ("date", "rank", "title", "definitions", "author_offsets", "author")
-_DEFINITION = ("name", "body", "command", "signature", "offset")
-_COLUMNS = (*_PAPER, *_DEFINITION, "corpus_strings", "definition_strings")
+# The corpus's columns (see ``Corpus``), the definitions' (see
+# ``Definitions``), and the char offsets of the corpus's strings and then
+# of the definitions' strings.
+_PAPER = ("date", "rank", "title", "author_offsets", "author")
+_COLUMNS = (*_PAPER, *Definitions.COLUMNS, "corpus_strings", "definition_strings")
 _SIZE = array(COLUMN_TYPE).itemsize  # a value too large for it fails the build, not the command
-_make_definition = partial(tuple.__new__, MacroDefinition)
 
 
 class _Strings:
@@ -75,27 +78,32 @@ class _Strings:
 
 class Opened(NamedTuple):
     """A manifest's corpus (every ``source`` is ``""`` when it came from a
-    store file), its definitions by paper id, and what the loader and the
+    store file), its definitions' columns, and what the loader and the
     extractor skipped."""
 
     corpus: Corpus
-    definitions: dict[str, list[MacroDefinition]]  # empty unless asked for
+    definitions: Definitions | None  # None unless asked for
     skipped: int
     problems: list[str]
     definitions_skipped: int
 
 
-def extract_all(corpus: Corpus) -> tuple[dict[str, list[MacroDefinition]], int]:
-    """Each paper's definitions (papers with none left out), and the
-    number of malformed definitions skipped."""
-    by_paper: dict[str, list[MacroDefinition]] = {}
+def _extract(corpus: Corpus, sources: list[str | None]) -> tuple[Definitions, int]:
+    """The columns of each paper's definitions, and the number of
+    malformed definitions skipped; each of ``sources`` is dropped once it
+    is extracted."""
     skipped = 0
-    for i, source in enumerate(corpus.sources or ()):  # a stored corpus has no sources
-        res = extract_definitions(source, corpus.paper_id(i))
-        skipped += res.skipped
-        if res.definitions:
-            by_paper[corpus.paper_id(i)] = res.definitions
-    return by_paper, skipped
+
+    def extracted():
+        nonlocal skipped
+        for i, source in enumerate(sources):
+            sources[i] = None
+            res = extract_definitions(source, corpus.paper_id(i))
+            skipped += res.skipped
+            yield res.definitions
+
+    columns = definition_columns(extracted())  # counts ``skipped`` as it goes
+    return columns, skipped
 
 
 def open_corpus(path: Path | str, definitions: bool = True) -> Opened:
@@ -111,7 +119,9 @@ def open_corpus(path: Path | str, definitions: bool = True) -> Opened:
             log.debug("corpus store not used for %s (%s: %s)", path.name, type(exc).__name__, exc)
     if opened is None:  # not a build into memory, which measured 0.95-7.6x this load's CPU
         result = load_corpus(path)
-        defs, defs_skipped = extract_all(result.corpus) if definitions else ({}, 0)
+        defs, defs_skipped = None, 0
+        if definitions:
+            defs, defs_skipped = _extract(result.corpus, list(result.corpus.sources))
         opened = Opened(result.corpus, defs, result.skipped, result.problems, defs_skipped)
     for line in opened.problems:
         _problem_log.debug(line)
@@ -198,23 +208,9 @@ def _build(path: Path, key: dict) -> tuple[bytes, dict[str, array], Iterable[str
     result = load_corpus(path, recorded)
     corpus, key = result.corpus, {**key, "manifest": result.sha256}
     sources, corpus.sources = corpus.sources, None  # so that each source goes once it is extracted
-    cols = {name: array(COLUMN_TYPE) for name in (*_DEFINITION, "definitions")}
-    strings: dict[str, int] = {}
-
-    def index(text: str) -> int:
-        return strings.setdefault(text, len(strings))
-
-    defs_skipped = 0
-    for i, source in enumerate(sources):
-        sources[i] = None
-        res = extract_definitions(source, corpus.paper_id(i))
-        defs_skipped += res.skipped
-        cols["definitions"].append(len(res.definitions))
-        for d in res.definitions:
-            for column, value in zip(_DEFINITION, (
-                index(d.name), index(d.body), index(d.command), index(d.signature), d.offset,
-            )):
-                cols[column].append(value)
+    defs, defs_skipped = _extract(corpus, sources)
+    cols = defs.columns()
+    strings = defs.strings
     cols.update(date=corpus.dates, rank=corpus.ranks, title=corpus.title_ids,
                 author_offsets=corpus.author_offsets, author=corpus.author_ids)
     cols["corpus_strings"] = array(COLUMN_TYPE, accumulate(map(len, corpus.strings), initial=0))
@@ -231,9 +227,9 @@ def _build(path: Path, key: dict) -> tuple[bytes, dict[str, array], Iterable[str
 
 
 def _prune(directory: Path) -> None:
-    """Deletes the store files in ``directory`` whose recorded manifest no
-    longer exists.  A file being written (``.tmp``), a file of another
-    format and a file whose header does not parse stay."""
+    """Deletes the store files in ``directory``, of any format, whose
+    recorded manifest no longer exists.  A file being written (``.tmp``)
+    and a file whose header does not parse stay."""
     for file in directory.iterdir():
         if file.suffix == ".tmp":
             continue
@@ -243,7 +239,7 @@ def _prune(directory: Path) -> None:
                 if head[:len(_MAGIC)] != _MAGIC:
                     continue
                 header = json.loads(fh.read(int.from_bytes(head[-8:], "little")))
-            if header["key"]["format"] == _FORMAT and not os.path.exists(header["path"]):
+            if not os.path.exists(header["path"]):
                 file.unlink()
         except (OSError, ValueError, LookupError, TypeError):
             continue
@@ -291,22 +287,12 @@ def _decode(data: memoryview, path: Path, definitions: bool) -> Opened:
         strings=_Strings(text[:offsets[-1]], offsets), dates=cols["date"], ranks=cols["rank"],
         title_ids=cols["title"], author_offsets=cols["author_offsets"], author_ids=cols["author"],
     )
-    by_paper: dict[str, list[MacroDefinition]] = {}
+    defs = None
     if definitions:
         bounds = starmap(slice, pairwise(cols["definition_strings"]))
-        string = list(map(text.__getitem__, bounds)).__getitem__
-        counts = cols["definitions"]
-        ids = list(map(corpus.paper_id, compress(range(len(counts)), counts)))
-        flat = list(map(_make_definition, zip(
-            chain.from_iterable(map(repeat, ids, filter(None, counts))),
-            *(map(string, cols[name]) for name in _DEFINITION[:4]),
-            cols["offset"],
-        )))
-        end = 0
-        for pid, n in zip(ids, filter(None, counts)):
-            by_paper[pid] = flat[end:end + n]
-            end += n
+        defs = Definitions(list(map(text.__getitem__, bounds)),
+                           **{name: cols[name] for name in Definitions.COLUMNS})
     return Opened(
-        corpus, by_paper, header["skipped"], [f"{path.name}:{line}" for line in header["problems"]],
+        corpus, defs, header["skipped"], [f"{path.name}:{line}" for line in header["problems"]],
         header["definitions_skipped"] if definitions else 0,
     )

@@ -13,11 +13,11 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, islice, pairwise
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
+from itertools import accumulate, chain, compress, islice, pairwise, repeat
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus
-from .extraction import MacroDefinition, effective_definitions, paper_conventions
+from .extraction import Definitions, MacroDefinition, definition_columns
 
 
 class Occurrence(NamedTuple):
@@ -76,56 +76,71 @@ class BodyTimeline:
         return positions[: bisect_left(positions, cutoff_rank, key=lambda i: occs[i].group_rank)]
 
 
-def _occurrences_by_key(
-    corpus: Corpus,
-    definitions: Mapping[str, list[MacroDefinition]],
-    uses: Callable[[list[MacroDefinition]], list[tuple[Hashable, str]]],
-) -> dict:
-    """Each key's occurrences in (tie group, paper id) order, keys sorted;
-    ``uses`` gives one paper's (key, name used) pairs, at most one per key.
-    Papers with definitions are visited in corpus order, which is that
-    order, so each bucket is already sorted."""
+def _columns(
+    corpus: Corpus, definitions: Definitions | Mapping[str, Sequence[MacroDefinition]]
+) -> Definitions:
+    """``definitions`` as columns; a mapping from paper id (papers not in
+    the corpus left out) is filled as a corpus store fills them."""
+    if isinstance(definitions, Definitions):
+        return definitions
+    paper_ids = map(corpus.paper_id, range(len(corpus)))
+    return definition_columns([definitions.get(pid, ()) for pid in paper_ids])
+
+
+def _occurrences_by_key(corpus: Corpus, columns: Definitions, kept: Iterable, keys: Iterable,
+                        names: Iterable) -> dict:
+    """Each key's occurrences, one per kept effective definition (``kept``,
+    ``keys`` and ``names`` run over those rows), in row order: papers in
+    corpus order, which is (tie group, paper id) order, so each bucket is
+    already sorted."""
+    counts = columns.effective
+    papers = ((corpus.paper_id(i), corpus.ranks[i], corpus.authors(i))
+              for i in compress(range(len(counts)), counts))
+    by_row = chain.from_iterable(map(repeat, papers, filter(None, counts)))
     buckets: dict = {}
-    for i in corpus.positions_in(p for p, defs in definitions.items() if defs):
-        paper_id, rank, authors = corpus.paper_id(i), corpus.ranks[i], corpus.authors(i)
-        for key, name in uses(definitions[paper_id]):
-            buckets.setdefault(key, []).append(Occurrence(paper_id, rank, name, authors))
-    return {key: tuple(buckets[key]) for key in sorted(buckets)}
+    for (paper_id, rank, authors), key, name in compress(zip(by_row, keys, names), kept):
+        buckets.setdefault(key, []).append(
+            tuple.__new__(Occurrence, (paper_id, rank, name, authors)))
+    return buckets
 
 
 def build_timelines(
-    corpus: Corpus, definitions: Mapping[str, list[MacroDefinition]]
+    corpus: Corpus, definitions: Definitions | Mapping[str, Sequence[MacroDefinition]]
 ) -> dict[tuple[str, str], BodyTimeline]:
-    """One timeline per distinct (signature, body); at most one occurrence
-    per paper per body."""
-    by_body = _occurrences_by_key(
-        corpus, definitions, lambda defs: [(c.body_key, c.name) for c in paper_conventions(defs)]
-    )
+    """One timeline per distinct (signature, body), with each paper's
+    convention for it (at most one occurrence per paper per body).  The
+    buckets are keyed by ids, and only the keys are decoded."""
+    cols = _columns(corpus, definitions)
+    string = cols.strings.__getitem__
+    by_ids = _occurrences_by_key(corpus, cols, cols.convention,
+                                 zip(cols.effective_signature, cols.effective_body),
+                                 map(string, cols.effective_name))
+    ids = {(string(signature), string(body)): (signature, body) for signature, body in by_ids}
     return {
-        key: BodyTimeline(body=key[1], signature=key[0], occurrences=occs)
-        for key, occs in by_body.items()
+        key: BodyTimeline(body=key[1], signature=key[0], occurrences=tuple(by_ids[ids[key]]))
+        for key in sorted(ids)
     }
 
 
 def build_name_timelines(
     corpus: Corpus,
-    definitions: Mapping[str, list[MacroDefinition]],
+    definitions: Definitions | Mapping[str, Sequence[MacroDefinition]],
     whitelist: Iterable[str] | None = None,
 ) -> dict[str, BodyTimeline]:
     """Role-swapped timelines: one per macro name, occurrences carry the
     body (with signature folded in) that the name expanded to."""
-    allowed = set(whitelist) if whitelist is not None else None
-
-    def uses(defs: list[MacroDefinition]) -> list[tuple[str, str]]:
-        return [
-            (name, d.body if not d.signature else f"{d.signature} {d.body}")
-            for name, d in sorted(effective_definitions(defs).items())
-            if allowed is None or name in allowed
-        ]
-
+    cols = _columns(corpus, definitions)
+    strings, names = cols.strings, cols.effective_name
+    kept = repeat(True)
+    if whitelist is not None:
+        allowed = set(whitelist)
+        kept = map({i for i in set(names) if strings[i] in allowed}.__contains__, names)
+    used = (strings[body] if not strings[signature] else f"{strings[signature]} {strings[body]}"
+            for signature, body in zip(cols.effective_signature, cols.effective_body))
+    by_id = _occurrences_by_key(corpus, cols, kept, names, used)
     return {
-        name: BodyTimeline(body=name, occurrences=occs)
-        for name, occs in _occurrences_by_key(corpus, definitions, uses).items()
+        strings[name]: BodyTimeline(body=strings[name], occurrences=tuple(by_id[name]))
+        for name in sorted(by_id, key=strings.__getitem__)
     }
 
 

@@ -705,3 +705,62 @@ def oracle_load_corpus(path) -> tuple[list[tuple], dict[str, int], int, list[str
         for p in ordered
     ]
     return rows, ranks, skipped, problems
+
+
+# ---------------------------------------------------------------------------
+# Timelines from definition records, as built before the definitions were
+# read as columns: each paper's effective definitions and conventions are
+# worked out from its records on every call.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_effective(defs: list) -> dict:
+    """Each name's last definition in offset order (a stable sort)."""
+    survivors = {}
+    for d in sorted(defs, key=lambda d: d.offset):
+        survivors[d.name] = d
+    return survivors
+
+
+def _oracle_conventions(defs: list) -> list[tuple[tuple[str, str], str]]:
+    """Each body key's earliest effective definition's name."""
+    best: dict = {}
+    for d in _oracle_effective(defs).values():
+        key = (d.signature, d.body)
+        cur = best.get(key)
+        if cur is None or d.offset < cur.offset:
+            best[key] = d
+    return [(key, d.name) for key, d in best.items()]
+
+
+def _oracle_buckets(corpus, definitions: dict, uses) -> dict:
+    """Each key's (paper id, rank, name, authors) occurrences, papers in
+    corpus order, keys sorted; papers not in the corpus left out."""
+    positions = {corpus.paper_id(i): i for i in range(len(corpus))}
+    buckets: dict = {}
+    for i in sorted(positions[p] for p, defs in definitions.items() if defs and p in positions):
+        paper_id = corpus.paper_id(i)
+        for key, name in uses(definitions[paper_id]):
+            buckets.setdefault(key, []).append(
+                (paper_id, corpus.ranks[i], name, corpus.authors(i)))
+    return {key: buckets[key] for key in sorted(buckets)}
+
+
+def oracle_timelines(corpus, definitions: dict) -> dict:
+    """(signature, body) -> occurrences of each paper's convention."""
+    return _oracle_buckets(corpus, definitions, _oracle_conventions)
+
+
+def oracle_name_timelines(corpus, definitions: dict, whitelist=None) -> dict:
+    """name -> occurrences carrying the body (signature folded in) that
+    each paper's surviving definition of the name gives it."""
+    allowed = None if whitelist is None else set(whitelist)
+
+    def uses(defs):
+        return [
+            (name, d.body if not d.signature else d.signature + " " + d.body)
+            for name, d in sorted(_oracle_effective(defs).items())
+            if allowed is None or name in allowed
+        ]
+
+    return _oracle_buckets(corpus, definitions, uses)

@@ -5,6 +5,8 @@ so that ``test_columns.py`` can compare the two on the same inputs.
 Each paper is one ``Paper`` record; the ledger keeps each author's records
 and ranks in lists, and the index reads every paper.  ``rank_of`` and
 ``group_ranks`` read a column-backed ``Corpus`` by paper id for tests.
+``extract_all`` gives each paper's ``MacroDefinition`` records, and
+``definition_records`` decodes a ``Definitions`` back into them.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from bisect import bisect_left
 from typing import Iterable, Iterator
 
 from macrolens.corpus import Corpus, Paper
+from macrolens.extraction import Definitions, MacroDefinition, extract_definitions
 from macrolens.fights import (
     STYLE_NAMES,
     TitleFight,
@@ -25,12 +28,41 @@ from macrolens.fights import (
 
 def rank_of(corpus: Corpus, paper_id: str) -> int:
     """The tie-group rank of the paper ``paper_id``."""
-    return corpus.ranks[corpus.positions[paper_id]]
+    return corpus.ranks[list(map(corpus.paper_id, range(len(corpus)))).index(paper_id)]
 
 
 def group_ranks(corpus: Corpus) -> dict[str, int]:
     """Paper id to tie-group rank, in corpus order."""
     return {p.paper_id: rank for p, rank in zip(corpus, corpus.ranks)}
+
+
+def extract_all(corpus: Corpus) -> tuple[dict[str, list[MacroDefinition]], int]:
+    """Each paper's definitions (papers with none left out), and the
+    number of malformed definitions skipped."""
+    by_paper: dict[str, list[MacroDefinition]] = {}
+    skipped = 0
+    for i, source in enumerate(corpus.sources or ()):  # a stored corpus has no sources
+        res = extract_definitions(source, corpus.paper_id(i))
+        skipped += res.skipped
+        if res.definitions:
+            by_paper[corpus.paper_id(i)] = res.definitions
+    return by_paper, skipped
+
+
+def definition_records(corpus: Corpus, columns: Definitions) -> dict[str, list[MacroDefinition]]:
+    """The records ``columns`` hold, by paper id as ``extract_all`` gives
+    them (papers with none left out)."""
+    string = columns.strings.__getitem__
+    rows = iter(zip(map(string, columns.name), map(string, columns.body),
+                    map(string, columns.command), map(string, columns.signature),
+                    columns.offset))
+    by_paper = {}
+    for i, count in enumerate(columns.counts):
+        records = [MacroDefinition(corpus.paper_id(i), *next(rows)) for _ in range(count)]
+        if records:
+            by_paper[corpus.paper_id(i)] = records
+    assert next(rows, None) is None
+    return by_paper
 
 
 class RecordCorpus:

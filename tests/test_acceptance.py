@@ -18,12 +18,12 @@ import pytest
 from macrolens import analytics, changeover, fights, synth
 from macrolens.cli import run
 from macrolens.corpus import load_corpus
-from macrolens.store import extract_all
 from macrolens.timelines import CoauthorIndex, ExperienceLedger, build_timelines, interval
 
 from conftest import crossover_timeline, random_timeline
 from headline import binomial_test, high_dominance_rate, overall_older_win_rate
 from oracles import oracle_betweenness, oracle_changeover, oracle_validate_matched_pair
+from record_corpus import extract_all
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 

@@ -9,6 +9,7 @@ from macrolens.changeover import (
     MATCH_PREVALENCE_TOL,
     MATCH_RATIO_HI,
     MATCH_RATIO_LO,
+    MAX_WINDOWS,
     ChangeoverParams,
     ChangeoverRecord,
     ControlCandidate,
@@ -48,6 +49,13 @@ class TestParams:
             ChangeoverParams(s=0)
         with pytest.raises(ValueError):
             ChangeoverParams(delta=1.0)
+
+    def test_delta_grid_bound(self):
+        # 0.0001 gives exactly the largest grid; the check needs no grid
+        assert len(window_grid(ChangeoverParams(delta=0.0001).delta)) == MAX_WINDOWS == 10_000
+        for delta in (0.0000999, 1e-12):
+            with pytest.raises(ValueError, match="^--delta .* more than 10000$"):
+                ChangeoverParams(delta=delta)
 
 
 class TestUsageFraction:

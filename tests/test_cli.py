@@ -178,6 +178,34 @@ class TestArgHandling:
             trees.append({p.relative_to(out): p.read_bytes() for p in files})
         assert trees[0] == trees[1]
 
+    @pytest.mark.parametrize("command", ["changeovers", "matched-pairs", "curves"])
+    def test_delta_whose_grid_is_too_large(self, command, synth_corpus, tmp_path, capsys,
+                                           monkeypatch):
+        # the check reads delta alone: no grid is built, and nothing is written
+        def no_grid(delta):
+            raise AssertionError("a window grid was built")
+
+        monkeypatch.setattr(changeover, "window_grid", no_grid)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            invoke(command, "--corpus", str(synth_corpus), "--out", str(out), "--delta", "1e-12")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "macrolens: error: --delta 1e-12 gives 1000000000000 windows, more than 10000"
+        )
+        assert not out.exists()
+
+    def test_delta_at_the_grid_bound(self, tmp_path, capsys):
+        assert invoke("changeovers", "--corpus", str(GOLDEN / "manifest.jsonl"),
+                      "--out", str(tmp_path / "ok"), "--delta", "0.0001") == 0
+        assert (tmp_path / "ok" / "changeovers.csv").is_file()
+        with pytest.raises(SystemExit) as exc:
+            invoke("changeovers", "--corpus", str(GOLDEN / "manifest.jsonl"),
+                   "--out", str(tmp_path / "over"), "--delta", "0.0000999")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("macrolens: error: --delta 9.99e-05 gives 10010 ")
+        assert not (tmp_path / "over").exists()
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.01"])
     def test_match_tolerance_must_be_finite_and_non_negative(self, tolerance, tmp_path, capsys):
         out = tmp_path / "out"

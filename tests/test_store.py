@@ -4,9 +4,10 @@ A store file that no longer holds for its manifest (an edited manifest or
 source file, a moved manifest, a truncated or garbled file) is rebuilt,
 and a cache that cannot be used falls back to a fresh load.  Every case is
 checked against a fresh ``load_corpus`` plus ``extract_all`` of the
-manifest as it is then.
+manifest as it is then, the definitions' columns decoded back into records.
 """
 
+import hashlib
 import json
 import logging
 import os
@@ -22,8 +23,9 @@ from hypothesis import strategies as st
 from macrolens import store
 from macrolens.cli import run
 from macrolens.corpus import load_corpus
-from macrolens.store import extract_all, open_corpus
-from record_corpus import group_ranks
+from macrolens.extraction import definition_columns
+from macrolens.store import open_corpus
+from record_corpus import definition_records, extract_all, group_ranks
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -34,7 +36,10 @@ def assert_fresh(opened: store.Opened, manifest: Path) -> None:
     defs, defs_skipped = extract_all(result.corpus)
     assert list(opened.corpus) == [p._replace(source="") for p in result.corpus]
     assert list(group_ranks(opened.corpus).items()) == list(group_ranks(result.corpus).items())
-    assert list(opened.definitions.items()) == list(defs.items())
+    assert list(definition_records(opened.corpus, opened.definitions).items()) == list(defs.items())
+    fresh = definition_columns([defs.get(p.paper_id, []) for p in result.corpus])
+    assert opened.definitions.columns() == fresh.columns()
+    assert list(opened.definitions.strings) == fresh.strings
     assert opened.skipped == result.skipped
     assert opened.problems == result.problems
     assert opened.definitions_skipped == defs_skipped
@@ -111,7 +116,7 @@ def test_store_round_trip_equals_a_fresh_load(lines, monkeypatch):
         full = open_hit(manifest, monkeypatch)
         assert_fresh(full, manifest)
         opened = open_hit(manifest, monkeypatch, definitions=False)
-        assert (opened.definitions, opened.definitions_skipped) == ({}, 0)
+        assert (opened.definitions, opened.definitions_skipped) == (None, 0)
         assert list(opened.corpus) == list(full.corpus)
         assert (opened.skipped, opened.problems) == (full.skipped, full.problems)
 
@@ -126,7 +131,7 @@ def test_lone_surrogates_and_nul_survive_the_string_table(tmp_path, monkeypatch)
     assert opened.corpus.paper(0).paper_id == "a\ud83d"
     assert opened.corpus.paper(0).authors == ("\ude00x", "\x00")
     assert opened.corpus.paper(0).title == "𐀀"
-    assert opened.definitions["a\ud83d"][0].body == "\ud800"
+    assert definition_records(opened.corpus, opened.definitions)["a\ud83d"][0].body == "\ud800"
     assert_fresh(opened, manifest)
 
 
@@ -160,7 +165,8 @@ def test_changed_source_file_rebuilds(golden, change, monkeypatch):
         source.write_bytes(b"\\def\\x{\xff}")
     after = open_corpus(golden)
     assert_fresh(after, golden)
-    assert (after.definitions, after.problems) != (before.definitions, before.problems)
+    assert (definition_records(after.corpus, after.definitions), after.problems) != (
+        definition_records(before.corpus, before.definitions), before.problems)
     assert_fresh(open_hit(golden, monkeypatch), golden)
 
 
@@ -357,14 +363,43 @@ def test_a_build_prunes_store_files_whose_manifest_is_gone(tmp_path):
     kept = {
         "garbled": data[:header_at] + b"x" + data[header_at + 1:],  # its header does not parse
         file_a.name + ".1234.tmp": data,  # being written
-        # an older format's file whose manifest is gone
-        "old": data.replace(b'"format": 2', b'"format": 1', 1),
     }
-    assert kept["old"] != data
     for name, content in kept.items():
         (file_a.parent / name).write_bytes(content)
+    # an older format's file whose manifest is gone goes too
+    old = data.replace(f'"format": {store._FORMAT}'.encode(), b'"format": 1', 1)
+    assert old != data
+    (file_a.parent / "old").write_bytes(old)
     manifests["a"].unlink()
     opened = open_corpus(manifests["b"])
     assert [p.paper_id for p in opened.corpus] == ["b"]
     [file_b] = [f for f in store_files() if f.name not in kept and f != file_c]
     assert store_files() == sorted([file_b, file_c, *(file_a.parent / name for name in kept)])
+
+
+def test_a_build_prunes_a_stranded_file_of_an_older_format(tmp_path):
+    """Format-2 files, written by hand as that format laid them out: the
+    one whose manifest is gone is deleted, the one whose manifest exists
+    stays."""
+    directory = Path(os.environ["XDG_CACHE_HOME"], "macrolens")
+    directory.mkdir(parents=True)
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"id": "a", "date": "2001-01", "authors": ["x"],
+                                    "source": ""}) + "\n", encoding="utf-8")
+
+    def format_2(name: str, recorded: Path) -> Path:
+        header = json.dumps({
+            "key": {"format": 2, "python": "3.11", "code": "0" * 64, "manifest": "0" * 64},
+            "path": str(recorded), "read": [], "skipped": 0, "definitions_skipped": 0,
+            "problems": [], "columns": [0] * 13,
+        }).encode("ascii")
+        rest = len(header).to_bytes(8, "little") + header
+        file = directory / name
+        file.write_bytes(store._MAGIC + hashlib.sha256(rest).digest() + rest)
+        return file
+
+    stranded = format_2("stranded", tmp_path / "gone" / "m.jsonl")
+    live = format_2("live", manifest)
+    open_corpus(manifest)
+    assert not stranded.exists()
+    assert live.exists() and len(store_files()) == 2
