@@ -46,7 +46,7 @@ import unicodedata
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -164,12 +164,13 @@ class Corpus:
             authors.setdefault(a, 2 * n + len(authors)) for p in ordered for a in p.authors
         ))
         strings.extend(authors)
+        dates = array(COLUMN_TYPE, (
+            (y * 100 + m) * 100 + (d or 0) for y, m, d in (p.date for p in ordered)
+        ))
         self._columns(
             strings=strings,
-            dates=array(COLUMN_TYPE, (
-                (y * 100 + m) * 100 + (d or 0) for y, m, d in (p.date for p in ordered)
-            )),
-            ranks=_tie_group_ranks(ordered),
+            dates=dates,
+            ranks=_tie_group_ranks(dates),
             title_ids=array(COLUMN_TYPE, range(n, 2 * n)),
             author_offsets=array(COLUMN_TYPE, accumulate(
                 (len(p.authors) for p in ordered), initial=0
@@ -225,21 +226,12 @@ class Corpus:
         ))
 
 
-def _tie_group_ranks(ordered: list[Paper]) -> array:
-    """Each paper's tie-group rank, the papers in corpus order."""
-    ranks = array(COLUMN_TYPE)
-    rank = -1
-    tie_month: tuple[int, int] | None = None  # month of the open tie group
-    for p in ordered:
-        year, month, day = p.date
-        if day is not None:
-            rank += 1
-            tie_month = None
-        elif (year, month) != tie_month:
-            rank += 1
-            tie_month = (year, month)
-        ranks.append(rank)
-    return ranks
+def _tie_group_ranks(dates: Sequence[int]) -> array:
+    """Each paper's tie-group rank from its yyyymmdd date, the papers in
+    corpus order: a month-granular date (dd 0) shares the rank of an equal
+    date right before it, and every other date starts a new rank."""
+    starts = (date % 100 > 0 or date != before for before, date in zip(chain((0,), dates), dates))
+    return array(COLUMN_TYPE, (n - 1 for n in accumulate(starts)))
 
 
 @dataclass

@@ -118,7 +118,6 @@ _COMMAND = r"(def|newcommand|renewcommand)(?![A-Za-z])"
 _CANDIDATE = re.compile(rf"\\(?:{_COMMAND}|\\)")
 _SPACE = re.compile(r"\s*")
 _OFFSET = attrgetter("offset")
-_BODY_KEY = attrgetter("signature", "body")  # ``MacroDefinition.body_key``
 # The rest of a whole well-formed definition (see the module docstring);
 # the lookbehinds pick the branch for the command word just matched.
 _WELL_FORMED = (
@@ -147,11 +146,6 @@ class MacroDefinition(NamedTuple):
     command: str
     signature: str = ""
     offset: int = 0
-
-    @property
-    def body_key(self) -> tuple[str, str]:
-        """Identity under which bodies compare equal across papers."""
-        return (self.signature, self.body)
 
 
 @dataclass
@@ -356,53 +350,20 @@ def extract_definitions(source: str, paper_id: str) -> ExtractionResult:
     return ExtractionResult(definitions=defs, skipped=skipped)
 
 
-class Convention(NamedTuple):
-    """One paper's effective use of a body: the name it settled on."""
-
-    body_key: tuple[str, str]
-    name: str
-    offset: int
-
-
-def effective_definitions(definitions: list[MacroDefinition]) -> dict[str, MacroDefinition]:
-    """Each name's surviving definition in one paper: the last definition
-    of a name wins (redefinition semantics)."""
-    return {d.name: d for d in sorted(definitions, key=_OFFSET)}
-
-
-def _conventions(effective: Iterable[MacroDefinition]) -> dict[tuple[str, str], MacroDefinition]:
-    """Each body key's earliest definition among a paper's effective ones
-    (an offset tie goes to the one given first)."""
-    latest_first = sorted(effective, key=_OFFSET)
-    latest_first.reverse()
-    return dict(zip(map(_BODY_KEY, latest_first), latest_first))
-
-
-def paper_conventions(definitions: list[MacroDefinition]) -> list[Convention]:
-    """Collapse one paper's definitions to its effective (body, name) choices.
-
-    When a paper gives several names to one body, the earliest surviving
-    definition (see :func:`effective_definitions`) provides the name used.
-    """
-    best = _conventions(effective_definitions(definitions).values())
-    return sorted((Convention(key, d.name, d.offset) for key, d in best.items()), key=_OFFSET)
-
-
 class Definitions:
     """Every paper's definitions and effective definitions as int columns
     over one string table, the papers in corpus order.
 
     Paper ``i`` has ``counts[i]`` definitions, the next ones of ``name``,
-    ``body``, ``command``, ``signature`` (string ids) and ``offset`` in
-    source order, and ``effective[i]`` effective definitions
-    (:func:`effective_definitions`), the next ones of ``effective_name``,
-    ``effective_body`` and ``effective_signature`` in name order.
-    ``convention`` is 1 where that definition is the paper's convention
-    for its body key (:func:`paper_conventions`).  Each string has one
-    id, so equal ids are equal strings.
+    ``body``, ``command`` and ``signature`` (string ids) in source order,
+    and ``effective[i]`` effective definitions, the next ones of
+    ``effective_name``, ``effective_body`` and ``effective_signature`` in
+    name order.  ``convention`` is 1 where that definition is the paper's
+    convention for its body.  :func:`definition_columns` states both
+    rules.  Each string has one id, so equal ids are equal strings.
     """
 
-    COLUMNS = ("counts", "name", "body", "command", "signature", "offset", "effective",
+    COLUMNS = ("counts", "name", "body", "command", "signature", "effective",
                "effective_name", "effective_body", "effective_signature", "convention")
 
     def __init__(self, strings: Sequence[str], **columns: Sequence[int]):
@@ -415,8 +376,14 @@ class Definitions:
 
 
 def definition_columns(by_paper: Iterable[Sequence[MacroDefinition]]) -> Definitions:
-    """The columns of each paper's definitions, the papers in corpus order;
-    the effective definitions and conventions are worked out here, once."""
+    """The columns of each paper's definitions, the papers in corpus order.
+
+    A paper's definitions are read in offset order (a stable sort, so a tie
+    keeps the order given).  The last definition of a name is its effective
+    one (redefinition semantics).  Of the effective definitions of one body
+    (``(signature, body)``), the earliest is the paper's convention for it;
+    an offset tie goes to the name defined first.
+    """
     ids: defaultdict[str, int] = defaultdict()
     ids.default_factory = ids.__len__  # a new string gets the next id
     cols = {column: array(COLUMN_TYPE) for column in Definitions.COLUMNS}
@@ -425,12 +392,14 @@ def definition_columns(by_paper: Iterable[Sequence[MacroDefinition]]) -> Definit
         if not defs:
             cols["effective"].append(0)
             continue
-        _, *texts, offsets = zip(*defs)
+        _, *texts, _ = zip(*defs)
         for column, values in zip(("name", "body", "command", "signature"), texts):
             cols[column].extend(map(ids.__getitem__, values))
-        cols["offset"].extend(offsets)
-        effective = effective_definitions(defs)
-        chosen = {d.name for d in _conventions(effective.values()).values()}
+        effective = {d.name: d for d in sorted(defs, key=_OFFSET)}
+        conventions: dict[tuple[str, str], str] = {}
+        for d in sorted(effective.values(), key=_OFFSET):
+            conventions.setdefault((d.signature, d.body), d.name)
+        chosen = set(conventions.values())
         _, names, bodies, _, signatures, _ = zip(*(d for _, d in sorted(effective.items())))
         cols["effective"].append(len(names))
         for column, values in zip(("effective_name", "effective_body", "effective_signature"),

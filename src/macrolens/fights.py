@@ -63,7 +63,6 @@ class FightRecord:
     author's choice was used, 1 = second author's).
     """
 
-    kind: str  # "name" or "body"
     paper_id: str
     group_rank: int
     author_a: str
@@ -114,7 +113,6 @@ def _latest_unambiguous_variant(
 
 
 def _detect_fights(
-    kind: str,
     timelines: Mapping,
     ledger: ExperienceLedger,
     filters: FightFilters,
@@ -142,7 +140,6 @@ def _detect_fights(
                 continue
             candidates.append(
                 FightRecord(
-                    kind=kind,
                     paper_id=occ.paper_id,
                     group_rank=rank,
                     author_a=a,
@@ -173,7 +170,7 @@ def detect_name_fights(
     filters: FightFilters | None = None,
 ) -> list[FightRecord]:
     """Fights over the name of a shared macro body."""
-    return _detect_fights("name", timelines, ledger, filters or FightFilters())
+    return _detect_fights(timelines, ledger, filters or FightFilters())
 
 
 def detect_body_fights(
@@ -191,7 +188,7 @@ def detect_body_fights(
     filters = FightFilters(
         min_distinct_authors=min_distinct_authors, min_shared_len=0, three_author=three_author
     )
-    return _detect_fights("body", name_timelines, ledger, filters)
+    return _detect_fights(name_timelines, ledger, filters)
 
 
 def balance_by_position(

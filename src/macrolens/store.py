@@ -19,21 +19,22 @@ columns) and this module, the sha256 of the manifest's bytes (those the
 build parsed), and, for every ``source_path`` file the loader read, the
 file's sha256 or its read error.  Anything else is rebuilt.  When no file
 can be written the command loads and extracts the manifest as it stands,
-filling the same columns, after one DEBUG line.  The file holds a JSON
-header, ``array`` ints and two UTF-8 string tables, so reading it runs no
-code; deleting it is always safe.
+filling the same columns, after one DEBUG line.  Either way each source
+goes once it is extracted.  The file holds a JSON header, ``array`` ints
+and two UTF-8 string tables, so reading it runs no code; deleting it is
+always safe.
 
-Layout: magic, sha256 of the rest, header length (8 bytes), header (key,
-resolved manifest path, ``source_path`` fingerprints, skip counts, problem
-lines without the manifest name, column lengths), the int columns in
-``_COLUMNS`` order (the corpus's, then ``Definitions.COLUMNS``: each
-paper's definitions and its effective definitions with their convention
-flags), then the text of the corpus's string table followed by the
-definitions' one.  Decoding copies the columns into arrays and decodes
-that text as one string; a corpus string is cut from it only when a caller
-asks for it, and the definitions' columns and strings are decoded only
-when definitions are asked for.  Lone surrogates pass through the tables
-by ``surrogatepass``.
+Layout (format 4): magic, sha256 of the rest, header length (8 bytes),
+header (key, resolved manifest path, ``source_path`` fingerprints, skip
+counts, problem lines without the manifest name, column lengths), the int
+columns in ``_COLUMNS`` order (the corpus's, then ``Definitions.COLUMNS``:
+each paper's definitions, less their offsets, which no command reads, and
+its effective definitions with their convention flags), then the text of
+the corpus's string table followed by the definitions' one.  Decoding
+copies the columns into arrays and decodes that text as one string; a
+corpus string is cut from it only when a caller asks for it, and the
+definitions' columns and strings are decoded only when definitions are
+asked for.  Lone surrogates pass through the tables by ``surrogatepass``.
 """
 
 from __future__ import annotations
@@ -47,15 +48,15 @@ import sys
 from array import array
 from itertools import accumulate, chain, pairwise, starmap
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .corpus import COLUMN_TYPE, Corpus, load_corpus, read_source
+from .corpus import COLUMN_TYPE, Corpus, LoadResult, load_corpus, read_source
 from .extraction import Definitions, definition_columns, extract_definitions
 
 log = logging.getLogger(__name__)
 _problem_log = logging.getLogger("macrolens.corpus")  # the loader's problem lines
 
-_FORMAT = 3
+_FORMAT = 4
 _MAGIC = b"macrolens corpus store\n"
 # The corpus's columns (see ``Corpus``), the definitions' (see
 # ``Definitions``), and the char offsets of the corpus's strings and then
@@ -77,15 +78,22 @@ class _Strings:
 
 
 class Opened(NamedTuple):
-    """A manifest's corpus (every ``source`` is ``""`` when it came from a
-    store file), its definitions' columns, and what the loader and the
-    extractor skipped."""
+    """A manifest's corpus (every ``source`` is ``""``), its definitions'
+    columns, and what the loader and the extractor skipped."""
 
     corpus: Corpus
     definitions: Definitions | None  # None unless asked for
     skipped: int
     problems: list[str]
     definitions_skipped: int
+
+
+def _load(path: Path, read: Callable[[Path, str], str] = read_source) -> tuple[LoadResult, list]:
+    """``load_corpus(path, read)`` and its corpus's sources, which the
+    corpus no longer holds, so that each goes once it is extracted."""
+    result = load_corpus(path, read)
+    sources, result.corpus.sources = result.corpus.sources, None
+    return result, sources
 
 
 def _extract(corpus: Corpus, sources: list[str | None]) -> tuple[Definitions, int]:
@@ -118,10 +126,8 @@ def open_corpus(path: Path | str, definitions: bool = True) -> Opened:
         except Exception as exc:
             log.debug("corpus store not used for %s (%s: %s)", path.name, type(exc).__name__, exc)
     if opened is None:  # not a build into memory, which measured 0.95-7.6x this load's CPU
-        result = load_corpus(path)
-        defs, defs_skipped = None, 0
-        if definitions:
-            defs, defs_skipped = _extract(result.corpus, list(result.corpus.sources))
+        result, sources = _load(path)
+        defs, defs_skipped = _extract(result.corpus, sources) if definitions else (None, 0)
         opened = Opened(result.corpus, defs, result.skipped, result.problems, defs_skipped)
     for line in opened.problems:
         _problem_log.debug(line)
@@ -205,9 +211,8 @@ def _build(path: Path, key: dict) -> tuple[bytes, dict[str, array], Iterable[str
             return read_source(base_dir, name)  # raises the loader's own error
         return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
-    result = load_corpus(path, recorded)
+    result, sources = _load(path, recorded)
     corpus, key = result.corpus, {**key, "manifest": result.sha256}
-    sources, corpus.sources = corpus.sources, None  # so that each source goes once it is extracted
     defs, defs_skipped = _extract(corpus, sources)
     cols = defs.columns()
     strings = defs.strings

@@ -6,7 +6,8 @@ Each paper is one ``Paper`` record; the ledger keeps each author's records
 and ranks in lists, and the index reads every paper.  ``rank_of`` and
 ``group_ranks`` read a column-backed ``Corpus`` by paper id for tests.
 ``extract_all`` gives each paper's ``MacroDefinition`` records, and
-``definition_records`` decodes a ``Definitions`` back into them.
+``definition_records`` decodes a ``Definitions`` back into them, less
+their offsets, which the columns do not hold.
 """
 
 from __future__ import annotations
@@ -51,11 +52,10 @@ def extract_all(corpus: Corpus) -> tuple[dict[str, list[MacroDefinition]], int]:
 
 def definition_records(corpus: Corpus, columns: Definitions) -> dict[str, list[MacroDefinition]]:
     """The records ``columns`` hold, by paper id as ``extract_all`` gives
-    them (papers with none left out)."""
+    them (papers with none left out), each with offset 0."""
     string = columns.strings.__getitem__
     rows = iter(zip(map(string, columns.name), map(string, columns.body),
-                    map(string, columns.command), map(string, columns.signature),
-                    columns.offset))
+                    map(string, columns.command), map(string, columns.signature)))
     by_paper = {}
     for i, count in enumerate(columns.counts):
         records = [MacroDefinition(corpus.paper_id(i), *next(rows)) for _ in range(count)]

@@ -15,9 +15,9 @@ from macrolens import extraction
 from macrolens.extraction import (
     MacroDefinition,
     body_features,
+    definition_columns,
     extract_definitions,
     name_features,
-    paper_conventions,
     strip_comments,
 )
 from macrolens.timelines import Occurrence
@@ -159,31 +159,51 @@ class TestFeatures:
 
 
 class TestPaperConventions:
+    """The effective definitions and convention flags that
+    ``definition_columns`` fills for one paper."""
+
+    @staticmethod
+    def effective(source):
+        """(name, signature, body, convention flag) of each effective
+        definition of ``source`` (LaTeX or definitions), in name order."""
+        if isinstance(source, str):
+            source = extract_definitions(source, "p").definitions
+        cols = definition_columns([source])
+        string = cols.strings.__getitem__
+        return list(zip(map(string, cols.effective_name), map(string, cols.effective_signature),
+                        map(string, cols.effective_body), cols.convention))
+
     def test_last_definition_wins(self):
-        res = extract_definitions("\\def\\x{a}\\renewcommand{\\x}{b}", "p")
-        convs = paper_conventions(res.definitions)
-        assert [(c.body_key[1], c.name) for c in convs] == [("b", "\\x")]
+        assert self.effective("\\def\\x{a}\\renewcommand{\\x}{b}") == [("\\x", "", "b", 1)]
 
     def test_first_name_kept_for_shared_body(self):
-        res = extract_definitions("\\def\\R{\\mathbb{R}}\\def\\Reals{\\mathbb{R}}", "p")
-        convs = paper_conventions(res.definitions)
-        assert [(c.body_key[1], c.name) for c in convs] == [("\\mathbb{R}", "\\R")]
+        assert self.effective("\\def\\Reals{\\mathbb{R}}\\def\\R{\\mathbb{R}}") == [
+            ("\\R", "", "\\mathbb{R}", 0), ("\\Reals", "", "\\mathbb{R}", 1)]
 
     def test_signature_distinguishes_bodies(self):
-        res = extract_definitions("\\def\\f#1{#1}\\def\\g{#1}", "p")
-        keys = {d.body_key for d in res.definitions}
-        assert keys == {("#1", "#1"), ("", "#1")}
+        assert self.effective("\\def\\f#1{#1}\\def\\g{#1}") == [
+            ("\\f", "#1", "#1", 1), ("\\g", "", "#1", 1)]
+
+    def test_offset_tie_goes_to_the_name_defined_first(self):
+        """Of two effective definitions of one body at one offset, the
+        convention is the name whose first definition comes first in
+        offset order, not the one whose surviving definition is given first."""
+        def at(name, body, offset):
+            return MacroDefinition("p", name, body, "def", "", offset)
+
+        assert self.effective([at("\\a", "x", 0), at("\\b", "y", 1), at("\\a", "y", 1)]) == [
+            ("\\a", "", "y", 1), ("\\b", "", "y", 0)]
+        assert self.effective([at("\\b", "y", 1), at("\\a", "y", 1)]) == [
+            ("\\a", "", "y", 0), ("\\b", "", "y", 1)]
 
 
 class TestRecords:
-    """Definitions, conventions and timeline occurrences are immutable
-    tuple records."""
+    """Definitions and timeline occurrences are immutable tuple records."""
 
     def test_fields_cannot_be_assigned(self):
         d = extract_definitions("\\def\\x{a}", "p").definitions[0]
         records = [
             (d, "body"),
-            (paper_conventions([d])[0], "name"),
             (Occurrence("p", 0, "\\x", ("a",)), "group_rank"),
         ]
         for record, name in records:
@@ -194,7 +214,6 @@ class TestRecords:
     def test_positional_fields(self):
         d = extract_definitions("\\newcommand{\\x}[1]{a}", "p").definitions[0]
         assert tuple(d) == ("p", "\\x", "a", "newcommand", "[1]", 0)
-        assert d.body_key == ("[1]", "a")
         assert Occurrence._fields == ("paper_id", "group_rank", "name", "authors")
 
 

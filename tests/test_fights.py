@@ -269,7 +269,6 @@ class TestBalanceAndGapTables:
             winner_is_first = younger_wins == young_first
             fights.append(
                 FightRecord(
-                    kind="name",
                     paper_id=f"f{i}",
                     group_rank=i,
                     author_a="y" if young_first else "o",
@@ -312,7 +311,7 @@ class TestBalanceAndGapTables:
 
     def test_zero_gap_bucket_separate(self):
         f = FightRecord(
-            kind="name", paper_id="f", group_rank=0, author_a="a", author_b="b",
+            paper_id="f", group_rank=0, author_a="a", author_b="b",
             shared_key=("", BODY), shared=BODY, variant_a="\\a", variant_b="\\b",
             winner=0, exp_a=4, exp_b=4,
         )

@@ -31,12 +31,14 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def assert_fresh(opened: store.Opened, manifest: Path) -> None:
-    """``opened`` equals a fresh load and extraction, less the sources."""
+    """``opened`` equals a fresh load and extraction, less the sources and
+    the definitions' offsets."""
     result = load_corpus(manifest)
     defs, defs_skipped = extract_all(result.corpus)
     assert list(opened.corpus) == [p._replace(source="") for p in result.corpus]
     assert list(group_ranks(opened.corpus).items()) == list(group_ranks(result.corpus).items())
-    assert list(definition_records(opened.corpus, opened.definitions).items()) == list(defs.items())
+    assert list(definition_records(opened.corpus, opened.definitions).items()) == [
+        (pid, [d._replace(offset=0) for d in records]) for pid, records in defs.items()]
     fresh = definition_columns([defs.get(p.paper_id, []) for p in result.corpus])
     assert opened.definitions.columns() == fresh.columns()
     assert list(opened.definitions.strings) == fresh.strings
@@ -307,6 +309,19 @@ def test_unusable_cache_falls_back_to_a_fresh_load(damaged, tmp_path, caplog, mo
     [note] = [r for r in records if r[0] == "macrolens.store"]
     assert note[1] == "DEBUG" and note[2].startswith("corpus store not used for manifest.jsonl")
     assert [r for r in records if r != note] == expected[0]
+
+
+@pytest.mark.parametrize("definitions", [True, False])
+def test_a_fallback_open_holds_no_source(golden, tmp_path, monkeypatch, definitions):
+    open_corpus(golden)
+    hit = open_hit(golden, monkeypatch, definitions)
+    (tmp_path / "cache").write_text("", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    fallback = open_corpus(golden, definitions)
+    assert fallback.corpus.sources is None
+    assert list(fallback.corpus) == list(hit.corpus)
+    if definitions:
+        assert fallback.definitions.columns() == hit.definitions.columns()
 
 
 def test_relative_cache_path_is_ignored(golden, tmp_path, monkeypatch):
