@@ -233,8 +233,7 @@ def cmd_fights(args) -> list[Table]:
         fight_list = fights.detect_name_fights(corpus, by_key, ledger, filters)
         shared_label, shared = "body_hash", lambda f: report.body_hash(*f.shared_key)
     else:
-        whitelist = args.whitelist or list(fights.DEFAULT_BODY_FIGHT_NAMES)
-        name_timelines = build_name_timelines(corpus, defs, whitelist=whitelist)
+        name_timelines = build_name_timelines(corpus, defs, whitelist=args.whitelist)
         fight_list = fights.detect_body_fights(
             name_timelines, ledger,
             min_distinct_authors=args.min_authors,
@@ -269,14 +268,12 @@ def cmd_fights(args) -> list[Table]:
 def _title_fights(args) -> list[Table]:
     corpus = _load(args).corpus
     ledger = ExperienceLedger(corpus)
-    lexicon = fights.TitleLexicon.load(args.lexicon) if args.lexicon else None
+    lexicon = None if args.lexicon is None else fights.TitleLexicon.load(args.lexicon)
     filters = fights.TitleFightFilters(
         older_exp_threshold=args.older_exp_threshold,
         min_younger_papers=args.min_younger_papers,
     )
-    fight_list = fights.detect_title_fights(
-        corpus, args.style, ledger, CoauthorIndex(corpus), filters, lexicon
-    )
+    fight_list = fights.detect_title_fights(corpus, args.style, ledger, filters, lexicon)
     pairs, unmatched = fights.match_title_fights(fight_list, tolerance=args.match_tolerance)
     if unmatched:
         log.warning("%d title fights left unmatched", unmatched)
@@ -324,6 +321,9 @@ def _read_feature_csv(path: Path) -> analytics.FeatureMatrix:
         if header[-1:] != ["label"]:
             raise ValueError("feature CSV must end with a 'label' column")
         columns = header[:-1]
+        repeated = [c for c in dict.fromkeys(columns) if columns.count(c) > 1]
+        if repeated:
+            raise ValueError(f"feature CSV repeats the column {repeated[0]!r}")
         rows = []
         labels = []
         for rec in reader:
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-body-len", type=int, default=10, dest="min_body_len")
     p.add_argument("--three-author", action="store_true", dest="three_author",
                    help="robustness variant: second vs third author on 3-author papers")
-    p.add_argument("--whitelist", nargs="*", default=None,
+    p.add_argument("--whitelist", nargs="+", default=fights.DEFAULT_BODY_FIGHT_NAMES,
                    help="macro names eligible for body fights")
     p.add_argument("--style", choices=fights.STYLE_NAMES, default="colon")
     p.add_argument("--older-exp-threshold", type=int, default=20, dest="older_exp_threshold")

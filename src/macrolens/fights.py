@@ -351,10 +351,11 @@ class TitleLexicon:
             words = data.get(key, [])
             if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
                 raise ValueError(f"title lexicon {key!r} must be a list of strings")
-        self.determiners = frozenset(data["determiners"])
-        self.verbs = frozenset(data["verbs"])
-        self.adjectives = frozenset(data["adjectives"])
-        self.nouns = frozenset(data["nouns"])
+        # a word listed under two classes takes the first in this order
+        self.word_class: dict[str, str] = {}
+        for cls in ("determiner", "verb", "adjective", "noun"):
+            for word in data[f"{cls}s"]:
+                self.word_class.setdefault(word, cls)
         # a suffix listed under two classes takes the first in this order
         self.suffix_class: dict[str, str] = {}
         for cls in ("noun", "adjective", "verb"):
@@ -376,18 +377,11 @@ class TitleLexicon:
 
     def first_word_class(self, word: str) -> str | None:
         word = word.casefold()
-        if word in self.determiners:
-            return "determiner"
-        if word in self.verbs:
-            return "verb"
-        if word in self.adjectives:
-            return "adjective"
-        if word in self.nouns:
-            return "noun"
-        if len(word) >= 5:
-            for n in self.suffix_lengths:  # ``len(word) - n`` keeps an empty suffix exact
-                if len(word) > n + 1 and (cls := self.suffix_class.get(word[len(word) - n:])):
-                    return cls
+        if (cls := self.word_class.get(word)) or len(word) < 5:
+            return cls
+        for n in self.suffix_lengths:  # ``len(word) - n`` keeps an empty suffix exact
+            if len(word) > n + 1 and (cls := self.suffix_class.get(word[len(word) - n:])):
+                return cls
         return None
 
 
@@ -423,31 +417,6 @@ def classify_title(title: str, lexicon: TitleLexicon | None = None) -> set[str]:
     return styles
 
 
-def _titles_without(ledger: ExperienceLedger, author: str, coauthor: str) -> list[str]:
-    """The titles of the author's titled papers not co-authored with ``coauthor``."""
-    joint = set(ledger.positions_of(coauthor))
-    strings, title_ids = ledger.corpus.strings, ledger.corpus.title_ids
-    titles = (strings[title_ids[i]] for i in ledger.positions_of(author) if i not in joint)
-    return [title for title in titles if title]
-
-
-def title_profile(
-    ledger: ExperienceLedger,
-    author: str,
-    style: str,
-    exclude_coauthor: str,
-    lexicon: TitleLexicon | None = None,
-) -> float:
-    """Lifetime fraction of the author's papers showing the style,
-    skipping papers co-authored with ``exclude_coauthor`` and papers
-    without a title.  Uses the whole corpus horizon by design."""
-    eligible = _titles_without(ledger, author, exclude_coauthor)
-    if not eligible:
-        raise ValueError(f"author {author!r} has no eligible papers")
-    positives = sum(1 for title in eligible if style in classify_title(title, lexicon))
-    return positives / len(eligible)
-
-
 @dataclass(frozen=True)
 class TitleFightFilters:
     older_exp_threshold: int = 20
@@ -472,34 +441,38 @@ def detect_title_fights(
     corpus: Corpus,
     style: str,
     ledger: ExperienceLedger,
-    index: CoauthorIndex,
     filters: TitleFightFilters | None = None,
     lexicon: TitleLexicon | None = None,
 ) -> list[TitleFight]:
-    """Style contentions at first collaborations.
+    """Style contentions at first collaborations, in corpus order.
 
     Candidate papers have exactly two authors who never co-authored
     strictly before (and have no other joint paper in the same tie
     group), an older author above the experience threshold, and a
-    younger author with enough non-joint lifetime papers to give a
-    meaningful style profile.  Equal experiences assign "younger" to
-    the first-listed author.
+    younger author with enough titled papers without the older one to
+    give a meaningful style profile.  Each profile is the lifetime
+    fraction (the whole corpus horizon, by design) of the author's
+    titled papers without the other author that show the style.  Equal
+    experiences assign "younger" to the first-listed author.
     """
     if style not in STYLE_NAMES:
         raise ValueError(f"unknown style {style!r}")
     flt = filters or TitleFightFilters()
     lex = lexicon or default_lexicon()
+    ranks, title = corpus.ranks, corpus.title
+    shown: dict[int, bool] = {}  # each titled paper's classification, made once
+
+    def shows(i: int) -> bool:
+        if i not in shown:
+            shown[i] = style in classify_title(title(i), lex)
+        return shown[i]
+
     fights: list[TitleFight] = []
     for i in compress(range(len(corpus)), map((2).__eq__, corpus.author_counts())):
-        title = corpus.title(i)
-        if not title:
+        if not title(i):
             continue
         a, b = corpus.authors(i)
-        rank = corpus.ranks[i]
-        if index.joint_count_before(a, b, rank) > 0:
-            continue
-        if index.joint_count_in_group(a, b, rank) > 1:
-            continue
+        rank = ranks[i]
         exp_a = ledger.experience_at_rank(a, rank)
         exp_b = ledger.experience_at_rank(b, rank)
         if exp_a <= exp_b:
@@ -510,12 +483,15 @@ def detect_title_fights(
             exp_y, exp_o = exp_b, exp_a
         if exp_o < flt.older_exp_threshold:
             continue
-        if len(_titles_without(ledger, younger, older)) < flt.min_younger_papers:
+        joint = set(ledger.positions_of(a)).intersection(ledger.positions_of(b))
+        # paper i is joint: another joint paper before it or in its tie group rejects it
+        if sum(ranks[j] <= rank for j in joint) > 1:
             continue
-        try:
-            p_y = title_profile(ledger, younger, style, exclude_coauthor=older, lexicon=lex)
-            p_o = title_profile(ledger, older, style, exclude_coauthor=younger, lexicon=lex)
-        except ValueError:
+        own_y = [j for j in ledger.positions_of(younger) if j not in joint and title(j)]
+        if len(own_y) < max(flt.min_younger_papers, 1):
+            continue
+        own_o = [j for j in ledger.positions_of(older) if j not in joint and title(j)]
+        if not own_o:
             continue
         fights.append(
             TitleFight(
@@ -526,12 +502,11 @@ def detect_title_fights(
                 older=older,
                 exp_younger=exp_y,
                 exp_older=exp_o,
-                profile_younger=p_y,
-                profile_older=p_o,
-                indicator=1 if style in classify_title(title, lex) else 0,
+                profile_younger=sum(map(shows, own_y)) / len(own_y),
+                profile_older=sum(map(shows, own_o)) / len(own_o),
+                indicator=int(shows(i)),
             )
         )
-    fights.sort(key=lambda f: (f.group_rank, f.paper_id))
     return fights
 
 

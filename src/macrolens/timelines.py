@@ -179,7 +179,6 @@ class ExperienceLedger:
     """
 
     def __init__(self, corpus: Corpus):
-        self.corpus = corpus
         authors = list(corpus.author_ids)
         # each slot's paper position counts the papers that start at or before it
         starts = [0] * (len(authors) + 1)
@@ -238,9 +237,6 @@ class CoauthorIndex:
     def neighbours(self, author: str) -> dict[str, list[int]]:
         return self._joint.get(author, {})
 
-    def joint_ranks(self, a: str, b: str) -> list[int]:
-        return self.neighbours(a).get(b, [])
-
     def coauthored_before(self, a: str, b: str, group_rank: int) -> bool:
         """Whether ``a`` and ``b`` share a paper before ``group_rank``.
 
@@ -249,15 +245,8 @@ class CoauthorIndex:
         patches it by name to count pair tests, and a traced run fails
         without it.
         """
-        ranks = self.joint_ranks(a, b)
+        ranks = self.neighbours(a).get(b)
         return bool(ranks) and ranks[0] < group_rank
-
-    def joint_count_before(self, a: str, b: str, group_rank: int) -> int:
-        return bisect_left(self.joint_ranks(a, b), group_rank)
-
-    def joint_count_in_group(self, a: str, b: str, group_rank: int) -> int:
-        ranks = self.joint_ranks(a, b)
-        return bisect_left(ranks, group_rank + 1) - bisect_left(ranks, group_rank)
 
 
 @dataclass(frozen=True)

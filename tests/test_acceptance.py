@@ -18,7 +18,7 @@ import pytest
 from macrolens import analytics, changeover, fights, synth
 from macrolens.cli import run
 from macrolens.corpus import load_corpus
-from macrolens.timelines import CoauthorIndex, ExperienceLedger, build_timelines, interval
+from macrolens.timelines import ExperienceLedger, build_timelines, interval
 
 from conftest import crossover_timeline, random_timeline
 from headline import binomial_test, high_dominance_rate, overall_older_win_rate
@@ -227,9 +227,7 @@ def test_criterion_7_planted_effects(tmp_path):
         result = synth.generate(cfg)
         manifest, _ = synth.write_output(result, tmp_path / "titlefights")
         corpus = load_corpus(manifest).corpus
-        title_fights = fights.detect_title_fights(
-            corpus, "colon", ExperienceLedger(corpus), CoauthorIndex(corpus)
-        )
+        title_fights = fights.detect_title_fights(corpus, "colon", ExperienceLedger(corpus))
         assert len(title_fights) == 3000, f"detected {len(title_fights)}"
         pairs, unmatched = fights.match_title_fights(title_fights)
         assert len(pairs) == 1500, f"matched {len(pairs)} (unmatched {unmatched})"

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import macrolens
-from macrolens import changeover, fights, report, synth
+from macrolens import changeover, fights, report, synth, timelines
 from macrolens.cli import run
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -52,6 +52,7 @@ class TestArgHandling:
         "nan feature": "a,x,label\n" + "1,2,0\n" * 4 + "1,nan,1\n",
         "inf feature": "a,x,label\n1,inf,0\n",
         "-inf feature": "a,x,label\n1,2,0\n-inf,3,1\n",
+        "repeated feature column": "a,b,a,label\n1,2,3,0\n4,5,6,1\n",
     }
     NAMED_CELLS = {
         "non-numeric feature": "feature CSV line 3, column 'a': 'x' is not a number",
@@ -59,6 +60,7 @@ class TestArgHandling:
         "nan feature": "feature CSV line 6, column 'x': 'nan' is not a finite number",
         "inf feature": "feature CSV line 2, column 'x': 'inf' is not a finite number",
         "-inf feature": "feature CSV line 3, column 'a': '-inf' is not a finite number",
+        "repeated feature column": "feature CSV repeats the column 'a'",
     }
 
     WORD_LISTS = '"determiners": ["the"], "verbs": [], "adjectives": [], "nouns": []'
@@ -96,6 +98,22 @@ class TestArgHandling:
         if case in named:
             assert err == f"macrolens: error: {named[case]}\n"
         assert not out.exists()
+
+    def test_whitelist_flag_needs_names(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            invoke("fights", "body", "--corpus", str(GOLDEN / "manifest.jsonl"),
+                   "--out", str(tmp_path / "out"), "--whitelist")
+        assert exc.value.code == 2
+        assert "--whitelist: expected at least one argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_lexicon_path_is_not_the_packaged_lexicon(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            invoke("fights", "title", "--corpus", str(GOLDEN / "manifest.jsonl"),
+                   "--out", str(tmp_path / "out"), "--lexicon", "")
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("macrolens: error: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("train_frac", ["-0.5", "1.0", "1.5", "nan"])
     def test_train_frac_outside_unit_interval(self, train_frac, tmp_path, capsys):
@@ -335,6 +353,16 @@ def test_numpy_loads_only_for_feature_matrices(synth_corpus, tmp_path):
         files = {path.name: path.stat().st_mtime_ns for path in store.iterdir()}
         assert len(files) == 1 and files == (built or files)  # the warm pass rebuilt nothing
         built = files
+
+
+def test_title_fights_build_no_coauthor_index(synth_corpus, tmp_path, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("CoauthorIndex built")
+
+    monkeypatch.setattr(timelines.CoauthorIndex, "__init__", refused)
+    assert invoke("fights", "title", "--corpus", str(synth_corpus), "--out", str(tmp_path)) == 0
+    with open(tmp_path / "title_fights.csv", encoding="utf-8", newline="") as fh:
+        assert len(list(csv.reader(fh))) > 1
 
 
 class TestPipelineCommands:

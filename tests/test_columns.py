@@ -125,10 +125,6 @@ def test_coauthor_index(seed, source, tmp_path, monkeypatch):
         assert index.neighbours(a) == expected.neighbours(a)
         for b in authors:
             for rank in range(-1, top + 2, 7):
-                assert (index.joint_count_before(a, b, rank)
-                        == expected.joint_count_before(a, b, rank))
-                assert (index.joint_count_in_group(a, b, rank)
-                        == expected.joint_count_in_group(a, b, rank))
                 assert index.coauthored_before(a, b, rank) == expected.coauthored_before(a, b, rank)
 
 
@@ -137,13 +133,13 @@ def test_coauthor_index(seed, source, tmp_path, monkeypatch):
 def test_title_fights(seed, source, tmp_path, monkeypatch):
     papers = seeded_papers(seed)
     corpus, ref = built(papers, tmp_path, monkeypatch, source), RecordCorpus(papers)
-    ledger, index = ExperienceLedger(corpus), CoauthorIndex(corpus)
+    ledger = ExperienceLedger(corpus)
     expected_ledger, expected_index = RecordLedger(ref), RecordCoauthorIndex(ref)
     found = 0
     for filters in (TitleFightFilters(), TitleFightFilters(older_exp_threshold=2,
                                                            min_younger_papers=2)):
         for style in STYLE_NAMES:
-            fights = detect_title_fights(corpus, style, ledger, index, filters)
+            fights = detect_title_fights(corpus, style, ledger, filters)
             assert fights == record_detect_title_fights(
                 ref, style, expected_ledger, expected_index, filters)
             found += len(fights)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macrolens import analytics, synth
+from macrolens import fights as fights_module
 from macrolens.analytics import betweenness
 from macrolens.extraction import MacroDefinition
 from macrolens.fights import (
@@ -27,7 +28,6 @@ from macrolens.fights import (
     dominance_by_gap,
     fight_feature_matrix,
     match_title_fights,
-    title_profile,
     win_rate_by_gap,
 )
 from macrolens.timelines import (
@@ -476,11 +476,16 @@ class TestClassifyTitle:
 
 
 class _FormerLexicon(TitleLexicon):
-    """The suffix rule as it was written before the suffix table: every
-    suffix tested in (longest first, noun, adjective, verb) order."""
+    """The rules as they were written before the word and suffix tables:
+    four word sets tested in (determiner, verb, adjective, noun) order,
+    then every suffix in (longest first, noun, adjective, verb) order."""
 
     def __init__(self, data):
         super().__init__(data)
+        self.determiners = frozenset(data["determiners"])
+        self.verbs = frozenset(data["verbs"])
+        self.adjectives = frozenset(data["adjectives"])
+        self.nouns = frozenset(data["nouns"])
         self.suffixes = []
         for cls, key in (
             ("noun", "noun_suffixes"),
@@ -583,37 +588,64 @@ class TestClassificationAgainstFormerCode:
 
 
 class TestTitleProfile:
-    def make(self):
-        papers = [
-            paper(f"s{i}", f"2000-01-{i+1:02d}", ["w"],
-                  title=("Results: part" if i < 3 else "Results of part"))
-            for i in range(10)
-        ]
+    """The profiles of :func:`detect_title_fights`: each author's share of
+    their titled papers without the other author that show the style."""
+
+    FILTERS = TitleFightFilters(older_exp_threshold=1, min_younger_papers=1)
+
+    def make(self, w_titles=None, z_titles=("Solo z",), extra=()):
+        """Older 'w' with 10 solo papers (3 colons by default), younger
+        'z' with one solo paper per title, then their first collaboration."""
+        w_titles = w_titles or ["Results: part" if i < 3 else "Results of part" for i in range(10)]
+        papers = [paper(f"s{i}", f"2000-01-{i+1:02d}", ["w"], title=t)
+                  for i, t in enumerate(w_titles)]
+        papers += [paper(f"z{i}", f"2000-02-{i+1:02d}", ["z"], title=t)
+                   for i, t in enumerate(z_titles)]
         papers.append(paper("joint", "2001-01-01", ["w", "z"], title="Joint: work"))
-        corpus = corpus_of(*papers)
-        return corpus, ExperienceLedger(corpus)
+        return corpus_of(*papers, *extra)
+
+    def fights(self, corpus, filters=FILTERS):
+        return detect_title_fights(corpus, "colon", ExperienceLedger(corpus), filters)
 
     def test_fraction(self):
-        _, ledger = self.make()
-        assert title_profile(ledger, "w", "colon", exclude_coauthor="z") == pytest.approx(0.3)
+        (f,) = self.fights(self.make())
+        assert (f.paper_id, f.younger, f.older) == ("joint", "z", "w")
+        assert f.profile_older == pytest.approx(0.3)
+        assert f.profile_younger == 0.0
 
     def test_all_positive(self):
-        papers = [paper(f"s{i}", f"2000-01-{i+1:02d}", ["w"], title="A: b") for i in range(4)]
-        corpus = corpus_of(*papers)
-        ledger = ExperienceLedger(corpus)
-        assert title_profile(ledger, "w", "colon", exclude_coauthor="z") == 1.0
+        (f,) = self.fights(self.make(w_titles=["A: b"] * 4, z_titles=["A: c"]))
+        assert f.profile_older == f.profile_younger == 1.0
 
     def test_joint_papers_excluded_from_both_sides(self):
-        corpus, ledger = self.make()
+        extra = [
+            paper("again", "2002-01-01", ["w", "z"], title="Again: joint"),
+            paper("trio", "2002-02-01", ["x", "z", "w"], title="Trio of authors"),
+            paper("z untitled", "2002-03-01", ["z"], title=""),
+            paper("z later", "2002-04-01", ["z"], title="Later: z"),
+            paper("w with x", "2002-05-01", ["w", "x"], title="With x: w"),
+        ]
+        corpus = self.make(extra=extra)
+        (f,) = self.fights(corpus)
+        assert f.paper_id == "joint"
         # oracle recompute from raw lists
-        eligible = [p for p in map(corpus.paper, ledger.positions_of("w")) if "z" not in p.authors]
-        expected = sum(1 for p in eligible if ":" in p.title) / len(eligible)
-        assert title_profile(ledger, "w", "colon", exclude_coauthor="z") == pytest.approx(expected)
+        records = list(corpus)
 
-    def test_no_eligible_papers_error(self):
-        corpus, ledger = self.make()
-        with pytest.raises(ValueError):
-            title_profile(ledger, "nobody", "colon", exclude_coauthor="z")
+        def share(author, other):
+            eligible = [p for p in records if author in p.authors and other not in p.authors
+                        and p.title]
+            return sum(1 for p in eligible if ":" in p.title) / len(eligible)
+
+        assert f.profile_older == pytest.approx(share("w", "z")) == pytest.approx(4 / 11)
+        assert f.profile_younger == pytest.approx(share("z", "w")) == pytest.approx(1 / 2)
+
+    def test_no_eligible_papers_no_fight(self):
+        # the older author's only titled paper is the joint one
+        assert self.fights(self.make(w_titles=[""] * 10)) == []
+        # the younger author has none, even when no minimum is asked for
+        no_minimum = TitleFightFilters(older_exp_threshold=1, min_younger_papers=0)
+        assert self.fights(self.make(z_titles=[""]), no_minimum) == []
+        assert len(self.fights(self.make(), no_minimum)) == 1
 
 
 def title_corpus(first_collab_extra=(), y_titles=3, o_titles=5):
@@ -640,9 +672,7 @@ SMALL_TITLE_FILTERS = TitleFightFilters(older_exp_threshold=5, min_younger_paper
 
 
 def colon_fights(corpus, filters):
-    return detect_title_fights(
-        corpus, "colon", ExperienceLedger(corpus), CoauthorIndex(corpus), filters
-    )
+    return detect_title_fights(corpus, "colon", ExperienceLedger(corpus), filters)
 
 
 class TestDetectTitleFights:
@@ -673,6 +703,29 @@ class TestDetectTitleFights:
         corpus = title_corpus()
         strict = TitleFightFilters(older_exp_threshold=20, min_younger_papers=3)
         assert colon_fights(corpus, strict) == []
+
+    def test_each_title_classified_once(self, monkeypatch):
+        """An older author in four first collaborations: each titled
+        paper is classified at most once, not once per collaboration."""
+        extra = []
+        for k in range(3):
+            extra += [(f"v{k}.{i}", f"2000-03-{3 * k + i + 1:02d}", [f"v{k}"], f"Eps: v{k}.{i}")
+                      for i in range(3)]
+            extra.append((f"collab v{k}", f"2001-0{k + 2}-01", [f"v{k}", "o"], f"Zeta v{k}"))
+        corpus = title_corpus(first_collab_extra=extra)
+        calls = []
+        classify = fights_module.classify_title
+
+        def counted(title, lexicon=None):
+            calls.append(title)
+            return classify(title, lexicon)
+
+        monkeypatch.setattr(fights_module, "classify_title", counted)
+        fights = colon_fights(corpus, SMALL_TITLE_FILTERS)
+        assert [f.paper_id for f in fights] == ["collab", "collab v0", "collab v1", "collab v2"]
+        titles = [p.title for p in corpus if p.title]
+        assert len(set(titles)) == len(titles) == 29
+        assert len(calls) == len(set(calls)) <= len(titles)
 
 
 def tf(pid, p_y, p_o, indicator, e_y=5, e_o=15, rank=0):
