@@ -131,10 +131,8 @@ def split(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TrainConfig:
-    max_iter: int = 10000
-    grad_tol: float = 1e-8  # max-norm convergence threshold
+MAX_ITER = 10000
+GRAD_TOL = 1e-8  # max-norm convergence threshold
 
 
 @dataclass
@@ -173,15 +171,14 @@ def logistic_loss_and_grad(
     return loss, gw, gb
 
 
-def logistic_fit(train: FeatureMatrix, config: TrainConfig | None = None) -> LogisticModel:
+def logistic_fit(train: FeatureMatrix) -> LogisticModel:
     """Maximum-likelihood fit by gradient descent with backtracking.
 
     The backtracking line search keeps the loss monotone nonincreasing.
-    Stops when the gradient max-norm drops below ``grad_tol`` or after
-    ``max_iter`` iterations; non-convergence is reported in the model
+    Stops when the gradient max-norm drops below ``GRAD_TOL`` or after
+    ``MAX_ITER`` iterations; non-convergence is reported in the model
     metadata, not raised.
     """
-    cfg = config or TrainConfig()
     X = train.X
     y = train.y.astype(np.float64)
     w = np.zeros(X.shape[1])
@@ -190,9 +187,9 @@ def logistic_fit(train: FeatureMatrix, config: TrainConfig | None = None) -> Log
     step = 1.0
     iterations = 0
     converged = False
-    for iterations in range(1, cfg.max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         gmax = max(float(np.max(np.abs(gw))) if gw.size else 0.0, abs(gb))
-        if gmax < cfg.grad_tol:
+        if gmax < GRAD_TOL:
             converged = True
             iterations -= 1
             break

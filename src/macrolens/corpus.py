@@ -82,76 +82,78 @@ def normalize_author(raw: str) -> str:
     return " ".join(t.split())
 
 
-class PaperDate(NamedTuple):
-    """A timestamp that is either exact or resolved only to a month.
-
-    ``day`` is None for month-granular dates.  The corpus order places a
-    month-granular date before exact dates in the same month (day None
-    counts as day 0); the relative order of the two granularities within
-    one month is not meaningful and only needs to be consistent.
-    Construct checked dates through :meth:`parse`.
-    """
-
-    year: int
-    month: int
-    day: int | None = None
-
-    @classmethod
-    def parse(cls, text: str) -> "PaperDate":
-        # A string that matches as it stands has nothing to strip.
-        m = _DATE.fullmatch(text) or _DATE.fullmatch(text.strip())
-        if m is None:
-            raise ValueError(f"date {text!r} is neither YYYY-MM nor YYYY-MM-DD")
-        year, month, day = m.groups()
-        year, month = int(year), int(month)
-        day = None if day is None else int(day)
-        try:
-            datetime.date(year, month, 1 if day is None else day)
-        except ValueError as exc:
-            raise ValueError(f"date {text!r} is not on the calendar ({exc})") from None
-        # the generated ``__new__`` less its Python-level argument binding
-        return tuple.__new__(cls, (year, month, day))
+def parse_date(text: str) -> int:
+    """A manifest date, ``YYYY-MM-DD`` or month-granular ``YYYY-MM``
+    (surrounding whitespace allowed), as yyyymmdd, dd 0 when month-granular."""
+    # A string that matches as it stands has nothing to strip.
+    m = _DATE.fullmatch(text) or _DATE.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"date {text!r} is neither YYYY-MM nor YYYY-MM-DD")
+    year, month, day = int(m[1]), int(m[2]), int(m[3] or 0)
+    try:  # a written day 00 is off the calendar, not month-granular
+        datetime.date(year, month, day if m[3] else 1)
+    except ValueError as exc:
+        raise ValueError(f"date {text!r} is not on the calendar ({exc})") from None
+    return (year * 100 + month) * 100 + day
 
 
 class Paper(NamedTuple):
-    """One corpus document.  ``authors`` are normalized keys in byline order.
+    """One corpus document.  ``authors`` are normalized keys in byline order,
+    and ``date`` is yyyymmdd as :func:`parse_date` gives it.
 
     The loader checks a record (non-empty byline, no author twice) before
     it builds one.
     """
 
     paper_id: str
-    date: PaperDate
+    date: int
     authors: tuple[str, ...]
     title: str
     source: str
 
 
-class Corpus:
+class Columns:
+    """Int columns, named by ``COLUMNS``, over one string table; the corpus
+    store writes and reads a table by them."""
+
+    COLUMNS: tuple[str, ...]
+
+    def __init__(self, strings: Sequence[str], **columns: Sequence[int]):
+        self.strings = strings
+        for column in self.COLUMNS:
+            setattr(self, column, columns[column])
+
+    def columns(self) -> dict[str, Sequence[int]]:
+        return {column: getattr(self, column) for column in self.COLUMNS}
+
+
+class Corpus(Columns):
     """An immutable, temporally ordered collection of papers, held as columns.
 
     Papers are numbered by their position in corpus order, which follows
-    (group rank, paper id): a month-granular paper sorts as day 0, so a
-    month's tie group comes before that month's exact dates, and papers
-    within a group are sorted by id.  ``ranks[i]`` is the index of paper
-    ``i``'s tie group in the global order; papers share a rank exactly when
-    their relative order is unknown (same month, month-granular).
-    Exact-dated papers always get singleton groups, even when they share a
-    day.
+    (date, paper id): a month-granular paper sorts as day 0, so a month's
+    tie group comes before that month's exact dates, and papers within a
+    group are sorted by id.  ``ranks[i]`` is the index of paper ``i``'s tie
+    group in the global order; papers share a rank exactly when their
+    relative order is unknown (same month, month-granular).  Exact-dated
+    papers always get singleton groups, even when they share a day.
 
-    Strings are ids into ``strings``: ``strings[i]`` is paper ``i``'s id,
-    ``title_ids[i]`` its title's, and ``author_ids[author_offsets[i]
-    :author_offsets[i + 1]]`` its authors' in byline order, with one id per
-    distinct author key.  ``dates[i]`` is yyyymmdd, dd 0 when
-    month-granular.  ``sources`` holds each paper's source, or is None when
-    every source is ``""`` (a corpus read back from a store).  A ``Paper``
-    record is built only when a caller asks for one.
+    Strings are ids into ``strings``: of ``n`` papers, ``strings[i]`` is
+    paper ``i``'s id, ``strings[n + i]`` its title, and
+    ``author_ids[author_offsets[i]:author_offsets[i + 1]]`` its authors'
+    ids in byline order, with one id per distinct author key.  ``dates[i]``
+    is its date.  ``sources`` holds each paper's source when
+    :meth:`from_papers` built the corpus, and is None when every source is
+    ``""`` (a corpus read back from a store).  A ``Paper`` record is built
+    only when a caller asks for one.
     """
 
-    def __init__(self, papers: Iterable[Paper]):
-        ordered = sorted(
-            papers, key=lambda p: (p.date.year, p.date.month, p.date.day or 0, p.paper_id)
-        )
+    COLUMNS = ("dates", "ranks", "author_offsets", "author_ids")
+    sources: list[str] | None = None
+
+    @classmethod
+    def from_papers(cls, papers: Iterable[Paper]) -> "Corpus":
+        ordered = sorted(papers, key=operator.itemgetter(1, 0))  # (date, paper_id)
         # strings: the paper ids (paper i's is string i), the titles, then each distinct author
         n = len(ordered)
         strings = [p.paper_id for p in ordered]
@@ -164,35 +166,18 @@ class Corpus:
             authors.setdefault(a, 2 * n + len(authors)) for p in ordered for a in p.authors
         ))
         strings.extend(authors)
-        dates = array(COLUMN_TYPE, (
-            (y * 100 + m) * 100 + (d or 0) for y, m, d in (p.date for p in ordered)
-        ))
-        self._columns(
-            strings=strings,
+        dates = array(COLUMN_TYPE, (p.date for p in ordered))
+        corpus = cls(
+            strings,
             dates=dates,
             ranks=_tie_group_ranks(dates),
-            title_ids=array(COLUMN_TYPE, range(n, 2 * n)),
             author_offsets=array(COLUMN_TYPE, accumulate(
                 (len(p.authors) for p in ordered), initial=0
             )),
             author_ids=author_ids,
         )
-        self.sources: list[str] | None = [p.source for p in ordered]
-
-    @classmethod
-    def from_columns(cls, **columns: Sequence) -> "Corpus":
-        """A corpus from the columns :meth:`__init__` would build (as a
-        corpus store holds them), with every source ``""``."""
-        corpus = object.__new__(cls)
-        corpus._columns(**columns)
-        corpus.sources = None
+        corpus.sources = [p.source for p in ordered]
         return corpus
-
-    def _columns(self, *, strings: Sequence[str], dates: Sequence[int], ranks: Sequence[int],
-                 title_ids: Sequence[int], author_offsets: Sequence[int],
-                 author_ids: Sequence[int]) -> None:
-        self.strings, self.dates, self.ranks, self.title_ids = strings, dates, ranks, title_ids
-        self.author_offsets, self.author_ids = author_offsets, author_ids
 
     def __len__(self) -> int:
         return len(self.ranks)
@@ -204,7 +189,7 @@ class Corpus:
         return self.strings[i]
 
     def title(self, i: int) -> str:
-        return self.strings[self.title_ids[i]]
+        return self.strings[len(self.ranks) + i]  # not ``len(self)``, a Python call
 
     def authors(self, i: int) -> tuple[str, ...]:
         ids = self.author_ids[self.author_offsets[i]:self.author_offsets[i + 1]]
@@ -216,10 +201,9 @@ class Corpus:
         return map(operator.sub, offsets[1:], offsets)
 
     def paper(self, i: int) -> Paper:
-        date = self.dates[i]
         return tuple.__new__(Paper, (
             self.paper_id(i),
-            tuple.__new__(PaperDate, (date // 10000, date // 100 % 100, date % 100 or None)),
+            self.dates[i],
             self.authors(i),
             self.title(i),
             "" if self.sources is None else self.sources[i],
@@ -278,7 +262,7 @@ def _parse_record(rec: dict, base_dir: Path, read: Callable[[Path, str], str]) -
         raise _field_problem(rec, "id")
     if not isinstance(raw_date, str):
         raise _field_problem(rec, "date")
-    date = PaperDate.parse(raw_date)
+    date = parse_date(raw_date)
     if not isinstance(raw_authors, list) or not raw_authors:
         raise _field_problem(rec, "authors", list)
     for raw in raw_authors:
@@ -348,4 +332,4 @@ def load_corpus(path: Path | str, read: Callable[[Path, str], str] = read_source
                 continue
             seen_ids.add(paper.paper_id)
             papers.append(paper)
-    return LoadResult(Corpus(papers), skipped, problems, hashed.sha256.hexdigest())
+    return LoadResult(Corpus.from_papers(papers), skipped, problems, hashed.sha256.hexdigest())

@@ -88,7 +88,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import COLUMN_TYPE
+from .corpus import COLUMN_TYPE, Columns
 
 _ESCAPE = r"\\."
 # Brace groups nested deeper than this inside a body are left to the
@@ -350,7 +350,7 @@ def extract_definitions(source: str, paper_id: str) -> ExtractionResult:
     return ExtractionResult(definitions=defs, skipped=skipped)
 
 
-class Definitions:
+class Definitions(Columns):
     """Every paper's definitions and effective definitions as int columns
     over one string table, the papers in corpus order.
 
@@ -365,14 +365,6 @@ class Definitions:
 
     COLUMNS = ("counts", "name", "body", "command", "signature", "effective",
                "effective_name", "effective_body", "effective_signature", "convention")
-
-    def __init__(self, strings: Sequence[str], **columns: Sequence[int]):
-        self.strings = strings
-        for column in self.COLUMNS:
-            setattr(self, column, columns[column])
-
-    def columns(self) -> dict[str, Sequence[int]]:
-        return {column: getattr(self, column) for column in self.COLUMNS}
 
 
 def definition_columns(by_paper: Iterable[Sequence[MacroDefinition]]) -> Definitions:

@@ -341,7 +341,8 @@ _MATH_RE = re.compile(r"\$|\\[A-Za-z]+|\\[^A-Za-z\s]")
 
 class TitleLexicon:
     """Closed-class word lists plus suffix heuristics for first-word
-    part-of-speech guesses.  Swappable via a JSON file."""
+    part-of-speech guesses.  Swappable via a JSON file; its words and
+    suffixes match in any case."""
 
     def __init__(self, data: dict):
         lists = ("determiners", "verbs", "adjectives", "nouns")
@@ -355,12 +356,12 @@ class TitleLexicon:
         self.word_class: dict[str, str] = {}
         for cls in ("determiner", "verb", "adjective", "noun"):
             for word in data[f"{cls}s"]:
-                self.word_class.setdefault(word, cls)
+                self.word_class.setdefault(word.casefold(), cls)
         # a suffix listed under two classes takes the first in this order
         self.suffix_class: dict[str, str] = {}
         for cls in ("noun", "adjective", "verb"):
             for suf in data.get(f"{cls}_suffixes", []):
-                self.suffix_class.setdefault(suf, cls)
+                self.suffix_class.setdefault(suf.casefold(), cls)
         # the longest suffix the word ends with wins
         self.suffix_lengths = sorted({len(suf) for suf in self.suffix_class}, reverse=True)
 

@@ -24,13 +24,15 @@ goes once it is extracted.  The file holds a JSON header, ``array`` ints
 and two UTF-8 string tables, so reading it runs no code; deleting it is
 always safe.
 
-Layout (format 4): magic, sha256 of the rest, header length (8 bytes),
+Layout (format 5): magic, sha256 of the rest, header length (8 bytes),
 header (key, resolved manifest path, ``source_path`` fingerprints, skip
 counts, problem lines without the manifest name, column lengths), the int
-columns in ``_COLUMNS`` order (the corpus's, then ``Definitions.COLUMNS``:
-each paper's definitions, less their offsets, which no command reads, and
-its effective definitions with their convention flags), then the text of
-the corpus's string table followed by the definitions' one.  Decoding
+columns of each table in ``_TABLES`` by its ``COLUMNS`` (the corpus's, then
+the definitions': each paper's definitions, less their offsets, which no
+command reads, and its effective definitions with their convention
+flags), the char offsets of each table's strings into the text that
+follows, then the text of the corpus's string table followed by the
+definitions' one.  Decoding
 copies the columns into arrays and decodes that text as one string; a
 corpus string is cut from it only when a caller asks for it, and the
 definitions' columns and strings are decoded only when definitions are
@@ -56,13 +58,9 @@ from .extraction import Definitions, definition_columns, extract_definitions
 log = logging.getLogger(__name__)
 _problem_log = logging.getLogger("macrolens.corpus")  # the loader's problem lines
 
-_FORMAT = 4
+_FORMAT = 5
 _MAGIC = b"macrolens corpus store\n"
-# The corpus's columns (see ``Corpus``), the definitions' (see
-# ``Definitions``), and the char offsets of the corpus's strings and then
-# of the definitions' strings.
-_PAPER = ("date", "rank", "title", "author_offsets", "author")
-_COLUMNS = (*_PAPER, *Definitions.COLUMNS, "corpus_strings", "definition_strings")
+_TABLES = (Corpus, Definitions)  # in file order
 _SIZE = array(COLUMN_TYPE).itemsize  # a value too large for it fails the build, not the command
 
 
@@ -180,7 +178,8 @@ def _write(file: Path, path: Path, key: dict) -> memoryview:
         with os.fdopen(fd, "w+b") as fh:
             header, cols, strings = _build(path, key)
             fh.write(_MAGIC + bytes(32) + len(header).to_bytes(8, "little") + header)
-            fh.writelines(cols.pop(name) for name in _COLUMNS)
+            fh.writelines(cols)
+            cols.clear()
             text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogatepass", newline="")
             text.writelines(strings)
             text.detach()
@@ -198,7 +197,7 @@ def _write(file: Path, path: Path, key: dict) -> memoryview:
     return memoryview(data)
 
 
-def _build(path: Path, key: dict) -> tuple[bytes, dict[str, array], Iterable[str]]:
+def _build(path: Path, key: dict) -> tuple[bytes, list[array], Iterable[str]]:
     """Loads and extracts ``path``: the store's header (whose key names
     the manifest bytes that were parsed), int columns and strings in table
     order."""
@@ -214,21 +213,20 @@ def _build(path: Path, key: dict) -> tuple[bytes, dict[str, array], Iterable[str
     result, sources = _load(path, recorded)
     corpus, key = result.corpus, {**key, "manifest": result.sha256}
     defs, defs_skipped = _extract(corpus, sources)
-    cols = defs.columns()
-    strings = defs.strings
-    cols.update(date=corpus.dates, rank=corpus.ranks, title=corpus.title_ids,
-                author_offsets=corpus.author_offsets, author=corpus.author_ids)
-    cols["corpus_strings"] = array(COLUMN_TYPE, accumulate(map(len, corpus.strings), initial=0))
-    end = cols["corpus_strings"][-1]
-    cols["definition_strings"] = array(COLUMN_TYPE, accumulate(map(len, strings), initial=end))
+    tables = (corpus, defs)  # as in ``_TABLES``
+    cols = [column for table in tables for column in table.columns().values()]
+    end = 0
+    for table in tables:
+        cols.append(array(COLUMN_TYPE, accumulate(map(len, table.strings), initial=end)))
+        end = cols[-1][-1]
     prefix = len(path.name) + 1  # the problem lines' "<manifest name>:"
     header = json.dumps({
         "key": key, "path": os.fsdecode(path.resolve()), "read": read, "skipped": result.skipped,
         "definitions_skipped": defs_skipped,
         "problems": [line[prefix:] for line in result.problems],
-        "columns": [len(cols[name]) for name in _COLUMNS],
+        "columns": list(map(len, cols)),
     }).encode("ascii")
-    return header, cols, chain(corpus.strings, strings)
+    return header, cols, chain(corpus.strings, defs.strings)
 
 
 def _prune(directory: Path) -> None:
@@ -281,22 +279,20 @@ def _decode(data: memoryview, path: Path, definitions: bool) -> Opened:
     file's bytes hold; ``data`` is released once they are copied out."""
     with data:  # the corpus keeps copies of its columns and of its part of the text
         header, pos = _header(data)
-        cols = {}
-        for name, length in zip(_COLUMNS, header["columns"], strict=True):
-            cols[name] = array(COLUMN_TYPE)
-            cols[name].frombytes(data[pos:pos + _SIZE * length])
+        cols = []
+        for length in header["columns"]:
+            cols.append(array(COLUMN_TYPE))
+            cols[-1].frombytes(data[pos:pos + _SIZE * length])
             pos += _SIZE * length
         text = str(data[pos:], "utf-8", "surrogatepass")
-    offsets = cols["corpus_strings"]
-    corpus = Corpus.from_columns(
-        strings=_Strings(text[:offsets[-1]], offsets), dates=cols["date"], ranks=cols["rank"],
-        title_ids=cols["title"], author_offsets=cols["author_offsets"], author_ids=cols["author"],
-    )
+    left = iter(cols)
+    named = [dict(zip(table.COLUMNS, left)) for table in _TABLES]
+    corpus_strings, definition_strings = left  # each table's string offsets; raises on a miscount
+    corpus = Corpus(_Strings(text[:corpus_strings[-1]], corpus_strings), **named[0])
     defs = None
     if definitions:
-        bounds = starmap(slice, pairwise(cols["definition_strings"]))
-        defs = Definitions(list(map(text.__getitem__, bounds)),
-                           **{name: cols[name] for name in Definitions.COLUMNS})
+        bounds = starmap(slice, pairwise(definition_strings))
+        defs = Definitions(list(map(text.__getitem__, bounds)), **named[1])
     return Opened(
         corpus, defs, header["skipped"], [f"{path.name}:{line}" for line in header["problems"]],
         header["definitions_skipped"] if definitions else 0,

@@ -211,16 +211,15 @@ class ExperienceLedger:
 
 
 class CoauthorIndex:
-    """Each author's co-authors, each with the ranks of their joint papers.
+    """Each author's co-authors, each with the rank of their first joint paper.
 
-    ``neighbours(a)[b]`` and ``neighbours(b)[a]`` are the same rank list,
-    in rank order, so a graph over a set of authors costs the sum of their
-    co-author counts rather than a test per pair.  Only papers with two or
-    more authors are read.
+    ``neighbours(a)[b]`` and ``neighbours(b)[a]`` are that rank, so a graph
+    over a set of authors costs the sum of their co-author counts rather
+    than a test per pair.  Only papers with two or more authors are read.
     """
 
     def __init__(self, corpus: Corpus):
-        self._joint: dict[str, dict[str, list[int]]] = {}
+        self._joint: dict[str, dict[str, int]] = {}
         shared = map((2).__le__, corpus.author_counts())
         for paper in compress(range(len(corpus)), shared):
             rank = corpus.ranks[paper]
@@ -229,12 +228,10 @@ class CoauthorIndex:
                 for j in range(i + 1, len(authors)):
                     a, b = authors[i], authors[j]
                     of_a = self._joint.setdefault(a, {})
-                    ranks = of_a.get(b)
-                    if ranks is None:
-                        ranks = of_a[b] = self._joint.setdefault(b, {})[a] = []
-                    ranks.append(rank)
+                    if b not in of_a:  # papers come in rank order
+                        of_a[b] = self._joint.setdefault(b, {})[a] = rank
 
-    def neighbours(self, author: str) -> dict[str, list[int]]:
+    def neighbours(self, author: str) -> dict[str, int]:
         return self._joint.get(author, {})
 
     def coauthored_before(self, a: str, b: str, group_rank: int) -> bool:
@@ -245,8 +242,8 @@ class CoauthorIndex:
         patches it by name to count pair tests, and a traced run fails
         without it.
         """
-        ranks = self.neighbours(a).get(b)
-        return bool(ranks) and ranks[0] < group_rank
+        first = self.neighbours(a).get(b)
+        return first is not None and first < group_rank
 
 
 @dataclass(frozen=True)
@@ -286,8 +283,8 @@ def coauthor_graph(
             continue
         near = adjacency[a] = sorted(
             b
-            for b, ranks in index.neighbours(a).items()
-            if ranks[0] < cutoff_rank and timeline.prior_positions(b, cutoff_rank)
+            for b, first in index.neighbours(a).items()
+            if first < cutoff_rank and timeline.prior_positions(b, cutoff_rank)
         )
         todo.extend(b for b in near if b not in adjacency)
     return CoauthorGraph(adjacency)

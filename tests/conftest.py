@@ -4,14 +4,14 @@ import string
 
 import pytest
 
-from macrolens.corpus import Corpus, Paper, PaperDate
+from macrolens.corpus import Corpus, Paper, parse_date
 from macrolens.timelines import BodyTimeline, Occurrence
 
 
 def paper(pid, date, authors, title="t", source=""):
     return Paper(
         paper_id=pid,
-        date=PaperDate.parse(date),
+        date=parse_date(date),
         authors=tuple(authors),
         title=title,
         source=source,
@@ -19,7 +19,7 @@ def paper(pid, date, authors, title="t", source=""):
 
 
 def corpus_of(*papers):
-    return Corpus(papers)
+    return Corpus.from_papers(papers)
 
 
 def timeline(entries, body="\\testbody{x}", signature=""):

@@ -67,22 +67,20 @@ def definition_records(corpus: Corpus, columns: Definitions) -> dict[str, list[M
 
 class RecordCorpus:
     def __init__(self, papers: Iterable[Paper]):
-        ordered = sorted(
-            papers, key=lambda p: (p.date.year, p.date.month, p.date.day or 0, p.paper_id)
-        )
+        ordered = sorted(papers, key=lambda p: (p.date, p.paper_id))
         ranks: dict[str, int] = {}
         rank = -1
-        tie_month: tuple[int, int] | None = None
+        tie_month: int | None = None
         for p in ordered:
             if p.paper_id in ranks:
                 raise ValueError(f"duplicate paper id {p.paper_id!r}")
-            year, month, day = p.date
-            if day is not None:
+            month, day = divmod(p.date, 100)
+            if day:
                 rank += 1
                 tie_month = None
-            elif (year, month) != tie_month:
+            elif month != tie_month:
                 rank += 1
-                tie_month = (year, month)
+                tie_month = month
             ranks[p.paper_id] = rank
         self.papers: tuple[Paper, ...] = tuple(ordered)
         self.group_rank: dict[str, int] = ranks

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macrolens import analytics
 from macrolens.analytics import (
     FeatureMatrix,
-    TrainConfig,
     accuracy,
     apply_zscore,
     betweenness,
@@ -142,12 +142,15 @@ class TestLogistic:
         model = logistic_fit(matrix(rows, labels))
         assert model.weights[0] > 0
 
-    def test_loss_monotone_nonincreasing(self):
+    def test_loss_monotone_nonincreasing(self, monkeypatch):
         # the fit is deterministic, so a fit capped at k iterations ends at
         # the loss the uncapped fit reached after its k-th step
         m = _separable_data(1, n=200)
         caps = [*range(0, 100), *range(100, 501, 25)]
-        hist = [logistic_fit(m, TrainConfig(max_iter=k)).final_loss for k in caps]
+        hist = []
+        for k in caps:
+            monkeypatch.setattr(analytics, "MAX_ITER", k)
+            hist.append(logistic_fit(m).final_loss)
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
     def test_gradient_matches_finite_differences(self):
@@ -185,9 +188,10 @@ class TestLogistic:
             accs.append(accuracy(model, test))
         assert accs[0] == pytest.approx(accs[1], abs=1e-12)
 
-    def test_predict_is_sigmoid(self):
+    def test_predict_is_sigmoid(self, monkeypatch):
         m = _separable_data(6, n=100)
-        model = logistic_fit(m, TrainConfig(max_iter=50))
+        monkeypatch.setattr(analytics, "MAX_ITER", 50)
+        model = logistic_fit(m)
         row = m.X[0]
         z = float(np.dot(model.weights, row) + model.intercept)
         assert predict_proba(model, m.take([0]))[0] == pytest.approx(1 / (1 + math.exp(-z)))

@@ -4,7 +4,7 @@ what the record-based ones in ``record_corpus.py`` give.
 Each seeded corpus is dense in month tie groups, mixes one-author and
 many-author papers, has authors with hundreds of papers and untitled
 papers, and holds non-ASCII and lone-surrogate ids, titles and names.  It
-is compared as ``Corpus(papers)`` builds it, as a corpus store hit reads
+is compared as ``Corpus.from_papers`` builds it, as a corpus store hit reads
 it and as the loader reads it when no store can be used.
 """
 
@@ -14,7 +14,7 @@ import random
 import pytest
 
 from macrolens import store
-from macrolens.corpus import Corpus, Paper, PaperDate, normalize_author
+from macrolens.corpus import Corpus, Paper, normalize_author
 from macrolens.fights import STYLE_NAMES, TitleFightFilters, detect_title_fights
 from macrolens.store import open_corpus
 from macrolens.timelines import CoauthorIndex, ExperienceLedger
@@ -44,20 +44,20 @@ def seeded_papers(seed: int, n: int = 900) -> list[Paper]:
     papers = []
     for i in range(n):
         year, month = rng.choice((2000, 2001)), rng.randint(1, 12)
-        day = rng.randint(1, 28) if rng.random() < 0.2 else None
+        day = rng.randint(1, 28) if rng.random() < 0.2 else 0
         k = rng.choices((1, 2, 3, 5), weights=(45, 35, 12, 8))[0]
         authors = set()
         while len(authors) < k:
             authors.add(rng.choice(prolific) if rng.random() < 0.4 else rng.choice(keys))
         pid = rng.choice(("p", "ü", "\udc80", "é\ud800")) + str(i)
-        papers.append(Paper(pid, PaperDate(year, month, day), tuple(sorted(authors)),
+        papers.append(Paper(pid, (year * 100 + month) * 100 + day, tuple(sorted(authors)),
                             rng.choice(_TITLES), ""))
     return papers
 
 
 def write_manifest(papers: list[Paper], path) -> None:
-    def date(d: PaperDate) -> str:
-        return f"{d.year:04d}-{d.month:02d}" + ("" if d.day is None else f"-{d.day:02d}")
+    def date(d: int) -> str:
+        return f"{d // 10000:04d}-{d // 100 % 100:02d}" + (f"-{d % 100:02d}" if d % 100 else "")
 
     path.write_text("".join(json.dumps({
         "id": p.paper_id, "date": date(p.date), "authors": list(p.authors), "title": p.title,
@@ -67,7 +67,7 @@ def write_manifest(papers: list[Paper], path) -> None:
 
 def built(papers, tmp_path, monkeypatch, source: str) -> Corpus:
     if source == "records":
-        return Corpus(papers)
+        return Corpus.from_papers(papers)
     manifest = tmp_path / "m.jsonl"
     write_manifest(papers, manifest)
     if source == "store hit":
@@ -122,7 +122,8 @@ def test_coauthor_index(seed, source, tmp_path, monkeypatch):
     authors = sorted({a for p in papers for a in p.authors}) + ["nobody"]
     top = max(ref.group_rank.values())
     for a in authors:
-        assert index.neighbours(a) == expected.neighbours(a)
+        first = {b: ranks[0] for b, ranks in expected.neighbours(a).items()}
+        assert index.neighbours(a) == first
         for b in authors:
             for rank in range(-1, top + 2, 7):
                 assert index.coauthored_before(a, b, rank) == expected.coauthored_before(a, b, rank)

@@ -474,6 +474,13 @@ class TestClassifyTitle:
             return
         assert len(classify_title(title) & set(FIRST_WORD_STYLES)) <= 1
 
+    def test_lexicon_entries_match_in_any_case(self):
+        lexicon = TitleLexicon({"determiners": ["The"], "verbs": [], "adjectives": [],
+                                "nouns": [], "noun_suffixes": ["aTION"]})
+        assert classify_title("The world", lexicon) == {"first_determiner"}
+        assert classify_title("the world", lexicon) == {"first_determiner"}
+        assert classify_title("VARIATION of things", lexicon) == {"first_noun"}
+
 
 class _FormerLexicon(TitleLexicon):
     """The rules as they were written before the word and suffix tables:

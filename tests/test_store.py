@@ -35,6 +35,7 @@ def assert_fresh(opened: store.Opened, manifest: Path) -> None:
     the definitions' offsets."""
     result = load_corpus(manifest)
     defs, defs_skipped = extract_all(result.corpus)
+    assert opened.corpus.columns() == result.corpus.columns()
     assert list(opened.corpus) == [p._replace(source="") for p in result.corpus]
     assert list(group_ranks(opened.corpus).items()) == list(group_ranks(result.corpus).items())
     assert list(definition_records(opened.corpus, opened.definitions).items()) == [
