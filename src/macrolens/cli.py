@@ -2,9 +2,10 @@
 
 Every analysis subcommand reads a corpus manifest (or a feature matrix)
 and returns its plot-ready tables; :func:`run` writes them as CSV (or
-mirrored JSON) into the output directory once the command has returned,
-so a command that fails writes nothing.  ``synth`` writes its own
-manifest and ground truth.  Every command is fully deterministic for a
+mirrored JSON) into a staging directory once the command has returned,
+and moves them into the output directory only when every table is
+written, so a command that fails writes nothing.  ``synth`` writes its
+own manifest and ground truth.  Every command is fully deterministic for a
 fixed ``--seed``.
 
 A manifest is opened through :mod:`macrolens.store`: the first command
@@ -23,10 +24,12 @@ import csv
 import logging
 import math
 import os
+import shutil
 import sys
+import tempfile
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import changeover, fights, report, store, synth
 from .corpus import Corpus
@@ -48,11 +51,12 @@ DEFAULT_OUT_ENV = "MACROLENS_OUTDIR"
 
 class Table(NamedTuple):
     """One output table; ``name`` is its path under the output directory
-    without the suffix, e.g. ``curves/<hash>``."""
+    without the suffix, e.g. ``curves/<hash>``.  ``rows`` is sized and
+    iterable, and the writer of each format reads it once."""
 
     name: str
     header: Sequence[str]
-    rows: Sequence[Sequence]
+    rows: Iterable[Sequence]
 
 
 def _default_outdir() -> str:
@@ -105,18 +109,33 @@ def _load_extracted(args) -> tuple[Corpus, Definitions]:
 
 
 def _outdir(args) -> Path:
-    out = Path(args.out if args.out is not None else _default_outdir())
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(args.out if args.out is not None else _default_outdir())
+
+
+class _DefinitionRows:
+    """The definitions table's rows, one per definition, zipped from the
+    decoded columns each time they are iterated, so that no command holds
+    them all."""
+
+    def __init__(self, corpus: Corpus, defs: Definitions):
+        self.corpus, self.defs = corpus, defs
+
+    def __len__(self) -> int:
+        return len(self.defs.name)
+
+    def __iter__(self) -> Iterator[tuple[str, str, str, str]]:
+        defs = self.defs
+        papers = map(self.corpus.paper_id, compress(range(len(self.corpus)), defs.counts))
+        string = defs.strings.__getitem__
+        return zip(
+            chain.from_iterable(map(repeat, papers, filter(None, defs.counts))),
+            map(string, defs.name), map(string, defs.body), map(string, defs.command),
+        )
 
 
 def _definitions(corpus: Corpus, defs: Definitions) -> Table:
-    papers = map(corpus.paper_id, compress(range(len(corpus)), defs.counts))
-    string = defs.strings.__getitem__
-    return Table("definitions", ("paper_id", "name", "body", "defining_command"), list(zip(
-        chain.from_iterable(map(repeat, papers, filter(None, defs.counts))),
-        map(string, defs.name), map(string, defs.body), map(string, defs.command),
-    )))
+    return Table("definitions", ("paper_id", "name", "body", "defining_command"),
+                 _DefinitionRows(corpus, defs))
 
 
 def cmd_extract(args) -> list[Table]:
@@ -380,7 +399,6 @@ def cmd_synth(args) -> list[Table]:
 
 def cmd_report(args) -> list[Table]:
     corpus, defs = _load_extracted(args)
-    # the summary's sets are freed before the definitions rows exist
     summary = report.corpus_summary(corpus, defs)
     return [
         _definitions(corpus, defs),
@@ -463,6 +481,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_tables(out: Path, tables: list[Table], fmt: str) -> None:
+    """Write ``tables`` under ``out``, all or none of them.
+
+    Every table is written into a staging directory, and the files move
+    into ``out`` only once the last one is written; on any failure the
+    staging directory goes and ``out`` is left as it was, or not made.
+    The staging directory is made in ``out`` itself if it exists, else in
+    its nearest existing ancestor, so that each move is a rename on one
+    filesystem even when ``out`` is a mount point.
+    """
+    base = next(p for p in (out, *out.parents) if p.exists())
+    staging = Path(tempfile.mkdtemp(prefix=".macrolens-staging-", dir=base))
+    try:
+        written = [report.write_table(staging / t.name, t.header, t.rows, fmt) for t in tables]
+        out.mkdir(parents=True, exist_ok=True)
+        for path in written:
+            target = out / path.relative_to(staging)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            path.replace(target)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -473,9 +514,8 @@ def run(argv: list[str] | None = None) -> int:
     )
     try:
         tables = args.func(args)
-        out = _outdir(args)
-        for t in tables:
-            report.write_table(out / t.name, t.header, t.rows, args.format)
+        if tables:  # ``synth`` has written its own files
+            _write_tables(_outdir(args), tables, args.format)
     except (ValueError, OSError) as exc:
         parser.exit(2 if isinstance(exc, ValueError) else 1, f"macrolens: error: {exc}\n")
     return 0

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, islice, pairwise, repeat
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus
 from .extraction import Definitions, MacroDefinition, definition_columns

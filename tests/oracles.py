@@ -9,7 +9,9 @@ one is kept here as it was.
 
 from __future__ import annotations
 
+import csv
 import datetime
+import io
 import json
 import logging
 import math
@@ -764,3 +766,24 @@ def oracle_name_timelines(corpus, definitions: dict, whitelist=None) -> dict:
         ]
 
     return _oracle_buckets(corpus, definitions, uses)
+
+
+def _oracle_cell_text(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        return repr(float(v))
+    return str(v)
+
+
+def oracle_csv(header, rows) -> bytes:
+    """A table's CSV bytes: ``csv.writer`` with every field quoted and LF
+    line ends, over each cell's text (``None`` empty, ``bool`` 0 or 1, a
+    float by its shortest round-trip repr, anything else by ``str``)."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, quoting=csv.QUOTE_ALL, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_oracle_cell_text(v) for v in row] for row in rows)
+    return buffer.getvalue().encode("utf-8")

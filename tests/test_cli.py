@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import macrolens
-from macrolens import changeover, fights, report, synth, timelines
+from macrolens import changeover, cli, fights, report, store, synth, timelines
 from macrolens.cli import run
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -323,6 +324,134 @@ def test_failure_in_last_stage_writes_nothing(case, synth_corpus, tmp_path, monk
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == "macrolens: error: stage failed"
     assert not out.exists()
+
+
+def _surrogate_manifest(path: Path) -> Path:
+    """Two papers with a definition each; the second id is a lone
+    surrogate, which the loader keeps and UTF-8 cannot encode."""
+    path.write_text(
+        '{"authors": ["A"], "date": "2001-01", "id": "a", "source": "\\\\def\\\\x{y}", "title": "t"}\n'
+        '{"authors": ["A"], "date": "2001-02", "id": "b\\ud800", "source": "\\\\def\\\\z{w}", "title": "t"}\n',
+        encoding="utf-8",
+    )
+    return path
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else b"dir"
+            for p in sorted(root.rglob("*"))}
+
+
+class TestAllOrNothing:
+    """A command that fails while its tables are written leaves no file and
+    no output directory, and an output directory that was there before
+    exactly as it was; cold (the first open builds the store) and warm."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_encoding_error_writes_nothing(self, fmt, tmp_path, capsys):
+        manifest = _surrogate_manifest(tmp_path / "manifest.jsonl")
+        for run_ in ("cold", "warm"):
+            out = tmp_path / run_ / "nested" / "out"
+            with pytest.raises(SystemExit) as exc:
+                invoke("extract", "--corpus", str(manifest), "--out", str(out), "--format", fmt)
+            assert exc.value.code == 2
+            assert "surrogates not allowed" in capsys.readouterr().err
+            assert not (tmp_path / run_).exists()
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl"]
+
+    def test_existing_output_directory_left_as_it_was(self, tmp_path, capsys):
+        manifest = _surrogate_manifest(tmp_path / "manifest.jsonl")
+        out = tmp_path / "out"
+        (out / "curves").mkdir(parents=True)
+        (out / "definitions.csv").write_bytes(b"earlier\n")
+        (out / "curves" / "x.csv").write_bytes(b"other\n")
+        before = _tree(out)
+        for _ in ("cold", "warm"):
+            with pytest.raises(SystemExit) as exc:
+                invoke("extract", "--corpus", str(manifest), "--out", str(out))
+            assert exc.value.code == 2
+            assert _tree(out) == before
+
+    def test_tables_move_into_an_existing_output_directory(self, synth_corpus, tmp_path):
+        fresh = tmp_path / "fresh"
+        assert invoke("changeovers", "--corpus", str(synth_corpus), "--out", str(fresh)) == 0
+        out = tmp_path / "out"
+        (out / "curves").mkdir(parents=True)
+        (out / "changeovers.csv").write_bytes(b"earlier\n")
+        (out / "curves" / "kept.csv").write_bytes(b"kept\n")
+        assert invoke("changeovers", "--corpus", str(synth_corpus), "--out", str(out)) == 0
+        assert _tree(out) == {**_tree(fresh), "curves/kept.csv": b"kept\n"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out"]
+
+
+def test_definitions_rows_are_sized_and_read_once_per_write(synth_corpus, tmp_path, monkeypatch):
+    """The definitions table's ``len`` is the number of rows written (the
+    benchmark's tracer reads it), in both commands and formats, and its
+    rows come from the columns each time they are iterated."""
+    sizes = {}
+    write = report.write_table
+
+    def sized_write(base, header, rows, fmt="csv"):
+        sizes[base.name] = len(rows)
+        return write(base, header, rows, fmt)
+
+    monkeypatch.setattr(report, "write_table", sized_write)
+    for command in ("extract", "report"):
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"{command}-{fmt}"
+            assert invoke(command, "--corpus", str(synth_corpus), "--out", str(out),
+                          "--format", fmt) == 0
+            if fmt == "csv":
+                with open(out / "definitions.csv", encoding="utf-8", newline="") as fh:
+                    written = len(list(csv.reader(fh))) - 1
+            else:
+                written = len(json.loads((out / "definitions.json").read_text(encoding="utf-8")))
+            assert sizes.pop("definitions") == written > 100
+    opened = store.open_corpus(str(synth_corpus), True)
+    table = cli._definitions(opened.corpus, opened.definitions)
+    assert list(table.rows) == list(table.rows) and len(list(table.rows)) == len(table.rows)
+
+
+def _warm_extract_overhead(manifest: Path, out: Path, monkeypatch) -> int:
+    """tracemalloc peak of a warm CSV ``extract`` minus the live size
+    right after its ``open_corpus``."""
+    assert invoke("extract", "--corpus", str(manifest), "--out", str(out)) == 0
+    live, open_corpus = [], store.open_corpus
+
+    def open_and_mark(*args):
+        opened = open_corpus(*args)
+        live.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return opened
+
+    with monkeypatch.context() as patched:
+        patched.setattr(store, "open_corpus", open_and_mark)
+        tracemalloc.start()
+        try:
+            assert invoke("extract", "--corpus", str(manifest), "--out", str(out)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak - live[0]
+
+
+def test_warm_extract_holds_no_row_per_definition(tmp_path, monkeypatch):
+    """Doubling the papers (ten definitions each) grows a warm ``extract``'s
+    memory beyond its open by less than a fixed buffer, not by a row tuple
+    per definition (about 79 B each, 1.2 MB here)."""
+    names = ["\\" + letter * k for k in (1, 2) for letter in "abcdefghijklmnopqrst"]
+    overheads = []
+    for n in (1500, 3000):
+        manifest = tmp_path / f"manifest{n}.jsonl"
+        with open(manifest, "w", encoding="utf-8") as fh:
+            for i in range(n):
+                source = "".join(f"\\newcommand{{{names[(i + j) % len(names)]}}}{{x_{j}}}\n"
+                                 for j in range(10))
+                fh.write(json.dumps({"id": f"p{i:05d}", "date": f"{2000 + i % 20}-01",
+                                     "authors": [f"a{i % 50}"], "title": "t",
+                                     "source": source}) + "\n")
+        overheads.append(_warm_extract_overhead(manifest, tmp_path / f"out{n}", monkeypatch))
+    assert overheads[1] - overheads[0] < 64 * 1024, overheads
 
 
 def test_numpy_loads_only_for_feature_matrices(synth_corpus, tmp_path):

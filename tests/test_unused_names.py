@@ -1,11 +1,14 @@
-"""Every public top-level name and every method in the package is used.
+"""Every public top-level name, every method and every import in the
+package is used.
 
 A name counts as used when ``src/`` or ``perfbench/`` refers to it, as a
 name or as an attribute, outside its own definition.  References are read
 from the syntax tree, so a use inside an f-string counts and a mention in
 a docstring or comment does not.  Tests do not count: a name that only a
 test reads belongs in ``tests/``.  A method that overrides one of a base
-class is called wherever the base's is, so it counts as used.
+class is called wherever the base's is, so it counts as used.  A name an
+import binds counts as used when its own module reads it as a name
+outside the import statement.
 """
 
 import ast
@@ -45,6 +48,16 @@ def _references(tree: ast.Module):
             yield node.attr, node.lineno
 
 
+def _imports(tree: ast.Module):
+    """(name bound, node) of each import outside ``__future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node
+
+
 def unused_names(package: str, readers: list[Path]) -> list[str]:
     """``file:name`` of each public top-level name and method defined in
     the modules of ``package`` that neither they nor ``readers`` refer to
@@ -67,6 +80,12 @@ def unused_names(package: str, readers: list[Path]) -> list[str]:
             own = range(node.lineno, node.end_lineno + 1)
             if all(where == path and line in own for where, line in uses.get(name, [])):
                 unused.append(f"{path.name}:{name}")
+        read = [(n.id, n.lineno) for n in ast.walk(trees[path])
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+        for name, node in _imports(trees[path]):
+            own = range(node.lineno, node.end_lineno + 1)
+            if all(line in own for used, line in read if used == name):
+                unused.append(f"{path.name}:import {name}")
     return unused
 
 
@@ -112,3 +131,33 @@ def test_f_string_uses_and_overrides_count_and_docstrings_do_not(tmp_path, monke
         monkeypatch.delitem(sys.modules, name, raising=False)
     assert unused_names("unused_names_sample", [reader]) == [
         "module.py:only_in_docstring", "module.py:unused_method"]
+
+
+def test_an_unused_import_fails(tmp_path, monkeypatch):
+    package = tmp_path / "unused_imports_sample"
+    package.mkdir()
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    (package / "module.py").write_text(
+        '"""Mentions json and Path."""\n'
+        "from __future__ import annotations\n"
+        "\n"
+        "import json\n"
+        "import os.path\n"
+        "import xml.dom as dom\n"
+        "from itertools import chain, repeat as again\n"
+        "from pathlib import Path\n"
+        "\n"
+        "def used():\n"
+        "    from io import StringIO\n"
+        '    return f"{os.path.sep}{StringIO}", again\n',
+        encoding="utf-8",
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("import unused_imports_sample.module\nmodule.used()\njson\nchain\n",
+                      encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    for name in ("unused_imports_sample", "unused_imports_sample.module"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    assert unused_names("unused_imports_sample", [reader]) == [
+        "module.py:import json", "module.py:import dom", "module.py:import chain",
+        "module.py:import Path"]
