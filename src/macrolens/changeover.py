@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .extraction import name_features
@@ -92,15 +94,12 @@ def name_shares(occurrences: Sequence) -> dict[str, float]:
 
 def most_used_name(occurrences: Sequence) -> str:
     """Name with the most occurrences; ties go to the name whose first
-    occurrence in the slice comes earlier."""
+    occurrence in the slice comes earlier (a ``Counter`` keeps names in
+    first-occurrence order, and ``max`` returns the first maximal one)."""
     if not occurrences:
         raise ValueError("empty occurrence slice")
-    counts: dict[str, int] = {}
-    first: dict[str, int] = {}
-    for idx, occ in enumerate(occurrences):
-        counts[occ.name] = counts.get(occ.name, 0) + 1
-        first.setdefault(occ.name, idx)
-    return min(counts, key=lambda n: (-counts[n], first[n]))
+    counts = Counter(occ.name for occ in occurrences)
+    return max(counts, key=counts.__getitem__)
 
 
 def crossing_point(f_curve: Curve, g_curve: Curve, persistence: float) -> float | None:
@@ -345,22 +344,22 @@ def _mean_experience(
     t0: float,
     t1: float,
     ledger: ExperienceLedger,
-    adoption_only: bool,
     first_use: dict[tuple[str, str], int],
-) -> float | None:
+) -> tuple[float | None, float | None]:
     """Mean experience of the authors using ``name`` in the window, one
-    value per use (per first use with ``adoption_only``); None if none."""
+    value per use (usage), then one per first use (adoption); None where
+    there is none."""
     start, end = window_bounds(timeline.m, t0, t1)
-    values: list[int] = []
+    usage, adoption = [], []
     for idx in range(start, end):
         occ = timeline.occurrences[idx]
         if occ.name != name:
             continue
         for author in occ.authors:
-            if adoption_only and first_use[(author, name)] != idx:
-                continue
-            values.append(ledger.experience_at_rank(author, occ.group_rank))
-    return sum(values) / len(values) if values else None
+            usage.append(ledger.experience_at_rank(author, occ.group_rank))
+            if first_use[(author, name)] == idx:
+                adoption.append(usage[-1])
+    return tuple(sum(values) / len(values) if values else None for values in (usage, adoption))
 
 
 EXPERIENCE_SERIES = (
@@ -394,16 +393,14 @@ def experience_curves(
     for pair in pairs:
         for side, (timeline, *names) in zip(("", "_control"), _sides(pair)):
             first_use = _first_use_positions(timeline)
-            for kind, adoption in (("usage", False), ("adoption", True)):
-                for edge, name in zip(("early", "late"), names):
-                    series = f"{kind}_{edge}{side}"
-                    for i, t in enumerate(grid):
-                        mean = _mean_experience(
-                            timeline, name, t, t + delta, ledger, adoption, first_use
-                        )
+            for edge, name in zip(("early", "late"), names):
+                series = (f"usage_{edge}{side}", f"adoption_{edge}{side}")
+                for i, t in enumerate(grid):
+                    means = _mean_experience(timeline, name, t, t + delta, ledger, first_use)
+                    for key, mean in zip(series, means):
                         if mean is not None:
-                            sums[series][i] += mean
-                            counts[series][i] += 1
+                            sums[key][i] += mean
+                            counts[key][i] += 1
     series_out: dict[str, list[float | None]] = {}
     for name in EXPERIENCE_SERIES:
         series_out[name] = [
@@ -454,13 +451,12 @@ def changeover_features(
         users = name_users(interval(timeline, 0.0, q))
         row = [float(len(users.get(name, ()))) for name in names]
         for name in names:
-            for adoption in (False, True):
-                for w in range(n_windows):
-                    t = w * FEATURE_WINDOW_WIDTH
-                    mean = _mean_experience(
-                        timeline, name, t, t + FEATURE_WINDOW_WIDTH, ledger, adoption, first_use
-                    )
-                    row.extend([0.0, 1.0] if mean is None else [mean, 0.0])
+            means = [
+                _mean_experience(timeline, name, t, t + FEATURE_WINDOW_WIDTH, ledger, first_use)
+                for t in (w * FEATURE_WINDOW_WIDTH for w in range(n_windows))
+            ]
+            for mean in chain(*zip(*means)):  # the usage windows, then the adoption windows
+                row.extend([0.0, 1.0] if mean is None else [mean, 0.0])
         for name in names:
             nf = name_features(name)
             row.extend([float(nf.length), float(nf.non_alpha), nf.frac_lower, nf.frac_upper])

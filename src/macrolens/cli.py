@@ -230,12 +230,11 @@ def cmd_curves(args) -> list[Table]:
 
 
 def _gap_table(name: str, rate_label: str, rows: list[fights.GapBucketRow]) -> Table:
-    return Table(name, ("gap_lo", "gap_hi", rate_label, "n"),
-                 [(r.lo, r.hi, r.rate, r.n) for r in rows])
+    return Table(name, ("gap_lo", "gap_hi", rate_label, "n"), rows)
 
 
 def cmd_fights(args) -> list[Table]:
-    """Name and body fights give the fights table, the feature matrix and
+    """Name and body fights give the fights table, the feature rows and
     the gap table; with no fights the last two hold only their header and
     rows with ``n`` 0."""
     if args.mode == "title":
@@ -243,26 +242,24 @@ def cmd_fights(args) -> list[Table]:
     corpus, defs = _load_extracted(args)
     ledger = ExperienceLedger(corpus)
     if args.mode == "name":
-        by_key = build_timelines(corpus, defs)
+        timelines = build_timelines(corpus, defs)
         filters = fights.FightFilters(
             min_distinct_authors=args.min_authors,
             min_shared_len=args.min_body_len,
             three_author=args.three_author,
         )
-        fight_list = fights.detect_name_fights(corpus, by_key, ledger, filters)
+        fight_list = fights.detect_name_fights(corpus, timelines, ledger, filters)
         shared_label, shared = "body_hash", lambda f: report.body_hash(*f.shared_key)
     else:
-        name_timelines = build_name_timelines(corpus, defs, whitelist=args.whitelist)
+        timelines = build_name_timelines(corpus, defs, args.whitelist)
         fight_list = fights.detect_body_fights(
-            name_timelines, ledger,
+            timelines, ledger,
             min_distinct_authors=args.min_authors,
             three_author=args.three_author,
         )
-        by_key = {tl.key: tl for tl in name_timelines.values()}
-        shared_label, shared = "name", lambda f: f.shared
+        shared_label, shared = "name", lambda f: f.shared_key[1]
     if not fight_list:
         log.warning("no %s fights detected", args.mode)
-    matrix = fights.fight_feature_matrix(fight_list, by_key, corpus, ledger, CoauthorIndex(corpus))
     gap_rows = fights.win_rate_by_gap(fight_list, bucket_edges=args.bucket_edges, seed=args.seed)
     return [
         Table(
@@ -275,11 +272,9 @@ def cmd_fights(args) -> list[Table]:
                 for f in fight_list
             ],
         ),
-        Table(
-            f"{args.mode}_fight_features",
-            (*matrix.columns, "label"),
-            [tuple(matrix.X[i]) + (int(matrix.y[i]),) for i in range(matrix.n_rows)],
-        ),
+        Table(f"{args.mode}_fight_features", (*fights.FIGHT_FEATURE_COLUMNS, "label"),
+              fights.fight_feature_matrix(fight_list, timelines, corpus, ledger,
+                                          CoauthorIndex(corpus))),
         _gap_table(f"{args.mode}_fight_gap_table", "older_win_rate", gap_rows),
     ]
 

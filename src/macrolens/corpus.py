@@ -69,17 +69,19 @@ def normalize_author(raw: str) -> str:
     Unicode compatibility-caseless fold (NFD/casefold/NFKD rounds) so the
     result is idempotent, then drops combining marks.  On ASCII text the
     normalizations are the identity, ``casefold`` equals ``lower`` and
-    there are no combining marks, so that fold is ``lower`` alone.
+    there are no combining marks, so that fold is ``lower`` alone.  An
+    empty key (a blank string, or combining marks only) is an error.
     """
-    if not raw or not raw.strip():
-        raise ValueError("author string is empty")
     if raw.isascii():
-        return " ".join(raw.lower().split())
-    t = unicodedata.normalize("NFD", raw).casefold()
-    t = unicodedata.normalize("NFKD", t).casefold()
-    t = unicodedata.normalize("NFKD", t)
-    t = "".join(ch for ch in t if not unicodedata.combining(ch))
-    return " ".join(t.split())
+        key = " ".join(raw.lower().split())
+    else:
+        t = unicodedata.normalize("NFD", raw).casefold()
+        t = unicodedata.normalize("NFKD", t).casefold()
+        t = unicodedata.normalize("NFKD", t)
+        key = " ".join("".join(ch for ch in t if not unicodedata.combining(ch)).split())
+    if not key:
+        raise ValueError("author string is empty")
+    return key
 
 
 def parse_date(text: str) -> int:

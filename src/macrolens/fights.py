@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from itertools import compress
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus
 from .extraction import body_features
@@ -37,9 +37,6 @@ from .timelines import (
     coauthor_graph,
     flexibility,
 )
-
-if TYPE_CHECKING:  # numpy loads only with the commands that build a feature matrix
-    from .analytics import FeatureMatrix
 
 DEFAULT_BODY_FIGHT_NAMES = ("\\proof", "\\eps", "\\Re")
 
@@ -57,10 +54,10 @@ class FightFilters:
 class FightRecord:
     """One resolved contention: who arrived with what, and whose choice stuck.
 
-    ``shared`` is the macro body for name fights and the macro name for
-    body fights; ``variant_a``/``variant_b`` are each author's most
-    recent prior choices and ``winner`` indexes the byline (0 = first
-    author's choice was used, 1 = second author's).
+    ``shared_key`` is the contested timeline's key, ``(signature, body)``
+    for name fights and ``("", name)`` for body fights; ``variant_a`` and
+    ``variant_b`` are each author's most recent prior choices and ``winner``
+    indexes the byline (0 = first author's choice was used, 1 = second's).
     """
 
     paper_id: str
@@ -68,7 +65,6 @@ class FightRecord:
     author_a: str
     author_b: str
     shared_key: tuple[str, str]
-    shared: str
     variant_a: str
     variant_b: str
     winner: int
@@ -76,23 +72,14 @@ class FightRecord:
     exp_b: int
 
     @property
-    def older_experience(self) -> int:
-        return max(self.exp_a, self.exp_b)
-
-    @property
-    def younger_experience(self) -> int:
-        return min(self.exp_a, self.exp_b)
-
-    @property
     def gap(self) -> int:
-        return self.older_experience - self.younger_experience
+        return abs(self.exp_a - self.exp_b)
 
     def older_won(self) -> bool | None:
         """None when the experiences tie and "older" is undefined."""
         if self.exp_a == self.exp_b:
             return None
-        older_idx = 0 if self.exp_a > self.exp_b else 1
-        return self.winner == older_idx
+        return self.winner == (0 if self.exp_a > self.exp_b else 1)
 
 
 def _latest_unambiguous_variant(
@@ -145,7 +132,6 @@ def _detect_fights(
                     author_a=a,
                     author_b=b,
                     shared_key=tl.key,
-                    shared=tl.body,
                     variant_a=va,
                     variant_b=vb,
                     winner=0 if occ.name == va else 1,
@@ -174,7 +160,7 @@ def detect_name_fights(
 
 
 def detect_body_fights(
-    name_timelines: Mapping[str, BodyTimeline],
+    name_timelines: Mapping[tuple[str, str], BodyTimeline],
     ledger: ExperienceLedger,
     min_distinct_authors: int = 30,
     three_author: bool = False,
@@ -206,8 +192,7 @@ def balance_by_position(
     return sorted(sampled, key=lambda f: (f.group_rank, f.paper_id, f.shared_key))
 
 
-@dataclass(frozen=True)
-class GapBucketRow:
+class GapBucketRow(NamedTuple):
     lo: int
     hi: int | None  # None = unbounded
     rate: float | None  # None when undefined (no decided fights)
@@ -299,7 +284,7 @@ def fight_features(
     row.extend(float(len(adj[a])) for a in authors)
     row.extend(central[a] for a in authors)
     row.extend([float(len(fight.variant_a)), float(len(fight.variant_b))])
-    bf = body_features(fight.shared)
+    bf = body_features(fight.shared_key[1])
     row.extend([float(bf.length), float(bf.non_alpha), float(bf.max_brace_depth)])
     return row
 
@@ -310,15 +295,12 @@ def fight_feature_matrix(
     corpus: Corpus,
     ledger: ExperienceLedger,
     index: CoauthorIndex,
-) -> FeatureMatrix:
-    """Label 0 when the first-listed author wins, 1 when the second does.
-
-    No feature reads ``corpus`` or ``ledger``; they stay for callers that
-    pass them.
-    """
-    from .analytics import FeatureMatrix
-    rows = [fight_features(f, timelines[f.shared_key], index) for f in fights]
-    return FeatureMatrix.from_rows(FIGHT_FEATURE_COLUMNS, rows, [f.winner for f in fights])
+) -> list[tuple]:
+    """One row per fight: the ``FIGHT_FEATURE_COLUMNS`` as ``float``, then
+    the label, 0 when the first-listed author wins and 1 when the second
+    does.  No feature reads ``corpus`` or ``ledger``; they stay for
+    callers that pass them."""
+    return [(*fight_features(f, timelines[f.shared_key], index), f.winner) for f in fights]
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +431,8 @@ def detect_title_fights(
 
     Candidate papers have exactly two authors who never co-authored
     strictly before (and have no other joint paper in the same tie
-    group), an older author above the experience threshold, and a
-    younger author with enough titled papers without the older one to
+    group), an older author with at least the threshold experience, and
+    a younger author with enough titled papers without the older one to
     give a meaningful style profile.  Each profile is the lifetime
     fraction (the whole corpus horizon, by design) of the author's
     titled papers without the other author that show the style.  Equal

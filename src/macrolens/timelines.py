@@ -39,13 +39,14 @@ class BodyTimeline:
 
     For name-keyed (role-swapped) timelines built by
     :func:`build_name_timelines`, ``body`` holds the shared macro name
-    and each occurrence's ``name`` field holds the body used.
+    and each occurrence's ``name`` field holds the body used.  The
+    author index is a cache, so it takes no part in ``==``.
     """
 
     body: str
     signature: str = ""
     occurrences: tuple[Occurrence, ...] = ()
-    _author_index: dict[str, list[int]] = field(default_factory=dict, repr=False)
+    _author_index: dict[str, list[int]] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -125,21 +126,20 @@ def build_timelines(
 def build_name_timelines(
     corpus: Corpus,
     definitions: Definitions | Mapping[str, Sequence[MacroDefinition]],
-    whitelist: Iterable[str] | None = None,
-) -> dict[str, BodyTimeline]:
-    """Role-swapped timelines: one per macro name, occurrences carry the
-    body (with signature folded in) that the name expanded to."""
+    whitelist: Iterable[str],
+) -> dict[tuple[str, str], BodyTimeline]:
+    """Role-swapped timelines, one per whitelisted macro name and keyed by
+    :attr:`BodyTimeline.key`, ``("", name)``; occurrences carry the body
+    (with signature folded in) that the name expanded to."""
     cols = _columns(corpus, definitions)
     strings, names = cols.strings, cols.effective_name
-    kept = repeat(True)
-    if whitelist is not None:
-        allowed = set(whitelist)
-        kept = map({i for i in set(names) if strings[i] in allowed}.__contains__, names)
+    allowed = set(whitelist)
+    kept = map({i for i in set(names) if strings[i] in allowed}.__contains__, names)
     used = (strings[body] if not strings[signature] else f"{strings[signature]} {strings[body]}"
             for signature, body in zip(cols.effective_signature, cols.effective_body))
     by_id = _occurrences_by_key(corpus, cols, kept, names, used)
     return {
-        strings[name]: BodyTimeline(body=strings[name], occurrences=tuple(by_id[name]))
+        ("", strings[name]): BodyTimeline(body=strings[name], occurrences=tuple(by_id[name]))
         for name in sorted(by_id, key=strings.__getitem__)
     }
 

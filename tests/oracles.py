@@ -531,7 +531,8 @@ def oracle_body_features(body: str) -> OracleBodyFeatures:
 
 def oracle_normalize_author(raw: str) -> str:
     """NFD, casefold, NFKD, casefold, NFKD; combining marks dropped;
-    whitespace runs collapsed to one space and ends trimmed."""
+    whitespace runs collapsed to one space and ends trimmed.  Nothing
+    left (blank, or combining marks only) is an error."""
     t = unicodedata.normalize("NFD", raw).casefold()
     t = unicodedata.normalize("NFKD", t).casefold()
     t = unicodedata.normalize("NFKD", t)
@@ -548,6 +549,8 @@ def oracle_normalize_author(raw: str) -> str:
             word += ch
     if word:
         words.append(word)
+    if not words:
+        raise ValueError("author string is empty")
     return " ".join(words)
 
 
@@ -571,6 +574,8 @@ def _oracle_author_key(raw: str) -> str:
     t = unicodedata.normalize("NFKD", t).casefold()
     t = unicodedata.normalize("NFKD", t)
     t = "".join(ch for ch in t if not unicodedata.combining(ch))
+    if not t.split():  # combining marks only
+        raise ValueError("author string is empty")
     return " ".join(t.split())
 
 
@@ -753,16 +758,16 @@ def oracle_timelines(corpus, definitions: dict) -> dict:
     return _oracle_buckets(corpus, definitions, _oracle_conventions)
 
 
-def oracle_name_timelines(corpus, definitions: dict, whitelist=None) -> dict:
-    """name -> occurrences carrying the body (signature folded in) that
-    each paper's surviving definition of the name gives it."""
-    allowed = None if whitelist is None else set(whitelist)
+def oracle_name_timelines(corpus, definitions: dict, whitelist) -> dict:
+    """("", name) -> occurrences carrying the body (signature folded in)
+    that each paper's surviving definition of the whitelisted name gives it."""
+    allowed = set(whitelist)
 
     def uses(defs):
         return [
-            (name, d.body if not d.signature else d.signature + " " + d.body)
+            (("", name), d.body if not d.signature else d.signature + " " + d.body)
             for name, d in sorted(_oracle_effective(defs).items())
-            if allowed is None or name in allowed
+            if name in allowed
         ]
 
     return _oracle_buckets(corpus, definitions, uses)

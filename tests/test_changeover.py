@@ -420,8 +420,7 @@ class TestExperienceCurves:
         from macrolens.changeover import _first_use_positions, _mean_experience
 
         first_use = _first_use_positions(tl)
-        usage = _mean_experience(tl, "\\n", 0.5, 1.0, ledger, False, first_use)
-        adoption = _mean_experience(tl, "\\n", 0.5, 1.0, ledger, True, first_use)
+        usage, adoption = _mean_experience(tl, "\\n", 0.5, 1.0, ledger, first_use)
         assert usage == 1.0  # second use counts for usage
         assert adoption is None  # but not adoption
 
@@ -452,7 +451,7 @@ class TestExperienceCurves:
         grid = window_grid(0.1)
         means = []
         for t in grid:
-            got = _mean_experience(tl, "\\late", t, t + 0.1, ledger, True, first_use)
+            _, got = _mean_experience(tl, "\\late", t, t + 0.1, ledger, first_use)
             lo = int(t * m)
             expected = [i // 2 for i in range(lo, lo + 4) if i >= 2]
             assert got == sum(expected) / len(expected)

@@ -30,8 +30,8 @@ GOLDEN = Path(__file__).parent / "data" / "golden" / "manifest.jsonl"
 
 def assert_timelines_match(corpus, definitions, records: dict) -> None:
     """``definitions`` (columns or a mapping) give the timelines that the
-    record-based builders give for ``records``, with and without a
-    whitelist."""
+    record-based builders give for ``records``, the name timelines with
+    every name, none and some whitelisted."""
     expected = oracle_timelines(corpus, records)
     got = build_timelines(corpus, definitions)
     assert list(got) == list(expected)
@@ -39,13 +39,13 @@ def assert_timelines_match(corpus, definitions, records: dict) -> None:
         assert (tl.signature, tl.body) == key
         assert list(map(tuple, tl.occurrences)) == expected[key]
     names = sorted({d.name for defs in records.values() for d in defs})
-    for whitelist in (None, [], names[::2] + ["\\definedNowhere"]):
+    for whitelist in (names, [], names[::2] + ["\\definedNowhere"]):
         expected = oracle_name_timelines(corpus, records, whitelist)
         got = build_name_timelines(corpus, definitions, whitelist=whitelist)
         assert list(got) == list(expected)
-        for name, tl in got.items():
-            assert (tl.body, tl.signature) == (name, "")
-            assert list(map(tuple, tl.occurrences)) == expected[name]
+        for key, tl in got.items():
+            assert tl.key == key == ("", tl.body)
+            assert list(map(tuple, tl.occurrences)) == expected[key]
 
 
 def test_golden_and_synth_full_timelines_equal_the_record_builders(tmp_path):
@@ -88,9 +88,9 @@ def test_redefinitions_and_shared_bodies():
     assert [o.paper_id for o in timelines["", "new"].occurrences] == ["b"]
     assert ("", "old") not in timelines and ("", "y") not in timelines
     assert {key for key in timelines if key[1] == "#1"} == {("[1]", "#1"), ("", "#1")}
-    by_name = build_name_timelines(corpus, records)
-    assert [(o.paper_id, o.name) for o in by_name["\\x"].occurrences] == [("b", "new")]
-    assert [(o.paper_id, o.name) for o in by_name["\\f"].occurrences] == [("c", "[1] #1")]
+    by_name = build_name_timelines(corpus, records, ["\\x", "\\f"])
+    assert [(o.paper_id, o.name) for o in by_name["", "\\x"].occurrences] == [("b", "new")]
+    assert [(o.paper_id, o.name) for o in by_name["", "\\f"].occurrences] == [("c", "[1] #1")]
     assert_timelines_match(corpus, records, records)
     columns = definition_columns([records.get(p.paper_id, []) for p in corpus])
     assert_timelines_match(corpus, columns, records)

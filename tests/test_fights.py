@@ -13,6 +13,7 @@ from macrolens.analytics import betweenness
 from macrolens.extraction import MacroDefinition
 from macrolens.fights import (
     DEFAULT_BODY_FIGHT_NAMES,
+    FIGHT_FEATURE_COLUMNS,
     STYLE_NAMES,
     TitleLexicon,
     FightFilters,
@@ -210,7 +211,7 @@ class TestBodyFights:
         fights = detect_body_fights(name_tls, ledger, min_distinct_authors=1)
         assert len(fights) == 1
         f = fights[0]
-        assert f.shared == "\\eps"
+        assert f.shared_key == ("", "\\eps")
         assert f.winner == 1  # b's body prevails
 
     def test_non_whitelisted_name_ignored(self):
@@ -247,11 +248,12 @@ class TestBodyFights:
             ]
             for pid, dlist in defs.items()
         }
+        names = {d.name for dlist in swapped.values() for d in dlist}
         body_fights = detect_body_fights(
-            build_name_timelines(corpus, swapped), ledger, min_distinct_authors=1
+            build_name_timelines(corpus, swapped, names), ledger, min_distinct_authors=1
         )
         as_tuple = lambda f: (
-            f.paper_id, f.author_a, f.author_b, f.shared,
+            f.paper_id, f.author_a, f.author_b, f.shared_key,
             f.variant_a, f.variant_b, f.winner, f.exp_a, f.exp_b,
         )
         assert [as_tuple(f) for f in name_fights] == [as_tuple(f) for f in body_fights]
@@ -274,7 +276,6 @@ class TestBalanceAndGapTables:
                     author_a="y" if young_first else "o",
                     author_b="o" if young_first else "y",
                     shared_key=("", BODY),
-                    shared=BODY,
                     variant_a="\\a",
                     variant_b="\\b",
                     winner=0 if winner_is_first else 1,
@@ -312,7 +313,7 @@ class TestBalanceAndGapTables:
     def test_zero_gap_bucket_separate(self):
         f = FightRecord(
             paper_id="f", group_rank=0, author_a="a", author_b="b",
-            shared_key=("", BODY), shared=BODY, variant_a="\\a", variant_b="\\b",
+            shared_key=("", BODY), variant_a="\\a", variant_b="\\b",
             winner=0, exp_a=4, exp_b=4,
         )
         rows = win_rate_by_gap([f, f.__class__(**{**f.__dict__, "paper_id": "g", "winner": 1})], seed=0)
@@ -345,14 +346,14 @@ class TestFightFeatures:
         corpus, defs, ledger, tls = self.star_corpus()
         fights = detect_name_fights(corpus, tls, ledger, LOOSE)
         assert len(fights) == 1
-        matrix = fight_feature_matrix(fights, tls, corpus, ledger, CoauthorIndex(corpus))
-        row = dict(zip(matrix.columns, matrix.X[0]))
+        rows = fight_feature_matrix(fights, tls, corpus, ledger, CoauthorIndex(corpus))
+        row = dict(zip(FIGHT_FEATURE_COLUMNS, rows[0]))
         # brute-force: star on 5 users, center routes C(4,2)=6 pairs
         assert row["betweenness_1"] == pytest.approx(6.0)
         assert row["betweenness_2"] == pytest.approx(0.0)
         assert row["degree_1"] == 4.0 and row["degree_2"] == 1.0
         assert row["body_len"] == float(len(BODY))
-        assert int(matrix.y[0]) == 0  # first author's name won
+        assert rows[0][-1] == 0  # first author's name won
 
     def test_isolated_author_zero_graph_features(self):
         sketch = [
@@ -362,8 +363,8 @@ class TestFightFeatures:
         ]
         corpus, defs, ledger, tls = build(sketch)
         fights = detect_name_fights(corpus, tls, ledger, LOOSE)
-        matrix = fight_feature_matrix(fights, tls, corpus, ledger, CoauthorIndex(corpus))
-        row = dict(zip(matrix.columns, matrix.X[0]))
+        rows = fight_feature_matrix(fights, tls, corpus, ledger, CoauthorIndex(corpus))
+        row = dict(zip(FIGHT_FEATURE_COLUMNS, rows[0]))
         assert row["degree_1"] == 0.0 and row["betweenness_1"] == 0.0
 
     def test_label_one_when_second_author_wins(self):
@@ -374,8 +375,29 @@ class TestFightFeatures:
         ]
         corpus, defs, ledger, tls = build(sketch)
         fights = detect_name_fights(corpus, tls, ledger, LOOSE)
-        matrix = fight_feature_matrix(fights, tls, corpus, ledger, CoauthorIndex(corpus))
-        assert int(matrix.y[0]) == 1
+        rows = fight_feature_matrix(fights, tls, corpus, ledger, CoauthorIndex(corpus))
+        assert rows[0][-1] == 1
+
+    def test_rows_are_plain_floats_then_an_int_label(self):
+        """The table writer takes the rows as they stand: exact ``float``
+        features (no numpy scalars), then the winner as an exact ``int``.
+        Body fights read the name timelines under their own keys."""
+        corpus, _, ledger, tls = self.star_corpus()
+        cases = [(detect_name_fights(corpus, tls, ledger, LOOSE), tls, corpus, ledger)]
+        corpus, defs, ledger, _ = build([
+            ("pa", "2000-01-01", ["a"], [("\\eps", "\\epsilon")]),
+            ("pb", "2000-01-02", ["b"], [("\\eps", "\\varepsilon")]),
+            ("pj", "2000-01-03", ["a", "b"], [("\\eps", "\\varepsilon")]),
+        ])
+        name_tls = build_name_timelines(corpus, defs, DEFAULT_BODY_FIGHT_NAMES)
+        cases.append((detect_body_fights(name_tls, ledger, min_distinct_authors=1),
+                      name_tls, corpus, ledger))
+        for fights, timelines, corpus, ledger in cases:
+            rows = fight_feature_matrix(fights, timelines, corpus, ledger, CoauthorIndex(corpus))
+            assert len(rows) == len(fights) == 1
+            for row, fight in zip(rows, fights):
+                assert list(map(type, row)) == [float] * len(FIGHT_FEATURE_COLUMNS) + [int]
+                assert row[-1] == fight.winner
 
     def test_no_pair_tests_and_betweenness_sees_fighters_component_only(self, monkeypatch):
         """2,000 prior single-author users: an all-pairs graph would make
@@ -415,10 +437,10 @@ class TestFightFeatures:
         monkeypatch.setattr(CoauthorIndex, "coauthored_before", no_pair_tests)
         monkeypatch.setattr(analytics, "betweenness", recorded)
         monkeypatch.setattr(index, "neighbours", counted)
-        matrix = fight_feature_matrix(fights, tls, corpus, ledger, index)
+        rows = fight_feature_matrix(fights, tls, corpus, ledger, index)
         assert sizes == [["a", "b"]]
         assert sorted(lists_read) == ["a", "b"]
-        row = dict(zip(matrix.columns, matrix.X[0]))
+        row = dict(zip(FIGHT_FEATURE_COLUMNS, rows[0]))
         assert row["degree_1"] == row["degree_2"] == 1.0
 
 

@@ -67,8 +67,15 @@ class TestBuildTimelines:
             ]
         )
         tls = build_name_timelines(corpus, defs, whitelist=["\\eps"])
-        tl = tls["\\eps"]
+        assert list(tls) == [("", "\\eps")]  # keyed as build_timelines keys, by BodyTimeline.key
+        tl = tls["", "\\eps"]
+        assert tl.key == ("", "\\eps")
         assert [o.name for o in tl.occurrences] == ["\\epsilon", "\\varepsilon"]
+
+    def test_author_index_takes_no_part_in_equality(self):
+        asked, fresh = (simple_timeline(["\\a", "\\b", "\\a"]) for _ in range(2))
+        assert asked.author_positions("author 0") == [0]
+        assert asked == fresh and fresh == asked
 
 
 class TestExperience:
