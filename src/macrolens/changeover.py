@@ -53,18 +53,6 @@ class ChangeoverParams:
             raise ValueError("persistence must be positive and finite")
 
 
-@dataclass(frozen=True)
-class Curve:
-    """A function sampled on the shared window grid {0, d, 2d, ...}."""
-
-    grid: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.grid) != len(self.values):
-            raise ValueError("grid and values differ in length")
-
-
 def _window_count(delta: float) -> int:
     return int(math.floor((1.0 - delta) / delta + 1e-9)) + 1
 
@@ -102,45 +90,48 @@ def most_used_name(occurrences: Sequence) -> str:
     return max(counts, key=counts.__getitem__)
 
 
-def crossing_point(f_curve: Curve, g_curve: Curve, persistence: float) -> float | None:
-    """Earliest grid t from which g stays >= f for the persistence span.
+def crossing_point(
+    f_curve: Sequence[float], g_curve: Sequence[float], delta: float, persistence: float
+) -> float | None:
+    """Earliest grid point ``i * delta`` from which g stays >= f for the
+    persistence span; curves of different lengths raise ValueError.
 
     Evaluated on grid points only; near the end of the grid the span is
     clamped to the points that exist.
     """
-    if f_curve.grid != g_curve.grid:
-        raise ValueError("curves sampled on different grids")
-    grid = f_curve.grid
-    if not grid:
-        return None
-    delta = grid[1] - grid[0] if len(grid) > 1 else 1.0
-    span = int(round(min(persistence / delta, len(grid))))  # any span >= last ends at last
-    last = len(grid) - 1
-    for i in range(len(grid)):
-        hi = min(i + span, last)
-        if all(g_curve.values[j] >= f_curve.values[j] for j in range(i, hi + 1)):
-            return grid[i]
+    holds = [g >= f for f, g in zip(f_curve, g_curve, strict=True)]
+    span = int(round(min(persistence / delta, len(holds))))  # any span >= last ends at last
+    last = len(holds) - 1
+    for i in range(len(holds)):
+        if all(holds[i : min(i + span, last) + 1]):
+            return i * delta
     return None
 
 
 @dataclass
 class ChangeoverRecord:
-    body: str
-    signature: str
+    """A changeover of ``timeline``'s body: its edge names, their author
+    shares in the early window, their usage curves on the window grid
+    and the crossing point."""
+
     early_name: str
     late_name: str
-    m: int
-    f_curve: Curve
-    g_curve: Curve
+    f_beta: float
+    g_beta: float
+    f_curve: tuple[float, ...]
+    g_curve: tuple[float, ...]
     crossing: float | None
     timeline: BodyTimeline = field(repr=False)
 
 
-def changeover_names(timeline: BodyTimeline, params: ChangeoverParams) -> tuple[str, str] | None:
+def changeover_names(
+    timeline: BodyTimeline, params: ChangeoverParams
+) -> tuple[str, str, dict[str, float]] | None:
     """Changeover test: volume floor, distinct early/late dominant names,
     both above the author-share threshold in their edge windows.
 
-    Returns the (early, late) dominant names of a changeover, else None.
+    Returns the (early, late) dominant names of a changeover and every
+    name's author share in the early window, else None.
     """
     if timeline.m < params.s:
         return None
@@ -150,9 +141,10 @@ def changeover_names(timeline: BodyTimeline, params: ChangeoverParams) -> tuple[
     n_late = most_used_name(late)
     if n_early == n_late:
         return None
-    if name_shares(early)[n_early] <= params.theta or name_shares(late)[n_late] <= params.theta:
+    shares = name_shares(early)
+    if shares[n_early] <= params.theta or name_shares(late)[n_late] <= params.theta:
         return None
-    return n_early, n_late
+    return n_early, n_late, shares
 
 
 def detect_changeover(timeline: BodyTimeline, params: ChangeoverParams) -> ChangeoverRecord | None:
@@ -161,45 +153,38 @@ def detect_changeover(timeline: BodyTimeline, params: ChangeoverParams) -> Chang
     names = changeover_names(timeline, params)
     if names is None:
         return None
-    n_early, n_late = names
-    grid = window_grid(params.delta)
-    shares = [name_shares(interval(timeline, t, t + params.delta)) for t in grid]
-    f_curve = Curve(grid, tuple(s.get(n_early, 0.0) for s in shares))
-    g_curve = Curve(grid, tuple(s.get(n_late, 0.0) for s in shares))
+    n_early, n_late, early_shares = names
+    shares = [
+        name_shares(interval(timeline, t, t + params.delta)) for t in window_grid(params.delta)
+    ]
+    f_curve = tuple(s.get(n_early, 0.0) for s in shares)
+    g_curve = tuple(s.get(n_late, 0.0) for s in shares)
     return ChangeoverRecord(
-        body=timeline.body,
-        signature=timeline.signature,
         early_name=n_early,
         late_name=n_late,
-        m=timeline.m,
+        f_beta=early_shares[n_early],
+        g_beta=early_shares.get(n_late, 0.0),
         f_curve=f_curve,
         g_curve=g_curve,
-        crossing=crossing_point(f_curve, g_curve, params.persistence),
+        crossing=crossing_point(f_curve, g_curve, params.delta, params.persistence),
         timeline=timeline,
     )
 
 
 def aggregate_median_curves(
     records: Sequence[ChangeoverRecord],
-) -> tuple[Curve, Curve, list[tuple[float, int]]]:
-    """Pointwise median early/late curves plus a crossing-point histogram."""
+) -> tuple[tuple[float, ...], tuple[float, ...], list[tuple[float, int]]]:
+    """Pointwise median early/late curves plus a crossing-point histogram;
+    curves of different lengths raise ValueError."""
     if not records:
         raise ValueError("no changeover records to aggregate")
-    grid = records[0].f_curve.grid
-    for rec in records:
-        if rec.f_curve.grid != grid or rec.g_curve.grid != grid:
-            raise ValueError("records sampled on different grids")
-    f_median = tuple(
-        statistics.median(rec.f_curve.values[i] for rec in records) for i in range(len(grid))
-    )
-    g_median = tuple(
-        statistics.median(rec.g_curve.values[i] for rec in records) for i in range(len(grid))
-    )
-    hist: dict[float, int] = {}
-    for rec in records:
-        if rec.crossing is not None:
-            hist[rec.crossing] = hist.get(rec.crossing, 0) + 1
-    return Curve(grid, f_median), Curve(grid, g_median), sorted(hist.items())
+    curves = [rec.f_curve for rec in records] + [rec.g_curve for rec in records]
+    points = list(zip(*curves, strict=True))
+    n = len(records)
+    f_median = tuple(statistics.median(p[:n]) for p in points)
+    g_median = tuple(statistics.median(p[n:]) for p in points)
+    hist = Counter(rec.crossing for rec in records if rec.crossing is not None)
+    return f_median, g_median, sorted(hist.items())
 
 
 # matching bounds: changeover/control volume ratio band and the largest
@@ -229,9 +214,7 @@ def find_control_candidates(
     out: list[ControlCandidate] = []
     for key in sorted(timelines):
         tl = timelines[key]
-        if tl.m < params.s:
-            continue
-        if changeover_names(tl, params) is not None:
+        if tl.m < params.s or changeover_names(tl, params) is not None:
             continue
         early = interval(tl, 0.0, params.q)
         n_early = most_used_name(early)
@@ -248,24 +231,13 @@ class MatchedPair:
     control: BodyTimeline
     control_early_name: str
     control_late_name: str
-    f_beta: float
-    g_beta: float
     f_gamma: float
     g_gamma: float
-
-    @property
-    def m_beta(self) -> int:
-        return self.record.m
-
-    @property
-    def m_gamma(self) -> int:
-        return self.control.m
 
 
 def match_pairs(
     changeovers: Sequence[ChangeoverRecord],
     candidates: Sequence[ControlCandidate],
-    params: ChangeoverParams,
 ) -> tuple[list[MatchedPair], int]:
     """Greedy matching without replacement, largest controls first.
 
@@ -273,47 +245,34 @@ def match_pairs(
     both early-prevalence gaps are under the tolerance; its second name
     is the one closest in early prevalence to the changeover's late
     name, ties going to the name that occurs first in the control's
-    early window.  Returns the pairs and the count of unmatched changeovers.
+    early window.  The changeover's early shares are the record's
+    ``f_beta`` and ``g_beta``.  Returns the pairs and the count of
+    unmatched changeovers.
     """
     pool = sorted(candidates, key=lambda c: (-c.timeline.m, c.timeline.key))
     used = [False] * len(pool)
     pairs: list[MatchedPair] = []
     unmatched = 0
-    for rec in sorted(changeovers, key=lambda r: (-r.m, (r.signature, r.body))):
-        shares = name_shares(interval(rec.timeline, 0.0, params.q))
-        f_b, g_b = shares.get(rec.early_name, 0.0), shares.get(rec.late_name, 0.0)
-        hit = None
+    for rec in sorted(changeovers, key=lambda r: (-r.timeline.m, r.timeline.key)):
         for idx, cand in enumerate(pool):
             if used[idx]:
                 continue
-            ratio = rec.m / cand.timeline.m
+            ratio = rec.timeline.m / cand.timeline.m
             if not (MATCH_RATIO_LO <= ratio <= MATCH_RATIO_HI):
                 continue
-            if abs(f_b - cand.early_prevalence) >= MATCH_PREVALENCE_TOL:
+            if abs(rec.f_beta - cand.early_prevalence) >= MATCH_PREVALENCE_TOL:
                 continue
-            gaps = {name: abs(g_b - share) for name, share in cand.others.items()}
+            gaps = {name: abs(rec.g_beta - share) for name, share in cand.others.items()}
             late_name = min(gaps, key=gaps.__getitem__)
             if gaps[late_name] >= MATCH_PREVALENCE_TOL:
                 continue
-            hit = (idx, cand, late_name)
             break
-        if hit is None:
+        else:
             unmatched += 1
             continue
-        idx, cand, late_name = hit
         used[idx] = True
-        pairs.append(
-            MatchedPair(
-                record=rec,
-                control=cand.timeline,
-                control_early_name=cand.early_name,
-                control_late_name=late_name,
-                f_beta=f_b,
-                g_beta=g_b,
-                f_gamma=cand.early_prevalence,
-                g_gamma=cand.others[late_name],
-            )
-        )
+        pairs.append(MatchedPair(rec, cand.timeline, cand.early_name, late_name,
+                                 cand.early_prevalence, cand.others[late_name]))
     return pairs, unmatched
 
 
@@ -374,16 +333,11 @@ EXPERIENCE_SERIES = (
 )
 
 
-@dataclass
-class ExperienceCurves:
-    grid: tuple[float, ...]
-    series: dict[str, list[float | None]]
-
-
 def experience_curves(
     pairs: Sequence[MatchedPair], ledger: ExperienceLedger, delta: float
-) -> ExperienceCurves:
-    """Mean usage/adoption experience per window for the four names,
+) -> dict[str, list[float | None]]:
+    """Each of the ``EXPERIENCE_SERIES``: the mean usage/adoption
+    experience per window of ``window_grid(delta)`` for the four names,
     averaged across pairs; windows empty in every pair come out None."""
     if not pairs:
         raise ValueError("no matched pairs")
@@ -401,13 +355,11 @@ def experience_curves(
                         if mean is not None:
                             sums[key][i] += mean
                             counts[key][i] += 1
-    series_out: dict[str, list[float | None]] = {}
-    for name in EXPERIENCE_SERIES:
-        series_out[name] = [
-            (sums[name][i] / counts[name][i]) if counts[name][i] else None
-            for i in range(len(grid))
-        ]
-    return ExperienceCurves(grid=grid, series=series_out)
+    return {
+        name: [(sums[name][i] / counts[name][i]) if counts[name][i] else None
+               for i in range(len(grid))]
+        for name in EXPERIENCE_SERIES
+    }
 
 
 FEATURE_WINDOW_WIDTH = 0.05

@@ -159,14 +159,14 @@ def _detect_changeovers(timelines, params) -> list[changeover.ChangeoverRecord]:
 def cmd_changeovers(args) -> list[Table]:
     params = _changeover_params(args)
     corpus, defs = _load_extracted(args)
+    grid = changeover.window_grid(params.delta)
     tables, rows = [], []
     for rec in _detect_changeovers(build_timelines(corpus, defs), params):
-        h = report.body_hash(rec.signature, rec.body)
-        rows.append((h, rec.body, rec.signature, rec.early_name, rec.late_name, rec.m, rec.crossing))
-        tables.append(Table(
-            f"curves/{h}", ("t", "early_fraction", "late_fraction"),
-            list(zip(rec.f_curve.grid, rec.f_curve.values, rec.g_curve.values)),
-        ))
+        tl = rec.timeline
+        h = report.body_hash(*tl.key)
+        rows.append((h, tl.body, tl.signature, rec.early_name, rec.late_name, tl.m, rec.crossing))
+        tables.append(Table(f"curves/{h}", ("t", "early_fraction", "late_fraction"),
+                            list(zip(grid, rec.f_curve, rec.g_curve))))
     header = ("body_hash", "body", "signature", "early_name", "late_name", "m", "crossing")
     return tables + [Table("changeovers", header, rows)]
 
@@ -175,7 +175,7 @@ def _matched_pairs(corpus, defs, params):
     timelines = build_timelines(corpus, defs)
     records = _detect_changeovers(timelines, params)
     candidates = changeover.find_control_candidates(timelines, params)
-    pairs, unmatched = changeover.match_pairs(records, candidates, params)
+    pairs, unmatched = changeover.match_pairs(records, candidates)
     return records, pairs, unmatched
 
 
@@ -188,11 +188,11 @@ def cmd_matched_pairs(args) -> list[Table]:
     ledger = ExperienceLedger(corpus)
     pair_rows, feat_rows = [], []
     for pair in pairs:
-        rec, ctl = pair.record, pair.control
+        rec, beta, gamma = pair.record, pair.record.timeline, pair.control
         pair_rows.append((
-            report.body_hash(rec.signature, rec.body), report.body_hash(ctl.signature, ctl.body),
+            report.body_hash(*beta.key), report.body_hash(*gamma.key),
             rec.early_name, rec.late_name, pair.control_early_name, pair.control_late_name,
-            pair.m_beta, pair.m_gamma, pair.f_beta, pair.g_beta, pair.f_gamma, pair.g_gamma,
+            beta.m, gamma.m, rec.f_beta, rec.g_beta, pair.f_gamma, pair.g_gamma,
         ))
         row_beta, row_gamma = changeover.changeover_features(pair, params.q, ledger)
         feat_rows.extend([(*row_beta, 1), (*row_gamma, 0)])
@@ -211,17 +211,17 @@ def cmd_curves(args) -> list[Table]:
     params = _changeover_params(args)
     corpus, defs = _load_extracted(args)
     records, pairs, _ = _matched_pairs(corpus, defs, params)
+    grid = changeover.window_grid(params.delta)
     agg_rows, hist = [], []
     if records:
         f_med, g_med, hist = changeover.aggregate_median_curves(records)
-        agg_rows = [(t, f_med.values[i], "early_median") for i, t in enumerate(f_med.grid)]
-        agg_rows += [(t, g_med.values[i], "late_median") for i, t in enumerate(g_med.grid)]
+        agg_rows = [(t, v, "early_median") for t, v in zip(grid, f_med)]
+        agg_rows += [(t, v, "late_median") for t, v in zip(grid, g_med)]
     exp_rows = []
     if pairs:
         curves = changeover.experience_curves(pairs, ExperienceLedger(corpus), params.delta)
         for series in changeover.EXPERIENCE_SERIES:
-            for i, t in enumerate(curves.grid):
-                exp_rows.append((t, curves.series[series][i], series))
+            exp_rows.extend((t, v, series) for t, v in zip(grid, curves[series]))
     return [
         Table("aggregate_curves", ("t", "value", "series"), agg_rows),
         Table("crossing_histogram", ("t", "count"), hist),

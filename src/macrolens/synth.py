@@ -35,6 +35,13 @@ BODY_FIGHT_YOUNGER_WIN = 0.6
 TITLE_HIGH_DOMINANCE = 0.57
 CHANGEOVER_S = 100  # the detection parameters the changeovers are planted for
 CHANGEOVER_Q = 0.3
+MAX_CHANGEOVER_RECORDS = 1_000_000  # about the paper's 583k papers with macros
+# the most pairs whose records, 2 * BASE_VOLUME * (VOLUME_GROWTH**n - 1) /
+# (VOLUME_GROWTH - 1) for n pairs before rounding, stay within that bound
+MAX_CHANGEOVER_PAIRS = int(
+    math.log1p(MAX_CHANGEOVER_RECORDS * (VOLUME_GROWTH - 1) / (2 * BASE_VOLUME))
+    / math.log(VOLUME_GROWTH)
+)
 
 
 @dataclass
@@ -52,6 +59,11 @@ class SynthConfig:
         for count in ("n_changeover_pairs", "n_name_fights", "n_body_fights", "n_title_pairs"):
             if getattr(self, count) < 0:
                 raise ValueError(f"{count} must be at least 0")
+        if self.n_changeover_pairs > MAX_CHANGEOVER_PAIRS:
+            raise ValueError(
+                f"n_changeover_pairs {self.n_changeover_pairs} plants more than "
+                f"{MAX_CHANGEOVER_RECORDS} changeover records (at most {MAX_CHANGEOVER_PAIRS} pairs)"
+            )
 
 
 @dataclass

@@ -83,9 +83,9 @@ def test_criterion_3_crossing_point_recovery():
             tl, early, late = crossover_timeline(rng, m=m, t_star=t_star, flip_prob=0.03)
             grid = changeover.window_grid(0.05)
             shares = [changeover.name_shares(interval(tl, t, t + 0.05)) for t in grid]
-            f_curve = changeover.Curve(grid, tuple(s.get(early, 0.0) for s in shares))
-            g_curve = changeover.Curve(grid, tuple(s.get(late, 0.0) for s in shares))
-            found = changeover.crossing_point(f_curve, g_curve, 0.1)
+            f_curve = tuple(s.get(early, 0.0) for s in shares)
+            g_curve = tuple(s.get(late, 0.0) for s in shares)
+            found = changeover.crossing_point(f_curve, g_curve, 0.05, 0.1)
             if found is not None and abs(found - t_star) <= 0.05 + 1e-9:
                 hits += 1
         assert hits >= 0.95 * total, f"only {hits}/{total} within tolerance"
@@ -105,7 +105,7 @@ def _changeover_pipeline(tmp_path, seed, n_pairs):
         if (rec := changeover.detect_changeover(timelines[key], params)) is not None
     ]
     candidates = changeover.find_control_candidates(timelines, params)
-    pairs, unmatched = changeover.match_pairs(records, candidates, params)
+    pairs, unmatched = changeover.match_pairs(records, candidates)
     return corpus, timelines, params, pairs, unmatched
 
 
@@ -128,7 +128,7 @@ def test_criterion_4_matched_pair_validity(tmp_path):
             if (rec := changeover.detect_changeover(mini_tls[key], mini_params)) is not None
         ]
         mini_cands = changeover.find_control_candidates(mini_tls, mini_params)
-        mini_pairs, _ = changeover.match_pairs(mini_records, mini_cands, mini_params)
+        mini_pairs, _ = changeover.match_pairs(mini_records, mini_cands)
         for pair in mini_pairs:
             violations += oracle_validate_matched_pair(pair, mini_params.q, 0.91, 1.1, 0.01)
         assert violations == [], violations

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from macrolens import changeover
 from macrolens.changeover import (
     EXPERIENCE_SERIES,
     FEATURE_WINDOW_WIDTH,
@@ -13,8 +14,6 @@ from macrolens.changeover import (
     ChangeoverParams,
     ChangeoverRecord,
     ControlCandidate,
-    Curve,
-    ExperienceCurves,
     MatchedPair,
     _feature_window_count,
     aggregate_median_curves,
@@ -191,22 +190,22 @@ class TestSlidingCurve:
         tl = timeline([(f"p{i:03d}", i, n, ["u"]) for i, n in enumerate(names)])
         rec = detect_changeover(tl, ChangeoverParams(s=50))
         assert (rec.early_name, rec.late_name) == ("\\a", "\\b")
-        assert rec.f_curve.grid == window_grid(0.05)
-        assert set(rec.f_curve.values) == set(rec.g_curve.values) == {1.0}
+        assert len(rec.f_curve) == len(rec.g_curve) == len(window_grid(0.05))
+        assert set(rec.f_curve) == set(rec.g_curve) == {1.0}
 
     def test_two_phase_step(self):
         tl = simple_timeline(["\\a"] * 50 + ["\\b"] * 50)
         rec = detect_changeover(tl, ChangeoverParams(s=50))
-        for t, f, g in zip(rec.f_curve.grid, rec.f_curve.values, rec.g_curve.values):
+        for t, f, g in zip(window_grid(0.05), rec.f_curve, rec.g_curve, strict=True):
             assert (f, g) == (self.counted(tl, "\\a", t, 0.05), self.counted(tl, "\\b", t, 0.05))
-        assert rec.f_curve.values[0] == 1.0 and rec.f_curve.values[-1] == 0.0
-        assert rec.g_curve.values[0] == 0.0 and rec.g_curve.values[-1] == 1.0
+        assert rec.f_curve[0] == 1.0 and rec.f_curve[-1] == 0.0
+        assert rec.g_curve[0] == 0.0 and rec.g_curve[-1] == 1.0
 
     def test_delta_half_two_points(self):
         tl = simple_timeline(["\\a"] * 30 + ["\\b"] * 10 + ["\\a"] * 10 + ["\\b"] * 50)
         rec = detect_changeover(tl, ChangeoverParams(s=50, delta=0.5))
-        assert rec.f_curve.grid == (0.0, 0.5)
-        assert rec.f_curve.values == (0.8, 0.0) and rec.g_curve.values == (0.2, 1.0)
+        assert window_grid(0.5) == (0.0, 0.5)
+        assert rec.f_curve == (0.8, 0.0) and rec.g_curve == (0.2, 1.0)
 
 
 class TestCrossingPoint:
@@ -215,15 +214,15 @@ class TestCrossingPoint:
 
     def test_g_dominates_everywhere(self):
         g = self.grid()
-        f = Curve(g, tuple(0.2 for _ in g))
-        h = Curve(g, tuple(0.8 for _ in g))
-        assert crossing_point(f, h, 0.1) == 0.0
+        f = tuple(0.2 for _ in g)
+        h = tuple(0.8 for _ in g)
+        assert crossing_point(f, h, 0.05, 0.1) == 0.0
 
     def test_f_strictly_above(self):
         g = self.grid()
-        f = Curve(g, tuple(0.9 for _ in g))
-        h = Curve(g, tuple(0.1 for _ in g))
-        assert crossing_point(f, h, 0.1) is None
+        f = tuple(0.9 for _ in g)
+        h = tuple(0.1 for _ in g)
+        assert crossing_point(f, h, 0.05, 0.1) is None
 
     def test_overtake_at_point_two(self):
         g = self.grid()
@@ -238,22 +237,33 @@ class TestCrossingPoint:
                 expected = t
                 break
         assert expected == pytest.approx(0.2)
-        assert crossing_point(Curve(g, f_vals), Curve(g, g_vals), 0.1) == pytest.approx(0.2)
+        assert crossing_point(f_vals, g_vals, 0.05, 0.1) == pytest.approx(0.2)
 
     def test_monotone_under_raising_g(self, rng):
         g = self.grid()
         for _ in range(50):
             f_vals = tuple(rng.random() for _ in g)
             g_vals = tuple(rng.random() for _ in g)
-            base = crossing_point(Curve(g, f_vals), Curve(g, g_vals), 0.1)
+            base = crossing_point(f_vals, g_vals, 0.05, 0.1)
             raised = tuple(min(1.0, v + rng.random() * 0.5) for v in g_vals)
-            lifted = crossing_point(Curve(g, f_vals), Curve(g, raised), 0.1)
+            lifted = crossing_point(f_vals, raised, 0.05, 0.1)
             if base is not None:
                 assert lifted is not None and lifted <= base
 
-    def test_mismatched_grids_rejected(self):
-        with pytest.raises(ValueError):
-            crossing_point(Curve((0.0, 0.5), (0, 0)), Curve((0.0, 0.25), (0, 0)), 0.1)
+    def test_curves_of_different_lengths_rejected(self):
+        for f, g in (((0.0, 0.0), (0.0, 0.0, 0.0)), ((1.0,), ())):
+            with pytest.raises(ValueError):
+                crossing_point(f, g, 0.25, 0.1)
+            with pytest.raises(ValueError):
+                crossing_point(g, f, 0.25, 0.1)
+
+    def test_grid_points_are_multiples_of_delta(self):
+        # the crossing is the grid point itself, bit for bit
+        for delta in (0.04, 0.05, 0.1, 0.3):
+            grid = window_grid(delta)
+            for i, t in enumerate(grid):
+                f = tuple(1.0 if j < i else 0.0 for j in range(len(grid)))
+                assert crossing_point(f, tuple(0.5 for _ in grid), delta, 0.1) == t
 
 
 class TestAggregates:
@@ -264,28 +274,27 @@ class TestAggregates:
     def test_single_record_is_its_own_median(self):
         rec = self.make_record(0)
         f_med, g_med, hist = aggregate_median_curves([rec])
-        assert f_med.values == rec.f_curve.values
-        assert g_med.values == rec.g_curve.values
+        assert f_med == rec.f_curve
+        assert g_med == rec.g_curve
         assert hist == [(rec.crossing, 1)]
 
     def test_median_of_three(self):
-        grid = (0.0,)
         recs = []
         for v in (0.1, 0.5, 0.9):
             rec = self.make_record(0)
-            rec.f_curve = Curve(grid, (v,))
-            rec.g_curve = Curve(grid, (1 - v,))
+            rec.f_curve = (v,)
+            rec.g_curve = (1 - v,)
             rec.crossing = None
             recs.append(rec)
         f_med, g_med, hist = aggregate_median_curves(recs)
-        assert f_med.values == (0.5,)
-        assert g_med.values == (0.5,)
+        assert f_med == (0.5,)
+        assert g_med == (0.5,)
         assert hist == []
 
     def test_identical_records_aggregate_to_themselves(self):
         recs = [self.make_record(4) for _ in range(5)]
         f_med, g_med, hist = aggregate_median_curves(recs)
-        assert f_med.values == recs[0].f_curve.values
+        assert f_med == recs[0].f_curve
         assert hist == [(recs[0].crossing, 5)]
 
     def test_histogram_conserves_count(self, rng):
@@ -296,6 +305,13 @@ class TestAggregates:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate_median_curves([])
+
+    def test_curves_of_different_lengths_rejected(self):
+        for curve in ("f_curve", "g_curve"):
+            recs = [self.make_record(0), self.make_record(2)]
+            setattr(recs[1], curve, getattr(recs[1], curve)[:-1])
+            with pytest.raises(ValueError):
+                aggregate_median_curves(recs)
 
 
 def paired_timelines(m=60, seeds=(2, 7, 12)):
@@ -330,12 +346,12 @@ class TestMatchPairs:
             {beta.key: beta, gamma.key: gamma}, params
         )
         assert len(candidates) == 1
-        pairs, unmatched = match_pairs([rec], candidates, params)
+        pairs, unmatched = match_pairs([rec], candidates)
         assert len(pairs) == 1 and unmatched == 0
         pair = pairs[0]
         assert pair.control_late_name == "\\late"
-        assert pair.f_beta == pair.f_gamma
-        assert pair.g_beta == pair.g_gamma
+        assert pair.record.f_beta == pair.f_gamma
+        assert pair.record.g_beta == pair.g_gamma
 
     def test_volume_ratio_rejected(self):
         beta, _ = paired_timelines(m=60)
@@ -343,7 +359,7 @@ class TestMatchPairs:
         params = self.params()
         rec = detect_changeover(beta, params)
         candidates = find_control_candidates({gamma.key: gamma}, params)
-        pairs, unmatched = match_pairs([rec], candidates, params)
+        pairs, unmatched = match_pairs([rec], candidates)
         assert pairs == [] and unmatched == 1
 
     def test_prevalence_gap_rejected(self):
@@ -354,7 +370,7 @@ class TestMatchPairs:
         rec = detect_changeover(beta, params)
         candidates = find_control_candidates({gamma_far.key: gamma_far}, params)
         # gap = 3/18 - 1/18 = 2/18 > 0.01
-        pairs, unmatched = match_pairs([rec], candidates, params)
+        pairs, unmatched = match_pairs([rec], candidates)
         assert pairs == [] and unmatched == 1
 
     def test_each_control_used_once(self):
@@ -366,8 +382,26 @@ class TestMatchPairs:
         params = self.params()
         recs = [detect_changeover(beta1, params), detect_changeover(beta2, params)]
         candidates = find_control_candidates({gamma.key: gamma}, params)
-        pairs, unmatched = match_pairs(recs, candidates, params)
+        pairs, unmatched = match_pairs(recs, candidates)
         assert len(pairs) == 1 and unmatched == 1
+
+    def test_matching_slices_no_window(self, monkeypatch):
+        # the changeover test computed the early shares the record carries
+        beta1, gamma = paired_timelines()
+        beta2 = with_body(beta1, "\\betabody{1}")
+        params = self.params()
+        recs = [detect_changeover(beta1, params), detect_changeover(beta2, params)]
+        candidates = find_control_candidates({gamma.key: gamma}, params)
+        calls = []
+        for name in ("name_shares", "interval"):
+            def counted(*args, _name=name, _real=getattr(changeover, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(changeover, name, counted)
+        pairs, unmatched = match_pairs(recs, candidates)
+        assert len(pairs) == 1 and unmatched == 1
+        assert calls == []
+        assert (pairs[0].record.f_beta, pairs[0].record.g_beta) == (15 / 18, 3 / 18)
 
 
 def ledgered_corpus_for_experience():
@@ -399,10 +433,12 @@ class TestExperienceCurves:
             body=gamma.body,
         )
         candidates = find_control_candidates({gamma2.key: gamma2}, ChangeoverParams(s=30))
-        pairs, _ = match_pairs([rec], candidates, ChangeoverParams(s=30))
+        pairs, _ = match_pairs([rec], candidates)
         # window [0, 0.025] of m=40 holds exactly the veteran's use
         curves = experience_curves(pairs, ledger, 0.025)
-        assert curves.series["usage_early"][0] == pytest.approx(5.0)
+        assert list(curves) == list(EXPERIENCE_SERIES)
+        assert all(len(series) == len(window_grid(0.025)) for series in curves.values())
+        assert curves["usage_early"][0] == pytest.approx(5.0)
 
     def test_second_use_not_adoption(self):
         papers = [
@@ -466,7 +502,7 @@ class TestChangeoverFeatures:
         params = ChangeoverParams(s=30)
         rec = detect_changeover(beta, params)
         candidates = find_control_candidates({gamma.key: gamma}, params)
-        pairs, _ = match_pairs([rec], candidates, params)
+        pairs, _ = match_pairs([rec], candidates)
         corpus = corpus_of(paper("d", "2000-01-01", ["x"]))
         ledger = ExperienceLedger(corpus)
         row_beta, row_gamma = changeover_features(pairs[0], params.q, ledger)
@@ -482,7 +518,7 @@ class TestChangeoverFeatures:
         params = ChangeoverParams(s=30)
         rec = detect_changeover(beta, params)
         candidates = find_control_candidates({gamma.key: gamma}, params)
-        pairs, _ = match_pairs([rec], candidates, params)
+        pairs, _ = match_pairs([rec], candidates)
         ledger = ExperienceLedger(corpus_of(paper("d", "2000-01-01", ["x"])))
         row_beta, _ = changeover_features(pairs[0], params.q, ledger)
         cols = changeover_feature_columns(params.q)
@@ -504,7 +540,7 @@ class TestChangeoverFeatures:
             beta, gamma = paired_timelines(seeds=seeds)
             rec = detect_changeover(beta, params)
             candidates = find_control_candidates({gamma.key: gamma}, params)
-            pairs, _ = match_pairs([rec], candidates, params)
+            pairs, _ = match_pairs([rec], candidates)
             if not pairs:
                 continue
             row_beta, row_gamma = changeover_features(pairs[0], params.q, ledger)
@@ -538,7 +574,7 @@ def former_usage_fraction(tl, name, t0, t1):
 
 def former_sliding_curve(tl, name, delta):
     grid = window_grid(delta)
-    return Curve(grid, tuple(former_usage_fraction(tl, name, t, t + delta) for t in grid))
+    return tuple(former_usage_fraction(tl, name, t, t + delta) for t in grid)
 
 
 def former_changeover_names(tl, params):
@@ -562,8 +598,11 @@ def former_detect_changeover(tl, params):
     f_curve = former_sliding_curve(tl, names[0], params.delta)
     g_curve = former_sliding_curve(tl, names[1], params.delta)
     return ChangeoverRecord(
-        tl.body, tl.signature, names[0], names[1], tl.m, f_curve, g_curve,
-        crossing_point(f_curve, g_curve, params.persistence), tl,
+        early_name=names[0], late_name=names[1],
+        f_beta=former_usage_fraction(tl, names[0], 0.0, params.q),
+        g_beta=former_usage_fraction(tl, names[1], 0.0, params.q),
+        f_curve=f_curve, g_curve=g_curve,
+        crossing=crossing_point(f_curve, g_curve, params.delta, params.persistence), timeline=tl,
     )
 
 
@@ -590,12 +629,14 @@ def former_match_pairs(changeovers, candidates, params):
     pool = sorted(candidates, key=lambda c: (-c.timeline.m, c.timeline.key))
     used = [False] * len(pool)
     pairs, unmatched = [], 0
-    for rec in sorted(changeovers, key=lambda r: (-r.m, (r.signature, r.body))):
+    for rec in sorted(changeovers, key=lambda r: (-r.timeline.m, r.timeline.key)):
         f_b = former_usage_fraction(rec.timeline, rec.early_name, 0.0, params.q)
         g_b = former_usage_fraction(rec.timeline, rec.late_name, 0.0, params.q)
+        assert (rec.f_beta, rec.g_beta) == (f_b, g_b)
         hit = None
         for idx, cand in enumerate(pool):
-            if used[idx] or not MATCH_RATIO_LO <= rec.m / cand.timeline.m <= MATCH_RATIO_HI:
+            ratio = rec.timeline.m / cand.timeline.m
+            if used[idx] or not MATCH_RATIO_LO <= ratio <= MATCH_RATIO_HI:
                 continue
             if abs(f_b - cand.early_prevalence) >= MATCH_PREVALENCE_TOL:
                 continue
@@ -617,7 +658,7 @@ def former_match_pairs(changeovers, candidates, params):
         used[idx] = True
         pairs.append(MatchedPair(
             rec, cand.timeline, cand.early_name, late_name,
-            f_b, g_b, cand.early_prevalence, cand.others[late_name][0],
+            cand.early_prevalence, cand.others[late_name][0],
         ))
     return pairs, unmatched
 
@@ -671,11 +712,11 @@ def former_experience_curves(pairs, ledger, delta):
                 if values:
                     sums[series][i] += sum(values) / len(values)
                     counts[series][i] += 1
-    return ExperienceCurves(grid, {
+    return {
         name: [sums[name][i] / counts[name][i] if counts[name][i] else None
                for i in range(len(grid))]
         for name in EXPERIENCE_SERIES
-    })
+    }
 
 
 def former_changeover_features(pair, q, ledger):
@@ -779,7 +820,7 @@ class TestFormerImplementationsBitExact:
                 by_first = sorted(ref.others, key=lambda n: ref.others[n][1])
                 assert list(cand.others.items()) == [(n, ref.others[n][0]) for n in by_first]
                 seen["candidate names"] += len(cand.others)
-            pairs, unmatched = match_pairs(records, candidates, params)
+            pairs, unmatched = match_pairs(records, candidates)
             assert (pairs, unmatched) == former_match_pairs(records, former, params)
             seen["records"] += len(records)
             seen["pairs"] += len(pairs)
@@ -793,8 +834,9 @@ class TestFormerImplementationsBitExact:
                     pair, params.q, ledger
                 )
                 others = next(c.others for c in candidates if c.timeline is pair.control)
-                gaps = [abs(pair.g_beta - share) for share in others.values()]
-                seen["tied picks"] += gaps.count(abs(pair.g_beta - pair.g_gamma)) > 1
+                g_beta = pair.record.g_beta
+                gaps = [abs(g_beta - share) for share in others.values()]
+                seen["tied picks"] += gaps.count(abs(g_beta - pair.g_gamma)) > 1
         # the late-name pick met names at exactly equal gap
         assert seen["tied picks"] > 0, seen
         assert min(seen.values()) > 0, seen
@@ -816,9 +858,9 @@ class TestLateNameTie:
             for t, names in (("b", beta), ("g", gamma))
         )
         candidates = find_control_candidates({g.key: g}, params)
-        pairs, unmatched = match_pairs([detect_changeover(b, params)], candidates, params)
+        pairs, unmatched = match_pairs([detect_changeover(b, params)], candidates)
         assert unmatched == 0
-        assert pairs[0].g_beta == pairs[0].g_gamma == 2 / 18
+        assert pairs[0].record.g_beta == pairs[0].g_gamma == 2 / 18
         assert pairs[0].control_late_name == "\\zfirst"
 
 

@@ -149,6 +149,19 @@ class TestArgHandling:
         assert capsys.readouterr().err == f"macrolens: error: {count} must be at least 0\n"
         assert not any(tmp_path.iterdir())
 
+    def test_too_many_changeover_pairs(self, tmp_path, capsys):
+        # 100 pairs would plant 139,202,118 records
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            invoke("synth", "--changeover-pairs", "100", "--out", str(out))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "macrolens: error: n_changeover_pairs 100 plants more than "
+            f"{synth.MAX_CHANGEOVER_RECORDS} changeover records "
+            f"(at most {synth.MAX_CHANGEOVER_PAIRS} pairs)\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["name", "title"])
     @pytest.mark.parametrize("edges", [["-4", "2"], ["0"]])
     def test_gap_bucket_edges_below_one(self, mode, edges, tmp_path, capsys):

@@ -68,7 +68,7 @@ class TestGenerator:
         for key in sorted(timelines):
             rec = detect_changeover(timelines[key], params)
             if rec is not None:
-                detected[rec.body] = rec
+                detected[rec.timeline.body] = rec
         planted = {b["body"]: b for b in result.ground_truth["changeover_bodies"]}
         expected = {body for body, b in planted.items() if b["changeover"]}
         assert set(detected) == expected
@@ -94,6 +94,21 @@ class TestGenerator:
         # early-window seeds stay a minority of the smallest early window
         assert all(params.q <= t <= 1.0 - params.q for t in synth.SWITCH_FRACTIONS)
         assert 2 * synth.EARLY_SEED_USES < math.floor(params.q * synth.BASE_VOLUME)
+
+    def test_changeover_pairs_bounded_by_planted_records(self):
+        # each pair plants a changeover body and its control of the same
+        # volume; the bound is checked without generating anything
+        def planted(n_pairs):
+            return sum(2 * int(round(synth.BASE_VOLUME * synth.VOLUME_GROWTH**k))
+                       for k in range(n_pairs))
+
+        assert planted(SynthConfig().n_changeover_pairs) == 4_824
+        top = synth.MAX_CHANGEOVER_PAIRS
+        assert planted(top) <= synth.MAX_CHANGEOVER_RECORDS < planted(top + 1)
+        assert SynthConfig(n_changeover_pairs=top).n_changeover_pairs == top
+        for n_pairs in (top + 1, 100, 10**12):
+            with pytest.raises(ValueError, match=f"^n_changeover_pairs {n_pairs} plants more than"):
+                SynthConfig(n_changeover_pairs=n_pairs)
 
     def test_imports_no_detection_module(self):
         """The checks above hold only if synth does not share the code it plants for."""
