@@ -14,7 +14,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,29 +26,13 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FeatureMatrix:
-    """Rectangular numeric features with named columns and binary labels."""
+class FeatureMatrix(NamedTuple):
+    """Features ``X``, (rows, columns) float64, and int64 labels ``y`` in
+    {0, 1}; a feature CSV's reader checks them, line by line."""
 
     columns: list[str]
-    X: np.ndarray  # (n_rows, n_features) float64
-    y: np.ndarray  # (n_rows,) int, values in {0, 1}
-
-    def __post_init__(self) -> None:
-        self.X = np.asarray(self.X, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
-        if self.X.ndim != 2 or self.X.shape[1] != len(self.columns):
-            raise ValueError("feature matrix shape does not match column names")
-        if self.X.shape[0] != self.y.shape[0]:
-            raise ValueError("label count does not match row count")
-        if not np.isfinite(self.X).all():
-            raise ValueError("feature matrix contains undefined entries")
-        if not np.isin(self.y, (0, 1)).all():
-            raise ValueError("labels must be binary")
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.X.shape[0])
+    X: np.ndarray
+    y: np.ndarray
 
     def take(self, indices: Sequence[int]) -> "FeatureMatrix":
         idx = list(indices)
@@ -59,35 +43,25 @@ class FeatureMatrix:
         cls, columns: Sequence[str], rows: Iterable[Sequence[float]], labels: Iterable[int]
     ) -> "FeatureMatrix":
         rows = [list(r) for r in rows]
-        return cls(list(columns), np.array(rows, dtype=np.float64).reshape(len(rows), len(columns)), np.array(list(labels)))
+        X = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
+        return cls(list(columns), X, np.array(list(labels), dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class ColumnStats:
-    mean: tuple[float, ...]
-    stdev: tuple[float, ...]  # population standard deviation
-
-
-def zscore(matrix: FeatureMatrix) -> tuple[FeatureMatrix, ColumnStats]:
-    """Column-wise (x - mean) / stdev with population stdev.
-
-    Zero-variance columns come out all zero (with a warning) instead of
-    dividing by zero.
-    """
-    if matrix.n_rows < 2:
+def zscore(matrix: FeatureMatrix) -> tuple[FeatureMatrix, np.ndarray, np.ndarray]:
+    """Column-wise (x - mean) / stdev with population stdev, and the means
+    and stdevs used.  Zero-variance columns come out all zero (with a
+    warning) instead of dividing by zero."""
+    if len(matrix.y) < 2:
         raise ValueError("z-score needs at least 2 rows")
     mean = matrix.X.mean(axis=0)
     stdev = matrix.X.std(axis=0)  # population (ddof=0)
     for j in np.flatnonzero(stdev == 0.0):
         log.warning("zero-variance feature column %r maps to zeros", matrix.columns[j])
-    stats = ColumnStats(mean=tuple(float(v) for v in mean), stdev=tuple(float(v) for v in stdev))
-    return apply_zscore(matrix, stats), stats
+    return apply_zscore(matrix, mean, stdev), mean, stdev
 
 
-def apply_zscore(matrix: FeatureMatrix, stats: ColumnStats) -> FeatureMatrix:
+def apply_zscore(matrix: FeatureMatrix, mean: np.ndarray, stdev: np.ndarray) -> FeatureMatrix:
     """Normalize held-out data with training statistics."""
-    mean = np.array(stats.mean)
-    stdev = np.array(stats.stdev)
     safe = np.where(stdev == 0.0, 1.0, stdev)
     normalized = (matrix.X - mean) / safe
     normalized[:, stdev == 0.0] = 0.0
@@ -137,15 +111,13 @@ GRAD_TOL = 1e-8  # max-norm convergence threshold
 
 @dataclass
 class LogisticModel:
-    columns: list[str]
+    """One weight per feature column, in column order, and the intercept."""
+
     weights: np.ndarray
     intercept: float
     iterations: int = 0
     converged: bool = True
     final_loss: float = 0.0
-
-    def coefficients(self) -> dict[str, float]:
-        return {c: float(w) for c, w in zip(self.columns, self.weights)}
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -209,7 +181,6 @@ def logistic_fit(train: FeatureMatrix) -> LogisticModel:
             break  # no descent step exists at float precision
         w, b, loss, gw, gb = w_new, b_new, loss_new, gw_new, gb_new
     return LogisticModel(
-        columns=list(train.columns),
         weights=w,
         intercept=b,
         iterations=iterations,
@@ -222,10 +193,9 @@ def predict_proba(model: LogisticModel, matrix: FeatureMatrix) -> np.ndarray:
     return _sigmoid(matrix.X @ model.weights + model.intercept)
 
 
-def accuracy(model: LogisticModel, test: FeatureMatrix) -> float:
-    p = predict_proba(model, test)
-    predicted = (p >= 0.5).astype(np.int64)
-    return float(np.mean(predicted == test.y))
+def count_correct(model: LogisticModel, test: FeatureMatrix) -> int:
+    """The number of rows whose label the model predicts (p >= 0.5 is 1)."""
+    return int(np.count_nonzero((predict_proba(model, test) >= 0.5) == test.y))
 
 
 # ---------------------------------------------------------------------------

@@ -410,7 +410,6 @@ def changeover_features(
             for mean in chain(*zip(*means)):  # the usage windows, then the adoption windows
                 row.extend([0.0, 1.0] if mean is None else [mean, 0.0])
         for name in names:
-            nf = name_features(name)
-            row.extend([float(nf.length), float(nf.non_alpha), nf.frac_lower, nf.frac_upper])
+            row.extend(name_features(name))
         rows.append(row)
     return rows[0], rows[1]

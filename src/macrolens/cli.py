@@ -326,31 +326,38 @@ def _number(text: str, line: int, column: str) -> float:
 
 
 def _read_feature_csv(path: Path) -> analytics.FeatureMatrix:
+    """The matrix in ``path``, checked where it enters: each row has the
+    header's field count, finite numbers and a 0 or 1 label."""
     from . import analytics
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"empty feature CSV: {path}")
-        if header[-1:] != ["label"]:
-            raise ValueError("feature CSV must end with a 'label' column")
-        columns = header[:-1]
-        repeated = [c for c in dict.fromkeys(columns) if columns.count(c) > 1]
-        if repeated:
-            raise ValueError(f"feature CSV repeats the column {repeated[0]!r}")
-        rows = []
-        labels = []
-        for rec in reader:
-            line = reader.line_num
-            if len(rec) != len(header):
-                raise ValueError(
-                    f"feature CSV line {line} has {len(rec)} fields, not {len(header)}"
-                )
-            rows.append([_number(v, line, c) for v, c in zip(rec, columns)])
-            label = _number(rec[-1], line, "label")
-            if label not in (0.0, 1.0):
-                raise ValueError(f"feature CSV line {line}: label must be 0 or 1")
-            labels.append(int(label))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"empty feature CSV: {path}")
+            if header[-1:] != ["label"]:
+                raise ValueError("feature CSV must end with a 'label' column")
+            columns = header[:-1]
+            repeated = [c for c in dict.fromkeys(columns) if columns.count(c) > 1]
+            if repeated:
+                raise ValueError(f"feature CSV repeats the column {repeated[0]!r}")
+            if "intercept" in columns:
+                raise ValueError("feature CSV column 'intercept' names the model's constant")
+            rows = []
+            labels = []
+            for rec in reader:
+                line = reader.line_num
+                if len(rec) != len(header):
+                    raise ValueError(
+                        f"feature CSV line {line} has {len(rec)} fields, not {len(header)}"
+                    )
+                rows.append([_number(v, line, c) for v, c in zip(rec, columns)])
+                label = _number(rec[-1], line, "label")
+                if label not in (0.0, 1.0):
+                    raise ValueError(f"feature CSV line {line}: label must be 0 or 1")
+                labels.append(int(label))
+        except csv.Error as exc:  # an oversized cell; a NUL byte before Python 3.11
+            raise ValueError(f"feature CSV line {reader.line_num}: {exc}") from None
     return analytics.FeatureMatrix.from_rows(columns, rows, labels)
 
 
@@ -358,20 +365,20 @@ def cmd_predict(args) -> list[Table]:
     from . import analytics
     matrix = _read_feature_csv(Path(args.features))
     train_raw, test_raw = analytics.split(matrix, train_frac=args.train_frac, seed=args.seed)
-    train, stats = analytics.zscore(train_raw)
-    test = analytics.apply_zscore(test_raw, stats)
+    train, mean, stdev = analytics.zscore(train_raw)
+    test = analytics.apply_zscore(test_raw, mean, stdev)
     model = analytics.logistic_fit(train)
-    acc = analytics.accuracy(model, test)
-    correct = round(acc * test.n_rows)
-    ci_lo, ci_hi = analytics.binomial_ci(correct, test.n_rows)
-    coef_rows = [("intercept", model.intercept)] + sorted(model.coefficients().items())
+    correct, n_test = analytics.count_correct(model, test), len(test.y)
+    ci_lo, ci_hi = analytics.binomial_ci(correct, n_test)
+    coef_rows = [("intercept", model.intercept)]
+    coef_rows += sorted(zip(matrix.columns, model.weights.tolist()))
     return [
         Table("coefficients", ("feature", "coefficient"), coef_rows),
         Table(
             "prediction_metrics",
             ("accuracy", "ci_low", "ci_high", "n_train", "n_test",
              "iterations", "converged", "final_loss", "seed"),
-            [(acc, ci_lo, ci_hi, train.n_rows, test.n_rows,
+            [(correct / n_test, ci_lo, ci_hi, len(train.y), n_test,
               model.iterations, model.converged, model.final_loss, args.seed)],
         ),
     ]

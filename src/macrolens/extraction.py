@@ -401,37 +401,20 @@ def definition_columns(by_paper: Iterable[Sequence[MacroDefinition]]) -> Definit
     return Definitions(list(ids), **cols)
 
 
-@dataclass(frozen=True)
-class NameFeatures:
-    """Orthographic features of a macro name (backslash included)."""
-
-    length: int
-    non_alpha: int
-    frac_lower: float
-    frac_upper: float
-
-
-@dataclass(frozen=True)
-class BodyFeatures:
-    length: int
-    non_alpha: int
-    max_brace_depth: int
-
-
-def name_features(name: str) -> NameFeatures:
+def name_features(name: str) -> tuple[float, float, float, float]:
+    """A name's orthography (backslash included), in column order: length,
+    non-letter count, lower- and upper-case fractions."""
     if not name:
         raise ValueError("empty name")
     lower = sum(1 for c in name if "a" <= c <= "z")
     upper = sum(1 for c in name if "A" <= c <= "Z")
-    return NameFeatures(
-        length=len(name),
-        non_alpha=len(name) - lower - upper,
-        frac_lower=lower / len(name),
-        frac_upper=upper / len(name),
-    )
+    n = len(name)
+    return float(n), float(n - lower - upper), lower / n, upper / n
 
 
-def body_features(body: str) -> BodyFeatures:
+def body_features(body: str) -> tuple[float, float, float]:
+    """A body's orthography, in feature column order: length, non-letter
+    count, deepest brace nesting (escaped braces do not nest)."""
     if not body:
         raise ValueError("empty body")
     letters = sum(1 for c in body if "a" <= c <= "z" or "A" <= c <= "Z")
@@ -442,4 +425,4 @@ def body_features(body: str) -> BodyFeatures:
             max_depth = max(max_depth, depth)
         elif tok.group() == "}":
             depth -= 1
-    return BodyFeatures(length=len(body), non_alpha=len(body) - letters, max_brace_depth=max_depth)
+    return float(len(body)), float(len(body) - letters), float(max_depth)

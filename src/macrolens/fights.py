@@ -284,8 +284,7 @@ def fight_features(
     row.extend(float(len(adj[a])) for a in authors)
     row.extend(central[a] for a in authors)
     row.extend([float(len(fight.variant_a)), float(len(fight.variant_b))])
-    bf = body_features(fight.shared_key[1])
-    row.extend([float(bf.length), float(bf.non_alpha), float(bf.max_brace_depth)])
+    row.extend(body_features(fight.shared_key[1]))
     return row
 
 

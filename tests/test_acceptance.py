@@ -189,20 +189,20 @@ def test_criterion_6_logistic_regression():
             labels.append(int(label))
         m = analytics.FeatureMatrix.from_rows(["x0", "x1"], rows, labels)
         train_raw, test_raw = analytics.split(m, seed=0)
-        train, stats = analytics.zscore(train_raw)
-        test = analytics.apply_zscore(test_raw, stats)
+        train, mean, stdev = analytics.zscore(train_raw)
+        test = analytics.apply_zscore(test_raw, mean, stdev)
         model = analytics.logistic_fit(train)
-        acc = analytics.accuracy(model, test)
+        acc = analytics.count_correct(model, test) / len(test.y)
         assert acc >= 0.95, f"separable accuracy {acc}"
         # (c) label-randomized data
         rows = [[py_rng.gauss(0, 1), py_rng.gauss(0, 1)] for _ in range(2000)]
         labels = [py_rng.randint(0, 1) for _ in range(2000)]
         m = analytics.FeatureMatrix.from_rows(["x0", "x1"], rows, labels)
         train_raw, test_raw = analytics.split(m, seed=0)
-        train, stats = analytics.zscore(train_raw)
-        test = analytics.apply_zscore(test_raw, stats)
+        train, mean, stdev = analytics.zscore(train_raw)
+        test = analytics.apply_zscore(test_raw, mean, stdev)
         model = analytics.logistic_fit(train)
-        acc = analytics.accuracy(model, test)
+        acc = analytics.count_correct(model, test) / len(test.y)
         assert 0.45 <= acc <= 0.55, f"null accuracy {acc}"
 
 

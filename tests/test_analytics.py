@@ -1,6 +1,7 @@
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 from macrolens import analytics
 from macrolens.analytics import (
     FeatureMatrix,
-    accuracy,
+    LogisticModel,
     apply_zscore,
     betweenness,
     binomial_ci,
+    count_correct,
     logistic_fit,
     logistic_loss_and_grad,
     predict_proba,
@@ -33,15 +35,15 @@ def matrix(rows, labels, columns=None):
 class TestZscore:
     def test_hand_computed(self):
         m = matrix([[1.0], [3.0]], [0, 1])
-        normalized, stats = zscore(m)
+        normalized, mean, stdev = zscore(m)
         assert normalized.X[:, 0].tolist() == [-1.0, 1.0]  # population stdev
-        assert stats.mean == (2.0,)
-        assert stats.stdev == (1.0,)
+        assert mean.tolist() == [2.0]
+        assert stdev.tolist() == [1.0]
 
     def test_constant_column_zeros_with_warning(self, caplog):
         m = matrix([[5.0, 1.0], [5.0, 2.0]], [0, 1])
         with caplog.at_level("WARNING"):
-            normalized, _ = zscore(m)
+            normalized, _, _ = zscore(m)
         assert normalized.X[:, 0].tolist() == [0.0, 0.0]
         assert any("zero-variance" in r.message for r in caplog.records)
 
@@ -51,7 +53,7 @@ class TestZscore:
         X = (X - X.mean(axis=0)) / X.std(axis=0)
         m = FeatureMatrix([f"f{i}" for i in range(3)], X, np.zeros(50, dtype=int) % 2)
         m.y[::2] = 1
-        normalized, _ = zscore(m)
+        normalized, _, _ = zscore(m)
         assert np.abs(normalized.X - X).max() < 1e-12
 
     def test_too_few_rows(self):
@@ -61,8 +63,8 @@ class TestZscore:
     def test_test_data_uses_training_stats(self):
         train = matrix([[0.0], [2.0]], [0, 1])
         test = matrix([[4.0]], [1])
-        _, stats = zscore(train)
-        out = apply_zscore(test, stats)
+        _, mean, stdev = zscore(train)
+        out = apply_zscore(test, mean, stdev)
         assert out.X[0, 0] == 3.0  # (4 - 1) / 1
 
 
@@ -70,13 +72,13 @@ class TestSplit:
     def test_balanced_split_counts(self):
         m = matrix([[float(i)] for i in range(200)], [0] * 100 + [1] * 100)
         train, test = split(m, seed=1)
-        assert train.n_rows == 160 and test.n_rows == 40
+        assert len(train.y) == 160 and len(test.y) == 40
         assert int(train.y.sum()) == 80 and int(test.y.sum()) == 20
 
     def test_imbalanced_subsampled_first(self):
         m = matrix([[float(i)] for i in range(200)], [0] * 150 + [1] * 50)
         train, test = split(m, seed=1)
-        assert train.n_rows + test.n_rows == 100
+        assert len(train.y) + len(test.y) == 100
         assert int(train.y.sum()) == 40 and int(test.y.sum()) == 10
 
     def test_deterministic(self):
@@ -101,7 +103,7 @@ class TestSplit:
 
     def test_smallest_split_with_both_sides(self):
         train, test = split(matrix([[float(i)] for i in range(4)], [0, 1, 0, 1]), train_frac=0.5)
-        assert train.n_rows == test.n_rows == 2
+        assert len(train.y) == len(test.y) == 2
 
 
 def _separable_data(seed, n=400, margin=0.5):
@@ -119,10 +121,10 @@ class TestLogistic:
     def test_separable_holdout_accuracy(self):
         m = _separable_data(0, n=1000)
         train_raw, test_raw = split(m, seed=0)
-        train, stats = zscore(train_raw)
-        test = apply_zscore(test_raw, stats)
+        train, mean, stdev = zscore(train_raw)
+        test = apply_zscore(test_raw, mean, stdev)
         model = logistic_fit(train)
-        assert accuracy(model, test) >= 0.95
+        assert count_correct(model, test) / len(test.y) >= 0.95
 
     def test_random_labels_near_chance(self):
         rng = random.Random(3)
@@ -130,10 +132,10 @@ class TestLogistic:
         labels = [rng.randint(0, 1) for _ in range(2000)]
         m = matrix(rows, labels)
         train_raw, test_raw = split(m, seed=0)
-        train, stats = zscore(train_raw)
-        test = apply_zscore(test_raw, stats)
+        train, mean, stdev = zscore(train_raw)
+        test = apply_zscore(test_raw, mean, stdev)
         model = logistic_fit(train)
-        assert 0.4 <= accuracy(model, test) <= 0.6
+        assert 0.4 <= count_correct(model, test) / len(test.y) <= 0.6
 
     def test_sign_sanity(self):
         rng = random.Random(5)
@@ -182,10 +184,10 @@ class TestLogistic:
         accs = []
         for data in (m, scaled):
             train_raw, test_raw = split(data, seed=9)
-            train, stats = zscore(train_raw)
-            test = apply_zscore(test_raw, stats)
+            train, mean, stdev = zscore(train_raw)
+            test = apply_zscore(test_raw, mean, stdev)
             model = logistic_fit(train)
-            accs.append(accuracy(model, test))
+            accs.append(count_correct(model, test) / len(test.y))
         assert accs[0] == pytest.approx(accs[1], abs=1e-12)
 
     def test_predict_is_sigmoid(self, monkeypatch):
@@ -195,6 +197,145 @@ class TestLogistic:
         row = m.X[0]
         z = float(np.dot(model.weights, row) + model.intercept)
         assert predict_proba(model, m.take([0]))[0] == pytest.approx(1 / (1 + math.exp(-z)))
+
+
+@dataclass
+class FormerFeatureMatrix:
+    """The former feature matrix, which checked itself on every build."""
+
+    columns: list
+    X: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        self.X = np.asarray(self.X, dtype=np.float64)
+        self.y = np.asarray(self.y, dtype=np.int64)
+        if self.X.ndim != 2 or self.X.shape[1] != len(self.columns):
+            raise ValueError("feature matrix shape does not match column names")
+        if self.X.shape[0] != self.y.shape[0]:
+            raise ValueError("label count does not match row count")
+        if not np.isfinite(self.X).all():
+            raise ValueError("feature matrix contains undefined entries")
+        if not np.isin(self.y, (0, 1)).all():
+            raise ValueError("labels must be binary")
+
+    @property
+    def n_rows(self):
+        return int(self.X.shape[0])
+
+    def take(self, indices):
+        idx = list(indices)
+        return FormerFeatureMatrix(self.columns, self.X[idx], self.y[idx])
+
+    @classmethod
+    def from_rows(cls, columns, rows, labels):
+        rows = [list(r) for r in rows]
+        X = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
+        return cls(list(columns), X, np.array(list(labels)))
+
+
+@dataclass(frozen=True)
+class FormerColumnStats:
+    mean: tuple
+    stdev: tuple
+
+
+def former_zscore(matrix):
+    if matrix.n_rows < 2:
+        raise ValueError("z-score needs at least 2 rows")
+    mean = matrix.X.mean(axis=0)
+    stdev = matrix.X.std(axis=0)
+    stats = FormerColumnStats(tuple(float(v) for v in mean), tuple(float(v) for v in stdev))
+    return former_apply_zscore(matrix, stats), stats
+
+
+def former_apply_zscore(matrix, stats):
+    mean = np.array(stats.mean)
+    stdev = np.array(stats.stdev)
+    safe = np.where(stdev == 0.0, 1.0, stdev)
+    normalized = (matrix.X - mean) / safe
+    normalized[:, stdev == 0.0] = 0.0
+    return FormerFeatureMatrix(matrix.columns, normalized, matrix.y)
+
+
+def former_accuracy(model, test):
+    p = predict_proba(model, test)
+    predicted = (p >= 0.5).astype(np.int64)
+    return float(np.mean(predicted == test.y))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFormerPredictionPathBitExact:
+    """The z-score statistics, the normalized matrices, the accuracy and
+    the correct count equal, bit for bit, those of the former path: a
+    self-checking matrix, statistics as float tuples rebuilt into arrays,
+    and the count recovered as ``round(accuracy * n)``."""
+
+    @staticmethod
+    def random_rows(rng, n, kinds):
+        """Rows whose columns are Gaussian, small integers (ties) or one
+        constant (zero variance)."""
+        draw = {
+            "gauss": lambda j: rng.gauss(0, 10 ** rng.randint(-3, 3)),
+            "int": lambda j: float(rng.randint(-3, 3)),
+            "constant": lambda j: 7.25 * j,
+        }
+        return [[draw[kind](j) for j, kind in enumerate(kinds)] for _ in range(n)]
+
+    def compare(self, columns, train_rows, train_labels, test_rows, test_labels, model):
+        former_train = FormerFeatureMatrix.from_rows(columns, train_rows, train_labels)
+        former_test = FormerFeatureMatrix.from_rows(columns, test_rows, test_labels)
+        former_normalized, stats = former_zscore(former_train)
+        former_held_out = former_apply_zscore(former_test, stats)
+        acc = former_accuracy(model, former_held_out)
+        normalized, mean, stdev = zscore(FeatureMatrix.from_rows(columns, train_rows, train_labels))
+        held_out = apply_zscore(FeatureMatrix.from_rows(columns, test_rows, test_labels), mean, stdev)
+        assert same_bits(stats.mean, mean) and same_bits(stats.stdev, stdev)
+        assert same_bits(former_normalized.X, normalized.X)
+        assert same_bits(former_held_out.X, held_out.X)
+        assert held_out.y.dtype == np.int64 and held_out.y.tolist() == former_held_out.y.tolist()
+        correct = count_correct(model, held_out)
+        assert type(correct) is int
+        assert correct == round(acc * former_held_out.n_rows)
+        assert correct / len(held_out.y) == acc
+
+    def test_random_matrices(self):
+        rng = random.Random(24)
+        np_rng = np.random.default_rng(24)
+        for case in range(400):
+            kinds = [rng.choice(("gauss", "int", "constant")) for _ in range(rng.randint(0, 5))]
+            columns = [f"f{j}" for j in range(len(kinds))]
+            n_train, n_test = rng.randint(2, 30), 1 if case % 4 == 0 else rng.randint(1, 30)
+            labels = [rng.randint(0, 1) for _ in range(n_train + n_test)]
+            if case % 5 == 0:  # p is exactly 0.5 on every row
+                model = LogisticModel(np.zeros(len(kinds)), 0.0)
+            else:
+                model = LogisticModel(np_rng.normal(size=len(kinds)), float(np_rng.normal()))
+            self.compare(columns, self.random_rows(rng, n_train, kinds), labels[:n_train],
+                         self.random_rows(rng, n_test, kinds), labels[n_train:], model)
+
+    def test_split_and_fit(self, monkeypatch):
+        monkeypatch.setattr(analytics, "MAX_ITER", 200)
+        rng = random.Random(25)
+        for _ in range(40):
+            kinds = [rng.choice(("gauss", "int", "constant")) for _ in range(rng.randint(0, 4))]
+            columns = [f"f{j}" for j in range(len(kinds))]
+            n = rng.randint(8, 60)
+            rows = self.random_rows(rng, n, kinds)
+            labels = [i % 2 for i in range(n)]
+            seed, frac = rng.randint(0, 9), rng.choice((0.5, 0.8))
+            train_raw, test_raw = split(FormerFeatureMatrix.from_rows(columns, rows, labels),
+                                        train_frac=frac, seed=seed)
+            model = logistic_fit(former_zscore(train_raw)[0])
+            new_train, new_test = split(matrix(rows, labels, columns), train_frac=frac, seed=seed)
+            assert same_bits(train_raw.X, new_train.X) and same_bits(test_raw.X, new_test.X)
+            assert same_bits(logistic_fit(zscore(new_train)[0]).weights, model.weights)
+            self.compare(columns, train_raw.X.tolist(), train_raw.y.tolist(),
+                         test_raw.X.tolist(), test_raw.y.tolist(), model)
 
 
 def _direct_binomial_two_sided(k, n, p0):

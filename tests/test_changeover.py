@@ -741,8 +741,8 @@ def former_changeover_features(pair, q, ledger):
                     )
                     row.extend([sum(values) / len(values), 0.0] if values else [0.0, 1.0])
         for name in (early_name, late_name):
-            nf = name_features(name)
-            row.extend([float(nf.length), float(nf.non_alpha), nf.frac_lower, nf.frac_upper])
+            length, non_alpha, frac_lower, frac_upper = name_features(name)
+            row.extend([length, non_alpha, frac_lower, frac_upper])
         rows.append(row)
     return rows[0], rows[1]
 

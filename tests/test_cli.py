@@ -54,6 +54,9 @@ class TestArgHandling:
         "inf feature": "a,x,label\n1,inf,0\n",
         "-inf feature": "a,x,label\n1,2,0\n-inf,3,1\n",
         "repeated feature column": "a,b,a,label\n1,2,3,0\n4,5,6,1\n",
+        "intercept feature column": "a,intercept,label\n1,2,0\n4,5,1\n",
+        "oversized cell": "a,label\n1,0\n" + "1" * (128 * 1024 + 1) + ",1\n",
+        "NUL byte": "a,label\n1,0\n2\0,1\n",
     }
     NAMED_CELLS = {
         "non-numeric feature": "feature CSV line 3, column 'a': 'x' is not a number",
@@ -62,6 +65,8 @@ class TestArgHandling:
         "inf feature": "feature CSV line 2, column 'x': 'inf' is not a finite number",
         "-inf feature": "feature CSV line 3, column 'a': '-inf' is not a finite number",
         "repeated feature column": "feature CSV repeats the column 'a'",
+        "intercept feature column": "feature CSV column 'intercept' names the model's constant",
+        "oversized cell": "feature CSV line 3: field larger than field limit (131072)",
     }
 
     WORD_LISTS = '"determiners": ["the"], "verbs": [], "adjectives": [], "nouns": []'

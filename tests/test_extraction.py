@@ -131,25 +131,26 @@ class TestNormalizeBody:
 
 class TestFeatures:
     def test_name_features_hand_count(self):
-        nf = name_features("\\Yfund")
-        assert nf.length == 6
-        assert nf.non_alpha == 1
-        assert nf.frac_upper == pytest.approx(1 / 6)
-        assert nf.frac_lower == pytest.approx(4 / 6)
+        length, non_alpha, frac_lower, frac_upper = name_features("\\Yfund")
+        assert (length, non_alpha) == (6.0, 1.0)
+        assert frac_upper == pytest.approx(1 / 6)
+        assert frac_lower == pytest.approx(4 / 6)
 
     def test_fraction_bound(self):
-        nf = name_features("\\Re")
-        assert nf.frac_lower + nf.frac_upper <= 1
+        _, _, frac_lower, frac_upper = name_features("\\Re")
+        assert frac_lower + frac_upper <= 1
 
     def test_body_depth_hand_trace(self):
-        assert body_features("{a{b}}").max_brace_depth == 2
+        assert body_features("{a{b}}")[2] == 2.0
 
     def test_flat_body(self):
-        bf = body_features("x")
-        assert (bf.length, bf.non_alpha, bf.max_brace_depth) == (1, 0, 0)
+        assert body_features("x") == (1.0, 0.0, 0.0)
+
+    def test_values_are_floats(self):
+        assert {type(v) for v in (*name_features("\\x"), *body_features("{x}"))} == {float}
 
     def test_escaped_braces_not_depth(self):
-        assert body_features("\\{x\\}").max_brace_depth == 0
+        assert body_features("\\{x\\}")[2] == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -306,7 +307,7 @@ def _compare(source, seen):
     for text in (source, stripped):
         assert (extraction._brace_pairs(text)[1] == 0) == oracles.oracle_check_balanced(text), text
     if source:
-        assert astuple(body_features(source)) == astuple(oracles.oracle_body_features(source)), source
+        assert body_features(source) == astuple(oracles.oracle_body_features(source)), source
     seen["skipped"] += got.skipped
     if "\\def" not in source and "newcommand" not in source:
         seen["early exit"] += 1
