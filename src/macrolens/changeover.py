@@ -212,8 +212,7 @@ def find_control_candidates(
     """Bodies meeting the volume floor but failing the changeover test,
     with at least two names present in the early window."""
     out: list[ControlCandidate] = []
-    for key in sorted(timelines):
-        tl = timelines[key]
+    for tl in timelines.values():
         if tl.m < params.s or changeover_names(tl, params) is not None:
             continue
         early = interval(tl, 0.0, params.q)

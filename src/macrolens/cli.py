@@ -145,14 +145,15 @@ def cmd_extract(args) -> list[Table]:
 def cmd_timelines(args) -> list[Table]:
     corpus, defs = _load_extracted(args)
     rows = [
-        (report.body_hash(tl.signature, tl.body), tl.m, len(tl.names()), len(tl.distinct_authors()))
-        for _, tl in sorted(build_timelines(corpus, defs).items())
+        (report.body_hash(*tl.key), tl.m, len({o.name for o in tl.occurrences}),
+         len(tl.distinct_authors()))
+        for tl in build_timelines(corpus, defs).values()
     ]
     return [Table("timelines", ("body_hash", "m", "distinct_names", "distinct_authors"), rows)]
 
 
 def _detect_changeovers(timelines, params) -> list[changeover.ChangeoverRecord]:
-    records = (changeover.detect_changeover(timelines[key], params) for key in sorted(timelines))
+    records = (changeover.detect_changeover(tl, params) for tl in timelines.values())
     return [rec for rec in records if rec is not None]
 
 
@@ -163,8 +164,9 @@ def cmd_changeovers(args) -> list[Table]:
     tables, rows = [], []
     for rec in _detect_changeovers(build_timelines(corpus, defs), params):
         tl = rec.timeline
-        h = report.body_hash(*tl.key)
-        rows.append((h, tl.body, tl.signature, rec.early_name, rec.late_name, tl.m, rec.crossing))
+        signature, body = tl.key
+        h = report.body_hash(signature, body)
+        rows.append((h, body, signature, rec.early_name, rec.late_name, tl.m, rec.crossing))
         tables.append(Table(f"curves/{h}", ("t", "early_fraction", "late_fraction"),
                             list(zip(grid, rec.f_curve, rec.g_curve))))
     header = ("body_hash", "body", "signature", "early_name", "late_name", "m", "crossing")

@@ -106,11 +106,10 @@ def _detect_fights(
 ) -> list[FightRecord]:
     candidates: list[FightRecord] = []
     want_authors = 3 if filters.three_author else 2
-    for key in sorted(timelines):
-        tl = timelines[key]
+    for tl in timelines.values():
         if len(tl.distinct_authors()) < filters.min_distinct_authors:
             continue
-        if len(tl.body) < filters.min_shared_len:
+        if len(tl.key[1]) < filters.min_shared_len:
             continue
         for occ in tl.occurrences:
             if len(occ.authors) != want_authors:

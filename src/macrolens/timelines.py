@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, compress, islice, pairwise, repeat
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus
 from .extraction import Definitions, MacroDefinition, definition_columns
@@ -29,50 +30,42 @@ class Occurrence(NamedTuple):
     authors: tuple[str, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BodyTimeline:
-    """Time-ordered occurrences of one normalized body.
+    """Time-ordered occurrences of one normalized body, ``key`` being its
+    ``(signature, body)``.
 
     Occurrences are sorted by (group rank, paper id), so each author's
     positions are in rank order and the uses before any cutoff rank form
-    a prefix of :meth:`author_positions`.
+    a prefix of the author's :attr:`positions`.
 
     For name-keyed (role-swapped) timelines built by
-    :func:`build_name_timelines`, ``body`` holds the shared macro name
-    and each occurrence's ``name`` field holds the body used.  The
-    author index is a cache, so it takes no part in ``==``.
+    :func:`build_name_timelines`, ``key`` is ``("", name)`` for the shared
+    macro name and each occurrence's ``name`` field holds the body used.
     """
 
-    body: str
-    signature: str = ""
-    occurrences: tuple[Occurrence, ...] = ()
-    _author_index: dict[str, list[int]] = field(default_factory=dict, repr=False, compare=False)
+    key: tuple[str, str]
+    occurrences: tuple[Occurrence, ...]
 
     @property
     def m(self) -> int:
         return len(self.occurrences)
 
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.signature, self.body)
-
-    def names(self) -> list[str]:
-        return sorted({o.name for o in self.occurrences})
-
     def distinct_authors(self) -> set[str]:
         return {a for o in self.occurrences for a in o.authors}
 
-    def author_positions(self, author: str) -> list[int]:
-        """Occurrence indices involving ``author`` (built lazily, cached)."""
-        if not self._author_index:
-            for idx, occ in enumerate(self.occurrences):
-                for a in occ.authors:
-                    self._author_index.setdefault(a, []).append(idx)
-        return self._author_index.get(author, [])
+    @cached_property
+    def positions(self) -> dict[str, list[int]]:
+        """Each author's occurrence indices, built on first read."""
+        index: dict[str, list[int]] = {}
+        for idx, occ in enumerate(self.occurrences):
+            for a in occ.authors:
+                index.setdefault(a, []).append(idx)
+        return index
 
     def prior_positions(self, author: str, cutoff_rank: int) -> list[int]:
         """Occurrence indices of ``author``'s uses strictly before ``cutoff_rank``."""
-        positions = self.author_positions(author)
+        positions = self.positions.get(author, [])
         occs = self.occurrences
         return positions[: bisect_left(positions, cutoff_rank, key=lambda i: occs[i].group_rank)]
 
@@ -88,12 +81,12 @@ def _columns(
     return definition_columns([definitions.get(pid, ()) for pid in paper_ids])
 
 
-def _occurrences_by_key(corpus: Corpus, columns: Definitions, kept: Iterable, keys: Iterable,
-                        names: Iterable) -> dict:
-    """Each key's occurrences, one per kept effective definition (``kept``,
-    ``keys`` and ``names`` run over those rows), in row order: papers in
-    corpus order, which is (tie group, paper id) order, so each bucket is
-    already sorted."""
+def _timelines(corpus: Corpus, columns: Definitions, kept: Iterable, keys: Iterable,
+               names: Iterable, decode: Callable) -> dict[tuple[str, str], BodyTimeline]:
+    """One timeline per decoded key, in key order, with one occurrence per
+    kept effective definition (``kept``, ``keys`` and ``names`` run over
+    those rows).  Rows come in corpus order, which is (tie group, paper
+    id) order, so each key's occurrences are already sorted."""
     counts = columns.effective
     papers = ((corpus.paper_id(i), corpus.ranks[i], corpus.authors(i))
               for i in compress(range(len(counts)), counts))
@@ -102,25 +95,22 @@ def _occurrences_by_key(corpus: Corpus, columns: Definitions, kept: Iterable, ke
     for (paper_id, rank, authors), key, name in compress(zip(by_row, keys, names), kept):
         buckets.setdefault(key, []).append(
             tuple.__new__(Occurrence, (paper_id, rank, name, authors)))
-    return buckets
+    decoded = {decode(key): occurrences for key, occurrences in buckets.items()}
+    return {key: BodyTimeline(key, tuple(decoded[key])) for key in sorted(decoded)}
 
 
 def build_timelines(
     corpus: Corpus, definitions: Definitions | Mapping[str, Sequence[MacroDefinition]]
 ) -> dict[tuple[str, str], BodyTimeline]:
-    """One timeline per distinct (signature, body), with each paper's
-    convention for it (at most one occurrence per paper per body).  The
-    buckets are keyed by ids, and only the keys are decoded."""
+    """One timeline per distinct (signature, body), in key order, with each
+    paper's convention for it (at most one occurrence per paper per body).
+    The occurrences are bucketed by ids, and only the keys are decoded."""
     cols = _columns(corpus, definitions)
     string = cols.strings.__getitem__
-    by_ids = _occurrences_by_key(corpus, cols, cols.convention,
-                                 zip(cols.effective_signature, cols.effective_body),
-                                 map(string, cols.effective_name))
-    ids = {(string(signature), string(body)): (signature, body) for signature, body in by_ids}
-    return {
-        key: BodyTimeline(body=key[1], signature=key[0], occurrences=tuple(by_ids[ids[key]]))
-        for key in sorted(ids)
-    }
+    return _timelines(corpus, cols, cols.convention,
+                      zip(cols.effective_signature, cols.effective_body),
+                      map(string, cols.effective_name),
+                      lambda ids: (string(ids[0]), string(ids[1])))
 
 
 def build_name_timelines(
@@ -128,20 +118,16 @@ def build_name_timelines(
     definitions: Definitions | Mapping[str, Sequence[MacroDefinition]],
     whitelist: Iterable[str],
 ) -> dict[tuple[str, str], BodyTimeline]:
-    """Role-swapped timelines, one per whitelisted macro name and keyed by
-    :attr:`BodyTimeline.key`, ``("", name)``; occurrences carry the body
-    (with signature folded in) that the name expanded to."""
+    """Role-swapped timelines, one per whitelisted macro name, in key order
+    and keyed ``("", name)``; occurrences carry the body (with signature
+    folded in) that the name expanded to."""
     cols = _columns(corpus, definitions)
     strings, names = cols.strings, cols.effective_name
     allowed = set(whitelist)
     kept = map({i for i in set(names) if strings[i] in allowed}.__contains__, names)
     used = (strings[body] if not strings[signature] else f"{strings[signature]} {strings[body]}"
             for signature, body in zip(cols.effective_signature, cols.effective_body))
-    by_id = _occurrences_by_key(corpus, cols, kept, names, used)
-    return {
-        ("", strings[name]): BodyTimeline(body=strings[name], occurrences=tuple(by_id[name]))
-        for name in sorted(by_id, key=strings.__getitem__)
-    }
+    return _timelines(corpus, cols, kept, names, used, lambda name: ("", strings[name]))
 
 
 def window_bounds(m: int, t0: float, t1: float) -> tuple[int, int]:
@@ -156,7 +142,7 @@ def window_bounds(m: int, t0: float, t1: float) -> tuple[int, int]:
     return start, end
 
 
-def interval(timeline: BodyTimeline, t0: float, t1: float) -> list[Occurrence]:
+def interval(timeline: BodyTimeline, t0: float, t1: float) -> tuple[Occurrence, ...]:
     """Occurrences in the lifespan fraction window [t0, t1] (see
     :func:`window_bounds`)."""
     if not 0 <= t0 <= t1 <= 1:
@@ -164,7 +150,7 @@ def interval(timeline: BodyTimeline, t0: float, t1: float) -> list[Occurrence]:
     if timeline.m == 0:
         raise ValueError("empty timeline")
     start, end = window_bounds(timeline.m, t0, t1)
-    return list(timeline.occurrences[start:end])
+    return timeline.occurrences[start:end]
 
 
 class ExperienceLedger:
@@ -254,7 +240,7 @@ class CoauthorGraph:
     Nodes: authors with at least one occurrence of the body strictly
     before the cutoff.  Edges: pairs that co-authored any paper strictly
     before the cutoff (not only papers using the body).  ``adjacency``
-    maps each node to its neighbours in sorted order.
+    maps each node to its neighbours, in no particular order.
     """
 
     adjacency: dict[str, list[str]]
@@ -281,11 +267,11 @@ def coauthor_graph(
         a = todo.pop()
         if a in adjacency:
             continue
-        near = adjacency[a] = sorted(
+        near = adjacency[a] = [
             b
             for b, first in index.neighbours(a).items()
             if first < cutoff_rank and timeline.prior_positions(b, cutoff_rank)
-        )
+        ]
         todo.extend(b for b in near if b not in adjacency)
     return CoauthorGraph(adjacency)
 

@@ -30,7 +30,7 @@ def timeline(entries, body="\\testbody{x}", signature=""):
             key=lambda o: (o.group_rank, o.paper_id),
         )
     )
-    return BodyTimeline(body=body, signature=signature, occurrences=occs)
+    return BodyTimeline((signature, body), occs)
 
 
 def simple_timeline(names, body="\\testbody{x}"):
@@ -80,7 +80,7 @@ def random_timeline(
         occurrences.append(
             Occurrence(paper_id=f"t{i:05d}", group_rank=i, name=name, authors=authors)
         )
-    return BodyTimeline(body="\\randombody{x}", occurrences=tuple(occurrences))
+    return BodyTimeline(("", "\\randombody{x}"), tuple(occurrences))
 
 
 def crossover_timeline(
@@ -102,7 +102,7 @@ def crossover_timeline(
             )
         )
     return (
-        BodyTimeline(body="\\crossbody{x}", occurrences=tuple(occurrences)),
+        BodyTimeline(("", "\\crossbody{x}"), tuple(occurrences)),
         "\\earlyname",
         "\\latename",
     )

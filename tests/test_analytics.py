@@ -503,11 +503,16 @@ class TestBetweennessBitExact:
 
     def test_equals_dict_reference_on_graph_and_fighter_components(self):
         rng = random.Random(301)
+        shuffler = random.Random(302)
         order_sensitive = 0
         for _ in range(300):
             adj = self.random_graph(rng)
             ref = dict_brandes(adj)
             assert betweenness(adj) == ref
+            # coauthor_graph leaves its nodes and neighbour lists unsorted
+            shuffled = {v: shuffler.sample(adj[v], len(adj[v]))
+                        for v in shuffler.sample(sorted(adj), len(adj))}
+            assert betweenness(shuffled) == ref
             fighters = rng.choices(sorted(adj), k=2)
             reached = component(adj, fighters)
             sub = betweenness({v: adj[v] for v in reached})

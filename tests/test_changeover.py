@@ -152,7 +152,7 @@ class TestDetectChangeover:
                     (o.paper_id, o.group_rank, o.name + "renamed", o.authors)
                     for o in tl.occurrences
                 ],
-                body=tl.body,
+                body=tl.key[1],
             )
             rec2 = detect_changeover(renamed, params)
             if rec is None:
@@ -385,6 +385,15 @@ class TestMatchPairs:
         pairs, unmatched = match_pairs(recs, candidates)
         assert len(pairs) == 1 and unmatched == 1
 
+    def test_equal_volume_controls_lower_key_taken_in_any_order(self):
+        beta, gamma = paired_timelines()
+        twin = with_body(gamma, "\\gammabody{1}")
+        params = self.params()
+        rec = detect_changeover(beta, params)
+        for mapping in ({gamma.key: gamma, twin.key: twin}, {twin.key: twin, gamma.key: gamma}):
+            pairs, _ = match_pairs([rec], find_control_candidates(mapping, params))
+            assert [pair.control for pair in pairs] == [gamma]
+
     def test_matching_slices_no_window(self, monkeypatch):
         # the changeover test computed the early shares the record carries
         beta1, gamma = paired_timelines()
@@ -426,11 +435,11 @@ class TestExperienceCurves:
              o.name, ["veteran"] if i == 0 else list(o.authors))
             for i, o in enumerate(beta.occurrences)
         ]
-        beta2 = timeline(entries, body=beta.body)
+        beta2 = timeline(entries, body=beta.key[1])
         rec = detect_changeover(beta2, ChangeoverParams(s=30))
         gamma2 = timeline(
             [(f"g{i:03d}", 100 + i, o.name, list(o.authors)) for i, o in enumerate(gamma.occurrences)],
-            body=gamma.body,
+            body=gamma.key[1],
         )
         candidates = find_control_candidates({gamma2.key: gamma2}, ChangeoverParams(s=30))
         pairs, _ = match_pairs([rec], candidates)
@@ -806,7 +815,7 @@ class TestFormerImplementationsBitExact:
                       for i in range(8)]
             for i in range(4):
                 bodies.extend(many_name_pair(rng, i))
-            timelines = {tl.key: tl for tl in bodies}
+            timelines = {tl.key: tl for tl in sorted(bodies, key=lambda tl: tl.key)}
             params = self.PARAMS[trial % len(self.PARAMS)]
             records = [detect_changeover(timelines[k], params) for k in sorted(timelines)]
             assert records == [former_detect_changeover(timelines[k], params) for k in sorted(timelines)]

@@ -17,11 +17,18 @@ from hypothesis import strategies as st
 
 from conftest import corpus_of, paper
 from macrolens import synth
+from macrolens.changeover import (
+    ChangeoverParams,
+    detect_changeover,
+    find_control_candidates,
+    match_pairs,
+)
 from macrolens.cli import run
 from macrolens.corpus import load_corpus
 from macrolens.extraction import MacroDefinition, definition_columns
+from macrolens.fights import DEFAULT_BODY_FIGHT_NAMES, detect_body_fights, detect_name_fights
 from macrolens.store import open_corpus
-from macrolens.timelines import build_name_timelines, build_timelines
+from macrolens.timelines import ExperienceLedger, build_name_timelines, build_timelines
 from oracles import oracle_name_timelines, oracle_timelines
 from record_corpus import extract_all
 
@@ -36,7 +43,7 @@ def assert_timelines_match(corpus, definitions, records: dict) -> None:
     got = build_timelines(corpus, definitions)
     assert list(got) == list(expected)
     for key, tl in got.items():
-        assert (tl.signature, tl.body) == key
+        assert tl.key == key
         assert list(map(tuple, tl.occurrences)) == expected[key]
     names = sorted({d.name for defs in records.values() for d in defs})
     for whitelist in (names, [], names[::2] + ["\\definedNowhere"]):
@@ -44,7 +51,7 @@ def assert_timelines_match(corpus, definitions, records: dict) -> None:
         got = build_name_timelines(corpus, definitions, whitelist=whitelist)
         assert list(got) == list(expected)
         for key, tl in got.items():
-            assert tl.key == key == ("", tl.body)
+            assert tl.key == key and key[0] == ""
             assert list(map(tuple, tl.occurrences)) == expected[key]
 
 
@@ -57,6 +64,34 @@ def test_golden_and_synth_full_timelines_equal_the_record_builders(tmp_path):
         assert_timelines_match(fresh, records, records)
         opened = open_corpus(manifest)  # built, then decoded from the file's bytes
         assert_timelines_match(opened.corpus, opened.definitions, records)
+
+
+def test_builders_return_key_order_which_fights_and_matching_do_not_read(tmp_path):
+    """Both builders return their timelines in key order.  Fight detection
+    and control matching give the same result on the reversed mappings;
+    synth ``full`` seed 9 plants 200 name fights, 120 body fights and 12
+    changeover pairs."""
+    synth_manifest, _ = synth.write_output(
+        synth.generate(synth.SynthConfig(seed=9, preset="full")), tmp_path / "synth")
+    params = ChangeoverParams()
+    found = []
+    for manifest in (GOLDEN, synth_manifest):
+        opened = open_corpus(manifest)
+        corpus, ledger = opened.corpus, ExperienceLedger(opened.corpus)
+        by_body = build_timelines(corpus, opened.definitions)
+        by_name = build_name_timelines(corpus, opened.definitions, DEFAULT_BODY_FIGHT_NAMES)
+        assert list(by_body) == sorted(by_body) and list(by_name) == sorted(by_name)
+        results = []
+        for bodies, names in ((by_body, by_name),
+                              (dict(reversed(by_body.items())), dict(reversed(by_name.items())))):
+            records = [r for r in (detect_changeover(tl, params) for tl in bodies.values()) if r]
+            results.append((detect_name_fights(corpus, bodies, ledger),
+                            detect_body_fights(names, ledger),
+                            match_pairs(records, find_control_candidates(bodies, params))))
+        assert results[0] == results[1]
+        name_fights, body_fights, (pairs, _) = results[0]
+        found.append((len(name_fights), len(body_fights), len(pairs)))
+    assert found[1] == (200, 120, 12)
 
 
 def _definition(pid: str, name: str, body: str, offset: int, signature: str = ""):

@@ -98,6 +98,18 @@ class TestNameFights:
         # oracle replay of the dedup rule: both papers qualify, keep earliest
         assert [f.paper_id for f in fights] == ["pj"]
 
+    def test_one_paper_two_bodies_lower_key_kept_in_any_order(self):
+        other = "\\mathbb{Z}"
+        sketch = [
+            ("pa", "2000-01-01", ["a"], [("\\Reals", BODY), ("\\Ints", other)]),
+            ("pb", "2000-01-02", ["b"], [("\\R", BODY), ("\\Z", other)]),
+            ("pj", "2000-01-03", ["a", "b"], [("\\R", BODY), ("\\Z", other)]),
+        ]
+        corpus, defs, ledger, tls = build(sketch)
+        for mapping in (tls, dict(reversed(tls.items()))):
+            fights = detect_name_fights(corpus, mapping, ledger, LOOSE)
+            assert [f.shared_key for f in fights] == [("", BODY)]
+
     def test_min_distinct_authors_filter(self):
         corpus, defs, ledger, tls = build(self.basic_sketch([("\\R", BODY)]))
         strict = FightFilters(min_distinct_authors=30, min_shared_len=1)

@@ -68,7 +68,7 @@ class TestGenerator:
         for key in sorted(timelines):
             rec = detect_changeover(timelines[key], params)
             if rec is not None:
-                detected[rec.timeline.body] = rec
+                detected[rec.timeline.key[1]] = rec
         planted = {b["body"]: b for b in result.ground_truth["changeover_bodies"]}
         expected = {body for body, b in planted.items() if b["changeover"]}
         assert set(detected) == expected

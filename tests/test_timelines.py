@@ -74,8 +74,11 @@ class TestBuildTimelines:
 
     def test_author_index_takes_no_part_in_equality(self):
         asked, fresh = (simple_timeline(["\\a", "\\b", "\\a"]) for _ in range(2))
-        assert asked.author_positions("author 0") == [0]
-        assert asked == fresh and fresh == asked
+        shown = repr(fresh)
+        assert asked.positions == {"author 0": [0], "author 1": [1], "author 2": [2]}
+        assert asked.positions is asked.positions  # built once
+        assert asked == fresh and fresh == asked and hash(asked) == hash(fresh)
+        assert repr(asked) == repr(fresh) == shown
 
 
 class TestExperience:
@@ -411,8 +414,8 @@ class TestFlexibilityAndPriorUses:
             for author in pool + ["never used"]:
                 for cutoff in cutoffs:
                     linear = [
-                        i for i in tl.author_positions(author)
-                        if tl.occurrences[i].group_rank < cutoff
+                        i for i, o in enumerate(tl.occurrences)
+                        if author in o.authors and o.group_rank < cutoff
                     ]
                     assert tl.prior_positions(author, cutoff) == linear
         assert saw_tie
