@@ -4,9 +4,9 @@ Every analysis subcommand reads a corpus manifest (or a feature matrix)
 and returns its plot-ready tables; :func:`run` writes them as CSV (or
 mirrored JSON) into a staging directory once the command has returned,
 and moves them into the output directory only when every table is
-written, so a command that fails writes nothing.  ``synth`` writes its
-own manifest and ground truth.  Every command is fully deterministic for a
-fixed ``--seed``.
+written, so a command that fails writes nothing; ``synth`` stages its
+manifest and ground truth the same way.  Every command is fully
+deterministic for a fixed ``--seed``.
 
 A manifest is opened through :mod:`macrolens.store`: the first command
 on it loads and extracts it and writes one store file under
@@ -29,7 +29,7 @@ import sys
 import tempfile
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import changeover, fights, report, store, synth
 from .corpus import Corpus
@@ -396,7 +396,8 @@ def cmd_synth(args) -> list[Table]:
         n_title_pairs=args.title_pairs,
     )
     result = synth.generate(config)
-    manifest, truth = synth.write_output(result, _outdir(args))
+    manifest, truth = _write_staged(
+        _outdir(args), lambda staging: synth.write_output(result, staging))
     log.info("wrote %s (%d papers) and %s", manifest, len(result.records), truth)
     return []
 
@@ -485,12 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_tables(out: Path, tables: list[Table], fmt: str) -> None:
-    """Write ``tables`` under ``out``, all or none of them.
+def _write_staged(out: Path, write: Callable[[Path], Sequence[Path]]) -> list[Path]:
+    """Write files under ``out``, all or none of them, and return their paths.
 
-    Every table is written into a staging directory, and the files move
-    into ``out`` only once the last one is written; on any failure the
-    staging directory goes and ``out`` is left as it was, or not made.
+    ``write`` writes its files into a staging directory and returns their
+    paths; they move into ``out`` only once it has returned.  On any failure
+    the staging directory goes and ``out`` is left as it was, or not made.
     The staging directory is made in ``out`` itself if it exists, else in
     its nearest existing ancestor, so that each move is a rename on one
     filesystem even when ``out`` is a mount point.
@@ -498,12 +499,12 @@ def _write_tables(out: Path, tables: list[Table], fmt: str) -> None:
     base = next(p for p in (out, *out.parents) if p.exists())
     staging = Path(tempfile.mkdtemp(prefix=".macrolens-staging-", dir=base))
     try:
-        written = [report.write_table(staging / t.name, t.header, t.rows, fmt) for t in tables]
-        out.mkdir(parents=True, exist_ok=True)
-        for path in written:
-            target = out / path.relative_to(staging)
+        written = write(staging)
+        targets = [out / path.relative_to(staging) for path in written]
+        for path, target in zip(written, targets):
             target.parent.mkdir(parents=True, exist_ok=True)
             path.replace(target)
+        return targets
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
@@ -518,8 +519,8 @@ def run(argv: list[str] | None = None) -> int:
     )
     try:
         tables = args.func(args)
-        if tables:  # ``synth`` has written its own files
-            _write_tables(_outdir(args), tables, args.format)
+        _write_staged(_outdir(args), lambda staging: [
+            report.write_table(staging / t.name, t.header, t.rows, args.format) for t in tables])
     except (ValueError, OSError) as exc:
         parser.exit(2 if isinstance(exc, ValueError) else 1, f"macrolens: error: {exc}\n")
     return 0

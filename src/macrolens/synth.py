@@ -7,6 +7,11 @@ where, who wins which fight with what probability, which title styles
 appear where).  Everything is driven by one seeded RNG, so a seed fully
 determines the output bytes.
 
+Every paper goes through one emitter, which gives it the next id and
+date and writes its source by one rule: the preamble, a
+``\\def{name}{body}`` line for each definition the paper plants, in
+order, and the document text.
+
 Effects are planted at the event level (every fight outcome is an
 independent draw), so binomial tolerances apply directly when the
 pipeline re-estimates the planted rates.
@@ -15,6 +20,7 @@ pipeline re-estimates the planted rates.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import math
 import random
@@ -73,50 +79,37 @@ class SynthResult:
 
 
 class _Emitter:
-    """Allocates ids and strictly increasing exact dates."""
+    """Allocates ids and strictly increasing exact dates: paper ``n`` is
+    ``p{n:07d}``, dated ``n`` days after 1991-01-01."""
 
     def __init__(self) -> None:
         self.records: list[dict] = []
-        self._day = 0
-        self._epoch = datetime.date(1991, 1, 1)
+        self._first_day = datetime.date(1991, 1, 1).toordinal()
 
-    def emit(self, authors: list[str], title: str, source: str) -> str:
-        paper_id = f"p{len(self.records):07d}"
-        date = self._epoch + datetime.timedelta(days=self._day)
-        self._day += 1
+    def emit(self, authors: list[str], title: str, *defs: tuple[str, str]) -> str:
+        n = len(self.records)
+        paper_id = f"p{n:07d}"
         self.records.append(
             {
                 "id": paper_id,
-                "date": date.isoformat(),
+                "date": datetime.date.fromordinal(self._first_day + n).isoformat(),
                 "authors": authors,
                 "title": title,
-                "source": source,
+                "source": _source(defs),
             }
         )
         return paper_id
 
 
+@functools.cache  # 4 sources per changeover pair and 5 more, for any seed; papers share them
+def _source(defs: tuple[tuple[str, str], ...]) -> str:
+    lines = "".join(f"\\def{name}{{{body}}}\n" for name, body in defs)
+    return f"\\documentclass{{article}}\n{lines}\\begin{{document}}\nText.\n\\end{{document}}"
+
+
 def _letters(k: int) -> str:
-    out = []
-    while True:
-        out.append(chr(ord("a") + k % 26))
-        k //= 26
-        if k == 0:
-            break
-    return "".join(reversed(out))
-
-
-def _macro_source(defs: list[tuple[str, str]]) -> str:
-    lines = ["\\documentclass{article}"]
-    for name, body in defs:
-        lines.append(f"\\def{name}{{{body}}}")
-    lines.append("\\begin{document}")
-    lines.append("Text.")
-    lines.append("\\end{document}")
-    return "\n".join(lines)
-
-
-_PLAIN_SOURCE = "\\documentclass{article}\n\\begin{document}\nText.\n\\end{document}"
+    """``k`` in base 26 with the digits a-z: 0 is ``a``, 26 is ``ba``."""
+    return (_letters(k // 26) if k >= 26 else "") + chr(ord("a") + k % 26)
 
 
 def _plant_changeovers(cfg: SynthConfig, rng: random.Random, em: _Emitter, truth: dict) -> None:
@@ -132,19 +125,12 @@ def _plant_changeovers(cfg: SynthConfig, rng: random.Random, em: _Emitter, truth
         body = f"\\symbol{{{k}}}x{{\\value{{{k}}}}}"
         for variant, is_changeover in ((0, True), (1, False)):
             body_v = body if is_changeover else body + "c"
-            names = []
             for i in range(m):
-                if i in seed_positions:
-                    names.append(new_name)
-                elif is_changeover and i >= switch_at:
-                    names.append(new_name)
-                else:
-                    names.append(old_name)
-            for i, name in enumerate(names):
+                late = i in seed_positions or (is_changeover and i >= switch_at)
                 em.emit(
                     [f"conv author {k} {variant} {i}"],
                     f"Convention study {k}.{variant}.{i}",
-                    _macro_source([(name, body_v)]),
+                    (new_name if late else old_name, body_v),
                 )
             bodies.append(
                 {
@@ -161,6 +147,15 @@ def _plant_changeovers(cfg: SynthConfig, rng: random.Random, em: _Emitter, truth
     truth["changeover_params"] = {"s": CHANGEOVER_S, "q": CHANGEOVER_Q}
 
 
+# kind: (count field, younger-win rate, variant pair, a variant's definition)
+_VARIANT_FIGHTS = {
+    "name": ("n_name_fights", NAME_FIGHT_YOUNGER_WIN, ("\\realsfield", "\\realsspace"),
+             lambda variant: (variant, "\\mathbb{R}^{n}_{+}")),  # 18 chars, past the length filter
+    "body": ("n_body_fights", BODY_FIGHT_YOUNGER_WIN, ("\\epsilon", "\\varepsilon"),
+             lambda variant: ("\\eps", variant)),
+}
+
+
 def _plant_variant_fights(
     cfg: SynthConfig,
     rng: random.Random,
@@ -169,28 +164,9 @@ def _plant_variant_fights(
     *,
     kind: str,
 ) -> None:
-    if kind == "name":
-        n_fights = cfg.n_name_fights
-        younger_win = NAME_FIGHT_YOUNGER_WIN
-        shared_body = "\\mathbb{R}^{n}_{+}"  # 18 chars, clears the length filter
-        variant_old, variant_new = "\\realsfield", "\\realsspace"
-
-        def make_defs(variant: str) -> list[tuple[str, str]]:
-            return [(variant, shared_body)]
-
-    else:
-        n_fights = cfg.n_body_fights
-        younger_win = BODY_FIGHT_YOUNGER_WIN
-        shared_name = "\\eps"
-        body_old, body_new = "\\epsilon", "\\varepsilon"
-
-        def make_defs(variant: str) -> list[tuple[str, str]]:
-            return [(shared_name, variant)]
-
-        variant_old, variant_new = body_old, body_new
-
+    count, younger_win, (variant_old, variant_new), define = _VARIANT_FIGHTS[kind]
     fights = []
-    for j in range(n_fights):
+    for j in range(getattr(cfg, count)):
         exp_young = rng.randint(1, 5)
         gap = rng.randint(1, 30)
         exp_old = exp_young + gap
@@ -199,26 +175,16 @@ def _plant_variant_fights(
         young_variant, old_variant = (
             (variant_old, variant_new) if rng.random() < 0.5 else (variant_new, variant_old)
         )
-        for i in range(exp_old):
-            defs = make_defs(old_variant) if i == 0 else []
-            em.emit(
-                [old],
-                f"Prior work {kind} o{j}.{i}",
-                _macro_source(defs) if defs else _PLAIN_SOURCE,
-            )
-        for i in range(exp_young):
-            defs = make_defs(young_variant) if i == 0 else []
-            em.emit(
-                [young],
-                f"Prior work {kind} y{j}.{i}",
-                _macro_source(defs) if defs else _PLAIN_SOURCE,
-            )
+        # each fighter's first paper defines their variant, the rest nothing
+        for author, tag, exp, variant in ((old, "o", exp_old, old_variant),
+                                          (young, "y", exp_young, young_variant)):
+            em.emit([author], f"Prior work {kind} {tag}{j}.0", define(variant))
+            for i in range(1, exp):
+                em.emit([author], f"Prior work {kind} {tag}{j}.{i}")
         younger_won = rng.random() < younger_win
         used = young_variant if younger_won else old_variant
         byline = [young, old] if rng.random() < 0.5 else [old, young]
-        paper_id = em.emit(
-            byline, f"Joint work {kind} {j}", _macro_source(make_defs(used))
-        )
+        paper_id = em.emit(byline, f"Joint work {kind} {j}", define(used))
         fights.append(
             {
                 "paper_id": paper_id,
@@ -245,50 +211,40 @@ def _plant_title_fights(cfg: SynthConfig, rng: random.Random, em: _Emitter, trut
             if abs(a - b) >= 0.1 - 1e-9:
                 return a, b
 
-    def solo_titles(author_tag: str, count: int, fraction: float) -> list[str]:
+    def emit_titles(author: str, tag: str, count: int, fraction: float) -> None:
+        """``count`` solo papers, ``fraction`` of them with colon titles, shuffled."""
         positives = round(fraction * count)
         if abs(positives - fraction * count) > 1e-6:
             raise ValueError("profile fraction not representable exactly")
-        titles = []
-        for i in range(count):
-            if i < positives:
-                titles.append(f"Findings: series {author_tag} {i}")
-            else:
-                titles.append(f"Findings in series {author_tag} {i}")
+        titles = [
+            f"Findings: series {tag} {i}" if i < positives else f"Findings in series {tag} {i}"
+            for i in range(count)
+        ]
         rng.shuffle(titles)
-        return titles
+        for title in titles:
+            em.emit([author], title)
 
     pairs = []
     for p in range(cfg.n_title_pairs):
         a, b = draw_profiles()
         verdict_high = rng.random() < TITLE_HIGH_DOMINANCE
-        # the member whose younger profile is higher carries indicator 0
-        # exactly when high experience dominates
-        high_py_indicator = 0 if verdict_high else 1
-        member_profiles = ((a, b), (b, a))
-        indicators = (
-            (high_py_indicator, 1 - high_py_indicator)
-            if a > b
-            else (1 - high_py_indicator, high_py_indicator)
-        )
         members = []
-        for side in (0, 1):
-            p_y, p_o = member_profiles[side]
-            indicator = indicators[side]
+        for side, (p_y, p_o) in enumerate(((a, b), (b, a))):
+            # the member whose younger profile is higher (the profiles are
+            # never equal) carries indicator 0 exactly when high experience dominates
+            indicator = int(verdict_high != (p_y > p_o))
             young = f"title young {p} {side}"
             old = f"title old {p} {side}"
             n_old = rng.choice(_TITLE_OLDER_COUNTS)
-            for title in solo_titles(f"y{p}.{side}", 20, p_y):
-                em.emit([young], title, _PLAIN_SOURCE)
-            for title in solo_titles(f"o{p}.{side}", n_old, p_o):
-                em.emit([old], title, _PLAIN_SOURCE)
+            emit_titles(young, f"y{p}.{side}", 20, p_y)
+            emit_titles(old, f"o{p}.{side}", n_old, p_o)
             fight_title = (
                 f"Findings: collaboration {p}.{side}"
                 if indicator
                 else f"Findings from collaboration {p}.{side}"
             )
             byline = [young, old] if rng.random() < 0.5 else [old, young]
-            paper_id = em.emit(byline, fight_title, _PLAIN_SOURCE)
+            paper_id = em.emit(byline, fight_title)
             members.append(
                 {
                     "paper_id": paper_id,
@@ -317,10 +273,9 @@ def generate(config: SynthConfig) -> SynthResult:
     }
     if config.preset in ("changeover", "full"):
         _plant_changeovers(config, rng, em, truth)
-    if config.preset in ("name-fights", "full"):
-        _plant_variant_fights(config, rng, em, truth, kind="name")
-    if config.preset in ("body-fights", "full"):
-        _plant_variant_fights(config, rng, em, truth, kind="body")
+    for kind in _VARIANT_FIGHTS:
+        if config.preset in (f"{kind}-fights", "full"):
+            _plant_variant_fights(config, rng, em, truth, kind=kind)
     if config.preset in ("title-fights", "full"):
         _plant_title_fights(config, rng, em, truth)
     truth["n_papers"] = len(em.records)

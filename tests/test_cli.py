@@ -390,6 +390,26 @@ class TestAllOrNothing:
             assert exc.value.code == 2
             assert _tree(out) == before
 
+    def test_synth_that_fails_while_writing_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        def no_space(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(synth.json, "dump", no_space)  # the ground truth, written last
+        argv = ("synth", "--preset", "name-fights", "--name-fights", "2", "--out")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            invoke(*argv, str(out))
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith("No space left on device\n")
+        assert not any(tmp_path.iterdir())
+        out.mkdir()
+        (out / "manifest.jsonl").write_bytes(b"earlier\n")
+        before = _tree(out)
+        with pytest.raises(SystemExit) as exc:
+            invoke(*argv, str(out))
+        assert exc.value.code == 1
+        assert _tree(out) == before
+
     def test_tables_move_into_an_existing_output_directory(self, synth_corpus, tmp_path):
         fresh = tmp_path / "fresh"
         assert invoke("changeovers", "--corpus", str(synth_corpus), "--out", str(fresh)) == 0

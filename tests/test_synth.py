@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import random
 from pathlib import Path
@@ -116,6 +117,67 @@ class TestGenerator:
         imported = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
         imported += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
         assert not {"changeover", "timelines"} & {m.split(".")[-1] for m in imported if m}
+
+
+# A copy of perfbench/workloads.py's SYNTH_CONFIGS, the benchmark's three corpora.
+WORKLOAD_CONFIGS = {
+    "fight-graph": dict(
+        preset="full", n_changeover_pairs=0, n_title_pairs=0, n_name_fights=150, n_body_fights=90
+    ),
+    "title-ledger": dict(
+        preset="full", n_changeover_pairs=12, n_title_pairs=150, n_name_fights=0, n_body_fights=0
+    ),
+    "latex-heavy": dict(preset="changeover", n_changeover_pairs=4),
+}
+
+# sha256 of (manifest.jsonl, ground_truth.json): every preset at seed 9 with
+# default counts, and each workload config at seed 1
+PINNED_DIGESTS = {
+    "changeover": (
+        "b8fdd97b4c10b6d8a7bd20757bcf72f497a6687ed2a9875c4c634abd3d15835b",
+        "3208d2d8d37bc334f6615311dd649e311f6f950f3ac04983a03d68a579928bda",
+    ),
+    "name-fights": (
+        "78ab2f3cfd3ea10fda4a30275d828a09d457075a093d6b5eb18f5aa4cbee4ec8",
+        "16b6de97eaef871f0a0370a7760c46948fd5e9573fd4cda19754deb2dc084c11",
+    ),
+    "body-fights": (
+        "80d798b21e0a93ad272f9005d21a4ffe55e60902f943b9c7fc0af6ae2894d565",
+        "f671a5b564833f883a0340d43d7ff1f4d5e2f712d5b801dfb1cd962ef8bed159",
+    ),
+    "title-fights": (
+        "534c3da00d56245bf217aa301b643d53ff280a887773e9f3b56f250a5f338a75",
+        "d6c7b6758be213a8cd9b107111ee5ac9e5787334d73133c314e51278015d1065",
+    ),
+    "full": (
+        "ca5589173470b563959c32a22e0e3d2a81f4e50f556b59d8e7c113e2198845e9",
+        "a6eb521a60d860db5148b8cf000863bc475b95dd6d2d3f2ad5a62b034c103341",
+    ),
+    "fight-graph": (
+        "91ee9cc2275cdb4d7066287149d37da51d7e566cf7ed19fef0a28edf0e89b60e",
+        "81b3c3f78e26c5ce43b89e2add9cb60af65e9c7ca5779c4b7e7d9d46a0982f6b",
+    ),
+    "title-ledger": (
+        "67137d41fe7689b41834d9472ab6b44e1538fef4191ba7764987ebd449885c0d",
+        "42f309a3bafb7a8c92cc4a3706b4bf1a9a20323f4e2487fbe7ccf88954deddc5",
+    ),
+    "latex-heavy": (
+        "0f09850bd444a9ef82b21cb095c588af67f1436e30e383ea91eac8ccb2f284cf",
+        "ff3a5f69d22fcf571dd1faebcce30472936296b65fbad8bb23a72b3f2426dcd8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_output_bytes_pinned(tmp_path, name):
+    """Every check on a synth corpus trusts these bytes; a change to them
+    is made on purpose and the digests regenerated with it."""
+    if name in WORKLOAD_CONFIGS:
+        cfg = SynthConfig(seed=1, **WORKLOAD_CONFIGS[name])
+    else:
+        cfg = SynthConfig(seed=9, preset=name)
+    paths = write_output(generate(cfg), tmp_path)
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == PINNED_DIGESTS[name]
 
 
 class TestDirectTimelines:
