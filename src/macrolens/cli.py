@@ -59,10 +59,6 @@ class Table(NamedTuple):
     rows: Iterable[Sequence]
 
 
-def _default_outdir() -> str:
-    return os.environ.get(DEFAULT_OUT_ENV, "out")
-
-
 class _GapEdges(argparse.Action):
     """Stores ``--bucket-edges``; an edge below 1 exits 2 while the
     arguments are parsed, before any corpus is read or output written
@@ -74,18 +70,25 @@ class _GapEdges(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+def _add_output_args(p: argparse.ArgumentParser, formats: bool = True) -> None:
+    p.add_argument("--out", help=f"output directory (default ${DEFAULT_OUT_ENV} or ./out)")
+    if formats:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
 def _add_corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True, help="path to a JSONL corpus manifest")
-    p.add_argument("--out", default=None, help=f"output directory (default ${DEFAULT_OUT_ENV} or ./out)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output_args(p)
 
 
 def _add_changeover_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--s", type=int, default=100, help="minimum body volume")
-    p.add_argument("--q", type=float, default=0.3, help="edge window fraction (<= 0.5)")
-    p.add_argument("--theta", type=float, default=0.3, help="author-share threshold")
-    p.add_argument("--delta", type=float, default=0.05, help="sliding window increment")
-    p.add_argument("--persistence", type=float, default=0.1, help="crossing persistence span")
+    params = changeover.ChangeoverParams
+    p.add_argument("--s", type=int, default=params.s, help="minimum body volume")
+    p.add_argument("--q", type=float, default=params.q, help="edge window fraction (<= 0.5)")
+    p.add_argument("--theta", type=float, default=params.theta, help="author-share threshold")
+    p.add_argument("--delta", type=float, default=params.delta, help="sliding window increment")
+    p.add_argument("--persistence", type=float, default=params.persistence,
+                   help="crossing persistence span")
 
 
 def _changeover_params(args) -> changeover.ChangeoverParams:
@@ -94,22 +97,17 @@ def _changeover_params(args) -> changeover.ChangeoverParams:
     )
 
 
-def _load(args, definitions: bool = False) -> store.Opened:
+def _load(args, definitions: bool = True) -> tuple[Corpus, Definitions | None]:
     opened = store.open_corpus(args.corpus, definitions)
     if opened.skipped:
         log.warning("skipped %d malformed corpus records", opened.skipped)
     if opened.definitions_skipped:
         log.warning("skipped %d malformed macro definitions", opened.definitions_skipped)
-    return opened
-
-
-def _load_extracted(args) -> tuple[Corpus, Definitions]:
-    opened = _load(args, definitions=True)
     return opened.corpus, opened.definitions
 
 
 def _outdir(args) -> Path:
-    return Path(args.out if args.out is not None else _default_outdir())
+    return Path(args.out if args.out is not None else os.environ.get(DEFAULT_OUT_ENV, "out"))
 
 
 class _DefinitionRows:
@@ -139,11 +137,11 @@ def _definitions(corpus: Corpus, defs: Definitions) -> Table:
 
 
 def cmd_extract(args) -> list[Table]:
-    return [_definitions(*_load_extracted(args))]
+    return [_definitions(*_load(args))]
 
 
 def cmd_timelines(args) -> list[Table]:
-    corpus, defs = _load_extracted(args)
+    corpus, defs = _load(args)
     rows = [
         (report.body_hash(*tl.key), tl.m, len({o.name for o in tl.occurrences}),
          len(tl.distinct_authors()))
@@ -159,7 +157,7 @@ def _detect_changeovers(timelines, params) -> list[changeover.ChangeoverRecord]:
 
 def cmd_changeovers(args) -> list[Table]:
     params = _changeover_params(args)
-    corpus, defs = _load_extracted(args)
+    corpus, defs = _load(args)
     grid = changeover.window_grid(params.delta)
     tables, rows = [], []
     for rec in _detect_changeovers(build_timelines(corpus, defs), params):
@@ -178,15 +176,15 @@ def _matched_pairs(corpus, defs, params):
     records = _detect_changeovers(timelines, params)
     candidates = changeover.find_control_candidates(timelines, params)
     pairs, unmatched = changeover.match_pairs(records, candidates)
-    return records, pairs, unmatched
+    if unmatched:
+        log.warning("%d changeovers had no matching control", unmatched)
+    return records, pairs
 
 
 def cmd_matched_pairs(args) -> list[Table]:
     params = _changeover_params(args)
-    corpus, defs = _load_extracted(args)
-    _, pairs, unmatched = _matched_pairs(corpus, defs, params)
-    if unmatched:
-        log.warning("%d changeovers had no matching control", unmatched)
+    corpus, defs = _load(args)
+    _, pairs = _matched_pairs(corpus, defs, params)
     ledger = ExperienceLedger(corpus)
     pair_rows, feat_rows = [], []
     for pair in pairs:
@@ -211,8 +209,8 @@ def cmd_matched_pairs(args) -> list[Table]:
 
 def cmd_curves(args) -> list[Table]:
     params = _changeover_params(args)
-    corpus, defs = _load_extracted(args)
-    records, pairs, _ = _matched_pairs(corpus, defs, params)
+    corpus, defs = _load(args)
+    records, pairs = _matched_pairs(corpus, defs, params)
     grid = changeover.window_grid(params.delta)
     agg_rows, hist = [], []
     if records:
@@ -241,24 +239,17 @@ def cmd_fights(args) -> list[Table]:
     rows with ``n`` 0."""
     if args.mode == "title":
         return _title_fights(args)
-    corpus, defs = _load_extracted(args)
+    corpus, defs = _load(args)
     ledger = ExperienceLedger(corpus)
+    filters = fights.FightFilters(min_distinct_authors=args.min_authors,
+                                  min_shared_len=args.min_body_len, three_author=args.three_author)
     if args.mode == "name":
         timelines = build_timelines(corpus, defs)
-        filters = fights.FightFilters(
-            min_distinct_authors=args.min_authors,
-            min_shared_len=args.min_body_len,
-            three_author=args.three_author,
-        )
         fight_list = fights.detect_name_fights(corpus, timelines, ledger, filters)
         shared_label, shared = "body_hash", lambda f: report.body_hash(*f.shared_key)
     else:
         timelines = build_name_timelines(corpus, defs, args.whitelist)
-        fight_list = fights.detect_body_fights(
-            timelines, ledger,
-            min_distinct_authors=args.min_authors,
-            three_author=args.three_author,
-        )
+        fight_list = fights.detect_body_fights(timelines, ledger, filters)
         shared_label, shared = "name", lambda f: f.shared_key[1]
     if not fight_list:
         log.warning("no %s fights detected", args.mode)
@@ -282,7 +273,7 @@ def cmd_fights(args) -> list[Table]:
 
 
 def _title_fights(args) -> list[Table]:
-    corpus = _load(args).corpus
+    corpus, _ = _load(args, definitions=False)
     ledger = ExperienceLedger(corpus)
     lexicon = None if args.lexicon is None else fights.TitleLexicon.load(args.lexicon)
     filters = fights.TitleFightFilters(
@@ -403,7 +394,7 @@ def cmd_synth(args) -> list[Table]:
 
 
 def cmd_report(args) -> list[Table]:
-    corpus, defs = _load_extracted(args)
+    corpus, defs = _load(args)
     summary = report.corpus_summary(corpus, defs)
     return [
         _definitions(corpus, defs),
@@ -446,37 +437,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=("name", "body", "title"))
     _add_corpus_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-authors", type=int, default=30, dest="min_authors")
-    p.add_argument("--min-body-len", type=int, default=10, dest="min_body_len")
-    p.add_argument("--three-author", action="store_true", dest="three_author",
+    p.add_argument("--min-authors", type=int, default=fights.FightFilters.min_distinct_authors)
+    p.add_argument("--min-body-len", type=int, default=fights.FightFilters.min_shared_len)
+    p.add_argument("--three-author", action="store_true",
                    help="robustness variant: second vs third author on 3-author papers")
     p.add_argument("--whitelist", nargs="+", default=fights.DEFAULT_BODY_FIGHT_NAMES,
                    help="macro names eligible for body fights")
     p.add_argument("--style", choices=fights.STYLE_NAMES, default="colon")
-    p.add_argument("--older-exp-threshold", type=int, default=20, dest="older_exp_threshold")
-    p.add_argument("--min-younger-papers", type=int, default=10, dest="min_younger_papers")
-    p.add_argument("--match-tolerance", type=float, default=0.05, dest="match_tolerance")
-    p.add_argument("--lexicon", default=None, help="path to a title lexicon JSON")
+    title = fights.TitleFightFilters
+    p.add_argument("--older-exp-threshold", type=int, default=title.older_exp_threshold)
+    p.add_argument("--min-younger-papers", type=int, default=title.min_younger_papers)
+    p.add_argument("--match-tolerance", type=float, default=0.05)
+    p.add_argument("--lexicon", help="path to a title lexicon JSON")
     p.add_argument("--bucket-edges", type=int, nargs="*", action=_GapEdges,
-                   default=list(fights.DEFAULT_GAP_EDGES), dest="bucket_edges")
+                   default=list(fights.DEFAULT_GAP_EDGES))
     p.set_defaults(func=cmd_fights)
 
     p = sub.add_parser("predict", help="fit and score a logistic model on a feature CSV")
     p.add_argument("--features", required=True, help="feature matrix CSV with a label column")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-frac", type=float, default=0.8, dest="train_frac")
+    p.add_argument("--train-frac", type=float, default=0.8)
     p.set_defaults(func=cmd_predict)
 
+    config = synth.SynthConfig
     p = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
-    p.add_argument("--preset", choices=synth.PRESETS, default="full")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--changeover-pairs", type=int, default=12, dest="changeover_pairs")
-    p.add_argument("--name-fights", type=int, default=200, dest="name_fights")
-    p.add_argument("--body-fights", type=int, default=120, dest="body_fights")
-    p.add_argument("--title-pairs", type=int, default=100, dest="title_pairs")
+    p.add_argument("--preset", choices=synth.PRESETS, default=config.preset)
+    p.add_argument("--seed", type=int, default=config.seed)
+    _add_output_args(p, formats=False)
+    p.add_argument("--changeover-pairs", type=int, default=config.n_changeover_pairs)
+    p.add_argument("--name-fights", type=int, default=config.n_name_fights)
+    p.add_argument("--body-fights", type=int, default=config.n_body_fights)
+    p.add_argument("--title-pairs", type=int, default=config.n_title_pairs)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("report", help="corpus summary statistics")

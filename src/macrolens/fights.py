@@ -23,9 +23,9 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
-from itertools import compress
+from itertools import compress, pairwise
 from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus
@@ -161,18 +161,16 @@ def detect_name_fights(
 def detect_body_fights(
     name_timelines: Mapping[tuple[str, str], BodyTimeline],
     ledger: ExperienceLedger,
-    min_distinct_authors: int = 30,
-    three_author: bool = False,
+    filters: FightFilters | None = None,
 ) -> list[FightRecord]:
     """Fights over the body of a shared macro name (roles swapped).
 
     ``name_timelines`` come from :func:`~macrolens.timelines.build_name_timelines`,
-    whose whitelist picks the names considered.  The length filter is
-    dropped since these names and bodies are typically short.
+    whose whitelist picks the names considered.  Of ``filters``, the
+    length filter is dropped (``min_shared_len`` taken as 0) since these
+    names and bodies are typically short.
     """
-    filters = FightFilters(
-        min_distinct_authors=min_distinct_authors, min_shared_len=0, three_author=three_author
-    )
+    filters = replace(filters or FightFilters(), min_shared_len=0)
     return _detect_fights(name_timelines, ledger, filters)
 
 
@@ -203,13 +201,8 @@ def _bucket_rows(
 ) -> list[GapBucketRow]:
     if any(edge < 1 for edge in bucket_edges):
         raise ValueError("gap bucket edges must be at least 1")
-    edges = sorted(set(bucket_edges))
-    bounds: list[tuple[int, int | None]] = [(0, edges[0] if edges else None)]
-    for i, lo in enumerate(edges):
-        hi = edges[i + 1] if i + 1 < len(edges) else None
-        bounds.append((lo, hi))
     rows = []
-    for lo, hi in bounds:
+    for lo, hi in pairwise((0, *sorted(set(bucket_edges)), None)):
         members = [
             won for gap, won in values if gap >= lo and (hi is None or gap < hi)
         ]

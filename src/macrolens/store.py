@@ -50,9 +50,9 @@ import sys
 from array import array
 from itertools import accumulate, chain, pairwise, starmap
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import COLUMN_TYPE, Corpus, LoadResult, load_corpus, read_source
+from .corpus import COLUMN_TYPE, Corpus, load_corpus, read_source
 from .extraction import Definitions, definition_columns, extract_definitions
 
 log = logging.getLogger(__name__)
@@ -86,18 +86,11 @@ class Opened(NamedTuple):
     definitions_skipped: int
 
 
-def _load(path: Path, read: Callable[[Path, str], str] = read_source) -> tuple[LoadResult, list]:
-    """``load_corpus(path, read)`` and its corpus's sources, which the
-    corpus no longer holds, so that each goes once it is extracted."""
-    result = load_corpus(path, read)
-    sources, result.corpus.sources = result.corpus.sources, None
-    return result, sources
-
-
-def _extract(corpus: Corpus, sources: list[str | None]) -> tuple[Definitions, int]:
+def _extract(corpus: Corpus) -> tuple[Definitions, int]:
     """The columns of each paper's definitions, and the number of
-    malformed definitions skipped; each of ``sources`` is dropped once it
-    is extracted."""
+    malformed definitions skipped; the corpus's sources are taken from it,
+    and each is dropped once it is extracted."""
+    sources, corpus.sources = corpus.sources, None
     skipped = 0
 
     def extracted():
@@ -124,8 +117,9 @@ def open_corpus(path: Path | str, definitions: bool = True) -> Opened:
         except Exception as exc:
             log.debug("corpus store not used for %s (%s: %s)", path.name, type(exc).__name__, exc)
     if opened is None:  # not a build into memory, which measured 0.95-7.6x this load's CPU
-        result, sources = _load(path)
-        defs, defs_skipped = _extract(result.corpus, sources) if definitions else (None, 0)
+        result = load_corpus(path)
+        defs, defs_skipped = _extract(result.corpus) if definitions else (None, 0)
+        result.corpus.sources = None  # taken by ``_extract``; unread without definitions
         opened = Opened(result.corpus, defs, result.skipped, result.problems, defs_skipped)
     for line in opened.problems:
         _problem_log.debug(line)
@@ -210,9 +204,9 @@ def _build(path: Path, key: dict) -> tuple[bytes, list[array], Iterable[str]]:
             return read_source(base_dir, name)  # raises the loader's own error
         return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
-    result, sources = _load(path, recorded)
+    result = load_corpus(path, recorded)
     corpus, key = result.corpus, {**key, "manifest": result.sha256}
-    defs, defs_skipped = _extract(corpus, sources)
+    defs, defs_skipped = _extract(corpus)
     tables = (corpus, defs)  # as in ``_TABLES``
     cols = [column for table in tables for column in table.columns().values()]
     end = 0

@@ -1,5 +1,9 @@
+import argparse
 import csv
+import hashlib
+import inspect
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -10,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import macrolens
-from macrolens import changeover, cli, fights, report, store, synth, timelines
+from macrolens import analytics, changeover, cli, fights, report, store, synth, timelines
 from macrolens.cli import run
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -259,6 +263,94 @@ class TestArgHandling:
         monkeypatch.setenv("MACROLENS_OUTDIR", str(tmp_path / "envout"))
         assert invoke("extract", "--corpus", str(GOLDEN / "manifest.jsonl")) == 0
         assert (tmp_path / "envout" / "definitions.csv").is_file()
+
+    @pytest.mark.parametrize("argv, written", [
+        (["predict", "--features", "features.csv"],
+         ["coefficients.csv", "prediction_metrics.csv"]),
+        (["synth", "--preset", "name-fights", "--name-fights", "2"],
+         ["ground_truth.json", "manifest.jsonl"]),
+    ], ids=["predict", "synth"])
+    def test_outdir_env_default_for_every_writer(self, argv, written, tmp_path, monkeypatch):
+        monkeypatch.setenv("MACROLENS_OUTDIR", str(tmp_path / "envout"))
+        monkeypatch.chdir(tmp_path)
+        rows = "".join(f"{i % 7},{i % 2}\n" for i in range(40))
+        (tmp_path / "features.csv").write_text("a,label\n" + rows, encoding="utf-8")
+        assert invoke(*argv) == 0
+        assert sorted(p.name for p in (tmp_path / "envout").iterdir()) == written
+        assert not (tmp_path / "out").exists()
+
+
+# The sha256 of every parser's argparse actions, as ``_surface`` lists them.
+# It changes only when a flag, choice, default, type, nargs or action class
+# does; recompute it with ``_surface_digest()`` after such a change on purpose.
+SURFACE_SHA256 = "748dcc4a1c38a0e4451686c86e4eddeef730ad832efe99eef1746dea660dc630"
+
+
+def _surface() -> list:
+    """Each parser's name and its actions' facts, help strings left out."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        [name, [
+            {"flags": a.option_strings, "dest": a.dest, "default": repr(a.default),
+             "type": getattr(a.type, "__name__", repr(a.type)),
+             "choices": None if a.choices is None else list(a.choices),
+             "nargs": a.nargs, "required": a.required, "action": type(a).__name__}
+            for a in p._actions
+        ]]
+        for name, p in [("macrolens", parser), *sub.choices.items()]
+    ]
+
+
+def _surface_digest() -> str:
+    canonical = json.dumps(_surface(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class TestSurface:
+    def test_every_subcommand_is_pinned(self):
+        names = [name for name, _ in _surface()]
+        assert names == ["macrolens", "extract", "timelines", "changeovers", "matched-pairs",
+                         "curves", "fights", "predict", "synth", "report"]
+        fights_actions = dict(_surface())["fights"]
+        assert {"flags": [], "dest": "mode", "default": "None", "type": "None",
+                "choices": ["name", "body", "title"], "nargs": None, "required": True,
+                "action": "_StoreAction"} in fights_actions
+
+    def test_surface_unchanged(self):
+        assert _surface_digest() == SURFACE_SHA256
+
+    def test_defaults_are_the_library_defaults(self):
+        def parse(*argv):
+            return cli.build_parser().parse_args(list(argv))
+
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        for command in ("changeovers", "matched-pairs", "curves"):
+            params = cli._changeover_params(parse(command, "--corpus", "m"))
+            assert params == changeover.ChangeoverParams()
+        args = parse("fights", "name", "--corpus", "m")
+        assert fights.FightFilters(
+            min_distinct_authors=args.min_authors, min_shared_len=args.min_body_len,
+            three_author=args.three_author,
+        ) == fights.FightFilters()
+        assert fights.TitleFightFilters(
+            older_exp_threshold=args.older_exp_threshold,
+            min_younger_papers=args.min_younger_papers,
+        ) == fights.TitleFightFilters()
+        assert args.match_tolerance == default(fights.match_title_fights, "tolerance")
+        assert args.seed == default(fights.win_rate_by_gap, "seed")
+        assert args.bucket_edges == list(default(fights.win_rate_by_gap, "bucket_edges"))
+        args = parse("predict", "--features", "f")
+        assert args.train_frac == default(analytics.split, "train_frac")
+        assert args.seed == default(analytics.split, "seed")
+        args = parse("synth")
+        assert synth.SynthConfig(
+            seed=args.seed, preset=args.preset, n_changeover_pairs=args.changeover_pairs,
+            n_name_fights=args.name_fights, n_body_fights=args.body_fights,
+            n_title_pairs=args.title_pairs,
+        ) == synth.SynthConfig()
 
 
 class TestExtract:
@@ -530,6 +622,16 @@ def test_title_fights_build_no_coauthor_index(synth_corpus, tmp_path, monkeypatc
     assert invoke("fights", "title", "--corpus", str(synth_corpus), "--out", str(tmp_path)) == 0
     with open(tmp_path / "title_fights.csv", encoding="utf-8", newline="") as fh:
         assert len(list(csv.reader(fh))) > 1
+
+
+@pytest.mark.parametrize("command", ["matched-pairs", "curves"])
+def test_unmatched_changeovers_are_counted(command, synth_corpus, tmp_path, caplog):
+    """Both commands read only the matched pairs, so both say how many
+    changeovers found no control; at ``--s 50`` one of this corpus's does not."""
+    with caplog.at_level(logging.WARNING, logger="macrolens"):
+        assert invoke(command, "--corpus", str(synth_corpus), "--s", "50",
+                      "--out", str(tmp_path)) == 0
+    assert caplog.messages.count("1 changeovers had no matching control") == 1
 
 
 class TestPipelineCommands:

@@ -220,7 +220,7 @@ class TestBodyFights:
         ]
         corpus, defs, ledger, _ = build(sketch)
         name_tls = build_name_timelines(corpus, defs, whitelist=DEFAULT_BODY_FIGHT_NAMES)
-        fights = detect_body_fights(name_tls, ledger, min_distinct_authors=1)
+        fights = detect_body_fights(name_tls, ledger, FightFilters(min_distinct_authors=1))
         assert len(fights) == 1
         f = fights[0]
         assert f.shared_key == ("", "\\eps")
@@ -234,7 +234,7 @@ class TestBodyFights:
         ]
         corpus, defs, ledger, _ = build(sketch)
         name_tls = build_name_timelines(corpus, defs, whitelist=DEFAULT_BODY_FIGHT_NAMES)
-        assert detect_body_fights(name_tls, ledger, min_distinct_authors=1) == []
+        assert detect_body_fights(name_tls, ledger, FightFilters(min_distinct_authors=1)) == []
 
     def test_role_swap_duality(self):
         rng = random.Random(4)
@@ -262,7 +262,8 @@ class TestBodyFights:
         }
         names = {d.name for dlist in swapped.values() for d in dlist}
         body_fights = detect_body_fights(
-            build_name_timelines(corpus, swapped, names), ledger, min_distinct_authors=1
+            build_name_timelines(corpus, swapped, names), ledger,
+            FightFilters(min_distinct_authors=1),
         )
         as_tuple = lambda f: (
             f.paper_id, f.author_a, f.author_b, f.shared_key,
@@ -402,7 +403,7 @@ class TestFightFeatures:
             ("pj", "2000-01-03", ["a", "b"], [("\\eps", "\\varepsilon")]),
         ])
         name_tls = build_name_timelines(corpus, defs, DEFAULT_BODY_FIGHT_NAMES)
-        cases.append((detect_body_fights(name_tls, ledger, min_distinct_authors=1),
+        cases.append((detect_body_fights(name_tls, ledger, FightFilters(min_distinct_authors=1)),
                       name_tls, corpus, ledger))
         for fights, timelines, corpus, ledger in cases:
             rows = fight_feature_matrix(fights, timelines, corpus, ledger, CoauthorIndex(corpus))
