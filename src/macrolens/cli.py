@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import logging
 import math
 import os
 import shutil
 import sys
 import tempfile
-from itertools import chain, compress, repeat
+from itertools import chain, compress, repeat, takewhile
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -482,8 +483,10 @@ def _write_staged(out: Path, write: Callable[[Path], Sequence[Path]]) -> list[Pa
     """Write files under ``out``, all or none of them, and return their paths.
 
     ``write`` writes its files into a staging directory and returns their
-    paths; they move into ``out`` only once it has returned.  On any failure
-    the staging directory goes and ``out`` is left as it was, or not made.
+    paths; they move into ``out`` only once it has returned, and only when
+    no target is a directory and no existing parent of one under ``out`` is
+    a file.  On any failure the staging directory goes and ``out`` is left
+    as it was, or not made.
     The staging directory is made in ``out`` itself if it exists, else in
     its nearest existing ancestor, so that each move is a rename on one
     filesystem even when ``out`` is a mount point.
@@ -493,6 +496,12 @@ def _write_staged(out: Path, write: Callable[[Path], Sequence[Path]]) -> list[Pa
     try:
         written = write(staging)
         targets = [out / path.relative_to(staging) for path in written]
+        for target in targets:  # checked before the first move, so that a failure moves nothing
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+            for parent in takewhile(out.__ne__, target.parents):
+                if parent.exists() and not parent.is_dir():
+                    raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(parent))
         for path, target in zip(written, targets):
             target.parent.mkdir(parents=True, exist_ok=True)
             path.replace(target)

@@ -251,12 +251,12 @@ def _field_problem(rec: dict, name: str, kind: type = str) -> ValueError:
     return ValueError(f"field {name!r} must be {expected}, not {type(rec[name]).__name__}")
 
 
-def read_source(base_dir: Path, name: str) -> str:
-    """The text of a ``source_path`` record's file."""
-    return (base_dir / name).read_text(encoding="utf-8")
+def _read_source(base_dir: Path, name: str) -> bytes:
+    """The bytes of a ``source_path`` record's file."""
+    return (base_dir / name).read_bytes()
 
 
-def _parse_record(rec: dict, base_dir: Path, read: Callable[[Path, str], str]) -> Paper:
+def _parse_record(rec: dict, base_dir: Path, read: Callable[[Path, str], bytes]) -> Paper:
     if not isinstance(rec, dict):
         raise ValueError(f"record must be a JSON object, not {type(rec).__name__}")
     paper_id, raw_date, raw_authors = rec.get("id"), rec.get("date"), rec.get("authors")
@@ -281,7 +281,8 @@ def _parse_record(rec: dict, base_dir: Path, read: Callable[[Path, str], str]) -
     elif "source_path" in rec:
         if not isinstance(rec["source_path"], str):
             raise _field_problem(rec, "source_path")
-        source = read(base_dir, rec["source_path"])
+        data = io.BytesIO(read(base_dir, rec["source_path"]))
+        source = io.TextIOWrapper(data, encoding="utf-8").read()  # as ``Path.read_text`` reads
     else:
         raise ValueError("record has neither source nor source_path")
     if len(authors) > 1 and len(set(authors)) != len(authors):
@@ -289,7 +290,7 @@ def _parse_record(rec: dict, base_dir: Path, read: Callable[[Path, str], str]) -
     return tuple.__new__(Paper, (paper_id, date, authors, title, source))
 
 
-def load_corpus(path: Path | str, read: Callable[[Path, str], str] = read_source) -> LoadResult:
+def load_corpus(path: Path | str, read: Callable[[Path, str], bytes] = _read_source) -> LoadResult:
     """Load a corpus from a JSONL manifest.
 
     Malformed records (bad JSON, bytes that are not UTF-8, bad date,
@@ -297,7 +298,7 @@ def load_corpus(path: Path | str, read: Callable[[Path, str], str] = read_source
     and counted, never silently dropped; each is listed in ``problems``,
     which the CLI logs at DEBUG, so a damaged snapshot does not flood the
     log.  A missing manifest is fatal.  ``read(manifest directory,
-    source_path)`` gives a ``source_path`` record's source.  The manifest
+    source_path)`` gives a ``source_path`` record's bytes.  The manifest
     is read once, and ``sha256`` hashes the bytes that were parsed.
     """
     path = Path(path)

@@ -6,23 +6,23 @@ and filled into a :class:`~macrolens.extraction.Definitions` (their
 effective definitions and conventions worked out once).  It reads them
 from one file per manifest under ``$XDG_CACHE_HOME/macrolens/`` (or
 ``~/.cache/macrolens/``), named by the sha256 of the resolved manifest path.
-On a miss the loader and the extractor run once and write the file; the
-command then decodes the bytes it wrote, read back through its own
-descriptor (so a process that replaces the file cannot change them), and
-later opens verify them as below.  Each build also deletes the store
-files, of any format, whose recorded manifest no longer exists.
+On a miss the loader and the extractor run once, reading the manifest and
+each ``source_path`` file once, and write the file; the command decodes
+the bytes it wrote, read back through its own descriptor (so a process
+that replaces the file cannot change them).  Each build also deletes the
+store files, of any format, whose recorded manifest no longer exists.
 
 A file is used only when the sha256 of its contents holds and its key
 matches: the format, the Python version and byte order, the sha256 of the
 source of ``corpus.py``, ``extraction.py`` (which fills the definitions'
 columns) and this module, the sha256 of the manifest's bytes (those the
-build parsed), and, for every ``source_path`` file the loader read, the
-file's sha256 or its read error.  Anything else is rebuilt.  When no file
-can be written the command loads and extracts the manifest as it stands,
-filling the same columns, after one DEBUG line.  Either way each source
-goes once it is extracted.  The file holds a JSON header, ``array`` ints
-and two UTF-8 string tables, so reading it runs no code; deleting it is
-always safe.
+build parsed; an open hashes the manifest only to check a file), and, for
+every ``source_path`` file the loader read, the file's sha256 or its read
+error.  Anything else is rebuilt.  When no file can be written the
+command loads and extracts the manifest as it stands, filling the same
+columns, after one DEBUG line.  Either way each source goes once it is
+extracted.  The file holds a JSON header, ``array`` ints and two UTF-8
+string tables, so reading it runs no code; deleting it is always safe.
 
 Layout (format 5): magic, sha256 of the rest, header length (8 bytes),
 header (key, resolved manifest path, ``source_path`` fingerprints, skip
@@ -32,11 +32,11 @@ the definitions': each paper's definitions, less their offsets, which no
 command reads, and its effective definitions with their convention
 flags), the char offsets of each table's strings into the text that
 follows, then the text of the corpus's string table followed by the
-definitions' one.  Decoding
-copies the columns into arrays and decodes that text as one string; a
-corpus string is cut from it only when a caller asks for it, and the
-definitions' columns and strings are decoded only when definitions are
-asked for.  Lone surrogates pass through the tables by ``surrogatepass``.
+definitions' one.  An open parses the header once, copies the columns
+into arrays and decodes that text as one string; a corpus string is cut
+from it only when a caller asks for it, and the definitions' columns and
+strings are decoded only when definitions are asked for.  Lone
+surrogates pass through the tables by ``surrogatepass``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import hashlib
 import io
 import json
 import logging
+import mmap
 import os
 import sys
 from array import array
@@ -52,7 +53,7 @@ from itertools import accumulate, chain, pairwise, starmap
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import COLUMN_TYPE, Corpus, load_corpus, read_source
+from .corpus import COLUMN_TYPE, Corpus, load_corpus
 from .extraction import Definitions, definition_columns, extract_definitions
 
 log = logging.getLogger(__name__)
@@ -60,6 +61,8 @@ _problem_log = logging.getLogger("macrolens.corpus")  # the loader's problem lin
 
 _FORMAT = 5
 _MAGIC = b"macrolens corpus store\n"
+# the fixed prefix: the magic, the sha256 of all that follows it, the header's length
+_DIGEST, _LENGTH = slice(len(_MAGIC), len(_MAGIC) + 32), slice(len(_MAGIC) + 32, len(_MAGIC) + 40)
 _TABLES = (Corpus, Definitions)  # in file order
 _SIZE = array(COLUMN_TYPE).itemsize  # a value too large for it fails the build, not the command
 
@@ -138,33 +141,26 @@ def _open_store(path: Path, definitions: bool) -> Opened:
     code = hashlib.sha256()
     for name in ("corpus.py", "extraction.py", "store.py"):
         code.update(Path(__file__).with_name(name).read_bytes())
-    manifest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            manifest.update(chunk)
-    key = {"format": _FORMAT, "python": f"{sys.version} {sys.byteorder}", "code": code.hexdigest(),
-           "manifest": manifest.hexdigest()}
+    key = {"format": _FORMAT, "python": f"{sys.version} {sys.byteorder}", "code": code.hexdigest()}
     try:
-        data = _read(file, path, key)
+        stored = _read(file, path, key)
     except (OSError, ValueError, LookupError, TypeError):  # unreadable or garbled: rebuilt
-        data = None
-    if data is None:
-        data = _write(file, path, key)
-    return _decode(data, path, definitions)
+        stored = None
+    return _decode(*(stored or _write(file, path, key)), path, definitions)
 
 
-def _fingerprint(file: Path) -> tuple[str, bytes | None]:
-    """(sha256 of the file's bytes, the bytes), or (its read error, None)."""
+def _fingerprint(file: Path) -> tuple[str, bytes | OSError]:
+    """(sha256 of the file's bytes, the bytes), or (its read error, the error)."""
     try:
         data = file.read_bytes()
     except OSError as exc:
-        return f"{type(exc).__name__}: {exc}", None
+        return f"{type(exc).__name__}: {exc}", exc
     return hashlib.sha256(data).hexdigest(), data
 
 
-def _write(file: Path, path: Path, key: dict) -> memoryview:
+def _write(file: Path, path: Path, key: dict) -> tuple[memoryview, dict, int]:
     """Builds the store file of ``path`` beside ``file``, moves it in and
-    prunes the directory; returns the file's bytes, less its digest."""
+    prunes the directory; returns the bytes it wrote, as ``_read`` does."""
     import tempfile
 
     fd, tmp = tempfile.mkstemp(dir=file.parent, prefix=file.name + ".", suffix=".tmp")
@@ -180,29 +176,29 @@ def _write(file: Path, path: Path, key: dict) -> memoryview:
             # read back once the build's columns and strings are gone, so
             # that they and the file's bytes are never held together
             fh.seek(0)
-            data = fh.read()
-            fh.seek(len(_MAGIC))
-            fh.write(hashlib.sha256(memoryview(data)[len(_MAGIC) + 32:]).digest())
+            data = memoryview(fh.read())
+            fh.seek(_DIGEST.start)
+            fh.write(hashlib.sha256(data[_DIGEST.stop:]).digest())
         os.replace(tmp, file)
     except BaseException:
         os.unlink(tmp)
         raise
     _prune(file.parent)
-    return memoryview(data)
+    return data, *_header(data)
 
 
 def _build(path: Path, key: dict) -> tuple[bytes, list[array], Iterable[str]]:
     """Loads and extracts ``path``: the store's header (whose key names
     the manifest bytes that were parsed), int columns and strings in table
-    order."""
+    order.  Each ``source_path`` file is read once."""
     read: list[tuple[str, str]] = []
 
-    def recorded(base_dir: Path, name: str) -> str:
+    def recorded(base_dir: Path, name: str) -> bytes:
         fingerprint, data = _fingerprint(base_dir / name)
         read.append((name, fingerprint))
-        if data is None:
-            return read_source(base_dir, name)  # raises the loader's own error
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        if isinstance(data, OSError):
+            raise data  # the loader's own error
+        return data
 
     result = load_corpus(path, recorded)
     corpus, key = result.corpus, {**key, "manifest": result.sha256}
@@ -230,49 +226,51 @@ def _prune(directory: Path) -> None:
     for file in directory.iterdir():
         if file.suffix == ".tmp":
             continue
-        try:
-            with open(file, "rb") as fh:
-                head = fh.read(len(_MAGIC) + 40)
-                if head[:len(_MAGIC)] != _MAGIC:
-                    continue
-                header = json.loads(fh.read(int.from_bytes(head[-8:], "little")))
-            if not os.path.exists(header["path"]):
-                file.unlink()
+        try:  # mapped, so that only the prefix and the header are read
+            with open(file, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+                if not os.path.exists(_header(data)[0]["path"]):
+                    file.unlink()
         except (OSError, ValueError, LookupError, TypeError):
             continue
 
 
-def _header(data: memoryview) -> tuple[dict, int]:
-    """A store file's header, and where its columns start."""
-    start = len(_MAGIC) + 40
-    end = start + int.from_bytes(data[start - 8:start], "little")
-    return json.loads(bytes(data[start:end])), end
+def _header(data: memoryview | mmap.mmap) -> tuple[dict, int]:
+    """A store file's header, and where its columns start; ``data`` holds
+    the file from its start."""
+    if data[:_DIGEST.start] != _MAGIC:
+        raise ValueError("not a corpus store file")
+    end = _LENGTH.stop + int.from_bytes(data[_LENGTH], "little")
+    return json.loads(bytes(data[_LENGTH.stop:end])), end
 
 
-def _read(file: Path, path: Path, key: dict) -> memoryview | None:
-    """The store file's bytes, or None when it is missing or does not hold
-    for ``path`` as it is now."""
+def _read(file: Path, path: Path, key: dict) -> tuple[memoryview, dict, int] | None:
+    """The store file's bytes, header and columns' start, or None when it
+    is missing or does not hold for ``path`` as it is now (the one place
+    that hashes the manifest)."""
     try:
         data = memoryview(file.read_bytes())
     except FileNotFoundError:
         return None
-    start = len(_MAGIC) + 32
-    digest = hashlib.sha256(data[start:]).digest()
-    if data[:len(_MAGIC)] != _MAGIC or data[start - 32:start] != digest:
+    if data[_DIGEST] != hashlib.sha256(data[_DIGEST.stop:]).digest():
         return None
-    header = _header(data)[0]
-    if header["key"] != key or any(
+    header, end = _header(data)
+    # one reused buffer: a new 1-MB chunk per read raised latex-heavy's peak RSS 1.2 MB
+    manifest, buffer = hashlib.sha256(), bytearray(1 << 16)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buffer):
+            manifest.update(memoryview(buffer)[:n])
+    if header["key"] != {**key, "manifest": manifest.hexdigest()} or any(
         _fingerprint(path.parent / name)[0] != fingerprint for name, fingerprint in header["read"]
     ):
         return None
-    return data
+    return data, header, end
 
 
-def _decode(data: memoryview, path: Path, definitions: bool) -> Opened:
+def _decode(data: memoryview, header: dict, pos: int, path: Path, definitions: bool) -> Opened:
     """The corpus, definitions (if asked for) and skip counts that a store
-    file's bytes hold; ``data`` is released once they are copied out."""
+    file's bytes hold, its columns starting at ``pos``; ``data`` is
+    released once they are copied out."""
     with data:  # the corpus keeps copies of its columns and of its part of the text
-        header, pos = _header(data)
         cols = []
         for length in header["columns"]:
             cols.append(array(COLUMN_TYPE))

@@ -48,6 +48,16 @@ MAX_CHANGEOVER_PAIRS = int(
     math.log1p(MAX_CHANGEOVER_RECORDS * (VOLUME_GROWTH - 1) / (2 * BASE_VOLUME))
     / math.log(VOLUME_GROWTH)
 )
+_FIGHT_YOUNGER_PAPERS = (1, 5)  # a variant fight's younger fighter's papers, drawn uniformly
+_FIGHT_GAP = (1, 30)  # how many more papers its older fighter has
+_TITLE_YOUNGER_PAPERS = 20
+_TITLE_OLDER_COUNTS = (40, 60)  # keep planted profile fractions exact
+# the most papers one variant fight or one title pair plants: each fighter's
+# papers and their joint paper (on each side of a title pair)
+_FIGHT_PAPERS = 2 * _FIGHT_YOUNGER_PAPERS[1] + _FIGHT_GAP[1] + 1
+_TITLE_PAIR_PAPERS = 2 * (_TITLE_YOUNGER_PAPERS + max(_TITLE_OLDER_COUNTS) + 1)
+_FIRST_DAY = datetime.date(1991, 1, 1).toordinal()
+MAX_PAPERS = datetime.date.max.toordinal() - _FIRST_DAY + 1  # one a day, to 9999-12-31
 
 
 @dataclass
@@ -70,6 +80,18 @@ class SynthConfig:
                 f"n_changeover_pairs {self.n_changeover_pairs} plants more than "
                 f"{MAX_CHANGEOVER_RECORDS} changeover records (at most {MAX_CHANGEOVER_PAIRS} pairs)"
             )
+        most = {  # the most papers each part of a preset can plant
+            "changeover": 2 * sum(map(_changeover_volume, range(self.n_changeover_pairs))),
+            "name-fights": _FIGHT_PAPERS * self.n_name_fights,
+            "body-fights": _FIGHT_PAPERS * self.n_body_fights,
+            "title-fights": _TITLE_PAIR_PAPERS * self.n_title_pairs,
+        }
+        papers = sum(n for part, n in most.items() if _plants(self.preset, part))
+        if papers > MAX_PAPERS:
+            raise ValueError(
+                f"preset {self.preset!r} with these counts may plant {papers} papers, "
+                f"more than the {MAX_PAPERS} that can be dated"
+            )
 
 
 @dataclass
@@ -84,7 +106,6 @@ class _Emitter:
 
     def __init__(self) -> None:
         self.records: list[dict] = []
-        self._first_day = datetime.date(1991, 1, 1).toordinal()
 
     def emit(self, authors: list[str], title: str, *defs: tuple[str, str]) -> str:
         n = len(self.records)
@@ -92,7 +113,7 @@ class _Emitter:
         self.records.append(
             {
                 "id": paper_id,
-                "date": datetime.date.fromordinal(self._first_day + n).isoformat(),
+                "date": datetime.date.fromordinal(_FIRST_DAY + n).isoformat(),
                 "authors": authors,
                 "title": title,
                 "source": _source(defs),
@@ -112,10 +133,20 @@ def _letters(k: int) -> str:
     return (_letters(k // 26) if k >= 26 else "") + chr(ord("a") + k % 26)
 
 
+def _plants(preset: str, part: str) -> bool:
+    """Whether ``preset`` plants ``part``: the preset named for it and ``full`` do."""
+    return preset in (part, "full")
+
+
+def _changeover_volume(k: int) -> int:
+    """The papers of changeover pair ``k``'s changeover body, and of its control."""
+    return int(round(BASE_VOLUME * VOLUME_GROWTH**k))
+
+
 def _plant_changeovers(cfg: SynthConfig, rng: random.Random, em: _Emitter, truth: dict) -> None:
     bodies = []
     for k in range(cfg.n_changeover_pairs):
-        m = int(round(BASE_VOLUME * VOLUME_GROWTH**k))
+        m = _changeover_volume(k)
         t_star = rng.choice(SWITCH_FRACTIONS)
         early_size = math.floor(CHANGEOVER_Q * m)
         seed_positions = sorted(rng.sample(range(1, early_size), EARLY_SEED_USES))
@@ -167,8 +198,8 @@ def _plant_variant_fights(
     count, younger_win, (variant_old, variant_new), define = _VARIANT_FIGHTS[kind]
     fights = []
     for j in range(getattr(cfg, count)):
-        exp_young = rng.randint(1, 5)
-        gap = rng.randint(1, 30)
+        exp_young = rng.randint(*_FIGHT_YOUNGER_PAPERS)
+        gap = rng.randint(*_FIGHT_GAP)
         exp_old = exp_young + gap
         young = f"{kind} fighter young {j}"
         old = f"{kind} fighter old {j}"
@@ -198,9 +229,6 @@ def _plant_variant_fights(
         )
     truth[f"{kind}_fights"] = fights
     truth[f"{kind}_fight_younger_win"] = younger_win
-
-
-_TITLE_OLDER_COUNTS = (40, 60)  # keep planted profile fractions exact
 
 
 def _plant_title_fights(cfg: SynthConfig, rng: random.Random, em: _Emitter, truth: dict) -> None:
@@ -236,7 +264,7 @@ def _plant_title_fights(cfg: SynthConfig, rng: random.Random, em: _Emitter, trut
             young = f"title young {p} {side}"
             old = f"title old {p} {side}"
             n_old = rng.choice(_TITLE_OLDER_COUNTS)
-            emit_titles(young, f"y{p}.{side}", 20, p_y)
+            emit_titles(young, f"y{p}.{side}", _TITLE_YOUNGER_PAPERS, p_y)
             emit_titles(old, f"o{p}.{side}", n_old, p_o)
             fight_title = (
                 f"Findings: collaboration {p}.{side}"
@@ -250,7 +278,7 @@ def _plant_title_fights(cfg: SynthConfig, rng: random.Random, em: _Emitter, trut
                     "paper_id": paper_id,
                     "younger": young,
                     "older": old,
-                    "exp_younger": 20,
+                    "exp_younger": _TITLE_YOUNGER_PAPERS,
                     "exp_older": n_old,
                     "profile_younger": p_y,
                     "profile_older": p_o,
@@ -271,12 +299,12 @@ def generate(config: SynthConfig) -> SynthResult:
         "preset": config.preset,
         "seed": config.seed,
     }
-    if config.preset in ("changeover", "full"):
+    if _plants(config.preset, "changeover"):
         _plant_changeovers(config, rng, em, truth)
     for kind in _VARIANT_FIGHTS:
-        if config.preset in (f"{kind}-fights", "full"):
+        if _plants(config.preset, f"{kind}-fights"):
             _plant_variant_fights(config, rng, em, truth, kind=kind)
-    if config.preset in ("title-fights", "full"):
+    if _plants(config.preset, "title-fights"):
         _plant_title_fights(config, rng, em, truth)
     truth["n_papers"] = len(em.records)
     return SynthResult(records=em.records, ground_truth=truth)

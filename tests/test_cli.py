@@ -502,6 +502,36 @@ class TestAllOrNothing:
         assert exc.value.code == 1
         assert _tree(out) == before
 
+    def test_synth_onto_a_directory_replaces_no_file(self, tmp_path, capsys):
+        """The ground truth's path is a directory: the manifest, which moves
+        first, is not replaced either."""
+        out = tmp_path / "out"
+        (out / "ground_truth.json").mkdir(parents=True)
+        (out / "manifest.jsonl").write_bytes(b"earlier\n")
+        before = _tree(out)
+        with pytest.raises(SystemExit) as exc:
+            invoke("synth", "--preset", "name-fights", "--name-fights", "2", "--out", str(out))
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            f"macrolens: error: [Errno 21] Is a directory: '{out / 'ground_truth.json'}'\n")
+        assert _tree(out) == before
+
+    @pytest.mark.parametrize("blocked", ["changeovers.csv is a directory", "curves is a file"])
+    def test_tables_onto_a_blocked_path_move_nothing(self, blocked, synth_corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        name, kind = blocked.split(" is a ")
+        if kind == "directory":
+            (out / name).mkdir()
+        else:
+            (out / name).write_bytes(b"earlier\n")
+        before = _tree(out)
+        with pytest.raises(SystemExit) as exc:
+            invoke("changeovers", "--corpus", str(synth_corpus), "--out", str(out))
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(f": '{out / name}'\n")
+        assert _tree(out) == before
+
     def test_tables_move_into_an_existing_output_directory(self, synth_corpus, tmp_path):
         fresh = tmp_path / "fresh"
         assert invoke("changeovers", "--corpus", str(synth_corpus), "--out", str(fresh)) == 0

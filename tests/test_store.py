@@ -7,13 +7,16 @@ checked against a fresh ``load_corpus`` plus ``extract_all`` of the
 manifest as it is then, the definitions' columns decoded back into records.
 """
 
+import functools
 import hashlib
 import json
 import logging
 import os
 import shutil
+import sys
 import tempfile
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -419,3 +422,70 @@ def test_a_build_prunes_a_stranded_file_of_an_older_format(tmp_path):
     open_corpus(manifest)
     assert not stranded.exists()
     assert live.exists() and len(store_files()) == 2
+
+
+# ---------------------------------------------------------------------------
+# Count guards: each stored fact is read once
+# ---------------------------------------------------------------------------
+
+_counting: list[Counter] = []  # the counter of the ``opened_files`` block that runs
+
+
+def _count_open(event: str, args: tuple) -> None:
+    if event == "open" and _counting and isinstance(args[0], (str, os.PathLike)):
+        _counting[0][os.fspath(args[0])] += 1
+
+
+@functools.cache
+def _add_hook() -> None:
+    sys.addaudithook(_count_open)  # a hook cannot be removed; it counts only inside a block
+
+
+@contextmanager
+def opened_files():
+    """Counts each path opened inside the block, an open that fails
+    included, as the ``open`` audit event names it; the hook sees what a
+    patched ``open`` would miss, such as ``io.FileIO``."""
+    _add_hook()
+    _counting.append(Counter())
+    try:
+        yield _counting[0]
+    finally:
+        _counting.clear()
+
+
+def test_each_open_reads_the_manifest_once(golden):
+    """A cold open reads it only to build; a warm one only to check it."""
+    for _ in ("cold", "warm"):
+        with opened_files() as opened:
+            opened_corpus = open_corpus(golden)
+        assert opened[os.fspath(golden)] == 1
+        assert_fresh(opened_corpus, golden)
+
+
+def test_a_warm_open_parses_the_header_once(golden, monkeypatch):
+    open_corpus(golden)
+    header, parsed = store._header, []
+
+    def counted(data):
+        parsed.append(None)
+        return header(data)
+
+    monkeypatch.setattr(store, "_header", counted)
+    assert_fresh(open_hit(golden, monkeypatch), golden)
+    assert len(parsed) == 1
+
+
+def test_a_build_opens_a_missing_source_once(golden, tmp_path, monkeypatch):
+    """And its problem line is the one a load without the store gives."""
+    missing = golden.parent / "g02.tex"
+    missing.unlink()
+    with opened_files() as opened:
+        built = open_corpus(golden)
+    assert opened[os.fspath(missing)] == 1
+    assert_fresh(built, golden)
+    (tmp_path / "cache").write_text("", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))  # no store can be written
+    fallback = open_corpus(golden)
+    assert len(built.problems) == 1 and "No such file or directory" in built.problems[0]
+    assert fallback.problems == built.problems

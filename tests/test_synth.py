@@ -111,6 +111,34 @@ class TestGenerator:
             with pytest.raises(ValueError, match=f"^n_changeover_pairs {n_pairs} plants more than"):
                 SynthConfig(n_changeover_pairs=n_pairs)
 
+    def test_counts_whose_papers_cannot_all_be_dated_are_refused(self):
+        """Checked on the config alone, before anything is generated: one
+        name fight plants at most 41 papers, and 71,347 of them fill every
+        day from 1991-01-01 to 9999-12-31."""
+        assert synth.MAX_PAPERS == 2_925_227 == 71_347 * 41
+        assert SynthConfig(preset="name-fights", n_name_fights=71_347).n_name_fights == 71_347
+        for preset, counts in (("name-fights", dict(n_name_fights=71_348)),
+                               ("body-fights", dict(n_body_fights=71_348)),
+                               ("title-fights", dict(n_title_pairs=18_057)),
+                               ("full", dict(n_name_fights=71_347))):
+            with pytest.raises(ValueError, match=f"^preset {preset!r} with these counts may plant"):
+                SynthConfig(preset=preset, **counts)
+        SynthConfig(preset="title-fights", n_title_pairs=18_056)  # 162 papers a pair at most
+        huge = dict(n_name_fights=10**12, n_body_fights=10**12, n_title_pairs=10**12)
+        assert SynthConfig(preset="changeover", **huge).n_title_pairs == 10**12  # none planted
+
+    def test_worst_cases_bound_what_the_planters_plant(self):
+        config = SynthConfig(seed=3, preset="full", n_changeover_pairs=0,
+                             n_name_fights=200, n_body_fights=200, n_title_pairs=40)
+        truth = generate(config).ground_truth
+        fights = [*truth["name_fights"], *truth["body_fights"]]
+        fight_papers = [f["exp_younger"] + f["exp_older"] + 1 for f in fights]
+        pair_papers = [sum(m["exp_younger"] + m["exp_older"] + 1 for m in pair["members"])
+                       for pair in truth["title_pairs"]]
+        assert sum(fight_papers) + sum(pair_papers) == truth["n_papers"]
+        assert max(fight_papers) <= synth._FIGHT_PAPERS
+        assert max(pair_papers) <= synth._TITLE_PAIR_PAPERS
+
     def test_imports_no_detection_module(self):
         """The checks above hold only if synth does not share the code it plants for."""
         tree = ast.parse(Path(synth.__file__).read_text(encoding="utf-8"))
