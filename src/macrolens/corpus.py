@@ -193,6 +193,11 @@ class Corpus(Columns):
     def title(self, i: int) -> str:
         return self.strings[len(self.ranks) + i]  # not ``len(self)``, a Python call
 
+    def titles(self) -> list[str]:
+        """Every paper's title in corpus order, read in one pass."""
+        n = len(self.ranks)
+        return list(map(self.strings.__getitem__, range(n, 2 * n)))
+
     def authors(self, i: int) -> tuple[str, ...]:
         ids = self.author_ids[self.author_offsets[i]:self.author_offsets[i + 1]]
         return tuple(map(self.strings.__getitem__, ids))

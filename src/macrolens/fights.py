@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import compress, pairwise
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus
 from .extraction import body_features
@@ -372,23 +372,37 @@ def _first_word(title: str) -> str | None:
     return word if word.isascii() and word.isalpha() else None
 
 
+def _style_test(style: str, lexicon: TitleLexicon) -> Callable[[str], bool]:
+    """Whether a non-empty title shows ``style``: punctuation and math by
+    literal scan, a first-word class by ``lexicon`` (an unknown first word
+    shows none), looked up once per distinct first word the test meets."""
+    if style not in STYLE_NAMES:
+        raise ValueError(f"unknown style {style!r}")
+    if style == "colon":
+        return lambda title: ":" in title
+    if style == "question_mark":
+        return lambda title: "?" in title
+    if style == "math":
+        return lambda title: _MATH_RE.search(title) is not None
+    cls = style.removeprefix("first_")
+    by_word: dict[str | None, bool] = {None: False}
+
+    def first_word_shows(title: str) -> bool:
+        word = _first_word(title)
+        if word not in by_word:
+            by_word[word] = lexicon.first_word_class(word) == cls
+        return by_word[word]
+
+    return first_word_shows
+
+
 def classify_title(title: str, lexicon: TitleLexicon | None = None) -> set[str]:
-    """The names in ``STYLE_NAMES`` that the title shows: punctuation and
-    math by literal scan, at most one first-word class from the lexicon
-    (an unknown first word shows none)."""
+    """The names in ``STYLE_NAMES`` whose test the title passes; at most
+    one first-word class shows."""
     if not title:
         raise ValueError("empty title")
     lex = lexicon or default_lexicon()
-    word = _first_word(title)
-    cls = lex.first_word_class(word) if word else None
-    styles = {f"first_{cls}"} if cls else set()
-    if ":" in title:
-        styles.add("colon")
-    if "?" in title:
-        styles.add("question_mark")
-    if _MATH_RE.search(title):
-        styles.add("math")
-    return styles
+    return {style for style in STYLE_NAMES if _style_test(style, lex)(title)}
 
 
 @dataclass(frozen=True)
@@ -429,21 +443,19 @@ def detect_title_fights(
     titled papers without the other author that show the style.  Equal
     experiences assign "younger" to the first-listed author.
     """
-    if style not in STYLE_NAMES:
-        raise ValueError(f"unknown style {style!r}")
+    test = _style_test(style, lexicon or default_lexicon())
     flt = filters or TitleFightFilters()
-    lex = lexicon or default_lexicon()
-    ranks, title = corpus.ranks, corpus.title
-    shown: dict[int, bool] = {}  # each titled paper's classification, made once
+    ranks, titles = corpus.ranks, corpus.titles()
+    shown: dict[int, bool] = {}  # each titled paper's test, made once
 
     def shows(i: int) -> bool:
         if i not in shown:
-            shown[i] = style in classify_title(title(i), lex)
+            shown[i] = test(titles[i])
         return shown[i]
 
     fights: list[TitleFight] = []
     for i in compress(range(len(corpus)), map((2).__eq__, corpus.author_counts())):
-        if not title(i):
+        if not titles[i]:
             continue
         a, b = corpus.authors(i)
         rank = ranks[i]
@@ -461,10 +473,10 @@ def detect_title_fights(
         # paper i is joint: another joint paper before it or in its tie group rejects it
         if sum(ranks[j] <= rank for j in joint) > 1:
             continue
-        own_y = [j for j in ledger.positions_of(younger) if j not in joint and title(j)]
+        own_y = [j for j in ledger.positions_of(younger) if j not in joint and titles[j]]
         if len(own_y) < max(flt.min_younger_papers, 1):
             continue
-        own_o = [j for j in ledger.positions_of(older) if j not in joint and title(j)]
+        own_o = [j for j in ledger.positions_of(older) if j not in joint and titles[j]]
         if not own_o:
             continue
         fights.append(

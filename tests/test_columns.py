@@ -34,6 +34,7 @@ _TITLES = [
     "", "", "On bounds: a survey", "Efficient $x^2$ solvers?", "Towards {deep} nets",
     "Analysis of things", "Learning to rank", "adaptive méthodes", "\ud83d lone half",
     "Why?", "Classification via $\\alpha$", "Being approximate", "Ⅻ: numerals",
+    "The case: $x$", "A note",
 ]
 
 
@@ -136,12 +137,16 @@ def test_title_fights(seed, source, tmp_path, monkeypatch):
     corpus, ref = built(papers, tmp_path, monkeypatch, source), RecordCorpus(papers)
     ledger = ExperienceLedger(corpus)
     expected_ledger, expected_index = RecordLedger(ref), RecordCoauthorIndex(ref)
-    found = 0
+    indicators = {style: set() for style in STYLE_NAMES}
+    profiled = set()  # the styles some fight's younger profile shows
     for filters in (TitleFightFilters(), TitleFightFilters(older_exp_threshold=2,
                                                            min_younger_papers=2)):
         for style in STYLE_NAMES:
             fights = detect_title_fights(corpus, style, ledger, filters)
             assert fights == record_detect_title_fights(
                 ref, style, expected_ledger, expected_index, filters)
-            found += len(fights)
-    assert found > 0
+            indicators[style].update(f.indicator for f in fights)
+            profiled.update(style for f in fights if f.profile_younger > 0)
+    # every style both shows and does not, so a test that always says one thing fails
+    assert all(seen == {0, 1} for seen in indicators.values()), indicators
+    assert profiled == set(STYLE_NAMES)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 from importlib import resources
 
@@ -562,10 +563,22 @@ def _former_first_word(title):
     return None
 
 
+_FORMER_MATH_RE = re.compile(r"\$|\\[A-Za-z]+|\\[^A-Za-z\s]")
+
+
+def _former_flags(title):
+    """The punctuation and math styles as the former code scanned them."""
+    flags = {"colon": ":" in title, "question_mark": "?" in title,
+             "math": _FORMER_MATH_RE.search(title) is not None}
+    return {style for style, shown in flags.items() if shown}
+
+
 class TestClassificationAgainstFormerCode:
     """The suffix table and the first-word test give exactly the classes
-    of the former code, on the packaged lexicon and on a custom one with
-    a suffix shared by classes and an empty suffix."""
+    of the former code, and the punctuation and math tests its flags, on
+    the packaged lexicon and on a custom one with a suffix shared by
+    classes and an empty suffix.  Each style's own test, reused over every
+    title as detection reuses it, agrees with ``classify_title``."""
 
     PACKAGED = json.loads(
         resources.files("macrolens.data").joinpath("title_lexicon.json").read_text(encoding="utf-8")
@@ -611,14 +624,20 @@ class TestClassificationAgainstFormerCode:
         seen = Counter(former.first_word_class(w) for w in words)
         for word in words:
             assert lexicon.first_word_class(word) == former.first_word_class(word), word
+        tests = {style: fights_module._style_test(style, lexicon) for style in STYLE_NAMES}
         for title in self._titles(words, rng):
             word = _former_first_word(title)
             former_cls = former.first_word_class(word) if word else None
             expected = {f"first_{former_cls}"} if former_cls else set()
-            got = classify_title(title, lexicon) & set(FIRST_WORD_STYLES)
+            expected |= _former_flags(title)
+            got = classify_title(title, lexicon)
             assert got == expected, title
+            assert {style for style, test in tests.items() if test(title)} == got, title
             seen["titles with a first word"] += word is not None
+            seen.update(_former_flags(title), titles=1)
         assert seen["titles with a first word"] > 1000
+        for flag in ("colon", "question_mark", "math"):  # each shown and not shown often
+            assert 1000 < seen[flag] < seen["titles"] - 1000, (flag, seen)
         for cls in ("noun", "verb", "adjective", "determiner", None):
             assert seen[cls] > 0, (cls, seen)
         if which == "custom":
@@ -748,26 +767,45 @@ class TestDetectTitleFights:
 
     def test_each_title_classified_once(self, monkeypatch):
         """An older author in four first collaborations: each titled
-        paper is classified at most once, not once per collaboration."""
+        paper is tested at most once, not once per collaboration; the
+        lexicon is read at most once per distinct first word, and never
+        for a style that is not a first-word class."""
         extra = []
         for k in range(3):
             extra += [(f"v{k}.{i}", f"2000-03-{3 * k + i + 1:02d}", [f"v{k}"], f"Eps: v{k}.{i}")
                       for i in range(3)]
             extra.append((f"collab v{k}", f"2001-0{k + 2}-01", [f"v{k}", "o"], f"Zeta v{k}"))
         corpus = title_corpus(first_collab_extra=extra)
-        calls = []
-        classify = fights_module.classify_title
-
-        def counted(title, lexicon=None):
-            calls.append(title)
-            return classify(title, lexicon)
-
-        monkeypatch.setattr(fights_module, "classify_title", counted)
-        fights = colon_fights(corpus, SMALL_TITLE_FILTERS)
-        assert [f.paper_id for f in fights] == ["collab", "collab v0", "collab v1", "collab v2"]
         titles = [p.title for p in corpus if p.title]
         assert len(set(titles)) == len(titles) == 29
-        assert len(calls) == len(set(calls)) <= len(titles)
+        first_words = {title.split()[0].strip(":") for title in titles}
+        assert len(first_words) == 5
+        tested, looked_up = [], []
+        style_test, first_word_class = fights_module._style_test, TitleLexicon.first_word_class
+
+        def counted_test(style, lexicon):
+            test = style_test(style, lexicon)
+            return lambda title: tested.append(title) or test(title)
+
+        def counted_lookup(lexicon, word):
+            looked_up.append(word)
+            return first_word_class(lexicon, word)
+
+        monkeypatch.setattr(fights_module, "_style_test", counted_test)
+        monkeypatch.setattr(TitleLexicon, "first_word_class", counted_lookup)
+        for style in ("colon", "first_noun"):
+            tested.clear()
+            looked_up.clear()
+            fights = detect_title_fights(corpus, style, ExperienceLedger(corpus),
+                                         SMALL_TITLE_FILTERS)
+            assert [f.paper_id for f in fights] == [
+                "collab", "collab v0", "collab v1", "collab v2"]
+            assert len(tested) == len(set(tested)) <= len(titles)
+            assert len(tested) > len(first_words)  # so a lookup per title would show
+            if style == "colon":
+                assert looked_up == []
+            else:
+                assert len(looked_up) == len(set(looked_up)) <= len(first_words)
 
 
 def tf(pid, p_y, p_o, indicator, e_y=5, e_o=15, rank=0):
