@@ -71,8 +71,16 @@ class _GapEdges(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+def _out_path(text: str) -> str:
+    """An ``--out`` value; an empty one is refused, not read as ``.``."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no directory")
+    return text
+
+
 def _add_output_args(p: argparse.ArgumentParser, formats: bool = True) -> None:
-    p.add_argument("--out", help=f"output directory (default ${DEFAULT_OUT_ENV} or ./out)")
+    p.add_argument("--out", type=_out_path,
+                   help=f"output directory (default ${DEFAULT_OUT_ENV} or ./out)")
     if formats:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -108,7 +116,8 @@ def _load(args, definitions: bool = True) -> tuple[Corpus, Definitions | None]:
 
 
 def _outdir(args) -> Path:
-    return Path(args.out if args.out is not None else os.environ.get(DEFAULT_OUT_ENV, "out"))
+    """``--out``, else ``$MACROLENS_OUTDIR`` unless it is empty, else ``./out``."""
+    return Path(args.out or os.environ.get(DEFAULT_OUT_ENV) or "out")
 
 
 class _DefinitionRows:
@@ -238,18 +247,16 @@ def cmd_fights(args) -> list[Table]:
     """Name and body fights give the fights table, the feature rows and
     the gap table; with no fights the last two hold only their header and
     rows with ``n`` 0."""
-    if args.mode == "title":
-        return _title_fights(args)
     corpus, defs = _load(args)
     ledger = ExperienceLedger(corpus)
-    filters = fights.FightFilters(min_distinct_authors=args.min_authors,
-                                  min_shared_len=args.min_body_len, three_author=args.three_author)
     if args.mode == "name":
         timelines = build_timelines(corpus, defs)
+        filters = fights.FightFilters(args.min_authors, args.min_body_len, args.three_author)
         fight_list = fights.detect_name_fights(corpus, timelines, ledger, filters)
         shared_label, shared = "body_hash", lambda f: report.body_hash(*f.shared_key)
     else:
         timelines = build_name_timelines(corpus, defs, args.whitelist)
+        filters = fights.FightFilters(args.min_authors, three_author=args.three_author)
         fight_list = fights.detect_body_fights(timelines, ledger, filters)
         shared_label, shared = "name", lambda f: f.shared_key[1]
     if not fight_list:
@@ -273,14 +280,12 @@ def cmd_fights(args) -> list[Table]:
     ]
 
 
-def _title_fights(args) -> list[Table]:
+def cmd_title_fights(args) -> list[Table]:
     corpus, _ = _load(args, definitions=False)
     ledger = ExperienceLedger(corpus)
     lexicon = None if args.lexicon is None else fights.TitleLexicon.load(args.lexicon)
-    filters = fights.TitleFightFilters(
-        older_exp_threshold=args.older_exp_threshold,
-        min_younger_papers=args.min_younger_papers,
-    )
+    filters = fights.TitleFightFilters(older_exp_threshold=args.older_exp_threshold,
+                                       min_younger_papers=args.min_younger_papers)
     fight_list = fights.detect_title_fights(corpus, args.style, ledger, filters, lexicon)
     pairs, unmatched = fights.match_title_fights(fight_list, tolerance=args.match_tolerance)
     if unmatched:
@@ -435,24 +440,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("fights", help="detect convention fights")
-    p.add_argument("mode", choices=("name", "body", "title"))
-    _add_corpus_args(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-authors", type=int, default=fights.FightFilters.min_distinct_authors)
-    p.add_argument("--min-body-len", type=int, default=fights.FightFilters.min_shared_len)
-    p.add_argument("--three-author", action="store_true",
-                   help="robustness variant: second vs third author on 3-author papers")
-    p.add_argument("--whitelist", nargs="+", default=fights.DEFAULT_BODY_FIGHT_NAMES,
-                   help="macro names eligible for body fights")
-    p.add_argument("--style", choices=fights.STYLE_NAMES, default="colon")
-    title = fights.TitleFightFilters
-    p.add_argument("--older-exp-threshold", type=int, default=title.older_exp_threshold)
-    p.add_argument("--min-younger-papers", type=int, default=title.min_younger_papers)
-    p.add_argument("--match-tolerance", type=float, default=0.05)
-    p.add_argument("--lexicon", help="path to a title lexicon JSON")
-    p.add_argument("--bucket-edges", type=int, nargs="*", action=_GapEdges,
-                   default=list(fights.DEFAULT_GAP_EDGES))
-    p.set_defaults(func=cmd_fights)
+    fight_modes = p.add_subparsers(dest="mode", required=True)
+    filters, title = fights.FightFilters, fights.TitleFightFilters
+    for mode in ("name", "body", "title"):
+        p = fight_modes.add_parser(mode, help=f"detect {mode} fights")
+        _add_corpus_args(p)
+        if mode != "title":
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--min-authors", type=int, default=filters.min_distinct_authors)
+            p.add_argument("--three-author", action="store_true",
+                           help="robustness variant: second vs third author on 3-author papers")
+        if mode == "name":
+            p.add_argument("--min-body-len", type=int, default=filters.min_shared_len)
+        elif mode == "body":
+            p.add_argument("--whitelist", nargs="+", default=fights.DEFAULT_BODY_FIGHT_NAMES,
+                           help="macro names eligible for body fights")
+        else:
+            p.add_argument("--style", choices=fights.STYLE_NAMES, default="colon")
+            p.add_argument("--older-exp-threshold", type=int, default=title.older_exp_threshold)
+            p.add_argument("--min-younger-papers", type=int, default=title.min_younger_papers)
+            p.add_argument("--match-tolerance", type=float, default=0.05)
+            p.add_argument("--lexicon", help="path to a title lexicon JSON")
+        p.add_argument("--bucket-edges", type=int, nargs="*", action=_GapEdges,
+                       default=list(fights.DEFAULT_GAP_EDGES))
+        p.set_defaults(func=cmd_title_fights if mode == "title" else cmd_fights)
 
     p = sub.add_parser("predict", help="fit and score a logistic model on a feature CSV")
     p.add_argument("--features", required=True, help="feature matrix CSV with a label column")

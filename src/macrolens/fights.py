@@ -347,7 +347,11 @@ class TitleLexicon:
         else:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        return cls(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("title lexicon nests deeper than the JSON decoder reads") from None
+        return cls(data)
 
     def first_word_class(self, word: str) -> str | None:
         word = word.casefold()

@@ -243,7 +243,7 @@ _BATTERY = (
     ["curves"],
     ["fights", "name", "--seed", "1"],
     ["fights", "body", "--seed", "1"],
-    ["fights", "title", "--seed", "1"],
+    ["fights", "title"],
     ["report"],
 )
 

@@ -79,11 +79,13 @@ class TestArgHandling:
         "lexicon suffix not a string": '{%s, "noun_suffixes": [5]}' % WORD_LISTS,
         "lexicon word not a string": '{%s}' % WORD_LISTS.replace('["the"]', '[["a"]]'),
         "lexicon suffixes a string": '{%s, "noun_suffixes": "ion"}' % WORD_LISTS,
+        "lexicon nested too deeply": "[" * 100_000,
     }
     NAMED_KEYS = {
         "lexicon suffix not a string": "title lexicon 'noun_suffixes' must be a list of strings",
         "lexicon word not a string": "title lexicon 'determiners' must be a list of strings",
         "lexicon suffixes a string": "title lexicon 'noun_suffixes' must be a list of strings",
+        "lexicon nested too deeply": "title lexicon nests deeper than the JSON decoder reads",
     }
 
     @pytest.mark.parametrize("case", [*BAD_FEATURES, "features directory", *BAD_LEXICONS])
@@ -264,6 +266,13 @@ class TestArgHandling:
         assert invoke("extract", "--corpus", str(GOLDEN / "manifest.jsonl")) == 0
         assert (tmp_path / "envout" / "definitions.csv").is_file()
 
+    def test_empty_outdir_env_is_unset(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MACROLENS_OUTDIR", "")
+        monkeypatch.chdir(tmp_path)
+        assert invoke("extract", "--corpus", str(GOLDEN / "manifest.jsonl")) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert (tmp_path / "out" / "definitions.csv").is_file()
+
     @pytest.mark.parametrize("argv, written", [
         (["predict", "--features", "features.csv"],
          ["coefficients.csv", "prediction_metrics.csv"]),
@@ -283,13 +292,21 @@ class TestArgHandling:
 # The sha256 of every parser's argparse actions, as ``_surface`` lists them.
 # It changes only when a flag, choice, default, type, nargs or action class
 # does; recompute it with ``_surface_digest()`` after such a change on purpose.
-SURFACE_SHA256 = "748dcc4a1c38a0e4451686c86e4eddeef730ad832efe99eef1746dea660dc630"
+SURFACE_SHA256 = "37a02f92ee41e3226dae2443db83157f050f7b7be6f95fc5008a42fb18743f5e"
+
+
+def _parsers(name: str, parser: argparse.ArgumentParser):
+    """``parser`` and every parser under it, each with its command words:
+    ``macrolens``, ``extract``, ..., ``fights``, ``fights name``, ..."""
+    yield name, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for word, sub in action.choices.items():
+                yield from _parsers(word if name == "macrolens" else f"{name} {word}", sub)
 
 
 def _surface() -> list:
     """Each parser's name and its actions' facts, help strings left out."""
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return [
         [name, [
             {"flags": a.option_strings, "dest": a.dest, "default": repr(a.default),
@@ -298,7 +315,7 @@ def _surface() -> list:
              "nargs": a.nargs, "required": a.required, "action": type(a).__name__}
             for a in p._actions
         ]]
-        for name, p in [("macrolens", parser), *sub.choices.items()]
+        for name, p in _parsers("macrolens", cli.build_parser())
     ]
 
 
@@ -307,15 +324,86 @@ def _surface_digest() -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+# every command's words, from the parsers: ``extract``, ..., ``fights name``, ...
+COMMANDS = [name.split() for name, p in _parsers("macrolens", cli.build_parser())
+            if name != "macrolens" and p._subparsers is None]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_empty_out_is_refused_while_parsing(command, tmp_path, monkeypatch, capsys):
+    """``--out ""`` would name the current directory; it exits 2 before any
+    input is read (each input is absent, and reading it would exit 1)."""
+    monkeypatch.chdir(tmp_path)
+    inputs = {"predict": ["--features", "absent.csv"], "synth": []}
+    with pytest.raises(SystemExit) as exc:
+        invoke(*command, *inputs.get(command[0], ["--corpus", "absent.jsonl"]), "--out", "")
+    assert exc.value.code == 2
+    assert "argument --out: an empty path names no directory" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def _foreign_options() -> list[tuple[str, list[str]]]:
+    """Each ``fights`` mode with each option that another mode declares and
+    it does not, plus a value that the declaring mode would accept: none
+    for a flag, the last choice, else ``1``."""
+    parsers = dict(_parsers("macrolens", cli.build_parser()))
+    declared = {
+        mode: {a.option_strings[-1]: a for a in parsers[f"fights {mode}"]._actions}
+        for mode in ("name", "body", "title")
+    }
+    cases = {}
+    for mode, own in declared.items():
+        for other in declared.values():
+            for flag, action in other.items():
+                if flag not in own:
+                    value = [] if action.nargs == 0 else [list(action.choices or ["1"])[-1]]
+                    cases[mode, flag] = [flag, *value]
+    return [(mode, options) for (mode, _), options in sorted(cases.items())]
+
+
+FOREIGN_OPTIONS = _foreign_options()
+
+
+@pytest.mark.parametrize("mode, options", [
+    *FOREIGN_OPTIONS,
+    ("body", ["--min-body-len", "500"]),
+    ("body", ["--older-exp-threshold", "999", "--style", "math"]),
+    ("title", ["--three-author", "--whitelist", "x"]),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_option_of_another_mode_exits_2(mode, options, tmp_path, capsys):
+    """A ``fights`` mode refuses the options only other modes read; the
+    corpus is absent, and reading it would exit 1, not 2."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        invoke("fights", mode, "--corpus", str(tmp_path / "absent.jsonl"),
+               "--out", str(out), *options)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(options)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSurface:
     def test_every_subcommand_is_pinned(self):
         names = [name for name, _ in _surface()]
         assert names == ["macrolens", "extract", "timelines", "changeovers", "matched-pairs",
-                         "curves", "fights", "predict", "synth", "report"]
+                         "curves", "fights", "fights name", "fights body", "fights title",
+                         "predict", "synth", "report"]
         fights_actions = dict(_surface())["fights"]
+        assert [a["dest"] for a in fights_actions] == ["help", "mode"]
         assert {"flags": [], "dest": "mode", "default": "None", "type": "None",
-                "choices": ["name", "body", "title"], "nargs": None, "required": True,
-                "action": "_StoreAction"} in fights_actions
+                "choices": ["name", "body", "title"], "nargs": "A...", "required": True,
+                "action": "_SubParsersAction"} == fights_actions[1]
+        flags = {name: [f for a in actions for f in a["flags"]] for name, actions in _surface()}
+        every = ["-h", "--help", "--corpus", "--out", "--format"]
+        fight = ["--seed", "--min-authors", "--three-author"]
+        assert flags["fights name"] == [*every, *fight, "--min-body-len", "--bucket-edges"]
+        assert flags["fights body"] == [*every, *fight, "--whitelist", "--bucket-edges"]
+        assert flags["fights title"] == [
+            *every, "--style", "--older-exp-threshold", "--min-younger-papers",
+            "--match-tolerance", "--lexicon", "--bucket-edges",
+        ]
+        # of the 11 fight options, name and body each read 5 and title 6
+        assert len(FOREIGN_OPTIONS) == 3 * 11 - 16 == 17
 
     def test_surface_unchanged(self):
         assert _surface_digest() == SURFACE_SHA256
@@ -335,13 +423,23 @@ class TestSurface:
             min_distinct_authors=args.min_authors, min_shared_len=args.min_body_len,
             three_author=args.three_author,
         ) == fights.FightFilters()
+        assert args.seed == default(fights.win_rate_by_gap, "seed")
+        assert args.bucket_edges == list(default(fights.win_rate_by_gap, "bucket_edges"))
+        args = parse("fights", "body", "--corpus", "m")
+        assert fights.FightFilters(
+            min_distinct_authors=args.min_authors, three_author=args.three_author,
+        ) == fights.FightFilters()
+        assert args.whitelist == fights.DEFAULT_BODY_FIGHT_NAMES
+        assert args.seed == default(fights.win_rate_by_gap, "seed")
+        assert args.bucket_edges == list(default(fights.win_rate_by_gap, "bucket_edges"))
+        args = parse("fights", "title", "--corpus", "m")
         assert fights.TitleFightFilters(
             older_exp_threshold=args.older_exp_threshold,
             min_younger_papers=args.min_younger_papers,
         ) == fights.TitleFightFilters()
         assert args.match_tolerance == default(fights.match_title_fights, "tolerance")
-        assert args.seed == default(fights.win_rate_by_gap, "seed")
-        assert args.bucket_edges == list(default(fights.win_rate_by_gap, "bucket_edges"))
+        assert args.style == fights.STYLE_NAMES[0] == "colon"
+        assert args.bucket_edges == list(default(fights.dominance_by_gap, "bucket_edges"))
         args = parse("predict", "--features", "f")
         assert args.train_frac == default(analytics.split, "train_frac")
         assert args.seed == default(analytics.split, "seed")
@@ -676,7 +774,7 @@ class TestPipelineCommands:
             ["curves", "--corpus", corpus, "--out", out],
             ["fights", "name", "--corpus", corpus, "--out", out, "--seed", "1"],
             ["fights", "body", "--corpus", corpus, "--out", out, "--seed", "1"],
-            ["fights", "title", "--corpus", corpus, "--out", out, "--seed", "1"],
+            ["fights", "title", "--corpus", corpus, "--out", out],
             ["report", "--corpus", corpus, "--out", out],
         ):
             assert run(argv) == 0, argv
