@@ -12,31 +12,53 @@ the bytes it wrote, read back through its own descriptor (so a process
 that replaces the file cannot change them).  Each build also deletes the
 store files, of any format, whose recorded manifest no longer exists.
 
-A file is used only when the sha256 of its contents holds and its key
-matches: the format, the Python version and byte order, the sha256 of the
-source of ``corpus.py``, ``extraction.py`` (which fills the definitions'
-columns) and this module, the sha256 of the manifest's bytes (those the
-build parsed; an open hashes the manifest only to check a file), and, for
-every ``source_path`` file the loader read, the file's sha256 or its read
-error.  Anything else is rebuilt.  When no file can be written the
-command loads and extracts the manifest as it stands, filling the same
-columns, after one DEBUG line.  Either way each source goes once it is
-extracted.  The file holds a JSON header, ``array`` ints and two UTF-8
-string tables, so reading it runs no code; deleting it is always safe.
+A file is used only when its key matches, the files it was built from are
+unchanged, and the sha256 of each section that the open reads holds.  The
+key is the format, the Python version and byte order, and the sha256 of
+the source of ``corpus.py``, ``extraction.py`` (which fills the
+definitions' columns) and this module.  The files are the manifest and
+every ``source_path`` file the loader read.  For each, the build records
+the sha256 of the bytes it parsed, or a source's read error, beside the
+file's stat ``(st_size, st_mtime_ns, st_ctime_ns, st_ino, st_dev)``, taken
+just before the file was read.  The build's start is the mtime of its
+temporary store file, taken before the manifest is opened.
 
-Layout (format 5): magic, sha256 of the rest, header length (8 bytes),
-header (key, resolved manifest path, ``source_path`` fingerprints, skip
-counts, problem lines without the manifest name, column lengths), the int
-columns of each table in ``_TABLES`` by its ``COLUMNS`` (the corpus's, then
-the definitions': each paper's definitions, less their offsets, which no
-command reads, and its effective definitions with their convention
-flags), the char offsets of each table's strings into the text that
-follows, then the text of the corpus's string table followed by the
-definitions' one.  An open parses the header once, copies the columns
-into arrays and decodes that text as one string; a corpus string is cut
-from it only when a caller asks for it, and the definitions' columns and
-strings are decoded only when definitions are asked for.  Lone
-surrogates pass through the tables by ``surrogatepass``.
+An open stats each recorded file.  It trusts a file without reading it
+only when the stat equals the recorded one and the recorded mtime and
+ctime are both earlier than the build's start; otherwise it hashes the
+file again, and a different sha256 rebuilds the store (an equal one is a
+hit, and the file is not rewritten).  A recorded read error is checked by
+reading the file again.  This is git's rule for "racily clean" files
+(``Documentation/technical/racy-git.txt``): any change after the build
+took its stat stamps a ctime no earlier than the build's start, so it
+differs from a recorded ctime that is earlier, and no user program can
+set a ctime back.  An edit that keeps the size and restores the mtime is
+therefore seen, and so is a file swapped in by a rename (a new inode).
+The rule holds on filesystems that keep ctime and stamp files from one
+clock.  A file whose stat changed while its bytes did not (a ``touch``)
+is hashed once per open until the next build.  Anything else is rebuilt.
+When no file can be written the command loads and extracts the manifest
+as it stands, filling the same columns, after one DEBUG line.  Either way
+each source goes once it is extracted.  The file holds a JSON header,
+``array`` ints and UTF-8 string tables, so reading it runs no code;
+deleting it is always safe.
+
+Layout (format 6): magic, sha256 of the header, header length (8 bytes),
+header, then two sections for each table in ``_TABLES``: its int columns
+by its ``COLUMNS``, then its strings (the char offsets of each string
+into the text that follows, then that text).  The corpus comes first;
+the definitions' columns hold each paper's definitions, less their
+offsets, which no command reads, and its effective definitions with their
+convention flags.  The header holds the key, the resolved manifest path,
+the build's start, the recorded files, skip counts, problem lines without
+the manifest name, each table's column lengths, and each section's byte
+length and sha256.  An open reads the prefix and the header with
+``os.pread`` and parses the header once; then it maps only the sections
+it decodes (without definitions, the corpus's two) and checks their
+sha256s.  It copies the columns into arrays and decodes each table's
+text as one string before the file is unmapped; a corpus string is cut
+from that text only when a caller asks for it.  Lone surrogates pass
+through the tables by ``surrogatepass``.
 """
 
 from __future__ import annotations
@@ -49,9 +71,9 @@ import mmap
 import os
 import sys
 from array import array
-from itertools import accumulate, chain, pairwise, starmap
+from itertools import accumulate, pairwise, starmap
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import COLUMN_TYPE, Corpus, load_corpus
 from .extraction import Definitions, definition_columns, extract_definitions
@@ -59,12 +81,13 @@ from .extraction import Definitions, definition_columns, extract_definitions
 log = logging.getLogger(__name__)
 _problem_log = logging.getLogger("macrolens.corpus")  # the loader's problem lines
 
-_FORMAT = 5
+_FORMAT = 6
 _MAGIC = b"macrolens corpus store\n"
-# the fixed prefix: the magic, the sha256 of all that follows it, the header's length
+# the fixed prefix: the magic, the sha256 of the header, the header's length
 _DIGEST, _LENGTH = slice(len(_MAGIC), len(_MAGIC) + 32), slice(len(_MAGIC) + 32, len(_MAGIC) + 40)
 _TABLES = (Corpus, Definitions)  # in file order
 _SIZE = array(COLUMN_TYPE).itemsize  # a value too large for it fails the build, not the command
+_UNWRITTEN = [2**63 - 1, "0" * 64]  # a section's [byte length, sha256], no shorter in JSON
 
 
 class _Strings:
@@ -143,80 +166,129 @@ def _open_store(path: Path, definitions: bool) -> Opened:
         code.update(Path(__file__).with_name(name).read_bytes())
     key = {"format": _FORMAT, "python": f"{sys.version} {sys.byteorder}", "code": code.hexdigest()}
     try:
-        stored = _read(file, path, key)
+        stored = _read(file, path, key, definitions)
     except (OSError, ValueError, LookupError, TypeError):  # unreadable or garbled: rebuilt
         stored = None
     return _decode(*(stored or _write(file, path, key)), path, definitions)
 
 
-def _fingerprint(file: Path) -> tuple[str, bytes | OSError]:
-    """(sha256 of the file's bytes, the bytes), or (its read error, the error)."""
+def _stat(file: Path | int) -> list[int]:
+    """What a build records of a file's stat, and an open compares."""
+    st = os.stat(file)
+    return [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev]
+
+
+def _fingerprint(file: Path) -> tuple[str, list[int] | None, bytes | OSError]:
+    """(sha256 of the file's bytes, its stat just before they were read,
+    the bytes), or (its read error, None, the error)."""
     try:
-        data = file.read_bytes()
+        with open(file, "rb") as fh:
+            stat = _stat(fh.fileno())
+            data = fh.read()
     except OSError as exc:
-        return f"{type(exc).__name__}: {exc}", exc
-    return hashlib.sha256(data).hexdigest(), data
+        return f"{type(exc).__name__}: {exc}", None, exc
+    return hashlib.sha256(data).hexdigest(), stat, data
 
 
-def _write(file: Path, path: Path, key: dict) -> tuple[memoryview, dict, int]:
+def _sha256(file: Path) -> str:
+    """The first item of ``_fingerprint(file)``, read in chunks."""
+    # one reused buffer: a new 1-MB chunk per read raised latex-heavy's peak RSS 1.2 MB
+    digest, buffer = hashlib.sha256(), bytearray(1 << 16)
+    try:
+        with open(file, "rb", buffering=0) as fh:
+            while n := fh.readinto(buffer):
+                digest.update(memoryview(buffer)[:n])
+    except OSError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return digest.hexdigest()
+
+
+def _unchanged(file: Path, fingerprint: str, stat: list[int] | None, start: int) -> bool:
+    """Whether ``file`` still has the fingerprint that a build started at
+    ``start`` recorded with ``stat``: trusted unread when its stat is the
+    recorded one and was not racily clean, hashed again otherwise."""
+    if stat is not None and stat[1] < start and stat[2] < start:
+        try:
+            if _stat(file) == stat:
+                return True
+        except OSError:
+            return False
+    return _sha256(file) == fingerprint
+
+
+def _write(file: Path, path: Path, key: dict) -> tuple[dict, memoryview]:
     """Builds the store file of ``path`` beside ``file``, moves it in and
-    prunes the directory; returns the bytes it wrote, as ``_read`` does."""
+    prunes the directory; returns the header and the sections it wrote,
+    as ``_read`` does."""
     import tempfile
 
     fd, tmp = tempfile.mkstemp(dir=file.parent, prefix=file.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w+b") as fh:
-            header, cols, strings = _build(path, key)
-            fh.write(_MAGIC + bytes(32) + len(header).to_bytes(8, "little") + header)
-            fh.writelines(cols)
-            cols.clear()
+            header, tables = _build(path, key, _stat(fd)[1])
+            header["sections"] = [_UNWRITTEN] * 2 * len(tables)
+            reserved = len(json.dumps(header))  # the header, padded with spaces to this length
+            fh.seek(_LENGTH.stop + reserved)
             text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogatepass", newline="")
-            text.writelines(strings)
+            ends = []
+            while tables:  # each table's columns and strings go once written
+                cols, offsets, strings = tables.pop(0)
+                fh.writelines(cols)
+                ends.append(fh.tell())
+                fh.write(offsets)
+                text.writelines(strings)
+                text.flush()
+                ends.append(fh.tell())
             text.detach()
+            del cols, offsets, strings
             # read back once the build's columns and strings are gone, so
             # that they and the file's bytes are never held together
-            fh.seek(0)
+            fh.seek(_LENGTH.stop + reserved)
             data = memoryview(fh.read())
-            fh.seek(_DIGEST.start)
-            fh.write(hashlib.sha256(data[_DIGEST.stop:]).digest())
+            bounds = pairwise([0, *(end - _LENGTH.stop - reserved for end in ends)])
+            header["sections"] = [[b - a, hashlib.sha256(data[a:b]).hexdigest()] for a, b in bounds]
+            raw = json.dumps(header).encode("ascii").ljust(reserved)
+            fh.seek(0)
+            fh.write(_MAGIC + hashlib.sha256(raw).digest() + reserved.to_bytes(8, "little") + raw)
         os.replace(tmp, file)
     except BaseException:
         os.unlink(tmp)
         raise
     _prune(file.parent)
-    return data, *_header(data)
+    return header, data
 
 
-def _build(path: Path, key: dict) -> tuple[bytes, list[array], Iterable[str]]:
-    """Loads and extracts ``path``: the store's header (whose key names
-    the manifest bytes that were parsed), int columns and strings in table
-    order.  Each ``source_path`` file is read once."""
-    read: list[tuple[str, str]] = []
+def _build(path: Path, key: dict, start: int) -> tuple[dict, list[tuple]]:
+    """Loads and extracts ``path``: the store's header, less its sections,
+    and each table's int columns, string offsets and strings, in table
+    order.  The manifest and each ``source_path`` file are stat'ed just
+    before they are read, and read once."""
+    read: list[tuple] = []
 
     def recorded(base_dir: Path, name: str) -> bytes:
-        fingerprint, data = _fingerprint(base_dir / name)
-        read.append((name, fingerprint))
+        fingerprint, stat, data = _fingerprint(base_dir / name)
+        read.append((name, fingerprint, stat))
         if isinstance(data, OSError):
             raise data  # the loader's own error
         return data
 
+    manifest = _stat(path)
     result = load_corpus(path, recorded)
-    corpus, key = result.corpus, {**key, "manifest": result.sha256}
-    defs, defs_skipped = _extract(corpus)
-    tables = (corpus, defs)  # as in ``_TABLES``
-    cols = [column for table in tables for column in table.columns().values()]
-    end = 0
-    for table in tables:
-        cols.append(array(COLUMN_TYPE, accumulate(map(len, table.strings), initial=end)))
-        end = cols[-1][-1]
+    defs, defs_skipped = _extract(result.corpus)
+    tables = [
+        (list(table.columns().values()),
+         array(COLUMN_TYPE, accumulate(map(len, table.strings), initial=0)), table.strings)
+        for table in (result.corpus, defs)  # as in ``_TABLES``
+    ]
     prefix = len(path.name) + 1  # the problem lines' "<manifest name>:"
-    header = json.dumps({
-        "key": key, "path": os.fsdecode(path.resolve()), "read": read, "skipped": result.skipped,
+    header = {
+        "key": key, "path": os.fsdecode(path.resolve()), "start": start,
+        "manifest": (result.sha256, manifest), "read": read, "skipped": result.skipped,
         "definitions_skipped": defs_skipped,
         "problems": [line[prefix:] for line in result.problems],
-        "columns": list(map(len, cols)),
-    }).encode("ascii")
-    return header, cols, chain(corpus.strings, defs.strings)
+        "columns": [[*map(len, cols), len(offsets)] for cols, offsets, _ in tables],
+    }
+    return header, tables
 
 
 def _prune(directory: Path) -> None:
@@ -226,65 +298,82 @@ def _prune(directory: Path) -> None:
     for file in directory.iterdir():
         if file.suffix == ".tmp":
             continue
-        try:  # mapped, so that only the prefix and the header are read
-            with open(file, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
-                if not os.path.exists(_header(data)[0]["path"]):
-                    file.unlink()
+        try:
+            with open(file, "rb", buffering=0) as fh:
+                recorded = _header(fh.fileno())[0]["path"]
+            if not os.path.exists(recorded):
+                file.unlink()
         except (OSError, ValueError, LookupError, TypeError):
             continue
 
 
-def _header(data: memoryview | mmap.mmap) -> tuple[dict, int]:
-    """A store file's header, and where its columns start; ``data`` holds
-    the file from its start."""
-    if data[:_DIGEST.start] != _MAGIC:
+def _header(fd: int) -> tuple[dict, bool, int]:
+    """A store file's header, whether the prefix's sha256 is the header's
+    (from format 6 on; before, it covered the rest of the file), and where
+    the sections start.  Only the prefix and the header are read."""
+    prefix = os.pread(fd, _LENGTH.stop, 0)
+    if prefix[:_DIGEST.start] != _MAGIC:
         raise ValueError("not a corpus store file")
-    end = _LENGTH.stop + int.from_bytes(data[_LENGTH], "little")
-    return json.loads(bytes(data[_LENGTH.stop:end])), end
+    end = _LENGTH.stop + int.from_bytes(prefix[_LENGTH], "little")
+    if end > os.fstat(fd).st_size:
+        raise ValueError("the header runs past the end of the file")
+    raw = os.pread(fd, end - _LENGTH.stop, _LENGTH.stop)
+    return json.loads(raw), hashlib.sha256(raw).digest() == prefix[_DIGEST], end
 
 
-def _read(file: Path, path: Path, key: dict) -> tuple[memoryview, dict, int] | None:
-    """The store file's bytes, header and columns' start, or None when it
-    is missing or does not hold for ``path`` as it is now (the one place
-    that hashes the manifest)."""
+def _read(file: Path, path: Path, key: dict, definitions: bool) -> tuple[dict, memoryview] | None:
+    """The store file's header and the sections an open decodes, or None
+    when it is missing or does not hold for ``path`` as it is now."""
     try:
-        data = memoryview(file.read_bytes())
+        fh = open(file, "rb", buffering=0)
     except FileNotFoundError:
         return None
-    if data[_DIGEST] != hashlib.sha256(data[_DIGEST.stop:]).digest():
-        return None
-    header, end = _header(data)
-    # one reused buffer: a new 1-MB chunk per read raised latex-heavy's peak RSS 1.2 MB
-    manifest, buffer = hashlib.sha256(), bytearray(1 << 16)
-    with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(buffer):
-            manifest.update(memoryview(buffer)[:n])
-    if header["key"] != {**key, "manifest": manifest.hexdigest()} or any(
-        _fingerprint(path.parent / name)[0] != fingerprint for name, fingerprint in header["read"]
-    ):
-        return None
-    return data, header, end
+    with fh:
+        header, holds, pos = _header(fh.fileno())
+        if not holds or header["key"] != key:
+            return None
+        files = [(path, *header["manifest"])]
+        files += ((path.parent / name, digest, stat) for name, digest, stat in header["read"])
+        if not all(_unchanged(file, digest, stat, header["start"]) for file, digest, stat in files):
+            return None
+        sections = header["sections"][:None if definitions else 2]
+        size = sum(length for length, _ in sections)
+        # mapped, not read into a buffer: a warm open's page faults halve;
+        # unmapped once ``_decode`` has copied the columns and text out, so
+        # a later truncation of the file cannot reach them
+        start = pos - pos % mmap.ALLOCATIONGRANULARITY
+        data = memoryview(mmap.mmap(
+            fh.fileno(), pos + size - start, access=mmap.ACCESS_READ, offset=start))[pos - start:]
+    pos = 0
+    for length, digest in sections:
+        if hashlib.sha256(data[pos:pos + length]).hexdigest() != digest:
+            return None
+        pos += length
+    return header, data
 
 
-def _decode(data: memoryview, header: dict, pos: int, path: Path, definitions: bool) -> Opened:
+def _decode(header: dict, data: memoryview, path: Path, definitions: bool) -> Opened:
     """The corpus, definitions (if asked for) and skip counts that a store
-    file's bytes hold, its columns starting at ``pos``; ``data`` is
-    released once they are copied out."""
-    with data:  # the corpus keeps copies of its columns and of its part of the text
-        cols = []
-        for length in header["columns"]:
-            cols.append(array(COLUMN_TYPE))
-            cols[-1].frombytes(data[pos:pos + _SIZE * length])
-            pos += _SIZE * length
-        text = str(data[pos:], "utf-8", "surrogatepass")
-    left = iter(cols)
-    named = [dict(zip(table.COLUMNS, left)) for table in _TABLES]
-    corpus_strings, definition_strings = left  # each table's string offsets; raises on a miscount
-    corpus = Corpus(_Strings(text[:corpus_strings[-1]], corpus_strings), **named[0])
+    file's sections hold, from the first on; ``data`` is released once
+    they are copied out."""
+    tables, pos, sizes = [], 0, iter(length for length, _ in header["sections"])
+    with data:  # the tables keep copies of their columns and text
+        for table, lengths in zip(_TABLES[:2 if definitions else 1], header["columns"]):
+            end = pos + next(sizes) + next(sizes)
+            cols = []
+            for length in lengths:
+                cols.append(array(COLUMN_TYPE))
+                cols[-1].frombytes(data[pos:pos + _SIZE * length])
+                pos += _SIZE * length
+            *columns, offsets = cols
+            text, pos = str(data[pos:end], "utf-8", "surrogatepass"), end
+            tables.append((text, offsets, dict(zip(table.COLUMNS, columns, strict=True))))
+    (text, offsets, named), *rest = tables
+    corpus = Corpus(_Strings(text, offsets), **named)
     defs = None
-    if definitions:
-        bounds = starmap(slice, pairwise(definition_strings))
-        defs = Definitions(list(map(text.__getitem__, bounds)), **named[1])
+    if rest:
+        [(text, offsets, named)] = rest
+        defs = Definitions(list(map(text.__getitem__, starmap(slice, pairwise(offsets)))), **named)
     return Opened(
         corpus, defs, header["skipped"], [f"{path.name}:{line}" for line in header["problems"]],
         header["definitions_skipped"] if definitions else 0,

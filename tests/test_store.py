@@ -11,10 +11,12 @@ import functools
 import hashlib
 import json
 import logging
+import mmap
 import os
 import shutil
 import sys
 import tempfile
+import time
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from battery_digest import digest_lines, run_battery
 from macrolens import store
 from macrolens.cli import run
 from macrolens.corpus import load_corpus
@@ -64,6 +67,34 @@ def open_hit(manifest: Path, monkeypatch, definitions: bool = True) -> store.Ope
 def store_files() -> list[Path]:
     directory = Path(os.environ["XDG_CACHE_HOME"], "macrolens")
     return sorted(directory.iterdir()) if directory.is_dir() else []
+
+
+def settle(directory: Path) -> None:
+    """Waits until a file written now gets an mtime later than the ctime
+    of every file in ``directory``, so that a build started next finds
+    none of them racily clean, and a warm open trusts them on their stat."""
+    latest = max(file.stat().st_ctime_ns for file in directory.iterdir())
+    probe = Path(os.environ["XDG_CACHE_HOME"], "probe")
+    while True:
+        probe.write_bytes(b"x")
+        if probe.stat().st_mtime_ns > latest:
+            break
+        time.sleep(0.001)
+    probe.unlink()
+
+
+def store_header(file: Path) -> dict:
+    with open(file, "rb") as fh:
+        return store._header(fh.fileno())[0]
+
+
+def store_content(data: bytes) -> tuple[dict, bytes]:
+    """A store file's header, less the build's start, and its sections:
+    what two builds from the same files write alike."""
+    end = store._LENGTH.stop + int.from_bytes(data[store._LENGTH], "little")
+    header = json.loads(data[store._LENGTH.stop:end])
+    del header["start"]
+    return header, data[end:]
 
 
 @pytest.fixture
@@ -176,6 +207,125 @@ def test_changed_source_file_rebuilds(golden, change, monkeypatch):
     assert_fresh(open_hit(golden, monkeypatch), golden)
 
 
+def _built_from_settled_files(golden: Path) -> Path:
+    """Builds the golden copy's store from files that are not racily
+    clean, so that an open trusts an unchanged stat; returns the source
+    whose definitions change next."""
+    settle(golden.parent)
+    open_corpus(golden)
+    [file] = store_files()
+    header = store_header(file)
+    recorded = [header["manifest"][1], *(stat for _, _, stat in header["read"])]
+    assert all(max(stat[1], stat[2]) < header["start"] for stat in recorded)
+    return golden.parent / "g01.tex"
+
+
+def _rebuilt_with_the_edit(golden: Path, monkeypatch) -> None:
+    after = open_corpus(golden)
+    assert_fresh(after, golden)
+    [reals] = definition_records(after.corpus, after.definitions)["g01"]
+    assert reals.body == "\\mathbb{Q}"
+    assert_fresh(open_hit(golden, monkeypatch), golden)
+
+
+def test_source_edited_in_place_with_its_mtime_restored_rebuilds(golden, monkeypatch):
+    """Same size, same mtime, same inode: the ctime the edit stamped is what
+    differs from the recorded stat."""
+    source = _built_from_settled_files(golden)
+    before = os.stat(source)
+    data = source.read_bytes()
+    assert data == b"\\def\\Reals{\\mathbb{R}}\n"
+    source.write_bytes(data.replace(b"{R}", b"{Q}"))
+    os.utime(source, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(source)
+    assert (after.st_size, after.st_mtime_ns, after.st_ino) == (
+        before.st_size, before.st_mtime_ns, before.st_ino)
+    assert after.st_ctime_ns != before.st_ctime_ns
+    _rebuilt_with_the_edit(golden, monkeypatch)
+
+
+def test_source_swapped_in_by_rename_rebuilds(golden, monkeypatch):
+    """Same size and mtime, moved over the source: its inode differs."""
+    source = _built_from_settled_files(golden)
+    before = os.stat(source)
+    swapped = source.with_suffix(".new")
+    swapped.write_bytes(source.read_bytes().replace(b"{R}", b"{Q}"))
+    os.utime(swapped, ns=(before.st_atime_ns, before.st_mtime_ns))
+    os.replace(swapped, source)
+    after = os.stat(source)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert after.st_ino != before.st_ino
+    _rebuilt_with_the_edit(golden, monkeypatch)
+
+
+def _hashes(monkeypatch) -> Counter:
+    """Counts, by file name, the files a store open hashes again."""
+    hashed, sha256 = Counter(), store._sha256
+
+    def counted(file: Path) -> str:
+        hashed[file.name] += 1
+        return sha256(file)
+
+    monkeypatch.setattr(store, "_sha256", counted)
+    return hashed
+
+
+def test_touched_manifest_is_a_hit_hashed_once_per_open(golden, monkeypatch):
+    _built_from_settled_files(golden)
+    [file] = store_files()
+    data = file.read_bytes()
+    os.utime(golden)  # its mtime and ctime move; its bytes do not
+    hashed = _hashes(monkeypatch)
+    for opens in (1, 2):
+        assert_fresh(open_hit(golden, monkeypatch), golden)
+        assert hashed == Counter({golden.name: opens})
+    assert file.read_bytes() == data  # not rewritten
+
+
+def test_racily_clean_manifest_is_hashed_on_every_open(golden, monkeypatch):
+    """A manifest whose recorded mtime is not earlier than the build's start
+    could change within the same timestamp and keep its whole stat; so it
+    is hashed again on each open, and such an edit is still caught."""
+    future = time.time_ns() + 3600 * 10**9
+    os.utime(golden, ns=(future, future))
+    settle(golden.parent)  # the sources are not racily clean
+    open_corpus(golden)
+    [file] = store_files()
+    header = store_header(file)
+    recorded = header["manifest"][1]
+    assert recorded[1] >= header["start"]
+    hashed = _hashes(monkeypatch)
+    for opens in (1, 2):
+        assert_fresh(open_hit(golden, monkeypatch), golden)
+        assert hashed == Counter({golden.name: opens})
+    golden.write_bytes(golden.read_bytes().replace(b'"Golden case 1"', b'"Golden case 9"', 1))
+    stat = store._stat
+    with monkeypatch.context() as m:  # the edit's stat, had it kept the recorded timestamps
+        m.setattr(store, "_stat", lambda f: recorded if f == golden else stat(f))
+        assert open_corpus(golden).corpus.paper(0).title == "Golden case 9"
+    assert_fresh(open_hit(golden, monkeypatch), golden)
+
+
+def test_inlined_sources_give_the_same_battery(golden, tmp_path):
+    """Metamorphic relation: the golden manifest, whose records all read
+    ``source_path`` files, and a copy with each file's text inlined as
+    ``source`` give the same battery lines.  The first command on each
+    builds its store, and the later ones open it, trusting the source
+    files' stats."""
+    inlined = tmp_path / "inlined.jsonl"
+    with open(inlined, "w", encoding="utf-8") as fh:
+        for line in golden.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)  # a source file's text as the loader reads it
+            record["source"] = (golden.parent / record.pop("source_path")).read_text("utf-8")
+            fh.write(json.dumps(record) + "\n")
+    settle(golden.parent)
+    lines = []
+    for manifest in (golden, inlined):
+        root = tmp_path / manifest.stem
+        lines.append(run_battery([manifest], root) + digest_lines(root))
+    assert lines[0] == lines[1]
+
+
 def test_moved_manifest_gets_its_own_store(golden, tmp_path, monkeypatch):
     open_corpus(golden)
     moved = tmp_path / "elsewhere"
@@ -187,10 +337,12 @@ def test_moved_manifest_gets_its_own_store(golden, tmp_path, monkeypatch):
 
 def test_a_build_decodes_the_bytes_it_wrote(golden, monkeypatch):
     """A cold open fingerprints each ``source_path`` file once and does not
-    read the store file back by path; a warm open verifies each file once."""
+    read the store file back by path; a warm open fingerprints no file
+    whose stat is unchanged."""
     sources = [json.loads(line)["source_path"] for line in golden.read_text("utf-8").splitlines()]
     assert len(set(sources)) == len(sources) == 20
-    fingerprinted, read = Counter(), []
+    settle(golden.parent)
+    fingerprinted, read = _hashes(monkeypatch), []
     fingerprint, read_bytes = store._fingerprint, Path.read_bytes
 
     def counted(file: Path):
@@ -202,16 +354,16 @@ def test_a_build_decodes_the_bytes_it_wrote(golden, monkeypatch):
         read.append(file)
         return data
 
-    for expected_store_reads in (0, 1):  # cold, then warm
+    for expected in (Counter(sources), Counter()):  # cold, then warm
         fingerprinted.clear()
         read.clear()
         with monkeypatch.context() as m:
             m.setattr(store, "_fingerprint", counted)
             m.setattr(Path, "read_bytes", recorded)
             opened = open_corpus(golden)
-        assert fingerprinted == Counter(sources)
+        assert fingerprinted == expected
         [file] = store_files()
-        assert read.count(file) == expected_store_reads
+        assert read.count(file) == 0
         assert_fresh(opened, golden)
 
 
@@ -232,12 +384,34 @@ def test_code_change_rebuilds(golden, tmp_path, monkeypatch):
         assert_fresh(open_corpus(golden), golden)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "garbled", "emptied", "foreign"])
+def _section_bytes(file: Path) -> dict[str, range]:
+    """Where a store file's header, corpus sections and definitions
+    sections lie."""
+    with open(file, "rb") as fh:
+        header, _, start = store._header(fh.fileno())
+    corpus_end = start + sum(length for length, _ in header["sections"][:2])
+    return {"header": range(store._LENGTH.stop, start), "corpus": range(start, corpus_end),
+            "definitions": range(corpus_end, file.stat().st_size)}
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbled", "emptied", "foreign",
+                                    "header", "corpus", "definitions"])
 def test_damaged_store_file_rebuilds(golden, tmp_path, damage, monkeypatch):
+    """One byte flipped in a section rebuilds the store when an open reads
+    that section: an open without definitions reads the header and the
+    corpus's sections only."""
     open_corpus(golden)
     [file] = store_files()
     data = file.read_bytes()
-    if damage == "truncated":
+    if damage in ("header", "corpus", "definitions"):
+        span = _section_bytes(file)[damage]
+        at = span[len(span) // 2]
+        file.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1:])
+        damaged = file.read_bytes()
+        opened = open_corpus(golden, definitions=False)
+        assert list(opened.corpus) == [p._replace(source="") for p in load_corpus(golden).corpus]
+        assert (file.read_bytes() == damaged) == (damage == "definitions")
+    elif damage == "truncated":
         file.write_bytes(data[: len(data) // 2])
     elif damage == "garbled":  # one bit in the string table
         file.write_bytes(data[:-3] + bytes([data[-3] ^ 1]) + data[-2:])
@@ -252,7 +426,7 @@ def test_damaged_store_file_rebuilds(golden, tmp_path, damage, monkeypatch):
         [foreign] = [f for f in store_files() if f != file]
         shutil.copyfile(foreign, file)
     assert_fresh(open_corpus(golden), golden)
-    assert file.read_bytes() == data
+    assert store_content(file.read_bytes()) == store_content(data)
     assert_fresh(open_hit(golden, monkeypatch), golden)
 
 
@@ -455,12 +629,87 @@ def opened_files():
 
 
 def test_each_open_reads_the_manifest_once(golden):
-    """A cold open reads it only to build; a warm one only to check it."""
-    for _ in ("cold", "warm"):
+    """A cold open reads it, and each source, only to build; a warm one
+    trusts their unchanged stats and reads none of them."""
+    settle(golden.parent)
+    files = [golden, *golden.parent.glob("*.tex")]
+    for expected in (1, 0):  # cold, then warm
         with opened_files() as opened:
             opened_corpus = open_corpus(golden)
-        assert opened[os.fspath(golden)] == 1
+        assert [opened[os.fspath(file)] for file in files] == [expected] * len(files)
         assert_fresh(opened_corpus, golden)
+
+
+def _store_reads(file: Path, monkeypatch) -> list[tuple[int, int]]:
+    """The byte spans of ``file`` that ``os.pread`` reads or ``mmap.mmap``
+    maps while the returned list is patched in."""
+    spans, pread, mapped, inode = [], os.pread, mmap.mmap, file.stat().st_ino
+
+    def read(fd: int, size: int, pos: int) -> bytes:
+        data = pread(fd, size, pos)
+        if os.fstat(fd).st_ino == inode:
+            spans.append((pos, pos + len(data)))
+        return data
+
+    def mapping(fd: int, length: int, **kwargs) -> mmap.mmap:
+        if os.fstat(fd).st_ino == inode:
+            spans.append((kwargs.get("offset", 0), kwargs.get("offset", 0) + length))
+        return mapped(fd, length, **kwargs)
+
+    monkeypatch.setattr(os, "pread", read)
+    monkeypatch.setattr(mmap, "mmap", mapping)
+    return spans
+
+
+def _covered(spans: list[tuple[int, int]]) -> range:
+    """The bytes the spans cover, which must be one run from the start."""
+    end = 0
+    for a, b in sorted(spans):
+        assert a <= end
+        end = max(end, b)
+    return range(0, end)
+
+
+@pytest.mark.parametrize("definitions", [False, True])
+def test_a_warm_open_reads_only_the_sections_it_decodes(golden, monkeypatch, definitions):
+    """The prefix, the header and the corpus's sections, and the
+    definitions' sections only when definitions are asked for."""
+    open_corpus(golden)
+    [file] = store_files()
+    sections = _section_bytes(file)
+    end = (sections["definitions"] if definitions else sections["corpus"]).stop
+    assert sections["corpus"].stop < sections["definitions"].stop == file.stat().st_size
+    with monkeypatch.context() as m:
+        spans = _store_reads(file, m)
+        opened = open_hit(golden, m, definitions)
+    assert list(opened.corpus) == [p._replace(source="") for p in load_corpus(golden).corpus]
+    assert _covered(spans) == range(0, end)
+
+
+def test_a_warm_open_reads_no_manifest_byte_at_any_size(golden, monkeypatch):
+    """Counting work instead of timing it: a warm open of the golden
+    manifest and of that manifest doubled with fresh ids opens the same
+    files besides its store file (neither the manifest nor a source) and
+    reads from the store only its prefix, header and corpus sections."""
+    lines = golden.read_text(encoding="utf-8").splitlines()
+    doubled = golden.with_name("doubled.jsonl")
+    doubled.write_text("".join(
+        line + "\n" for line in lines + [line.replace('"id": "g', '"id": "h') for line in lines]
+    ), encoding="utf-8")
+    settle(golden.parent)
+    reads = []
+    for manifest in (golden, doubled):
+        open_corpus(manifest)
+        [file] = [f for f in store_files() if store_header(f)["path"] == str(manifest.resolve())]
+        with monkeypatch.context() as m, opened_files() as opened:
+            spans = _store_reads(file, m)
+            assert len(open_hit(manifest, m, definitions=False).corpus) == len(lines) * (
+                1 + (manifest == doubled))
+        assert _covered(spans) == range(0, _section_bytes(file)["corpus"].stop)
+        del opened[os.fspath(file)]
+        reads.append(opened)
+    assert reads[0] == reads[1]
+    assert not any(Path(name).parent == golden.parent for name in reads[0])
 
 
 def test_a_warm_open_parses_the_header_once(golden, monkeypatch):
