@@ -90,20 +90,20 @@ def _add_corpus_args(p: argparse.ArgumentParser) -> None:
     _add_output_args(p)
 
 
-def _add_changeover_args(p: argparse.ArgumentParser) -> None:
+def _add_changeover_args(p: argparse.ArgumentParser, windows: bool = True) -> None:
     params = changeover.ChangeoverParams
     p.add_argument("--s", type=int, default=params.s, help="minimum body volume")
     p.add_argument("--q", type=float, default=params.q, help="edge window fraction (<= 0.5)")
     p.add_argument("--theta", type=float, default=params.theta, help="author-share threshold")
-    p.add_argument("--delta", type=float, default=params.delta, help="sliding window increment")
-    p.add_argument("--persistence", type=float, default=params.persistence,
-                   help="crossing persistence span")
+    if windows:  # the window grid's: only the commands that write curves read them
+        p.add_argument("--delta", type=float, default=params.delta, help="sliding window increment")
+        p.add_argument("--persistence", type=float, default=params.persistence,
+                       help="crossing persistence span")
 
 
 def _changeover_params(args) -> changeover.ChangeoverParams:
-    return changeover.ChangeoverParams(
-        s=args.s, q=args.q, theta=args.theta, delta=args.delta, persistence=args.persistence
-    )
+    knobs = ("s", "q", "theta", "delta", "persistence")  # one a command lacks keeps its default
+    return changeover.ChangeoverParams(**{k: getattr(args, k) for k in knobs if hasattr(args, k)})
 
 
 def _load(args, definitions: bool = True) -> tuple[Corpus, Definitions | None]:
@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matched-pairs", help="match changeovers with controls")
     _add_corpus_args(p)
-    _add_changeover_args(p)
+    _add_changeover_args(p, windows=False)
     p.set_defaults(func=cmd_matched_pairs)
 
     p = sub.add_parser("curves", help="aggregate usage and experience curves")

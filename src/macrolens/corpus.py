@@ -37,7 +37,6 @@ Decoding a manifest line costs one call of the C scanner that
 from __future__ import annotations
 
 import datetime
-import hashlib
 import io
 import json
 import operator
@@ -230,20 +229,6 @@ class LoadResult:
     corpus: Corpus
     skipped: int
     problems: list[str] = field(default_factory=list)
-    sha256: str = ""  # of the manifest bytes the corpus was parsed from
-
-
-class _HashedFile(io.FileIO):
-    """A file opened for reading that hashes the bytes read from it."""
-
-    def __init__(self, path: Path):
-        super().__init__(path)
-        self.sha256 = hashlib.sha256()
-
-    def readinto(self, buffer) -> int:
-        n = super().readinto(buffer)
-        self.sha256.update(memoryview(buffer)[:n])
-        return n
 
 
 def _field_problem(rec: dict, name: str, kind: type = str) -> ValueError:
@@ -256,12 +241,11 @@ def _field_problem(rec: dict, name: str, kind: type = str) -> ValueError:
     return ValueError(f"field {name!r} must be {expected}, not {type(rec[name]).__name__}")
 
 
-def _read_source(base_dir: Path, name: str) -> bytes:
-    """The bytes of a ``source_path`` record's file."""
-    return (base_dir / name).read_bytes()
+def _open_file(directory: Path, name: str) -> io.FileIO:
+    return io.FileIO(str(directory / name))  # a str: an error names it, not ``PosixPath(...)``
 
 
-def _parse_record(rec: dict, base_dir: Path, read: Callable[[Path, str], bytes]) -> Paper:
+def _parse_record(rec: dict, base_dir: Path, open_file: Callable[..., io.FileIO]) -> Paper:
     if not isinstance(rec, dict):
         raise ValueError(f"record must be a JSON object, not {type(rec).__name__}")
     paper_id, raw_date, raw_authors = rec.get("id"), rec.get("date"), rec.get("authors")
@@ -286,7 +270,8 @@ def _parse_record(rec: dict, base_dir: Path, read: Callable[[Path, str], bytes])
     elif "source_path" in rec:
         if not isinstance(rec["source_path"], str):
             raise _field_problem(rec, "source_path")
-        data = io.BytesIO(read(base_dir, rec["source_path"]))
+        with open_file(base_dir, rec["source_path"]) as fh:
+            data = io.BytesIO(fh.readall())
         source = io.TextIOWrapper(data, encoding="utf-8").read()  # as ``Path.read_text`` reads
     else:
         raise ValueError("record has neither source nor source_path")
@@ -295,16 +280,19 @@ def _parse_record(rec: dict, base_dir: Path, read: Callable[[Path, str], bytes])
     return tuple.__new__(Paper, (paper_id, date, authors, title, source))
 
 
-def load_corpus(path: Path | str, read: Callable[[Path, str], bytes] = _read_source) -> LoadResult:
+def load_corpus(path: Path | str, open_file: Callable[..., io.FileIO] = _open_file) -> LoadResult:
     """Load a corpus from a JSONL manifest.
 
     Malformed records (bad JSON, bytes that are not UTF-8, bad date,
     duplicate authors, duplicate ids, missing source files) are skipped
     and counted, never silently dropped; each is listed in ``problems``,
     which the CLI logs at DEBUG, so a damaged snapshot does not flood the
-    log.  A missing manifest is fatal.  ``read(manifest directory,
-    source_path)`` gives a ``source_path`` record's bytes.  The manifest
-    is read once, and ``sha256`` hashes the bytes that were parsed.
+    log.  A missing manifest is fatal.  Each file is opened through one
+    hook, ``open_file(directory, name)``, that returns a raw binary file
+    (by default a plain unbuffered one): the manifest by its own directory
+    and name, each ``source_path`` by the manifest's directory.  Each is
+    read once (the manifest by ``readinto``, a source by ``readall``) and
+    closed; a source's open or read error is its record's problem.
     """
     path = Path(path)
     if not path.is_file():
@@ -316,8 +304,7 @@ def load_corpus(path: Path | str, read: Callable[[Path, str], bytes] = _read_sou
     problems: list[str] = []
     # A byte that is not UTF-8 decodes to a lone surrogate, so that only its
     # own line fails; no line that decoded cleanly holds one.
-    hashed = _HashedFile(path)
-    buffered = io.BufferedReader(hashed)
+    buffered = io.BufferedReader(open_file(base_dir, path.name))
     with io.TextIOWrapper(buffered, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():
@@ -331,7 +318,7 @@ def load_corpus(path: Path | str, read: Callable[[Path, str], bytes] = _read_sou
                         raise ValueError("trailing data")
                 except (StopIteration, ValueError):
                     rec = json.loads(line)
-                paper = _parse_record(rec, base_dir, read)
+                paper = _parse_record(rec, base_dir, open_file)
                 if paper.paper_id in seen_ids:
                     raise ValueError(f"duplicate paper id {paper.paper_id!r}")
             except Exception as exc:  # per-record failures are non-fatal
@@ -340,4 +327,4 @@ def load_corpus(path: Path | str, read: Callable[[Path, str], bytes] = _read_sou
                 continue
             seen_ids.add(paper.paper_id)
             papers.append(paper)
-    return LoadResult(Corpus.from_papers(papers), skipped, problems, hashed.sha256.hexdigest())
+    return LoadResult(Corpus.from_papers(papers), skipped, problems)

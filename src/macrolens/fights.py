@@ -23,10 +23,10 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from itertools import compress, pairwise
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus
 from .extraction import body_features
@@ -100,16 +100,14 @@ def _latest_unambiguous_variant(
 
 
 def _detect_fights(
-    timelines: Mapping,
+    timelines: Iterable[BodyTimeline],
     ledger: ExperienceLedger,
     filters: FightFilters,
 ) -> list[FightRecord]:
     candidates: list[FightRecord] = []
     want_authors = 3 if filters.three_author else 2
-    for tl in timelines.values():
+    for tl in timelines:
         if len(tl.distinct_authors()) < filters.min_distinct_authors:
-            continue
-        if len(tl.key[1]) < filters.min_shared_len:
             continue
         for occ in tl.occurrences:
             if len(occ.authors) != want_authors:
@@ -154,8 +152,10 @@ def detect_name_fights(
     ledger: ExperienceLedger,
     filters: FightFilters | None = None,
 ) -> list[FightRecord]:
-    """Fights over the name of a shared macro body."""
-    return _detect_fights(timelines, ledger, filters or FightFilters())
+    """Fights over the name of a shared macro body ``min_shared_len`` or longer."""
+    filters = filters or FightFilters()
+    shared = (tl for tl in timelines.values() if len(tl.key[1]) >= filters.min_shared_len)
+    return _detect_fights(shared, ledger, filters)
 
 
 def detect_body_fights(
@@ -166,12 +166,10 @@ def detect_body_fights(
     """Fights over the body of a shared macro name (roles swapped).
 
     ``name_timelines`` come from :func:`~macrolens.timelines.build_name_timelines`,
-    whose whitelist picks the names considered.  Of ``filters``, the
-    length filter is dropped (``min_shared_len`` taken as 0) since these
-    names and bodies are typically short.
+    whose whitelist picks the names considered.  ``min_shared_len`` is not
+    read, since these names and bodies are typically short.
     """
-    filters = replace(filters or FightFilters(), min_shared_len=0)
-    return _detect_fights(name_timelines, ledger, filters)
+    return _detect_fights(name_timelines.values(), ledger, filters or FightFilters())
 
 
 def balance_by_position(

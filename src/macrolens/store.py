@@ -16,53 +16,58 @@ A file is used only when its key matches, the files it was built from are
 unchanged, and the sha256 of each section that the open reads holds.  The
 key is the format, the Python version and byte order, and the sha256 of
 the source of ``corpus.py``, ``extraction.py`` (which fills the
-definitions' columns) and this module.  The files are the manifest and
-every ``source_path`` file the loader read.  For each, the build records
-the sha256 of the bytes it parsed, or a source's read error, beside the
-file's stat ``(st_size, st_mtime_ns, st_ctime_ns, st_ino, st_dev)``, taken
-just before the file was read.  The build's start is the mtime of its
-temporary store file, taken before the manifest is opened.
+definitions' columns) and this module.  The files are those the loader
+opened through its hook, to which the build passes ``_Reader``: the
+manifest and each ``source_path`` file.  Each gives one entry: its name,
+the sha256 of the bytes read (or the error that stopped the open or the
+read), and the stat ``(st_size, st_mtime_ns, st_ctime_ns, st_ino,
+st_dev)`` of the descriptor they came through.  The header keeps one
+list, the manifest's entry and then each distinct other entry once (a
+file that two reads saw differently keeps both, so the next open
+rebuilds).  The build's start is the mtime of its temporary store file,
+taken before the manifest is opened.
 
-An open stats each recorded file.  It trusts a file without reading it
-only when the stat equals the recorded one and the recorded mtime and
-ctime are both earlier than the build's start; otherwise it hashes the
-file again, and a different sha256 rebuilds the store (an equal one is a
-hit, and the file is not rewritten).  A recorded read error is checked by
-reading the file again.  This is git's rule for "racily clean" files
-(``Documentation/technical/racy-git.txt``): any change after the build
-took its stat stamps a ctime no earlier than the build's start, so it
-differs from a recorded ctime that is earlier, and no user program can
-set a ctime back.  An edit that keeps the size and restores the mtime is
-therefore seen, and so is a file swapped in by a rename (a new inode).
-The rule holds on filesystems that keep ctime and stamp files from one
-clock.  A file whose stat changed while its bytes did not (a ``touch``)
-is hashed once per open until the next build.  Anything else is rebuilt.
-When no file can be written the command loads and extracts the manifest
-as it stands, filling the same columns, after one DEBUG line.  Either way
-each source goes once it is extracted.  The file holds a JSON header,
-``array`` ints and UTF-8 string tables, so reading it runs no code;
-deleting it is always safe.
+An open checks the manifest's entry at the path it was given and the
+others in that path's directory.  It trusts a file without reading it only
+when its stat equals the recorded one and the recorded mtime and ctime are
+both earlier than the build's start; otherwise it reads the file again
+through ``_Reader``, and a different sha256 or error rebuilds the store
+(an equal one is a hit, and the file is not rewritten).  This is git's
+rule for "racily clean" files (``Documentation/technical/racy-git.txt``):
+any change after the build took its stat stamps a ctime no earlier than
+the build's start, so it differs from a recorded ctime that is earlier,
+and no user program can set a ctime back.  An edit that keeps the size and
+restores the mtime is therefore seen, and so is a file swapped in by a
+rename (a new inode).  The rule holds on filesystems that keep ctime and
+stamp files from one clock.  A file whose stat changed while its bytes did
+not (a ``touch``) is hashed once per open until the next build.  Anything
+else is rebuilt.  When no file can be written the command loads and
+extracts the manifest as it stands, filling the same columns, after one
+DEBUG line.  Either way each source goes once it is extracted.  The file
+holds a JSON header, ``array`` ints and UTF-8 string tables, so reading it
+runs no code; deleting it is always safe.
 
-Layout (format 6): magic, sha256 of the header, header length (8 bytes),
-header, then two sections for each table in ``_TABLES``: its int columns
-by its ``COLUMNS``, then its strings (the char offsets of each string
-into the text that follows, then that text).  The corpus comes first;
-the definitions' columns hold each paper's definitions, less their
-offsets, which no command reads, and its effective definitions with their
-convention flags.  The header holds the key, the resolved manifest path,
-the build's start, the recorded files, skip counts, problem lines without
-the manifest name, each table's column lengths, and each section's byte
-length and sha256.  An open reads the prefix and the header with
-``os.pread`` and parses the header once; then it maps only the sections
-it decodes (without definitions, the corpus's two) and checks their
-sha256s.  It copies the columns into arrays and decodes each table's
-text as one string before the file is unmapped; a corpus string is cut
-from that text only when a caller asks for it.  Lone surrogates pass
-through the tables by ``surrogatepass``.
+Layout (format 7): magic, sha256 of the header, header length (8 bytes),
+header, then one section for each table in ``_TABLES``: its int columns by
+its ``COLUMNS``, the char offsets of each of its strings into the text
+that follows, then that text.  The corpus comes first; the definitions'
+columns hold each paper's definitions, less their offsets, which no
+command reads, and its effective definitions with their convention flags.
+The header holds the key, the resolved manifest path, the build's start,
+the recorded-file list, skip counts, problem lines without the manifest
+name, each table's column lengths, and each section's byte length and
+sha256.  An open reads the prefix and the header with ``os.pread`` and
+parses the header once; then it maps only the sections it decodes (without
+definitions, the corpus's alone) and checks their sha256s.  It copies the
+columns into arrays and decodes each table's text as one string before the
+file is unmapped; a corpus string is cut from that text only when a caller
+asks for it.  Lone surrogates pass through the tables by
+``surrogatepass``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -81,7 +86,7 @@ from .extraction import Definitions, definition_columns, extract_definitions
 log = logging.getLogger(__name__)
 _problem_log = logging.getLogger("macrolens.corpus")  # the loader's problem lines
 
-_FORMAT = 6
+_FORMAT = 7
 _MAGIC = b"macrolens corpus store\n"
 # the fixed prefix: the magic, the sha256 of the header, the header's length
 _DIGEST, _LENGTH = slice(len(_MAGIC), len(_MAGIC) + 32), slice(len(_MAGIC) + 32, len(_MAGIC) + 40)
@@ -172,48 +177,65 @@ def _open_store(path: Path, definitions: bool) -> Opened:
     return _decode(*(stored or _write(file, path, key)), path, definitions)
 
 
-def _stat(file: Path | int) -> list[int]:
+def _stat(file: Path | int) -> tuple[int, ...]:
     """What a build records of a file's stat, and an open compares."""
     st = os.stat(file)
-    return [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev]
+    return st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev
 
 
-def _fingerprint(file: Path) -> tuple[str, list[int] | None, bytes | OSError]:
-    """(sha256 of the file's bytes, its stat just before they were read,
-    the bytes), or (its read error, None, the error)."""
-    try:
-        with open(file, "rb") as fh:
-            stat = _stat(fh.fileno())
-            data = fh.read()
-    except OSError as exc:
-        return f"{type(exc).__name__}: {exc}", None, exc
-    return hashlib.sha256(data).hexdigest(), stat, data
+class _Reader(io.FileIO):
+    """A file a build or a check reads.  It appends its entry ``[name,
+    sha256 of the bytes read (set on close), stat of its descriptor]`` to
+    ``entries``; an open or read that fails makes it ``[name, error, None]``."""
+
+    def __init__(self, directory: Path, name: str, entries: list):
+        self.entry, self.sha256 = [name, None, None], hashlib.sha256()
+        entries.append(self.entry)
+        self._checked(super().__init__, str(directory / name))  # a str: errors read as the loader's
+        self.entry[2] = self._checked(_stat, self.fileno())
+
+    def _checked(self, call, *args):
+        """``call(*args)``; an error it raises becomes this file's fingerprint."""
+        try:
+            return call(*args)
+        except OSError as exc:
+            self.entry[1:] = f"{type(exc).__name__}: {exc}", None
+            raise
+
+    def readinto(self, buffer) -> int:
+        n = self._checked(super().readinto, buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+    def readall(self) -> bytes:
+        data = self._checked(super().readall)
+        self.sha256.update(data)
+        return data
+
+    def close(self) -> None:
+        if self.entry[2] is not None:
+            self.entry[1] = self.sha256.hexdigest()
+        super().close()
 
 
-def _sha256(file: Path) -> str:
-    """The first item of ``_fingerprint(file)``, read in chunks."""
-    # one reused buffer: a new 1-MB chunk per read raised latex-heavy's peak RSS 1.2 MB
-    digest, buffer = hashlib.sha256(), bytearray(1 << 16)
-    try:
-        with open(file, "rb", buffering=0) as fh:
-            while n := fh.readinto(buffer):
-                digest.update(memoryview(buffer)[:n])
-    except OSError as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return digest.hexdigest()
-
-
-def _unchanged(file: Path, fingerprint: str, stat: list[int] | None, start: int) -> bool:
-    """Whether ``file`` still has the fingerprint that a build started at
-    ``start`` recorded with ``stat``: trusted unread when its stat is the
-    recorded one and was not racily clean, hashed again otherwise."""
+def _unchanged(directory: Path, name: str, fingerprint: str, stat: list | None, start: int) -> bool:
+    """Whether ``directory / name`` still has the fingerprint that a build
+    started at ``start`` recorded with ``stat``: trusted unread when its
+    stat is the recorded one and was not racily clean, read again through
+    ``_Reader`` otherwise."""
     if stat is not None and stat[1] < start and stat[2] < start:
         try:
-            if _stat(file) == stat:
+            if _stat(directory / name) == tuple(stat):
                 return True
         except OSError:
             return False
-    return _sha256(file) == fingerprint
+    entries: list[list] = []
+    # one reused buffer: a new 1-MB chunk per read raised latex-heavy's peak RSS 1.2 MB
+    buffer = bytearray(1 << 16)
+    with contextlib.suppress(OSError), _Reader(directory, name, entries) as fh:
+        while fh.readinto(buffer):
+            pass
+    return entries[0][1] == fingerprint
 
 
 def _write(file: Path, path: Path, key: dict) -> tuple[dict, memoryview]:
@@ -226,21 +248,19 @@ def _write(file: Path, path: Path, key: dict) -> tuple[dict, memoryview]:
     try:
         with os.fdopen(fd, "w+b") as fh:
             header, tables = _build(path, key, _stat(fd)[1])
-            header["sections"] = [_UNWRITTEN] * 2 * len(tables)
+            header["sections"] = [_UNWRITTEN] * len(tables)
             reserved = len(json.dumps(header))  # the header, padded with spaces to this length
             fh.seek(_LENGTH.stop + reserved)
             text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogatepass", newline="")
             ends = []
             while tables:  # each table's columns and strings go once written
-                cols, offsets, strings = tables.pop(0)
+                cols, strings = tables.pop(0)
                 fh.writelines(cols)
-                ends.append(fh.tell())
-                fh.write(offsets)
                 text.writelines(strings)
                 text.flush()
                 ends.append(fh.tell())
             text.detach()
-            del cols, offsets, strings
+            del cols, strings
             # read back once the build's columns and strings are gone, so
             # that they and the file's bytes are never held together
             fh.seek(_LENGTH.stop + reserved)
@@ -260,33 +280,26 @@ def _write(file: Path, path: Path, key: dict) -> tuple[dict, memoryview]:
 
 def _build(path: Path, key: dict, start: int) -> tuple[dict, list[tuple]]:
     """Loads and extracts ``path``: the store's header, less its sections,
-    and each table's int columns, string offsets and strings, in table
-    order.  The manifest and each ``source_path`` file are stat'ed just
-    before they are read, and read once."""
-    read: list[tuple] = []
-
-    def recorded(base_dir: Path, name: str) -> bytes:
-        fingerprint, stat, data = _fingerprint(base_dir / name)
-        read.append((name, fingerprint, stat))
-        if isinstance(data, OSError):
-            raise data  # the loader's own error
-        return data
-
-    manifest = _stat(path)
-    result = load_corpus(path, recorded)
+    and each table's int columns (its string offsets last) and strings, in
+    table order.  The manifest and each ``source_path`` file are read once,
+    through ``_Reader``; the header records the manifest's entry first,
+    then each distinct entry of the others once."""
+    entries: list[list] = []
+    result = load_corpus(path, lambda directory, name: _Reader(directory, name, entries))
     defs, defs_skipped = _extract(result.corpus)
     tables = [
-        (list(table.columns().values()),
-         array(COLUMN_TYPE, accumulate(map(len, table.strings), initial=0)), table.strings)
+        ([*table.columns().values(),
+          array(COLUMN_TYPE, accumulate(map(len, table.strings), initial=0))], table.strings)
         for table in (result.corpus, defs)  # as in ``_TABLES``
     ]
+    manifest, *sources = map(tuple, entries)
     prefix = len(path.name) + 1  # the problem lines' "<manifest name>:"
     header = {
         "key": key, "path": os.fsdecode(path.resolve()), "start": start,
-        "manifest": (result.sha256, manifest), "read": read, "skipped": result.skipped,
+        "read": [manifest, *dict.fromkeys(sources)], "skipped": result.skipped,
         "definitions_skipped": defs_skipped,
         "problems": [line[prefix:] for line in result.problems],
-        "columns": [[*map(len, cols), len(offsets)] for cols, offsets, _ in tables],
+        "columns": [list(map(len, cols)) for cols, _ in tables],
     }
     return header, tables
 
@@ -332,11 +345,11 @@ def _read(file: Path, path: Path, key: dict, definitions: bool) -> tuple[dict, m
         header, holds, pos = _header(fh.fileno())
         if not holds or header["key"] != key:
             return None
-        files = [(path, *header["manifest"])]
-        files += ((path.parent / name, digest, stat) for name, digest, stat in header["read"])
-        if not all(_unchanged(file, digest, stat, header["start"]) for file, digest, stat in files):
-            return None
-        sections = header["sections"][:None if definitions else 2]
+        (_, *manifest), *sources = header["read"]  # the manifest: the file at ``path``
+        for name, fingerprint, stat in [(path.name, *manifest), *sources]:
+            if not _unchanged(path.parent, name, fingerprint, stat, header["start"]):
+                return None
+        sections = header["sections"][:None if definitions else 1]
         size = sum(length for length, _ in sections)
         # mapped, not read into a buffer: a warm open's page faults halve;
         # unmapped once ``_decode`` has copied the columns and text out, so
@@ -356,10 +369,11 @@ def _decode(header: dict, data: memoryview, path: Path, definitions: bool) -> Op
     """The corpus, definitions (if asked for) and skip counts that a store
     file's sections hold, from the first on; ``data`` is released once
     they are copied out."""
-    tables, pos, sizes = [], 0, iter(length for length, _ in header["sections"])
+    tables, pos = [], 0
     with data:  # the tables keep copies of their columns and text
-        for table, lengths in zip(_TABLES[:2 if definitions else 1], header["columns"]):
-            end = pos + next(sizes) + next(sizes)
+        for table, lengths, (size, _) in zip(
+                _TABLES[:2 if definitions else 1], header["columns"], header["sections"]):
+            end = pos + size
             cols = []
             for length in lengths:
                 cols.append(array(COLUMN_TYPE))

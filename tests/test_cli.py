@@ -195,7 +195,7 @@ class TestArgHandling:
         assert capsys.readouterr().err == "macrolens: error: gap bucket edges must be at least 1\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["changeovers", "matched-pairs", "curves"])
+    @pytest.mark.parametrize("command", ["changeovers", "curves"])
     @pytest.mark.parametrize("persistence", ["inf", "nan"])
     def test_persistence_must_be_finite(self, command, persistence, synth_corpus, tmp_path, capsys):
         # the corpus holds changeovers, so a crossing point would be sought
@@ -209,7 +209,7 @@ class TestArgHandling:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["changeovers", "matched-pairs", "curves"])
+    @pytest.mark.parametrize("command", ["changeovers", "curves"])
     def test_persistence_past_the_grid_is_the_whole_grid(self, command, synth_corpus, tmp_path):
         # 1e308 / delta overflows to inf; 1 already spans the whole grid
         trees = []
@@ -221,7 +221,7 @@ class TestArgHandling:
             trees.append({p.relative_to(out): p.read_bytes() for p in files})
         assert trees[0] == trees[1]
 
-    @pytest.mark.parametrize("command", ["changeovers", "matched-pairs", "curves"])
+    @pytest.mark.parametrize("command", ["changeovers", "curves"])
     def test_delta_whose_grid_is_too_large(self, command, synth_corpus, tmp_path, capsys,
                                            monkeypatch):
         # the check reads delta alone: no grid is built, and nothing is written
@@ -292,7 +292,7 @@ class TestArgHandling:
 # The sha256 of every parser's argparse actions, as ``_surface`` lists them.
 # It changes only when a flag, choice, default, type, nargs or action class
 # does; recompute it with ``_surface_digest()`` after such a change on purpose.
-SURFACE_SHA256 = "37a02f92ee41e3226dae2443db83157f050f7b7be6f95fc5008a42fb18743f5e"
+SURFACE_SHA256 = "f97750bded2c8c378e96d1d83ba68e7a7011299d0b9018220639173233c521a6"
 
 
 def _parsers(name: str, parser: argparse.ArgumentParser):
@@ -382,6 +382,20 @@ def test_option_of_another_mode_exits_2(mode, options, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("options", [["--delta", "0.1"], ["--persistence", "0.1"]],
+                         ids=" ".join)
+def test_matched_pairs_refuses_the_window_options(options, tmp_path, capsys):
+    """``matched-pairs`` writes no curve, so it declares neither window
+    option: each exits 2 while parsing, before the absent corpus is read."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        invoke("matched-pairs", "--corpus", str(tmp_path / "absent.jsonl"), "--out", str(out),
+               *options)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(options)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSurface:
     def test_every_subcommand_is_pinned(self):
         names = [name for name, _ in _surface()]
@@ -395,6 +409,10 @@ class TestSurface:
                 "action": "_SubParsersAction"} == fights_actions[1]
         flags = {name: [f for a in actions for f in a["flags"]] for name, actions in _surface()}
         every = ["-h", "--help", "--corpus", "--out", "--format"]
+        knobs = ["--s", "--q", "--theta"]
+        assert flags["matched-pairs"] == [*every, *knobs]  # it writes no curve
+        for command in ("changeovers", "curves"):
+            assert flags[command] == [*every, *knobs, "--delta", "--persistence"]
         fight = ["--seed", "--min-authors", "--three-author"]
         assert flags["fights name"] == [*every, *fight, "--min-body-len", "--bucket-edges"]
         assert flags["fights body"] == [*every, *fight, "--whitelist", "--bucket-edges"]

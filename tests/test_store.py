@@ -104,6 +104,17 @@ def golden(tmp_path) -> Path:
     return tmp_path / "golden" / "manifest.jsonl"
 
 
+def doubled(golden: Path) -> Path:
+    """The golden manifest and its records again under fresh ids, beside
+    it: 40 records that name the same 20 source files."""
+    lines = golden.read_text(encoding="utf-8").splitlines()
+    manifest = golden.with_name("doubled.jsonl")
+    manifest.write_text("".join(
+        line + "\n" for line in lines + [line.replace('"id": "g', '"id": "h') for line in lines]
+    ), encoding="utf-8")
+    return manifest
+
+
 # ---------------------------------------------------------------------------
 # Round trip
 # ---------------------------------------------------------------------------
@@ -215,8 +226,7 @@ def _built_from_settled_files(golden: Path) -> Path:
     open_corpus(golden)
     [file] = store_files()
     header = store_header(file)
-    recorded = [header["manifest"][1], *(stat for _, _, stat in header["read"])]
-    assert all(max(stat[1], stat[2]) < header["start"] for stat in recorded)
+    assert all(max(stat[1], stat[2]) < header["start"] for _, _, stat in header["read"])
     return golden.parent / "g01.tex"
 
 
@@ -245,7 +255,9 @@ def test_source_edited_in_place_with_its_mtime_restored_rebuilds(golden, monkeyp
 
 
 def test_source_swapped_in_by_rename_rebuilds(golden, monkeypatch):
-    """Same size and mtime, moved over the source: its inode differs."""
+    """Same size and mtime, moved over the source: its inode differs.  Its
+    ctime is read as the recorded one, as where a rename keeps it, so the
+    inode alone tells."""
     source = _built_from_settled_files(golden)
     before = os.stat(source)
     swapped = source.with_suffix(".new")
@@ -255,18 +267,28 @@ def test_source_swapped_in_by_rename_rebuilds(golden, monkeypatch):
     after = os.stat(source)
     assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
     assert after.st_ino != before.st_ino
-    _rebuilt_with_the_edit(golden, monkeypatch)
+    stat = store._stat
+
+    def ctime_kept(file):
+        now = stat(file)
+        return (*now[:2], before.st_ctime_ns, *now[3:]) if file == source else now
+
+    with monkeypatch.context() as m:
+        m.setattr(store, "_stat", ctime_kept)
+        _rebuilt_with_the_edit(golden, m)
 
 
 def _hashes(monkeypatch) -> Counter:
-    """Counts, by file name, the files a store open hashes again."""
-    hashed, sha256 = Counter(), store._sha256
+    """Counts, by file name, the files a store open reads, to build or to
+    check them, through the store's one reader."""
+    hashed = Counter()
 
-    def counted(file: Path) -> str:
-        hashed[file.name] += 1
-        return sha256(file)
+    class Counted(store._Reader):
+        def __init__(self, directory: Path, name: str, entries: list):
+            hashed[name] += 1
+            super().__init__(directory, name, entries)
 
-    monkeypatch.setattr(store, "_sha256", counted)
+    monkeypatch.setattr(store, "_Reader", Counted)
     return hashed
 
 
@@ -292,8 +314,8 @@ def test_racily_clean_manifest_is_hashed_on_every_open(golden, monkeypatch):
     open_corpus(golden)
     [file] = store_files()
     header = store_header(file)
-    recorded = header["manifest"][1]
-    assert recorded[1] >= header["start"]
+    [name, _, recorded] = header["read"][0]  # the manifest's entry comes first
+    assert name == golden.name and recorded[1] >= header["start"]
     hashed = _hashes(monkeypatch)
     for opens in (1, 2):
         assert_fresh(open_hit(golden, monkeypatch), golden)
@@ -301,7 +323,7 @@ def test_racily_clean_manifest_is_hashed_on_every_open(golden, monkeypatch):
     golden.write_bytes(golden.read_bytes().replace(b'"Golden case 1"', b'"Golden case 9"', 1))
     stat = store._stat
     with monkeypatch.context() as m:  # the edit's stat, had it kept the recorded timestamps
-        m.setattr(store, "_stat", lambda f: recorded if f == golden else stat(f))
+        m.setattr(store, "_stat", lambda f: tuple(recorded) if f == golden else stat(f))
         assert open_corpus(golden).corpus.paper(0).title == "Golden case 9"
     assert_fresh(open_hit(golden, monkeypatch), golden)
 
@@ -335,33 +357,123 @@ def test_moved_manifest_gets_its_own_store(golden, tmp_path, monkeypatch):
     assert_fresh(open_hit(moved / "manifest.jsonl", monkeypatch), moved / "manifest.jsonl")
 
 
+def test_manifest_opened_through_a_link_elsewhere(golden, tmp_path, monkeypatch):
+    """A symlink with another name, in another directory: the store file is
+    the target's (its key is the resolved path), the manifest's entry is
+    checked at the path given, problem lines name that path, and the
+    ``source_path`` files resolve from its directory, as a load of the
+    link without a store gives."""
+    with open(golden, "a", encoding="utf-8") as fh:
+        fh.write("{not json\n")
+    other = tmp_path / "other"
+    other.mkdir()
+    for source in golden.parent.glob("*.tex"):  # the same bytes under other inodes
+        shutil.copyfile(source, other / source.name)
+    link = other / "link.jsonl"
+    link.symlink_to(golden)
+    settle(golden.parent)
+    open_corpus(golden)
+    opened = open_hit(link, monkeypatch)  # no ``other / "manifest.jsonl"`` is read
+    assert len(store_files()) == 1
+    assert_fresh(opened, link)
+    assert [line.split(":")[0] for line in opened.problems] == ["link.jsonl"]
+    # a source named like the manifest is a file of the link's directory,
+    # though the target's build read it as the manifest
+    with open(golden, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "self", "date": "2001-01", "authors": ["x"],
+                             "source_path": "manifest.jsonl"}) + "\n")
+    (other / "manifest.jsonl").write_text("\\def\\Self{S}\n", encoding="utf-8")
+    open_corpus(golden)
+    opened = open_corpus(link)  # rebuilt: the link's "manifest.jsonl" is another file
+    assert_fresh(opened, link)
+    assert [d.body for d in definition_records(opened.corpus, opened.definitions)["self"]] == ["S"]
+    (other / "g01.tex").write_text("\\def\\Reals{\\mathbb{Q}}\n", encoding="utf-8")
+    opened = open_corpus(link)  # rebuilt from the link's edited source
+    assert_fresh(opened, link)
+    records = definition_records(opened.corpus, opened.definitions)
+    assert [d.body for d in records["g01"]] == ["\\mathbb{Q}"]
+    assert len(store_files()) == 1
+    assert_fresh(open_hit(link, monkeypatch), link)
+    (other / "g02.tex").unlink()
+    opened = open_corpus(link)
+    assert_fresh(opened, link)
+    assert any(repr(os.fspath(other / "g02.tex")) in line for line in opened.problems)
+    (tmp_path / "cache").write_text("", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))  # no store can be used
+    fallback = open_corpus(link)
+    assert (list(fallback.corpus), fallback.problems) == (list(opened.corpus), opened.problems)
+    assert fallback.definitions.columns() == opened.definitions.columns()
+
+
+def test_a_file_named_by_several_records_is_recorded_once(golden, monkeypatch):
+    """The manifest's entry, then each file's; an in-place edit of a shared
+    file that keeps its size and puts its mtime back still rebuilds."""
+    manifest = doubled(golden)
+    settle(golden.parent)
+    open_corpus(manifest)
+    [file] = store_files()
+    read = store_header(file)["read"]
+    assert [name for name, _, _ in read] == [manifest.name, *(f"g{i:02}.tex" for i in range(1, 21))]
+    source = golden.parent / "g01.tex"
+    before = os.stat(source)
+    source.write_bytes(source.read_bytes().replace(b"{R}", b"{Q}"))
+    os.utime(source, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.stat(source).st_size == before.st_size
+    opened = open_corpus(manifest)
+    assert_fresh(opened, manifest)
+    records = definition_records(opened.corpus, opened.definitions)
+    assert [d.body for d in records["g01"] + records["h01"]] == ["\\mathbb{Q}"] * 2
+    assert_fresh(open_hit(manifest, monkeypatch), manifest)
+
+
+def test_a_file_two_reads_saw_differently_keeps_both_entries(golden, monkeypatch):
+    """The file is rewritten between its two reads in one build: both
+    entries stay, so the next open finds one of them changed and rebuilds."""
+    manifest, source = doubled(golden), golden.parent / "g01.tex"
+    edits = [b"\\def\\Reals{\\mathbb{C}}\n"]
+
+    class EditedAfterItsFirstRead(store._Reader):
+        def close(self) -> None:
+            super().close()
+            if self.entry[0] == source.name and edits:
+                source.write_bytes(edits.pop())
+
+    with monkeypatch.context() as m:
+        m.setattr(store, "_Reader", EditedAfterItsFirstRead)
+        built = open_corpus(manifest)
+    records = definition_records(built.corpus, built.definitions)
+    assert [d.body for d in records["g01"] + records["h01"]] == ["\\mathbb{R}", "\\mathbb{C}"]
+    [file] = store_files()
+    read = store_header(file)["read"]
+    assert [name for name, _, _ in read].count(source.name) == 2 and len(read) == 22
+    with pytest.raises(AssertionError, match="not hit"):
+        open_hit(manifest, monkeypatch)
+    assert_fresh(open_corpus(manifest), manifest)
+    assert len(store_header(file)["read"]) == 21
+
+
 def test_a_build_decodes_the_bytes_it_wrote(golden, monkeypatch):
-    """A cold open fingerprints each ``source_path`` file once and does not
-    read the store file back by path; a warm open fingerprints no file
-    whose stat is unchanged."""
+    """A cold open reads the manifest and each ``source_path`` file once
+    through the store's reader, and does not read the store file back by
+    path; a warm open reads no file whose stat is unchanged."""
     sources = [json.loads(line)["source_path"] for line in golden.read_text("utf-8").splitlines()]
     assert len(set(sources)) == len(sources) == 20
     settle(golden.parent)
-    fingerprinted, read = _hashes(monkeypatch), []
-    fingerprint, read_bytes = store._fingerprint, Path.read_bytes
-
-    def counted(file: Path):
-        fingerprinted[file.name] += 1
-        return fingerprint(file)
+    readers, read = _hashes(monkeypatch), []
+    read_bytes = Path.read_bytes
 
     def recorded(file: Path) -> bytes:
         data = read_bytes(file)  # a missing file raises and is not recorded
         read.append(file)
         return data
 
-    for expected in (Counter(sources), Counter()):  # cold, then warm
-        fingerprinted.clear()
+    for expected in (Counter([golden.name, *sources]), Counter()):  # cold, then warm
+        readers.clear()
         read.clear()
         with monkeypatch.context() as m:
-            m.setattr(store, "_fingerprint", counted)
             m.setattr(Path, "read_bytes", recorded)
             opened = open_corpus(golden)
-        assert fingerprinted == expected
+        assert readers == expected
         [file] = store_files()
         assert read.count(file) == 0
         assert_fresh(opened, golden)
@@ -385,11 +497,12 @@ def test_code_change_rebuilds(golden, tmp_path, monkeypatch):
 
 
 def _section_bytes(file: Path) -> dict[str, range]:
-    """Where a store file's header, corpus sections and definitions
-    sections lie."""
+    """Where a store file's header, corpus section and definitions section
+    lie: one section per table."""
     with open(file, "rb") as fh:
         header, _, start = store._header(fh.fileno())
-    corpus_end = start + sum(length for length, _ in header["sections"][:2])
+    assert len(header["sections"]) == len(store._TABLES)
+    corpus_end = start + header["sections"][0][0]
     return {"header": range(store._LENGTH.stop, start), "corpus": range(start, corpus_end),
             "definitions": range(corpus_end, file.stat().st_size)}
 
@@ -399,7 +512,7 @@ def _section_bytes(file: Path) -> dict[str, range]:
 def test_damaged_store_file_rebuilds(golden, tmp_path, damage, monkeypatch):
     """One byte flipped in a section rebuilds the store when an open reads
     that section: an open without definitions reads the header and the
-    corpus's sections only."""
+    corpus's section only."""
     open_corpus(golden)
     [file] = store_files()
     data = file.read_bytes()
@@ -672,8 +785,8 @@ def _covered(spans: list[tuple[int, int]]) -> range:
 
 @pytest.mark.parametrize("definitions", [False, True])
 def test_a_warm_open_reads_only_the_sections_it_decodes(golden, monkeypatch, definitions):
-    """The prefix, the header and the corpus's sections, and the
-    definitions' sections only when definitions are asked for."""
+    """The prefix, the header and the corpus's section, and the
+    definitions' section only when definitions are asked for."""
     open_corpus(golden)
     [file] = store_files()
     sections = _section_bytes(file)
@@ -690,21 +803,18 @@ def test_a_warm_open_reads_no_manifest_byte_at_any_size(golden, monkeypatch):
     """Counting work instead of timing it: a warm open of the golden
     manifest and of that manifest doubled with fresh ids opens the same
     files besides its store file (neither the manifest nor a source) and
-    reads from the store only its prefix, header and corpus sections."""
+    reads from the store only its prefix, header and corpus section."""
     lines = golden.read_text(encoding="utf-8").splitlines()
-    doubled = golden.with_name("doubled.jsonl")
-    doubled.write_text("".join(
-        line + "\n" for line in lines + [line.replace('"id": "g', '"id": "h') for line in lines]
-    ), encoding="utf-8")
+    twice = doubled(golden)
     settle(golden.parent)
     reads = []
-    for manifest in (golden, doubled):
+    for manifest in (golden, twice):
         open_corpus(manifest)
         [file] = [f for f in store_files() if store_header(f)["path"] == str(manifest.resolve())]
         with monkeypatch.context() as m, opened_files() as opened:
             spans = _store_reads(file, m)
             assert len(open_hit(manifest, m, definitions=False).corpus) == len(lines) * (
-                1 + (manifest == doubled))
+                1 + (manifest == twice))
         assert _covered(spans) == range(0, _section_bytes(file)["corpus"].stop)
         del opened[os.fspath(file)]
         reads.append(opened)
