@@ -248,7 +248,7 @@ def cmd_fights(args) -> list[Table]:
     the gap table; with no fights the last two hold only their header and
     rows with ``n`` 0."""
     corpus, defs = _load(args)
-    ledger = ExperienceLedger(corpus)
+    ledger = CoauthorIndex(corpus)  # the experience ledger, and the features' co-author index
     if args.mode == "name":
         timelines = build_timelines(corpus, defs)
         filters = fights.FightFilters(args.min_authors, args.min_body_len, args.three_author)
@@ -274,8 +274,7 @@ def cmd_fights(args) -> list[Table]:
             ],
         ),
         Table(f"{args.mode}_fight_features", (*fights.FIGHT_FEATURE_COLUMNS, "label"),
-              fights.fight_feature_matrix(fight_list, timelines, corpus, ledger,
-                                          CoauthorIndex(corpus))),
+              fights.fight_feature_matrix(fight_list, timelines, corpus, ledger, ledger)),
         _gap_table(f"{args.mode}_fight_gap_table", "older_win_rate", gap_rows),
     ]
 

@@ -2,7 +2,7 @@
 
 CSV is the canonical interchange format (quoted fields, UTF-8, header
 row, LF line endings so output bytes are platform-independent); JSON
-mirrors every table field-for-field.
+mirrors every table field-for-field, with LF line endings too.
 
 A CSV field is the cell's text as :func:`fmt_value` gives it, between
 double quotes, with each ``"`` in it doubled; nothing else is escaped.
@@ -83,25 +83,28 @@ def _write_csv(fh, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
+def _write_json(fh, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """``json.dump``'s bytes and a newline, encoded ``BLOCK_ROWS`` row objects at a time."""
+    encode = json.JSONEncoder(indent=2, sort_keys=True, ensure_ascii=False).encode
+    rows, separator = iter(rows), "[\n"
+    while block := list(islice(rows, BLOCK_ROWS)):
+        fh.write(separator + encode([dict(zip(header, row)) for row in block])[2:-2])
+        separator = ",\n"
+    fh.write("[]\n" if separator == "[\n" else "\n]\n")
+
+
 def write_table(
     base: Path, header: Sequence[str], rows: Iterable[Sequence], fmt: str = "csv"
 ) -> Path:
     """Write one table as ``<base>.csv`` or ``<base>.json``, reading
     ``rows`` once."""
     base.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        path = base.with_suffix(".csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, header, rows)
-        return path
-    if fmt == "json":
-        path = base.with_suffix(".json")
-        payload = [dict(zip(header, row)) for row in rows]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
-            fh.write("\n")
-        return path
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    path = base.with_suffix(f".{fmt}")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        (_write_csv if fmt == "csv" else _write_json)(fh, header, rows)
+    return path
 
 
 def corpus_summary(corpus: Corpus, definitions: Definitions) -> dict[str, float | int]:

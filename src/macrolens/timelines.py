@@ -196,38 +196,34 @@ class ExperienceLedger:
         return bisect_left(ranks, group_rank + 1, lo, hi) - bisect_left(ranks, group_rank, lo, hi)
 
 
-class CoauthorIndex:
-    """Each author's co-authors, each with the rank of their first joint paper.
+class CoauthorIndex(ExperienceLedger):
+    """The experience ledger, and each author's co-authors with the rank of
+    their first joint paper.
 
-    ``neighbours(a)[b]`` and ``neighbours(b)[a]`` are that rank, so a graph
-    over a set of authors costs the sum of their co-author counts rather
-    than a test per pair.  Only papers with two or more authors are read.
+    ``neighbours(a)`` reads ``a``'s papers with two or more authors from the
+    ledger's run once, when first asked; the run is in corpus order, so each
+    co-author keeps the first joint paper's rank.  No pair table is built.
     """
 
     def __init__(self, corpus: Corpus):
-        self._joint: dict[str, dict[str, int]] = {}
-        shared = map((2).__le__, corpus.author_counts())
-        for paper in compress(range(len(corpus)), shared):
-            rank = corpus.ranks[paper]
-            authors = corpus.authors(paper)
-            for i in range(len(authors)):
-                for j in range(i + 1, len(authors)):
-                    a, b = authors[i], authors[j]
-                    of_a = self._joint.setdefault(a, {})
-                    if b not in of_a:  # papers come in rank order
-                        of_a[b] = self._joint.setdefault(b, {})[a] = rank
+        super().__init__(corpus)
+        self._corpus, self._near = corpus, {}
 
     def neighbours(self, author: str) -> dict[str, int]:
-        return self._joint.get(author, {})
+        if author not in self._near:
+            corpus, near = self._corpus, self._near.setdefault(author, {})
+            offsets = corpus.author_offsets
+            for paper in self.positions_of(author):
+                if offsets[paper + 1] - offsets[paper] > 1:
+                    for b in corpus.authors(paper):
+                        near.setdefault(b, corpus.ranks[paper])
+            near.pop(author, None)  # every byline read lists the author too
+        return self._near[author]
 
     def coauthored_before(self, a: str, b: str, group_rank: int) -> bool:
-        """Whether ``a`` and ``b`` share a paper before ``group_rank``.
-
-        The package no longer calls this (:func:`coauthor_graph` walks
-        :meth:`neighbours`); it stays because ``perfbench/tracing.py``
-        patches it by name to count pair tests, and a traced run fails
-        without it.
-        """
+        """Whether ``a`` and ``b`` share a paper before ``group_rank``; no
+        package code calls it, but ``perfbench/tracing.py`` patches it by
+        name to count pair tests."""
         first = self.neighbours(a).get(b)
         return first is not None and first < group_rank
 

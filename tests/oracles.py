@@ -179,6 +179,23 @@ def oracle_coauthor_edges(
     return tuple(sorted(users)), tuple(sorted(edges))
 
 
+def former_coauthor_neighbours(corpus) -> dict[str, dict[str, int]]:
+    """Each author's co-authors with their first joint rank, as the former
+    eager ``CoauthorIndex`` built them for every author at once: k(k-1)/2
+    pair updates per k-author paper, papers in corpus order."""
+    joint: dict[str, dict[str, int]] = {}
+    for paper in range(len(corpus)):
+        rank = corpus.ranks[paper]
+        authors = corpus.authors(paper)
+        for i in range(len(authors)):
+            for j in range(i + 1, len(authors)):
+                a, b = authors[i], authors[j]
+                of_a = joint.setdefault(a, {})
+                if b not in of_a:  # papers come in rank order
+                    of_a[b] = joint.setdefault(b, {})[a] = rank
+    return joint
+
+
 def oracle_validate_matched_pair(pair, q: float, ratio_lo: float, ratio_hi: float, tol: float) -> list[str]:
     """Recheck a matched pair's invariants from its raw timelines.
 

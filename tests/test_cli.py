@@ -688,10 +688,11 @@ def test_definitions_rows_are_sized_and_read_once_per_write(synth_corpus, tmp_pa
     assert list(table.rows) == list(table.rows) and len(list(table.rows)) == len(table.rows)
 
 
-def _warm_extract_overhead(manifest: Path, out: Path, monkeypatch) -> int:
-    """tracemalloc peak of a warm CSV ``extract`` minus the live size
+def _warm_extract_overhead(manifest: Path, out: Path, monkeypatch, fmt: str) -> int:
+    """tracemalloc peak of a warm ``extract`` in ``fmt`` minus the live size
     right after its ``open_corpus``."""
-    assert invoke("extract", "--corpus", str(manifest), "--out", str(out)) == 0
+    argv = ("extract", "--corpus", str(manifest), "--out", str(out), "--format", fmt)
+    assert invoke(*argv) == 0
     live, open_corpus = [], store.open_corpus
 
     def open_and_mark(*args):
@@ -704,17 +705,18 @@ def _warm_extract_overhead(manifest: Path, out: Path, monkeypatch) -> int:
         patched.setattr(store, "open_corpus", open_and_mark)
         tracemalloc.start()
         try:
-            assert invoke("extract", "--corpus", str(manifest), "--out", str(out)) == 0
+            assert invoke(*argv) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     return peak - live[0]
 
 
-def test_warm_extract_holds_no_row_per_definition(tmp_path, monkeypatch):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_warm_extract_holds_no_row_per_definition(fmt, tmp_path, monkeypatch):
     """Doubling the papers (ten definitions each) grows a warm ``extract``'s
     memory beyond its open by less than a fixed buffer, not by a row tuple
-    per definition (about 79 B each, 1.2 MB here)."""
+    (about 79 B each, 1.2 MB here) or a row object per definition."""
     names = ["\\" + letter * k for k in (1, 2) for letter in "abcdefghijklmnopqrst"]
     overheads = []
     for n in (1500, 3000):
@@ -726,7 +728,7 @@ def test_warm_extract_holds_no_row_per_definition(tmp_path, monkeypatch):
                 fh.write(json.dumps({"id": f"p{i:05d}", "date": f"{2000 + i % 20}-01",
                                      "authors": [f"a{i % 50}"], "title": "t",
                                      "source": source}) + "\n")
-        overheads.append(_warm_extract_overhead(manifest, tmp_path / f"out{n}", monkeypatch))
+        overheads.append(_warm_extract_overhead(manifest, tmp_path / f"out{n}", monkeypatch, fmt))
     assert overheads[1] - overheads[0] < 64 * 1024, overheads
 
 

@@ -18,6 +18,7 @@ from macrolens.corpus import Corpus, Paper, normalize_author
 from macrolens.fights import STYLE_NAMES, TitleFightFilters, detect_title_fights
 from macrolens.store import open_corpus
 from macrolens.timelines import CoauthorIndex, ExperienceLedger
+from oracles import former_coauthor_neighbours
 from record_corpus import (
     RecordCoauthorIndex,
     RecordCorpus,
@@ -128,6 +129,35 @@ def test_coauthor_index(seed, source, tmp_path, monkeypatch):
         for b in authors:
             for rank in range(-1, top + 2, 7):
                 assert index.coauthored_before(a, b, rank) == expected.coauthored_before(a, b, rank)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("source", SOURCES)
+def test_coauthor_index_reads_each_asked_authors_papers_once(seed, source, tmp_path, monkeypatch):
+    """The index builds as the ledger does, decoding no byline; asked for
+    an author's co-authors, it decodes that author's papers with two or
+    more authors, once, and gives what the former eager build gave, in its
+    order."""
+    papers = seeded_papers(seed)
+    corpus = built(papers, tmp_path, monkeypatch, source)
+    former = former_coauthor_neighbours(corpus)
+    bylines = list(map(corpus.authors, range(len(corpus))))
+    decoded, authors_of = [], Corpus.authors
+
+    def counted(self, i):
+        decoded.append(i)
+        return authors_of(self, i)
+
+    monkeypatch.setattr(Corpus, "authors", counted)
+    index = CoauthorIndex(corpus)
+    assert decoded == []
+    for a in sorted({a for p in papers for a in p.authors}) + ["nobody"]:
+        shared = [i for i, byline in enumerate(bylines) if a in byline and len(byline) > 1]
+        assert list(index.neighbours(a).items()) == list(former.get(a, {}).items())
+        assert decoded == shared
+        decoded.clear()
+        assert list(index.neighbours(a).items()) == list(former.get(a, {}).items())
+        assert decoded == []
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -1,3 +1,4 @@
+import json
 import sys
 
 import numpy
@@ -141,3 +142,25 @@ class TestWriteCsvAgainstOracle:
         header = ("id", "label", "n", "x")
         path = report.write_table(tmp_path / "t", header, iter(rows), "csv")
         assert path.read_bytes() == oracle_csv(header, rows)
+
+
+JSON_CELLS = ["é∑ 李", 'q"', "x\ny", "a\x00b", float("nan"), float("inf"), float("-inf"), -0.0,
+              None, True, False, 2**70, 0, 2.5, numpy.float64(0.1), ""]
+
+
+def dumped(header, rows) -> bytes:
+    """The bytes the JSON writer wrote before it streamed: one ``json.dump``
+    of every row object, then a newline."""
+    payload = [dict(zip(header, row)) for row in rows]
+    return (json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode()
+
+
+@pytest.mark.parametrize("n", [0, 1, report.BLOCK_ROWS, report.BLOCK_ROWS + 1,
+                               2 * report.BLOCK_ROWS + 1])
+def test_json_blocks_write_json_dumps_bytes(n, tmp_path):
+    """JSON is written ``BLOCK_ROWS`` rows at a time from a one-pass
+    iterator, with the bytes of one ``json.dump`` of the whole table."""
+    header = ("é", 'k"', "b", "a")
+    rows = [tuple(JSON_CELLS[(i * 3 + j) % len(JSON_CELLS)] for j in range(4)) for i in range(n)]
+    path = report.write_table(tmp_path / "t", header, iter(rows), "json")
+    assert path.read_bytes() == dumped(header, rows)
