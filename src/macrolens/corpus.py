@@ -43,9 +43,9 @@ import operator
 import re
 import unicodedata
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -143,9 +143,10 @@ class Corpus(Columns):
     paper ``i``'s id, ``strings[n + i]`` its title, and
     ``author_ids[author_offsets[i]:author_offsets[i + 1]]`` its authors'
     ids in byline order, with one id per distinct author key.  ``dates[i]``
-    is its date.  ``sources`` holds each paper's source when
-    :meth:`from_papers` built the corpus, and is None when every source is
-    ``""`` (a corpus read back from a store).  A ``Paper`` record is built
+    is its date.  Only :meth:`from_papers` (so :func:`load_corpus`) keeps
+    each paper's source, in ``sources``; a corpus that :meth:`build` made
+    (the corpus store's build and its fallback) or a store read back has
+    None there, and every source is ``""``.  A ``Paper`` record is built
     only when a caller asks for one.
     """
 
@@ -153,31 +154,64 @@ class Corpus(Columns):
     sources: list[str] | None = None
 
     @classmethod
-    def from_papers(cls, papers: Iterable[Paper]) -> "Corpus":
-        ordered = sorted(papers, key=operator.itemgetter(1, 0))  # (date, paper_id)
+    def build(cls, papers: Iterable[Paper], take_source: Callable[[str, str], object]
+              ) -> tuple["Corpus", array | None]:
+        """The corpus of ``papers`` (unique ids), read once in the order
+        given, and where each of its papers came in that order, listed in
+        corpus order (None when they came in corpus order).
+
+        Each paper's id, title, date and author ids are appended as it is
+        read, an author key getting the next id on first sight, and its
+        source goes to ``take_source(source, paper_id)`` and is dropped.
+        The rows are then put in corpus order and the author ids renumbered
+        in corpus order of first sight, so the columns and strings do not
+        depend on the order given.
+        """
+        ids: list[str] = []
+        titles: list[str] = []
+        dates, counts, author_ids = array(COLUMN_TYPE), array(COLUMN_TYPE), array(COLUMN_TYPE)
+        authors = interner()
+        for paper_id, date, byline, title, source in papers:
+            ids.append(paper_id)
+            titles.append(title)
+            dates.append(date)
+            counts.append(len(byline))
+            author_ids.extend(map(authors.__getitem__, byline))
+            take_source(source, paper_id)
+        n = len(ids)
+        order = None
+        author_strings: Iterable[str] = authors
+        if not all(map(operator.lt, zip(dates, ids), islice(zip(dates, ids), 1, None))):
+            keys = list(zip(dates, ids))  # (date, paper_id)
+            order = array(COLUMN_TYPE, sorted(range(n), key=keys.__getitem__))
+            del keys
+            ids, titles = list(map(ids.__getitem__, order)), list(map(titles.__getitem__, order))
+            author_ids = array(COLUMN_TYPE, in_order(author_ids, counts, order))
+            dates, counts = (array(COLUMN_TYPE, map(column.__getitem__, order))
+                             for column in (dates, counts))
+            renumber = first_seen(author_ids)
+            author_strings = map(list(authors).__getitem__, renumber)
+            author_ids = map(renumber.__getitem__, author_ids)
         # strings: the paper ids (paper i's is string i), the titles, then each distinct author
-        n = len(ordered)
-        strings = [p.paper_id for p in ordered]
-        if len(dict.fromkeys(strings)) < n:
-            duplicate = next(pid for pid, k in Counter(strings).items() if k > 1)
-            raise ValueError(f"duplicate paper id {duplicate!r}")
-        strings.extend(p.title for p in ordered)
-        authors: dict[str, int] = {}
-        author_ids = array(COLUMN_TYPE, (
-            authors.setdefault(a, 2 * n + len(authors)) for p in ordered for a in p.authors
-        ))
-        strings.extend(authors)
-        dates = array(COLUMN_TYPE, (p.date for p in ordered))
         corpus = cls(
-            strings,
+            [*ids, *titles, *author_strings],
             dates=dates,
             ranks=_tie_group_ranks(dates),
-            author_offsets=array(COLUMN_TYPE, accumulate(
-                (len(p.authors) for p in ordered), initial=0
-            )),
-            author_ids=author_ids,
+            author_offsets=array(COLUMN_TYPE, accumulate(counts, initial=0)),
+            author_ids=array(COLUMN_TYPE, map((2 * n).__add__, author_ids)),
         )
-        corpus.sources = [p.source for p in ordered]
+        return corpus, order
+
+    @classmethod
+    def from_papers(cls, papers: Iterable[Paper]) -> "Corpus":
+        """The corpus of ``papers``, keeping each paper's source."""
+        sources: list[str] = []
+        corpus, order = cls.build(papers, lambda source, _: sources.append(source))
+        ids = corpus.strings[:len(sources)]
+        if len(set(ids)) < len(ids):
+            duplicate = next(pid for pid, k in Counter(ids).items() if k > 1)
+            raise ValueError(f"duplicate paper id {duplicate!r}")
+        corpus.sources = sources if order is None else list(map(sources.__getitem__, order))
         return corpus
 
     def __len__(self) -> int:
@@ -214,6 +248,31 @@ class Corpus(Columns):
             self.title(i),
             "" if self.sources is None else self.sources[i],
         ))
+
+
+def interner() -> defaultdict[str, int]:
+    """A mapping that gives each key it has not seen the next id, from 0."""
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__
+    return ids
+
+
+def rows_in_order(column: Sequence[int], counts: Sequence[int],
+                  order: Iterable[int]) -> Iterator[Sequence[int]]:
+    """The rows of ``column``, row ``i`` holding ``counts[i]`` values, taken
+    in ``order``."""
+    starts = array("q", accumulate(counts, initial=0))
+    return (column[starts[i]:starts[i + 1]] for i in order)
+
+
+def in_order(column: Sequence[int], counts: Sequence[int], order: Iterable[int]) -> Iterator[int]:
+    """The values of :func:`rows_in_order`, one row after another."""
+    return chain.from_iterable(rows_in_order(column, counts, order))
+
+
+def first_seen(ids: Iterable[int]) -> dict[int, int]:
+    """Each distinct id mapped to its place in order of first sight."""
+    return dict(zip(dict.fromkeys(ids), count()))
 
 
 def _tie_group_ranks(dates: Sequence[int]) -> array:
@@ -280,28 +339,28 @@ def _parse_record(rec: dict, base_dir: Path, open_file: Callable[..., io.FileIO]
     return tuple.__new__(Paper, (paper_id, date, authors, title, source))
 
 
-def load_corpus(path: Path | str, open_file: Callable[..., io.FileIO] = _open_file) -> LoadResult:
-    """Load a corpus from a JSONL manifest.
+def read_records(path: Path | str, problems: list[str],
+                 open_file: Callable[..., io.FileIO] = _open_file) -> Iterator[Paper]:
+    """The accepted records of a JSONL manifest, one at a time, in
+    manifest order.
 
     Malformed records (bad JSON, bytes that are not UTF-8, bad date,
-    duplicate authors, duplicate ids, missing source files) are skipped
-    and counted, never silently dropped; each is listed in ``problems``,
-    which the CLI logs at DEBUG, so a damaged snapshot does not flood the
-    log.  A missing manifest is fatal.  Each file is opened through one
-    hook, ``open_file(directory, name)``, that returns a raw binary file
-    (by default a plain unbuffered one): the manifest by its own directory
-    and name, each ``source_path`` by the manifest's directory.  Each is
-    read once (the manifest by ``readinto``, a source by ``readall``) and
+    duplicate authors, missing source files) are skipped, and so is a
+    record whose id an earlier accepted record has; each skip appends one
+    line to ``problems``, which the CLI logs at DEBUG, so a damaged
+    snapshot is never silently dropped and does not flood the log.  A
+    missing manifest is fatal.  Each file is opened through one hook,
+    ``open_file(directory, name)``, that returns a raw binary file (by
+    default a plain unbuffered one): the manifest by its own directory and
+    name, each ``source_path`` by the manifest's directory.  Each is read
+    once (the manifest by ``readinto``, a source by ``readall``) and
     closed; a source's open or read error is its record's problem.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"corpus manifest not found: {path}")
     base_dir = path.parent
-    papers: list[Paper] = []
     seen_ids: set[str] = set()
-    skipped = 0
-    problems: list[str] = []
     # A byte that is not UTF-8 decodes to a lone surrogate, so that only its
     # own line fails; no line that decoded cleanly holds one.
     buffered = io.BufferedReader(open_file(base_dir, path.name))
@@ -322,9 +381,15 @@ def load_corpus(path: Path | str, open_file: Callable[..., io.FileIO] = _open_fi
                 if paper.paper_id in seen_ids:
                     raise ValueError(f"duplicate paper id {paper.paper_id!r}")
             except Exception as exc:  # per-record failures are non-fatal
-                skipped += 1
                 problems.append(f"{path.name}:{lineno}: skipped record ({exc})")
                 continue
             seen_ids.add(paper.paper_id)
-            papers.append(paper)
-    return LoadResult(Corpus.from_papers(papers), skipped, problems)
+            yield paper
+
+
+def load_corpus(path: Path | str, open_file: Callable[..., io.FileIO] = _open_file) -> LoadResult:
+    """The corpus of a JSONL manifest's accepted records (see
+    :func:`read_records`), keeping every source, and what was skipped."""
+    problems: list[str] = []
+    corpus = Corpus.from_papers(read_records(path, problems, open_file))
+    return LoadResult(corpus, len(problems), problems)

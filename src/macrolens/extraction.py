@@ -83,12 +83,12 @@ from __future__ import annotations
 
 import re
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import COLUMN_TYPE, Columns
+from .corpus import COLUMN_TYPE, Columns, first_seen, in_order, interner, rows_in_order
 
 _ESCAPE = r"\\."
 # Brace groups nested deeper than this inside a body are left to the
@@ -359,7 +359,7 @@ class Definitions(Columns):
     and ``effective[i]`` effective definitions, the next ones of
     ``effective_name``, ``effective_body`` and ``effective_signature`` in
     name order.  ``convention`` is 1 where that definition is the paper's
-    convention for its body.  :func:`definition_columns` states both
+    convention for its body.  :class:`DefinitionRows` states both
     rules.  Each string has one id, so equal ids are equal strings.
     """
 
@@ -367,25 +367,53 @@ class Definitions(Columns):
                "effective_name", "effective_body", "effective_signature", "convention")
 
 
-def definition_columns(by_paper: Iterable[Sequence[MacroDefinition]]) -> Definitions:
-    """The columns of each paper's definitions, the papers in corpus order.
+_TEXT = ("name", "body", "command", "signature")  # a definition's string columns, in id order
+_EFFECTIVE = ("effective_name", "effective_body", "effective_signature")
+
+
+class DefinitionRows:
+    """Each paper's definitions appended as int rows over one string
+    table, one paper at a time; :meth:`definitions` gives their columns.
 
     A paper's definitions are read in offset order (a stable sort, so a tie
     keeps the order given).  The last definition of a name is its effective
     one (redefinition semantics).  Of the effective definitions of one body
     (``(signature, body)``), the earliest is the paper's convention for it;
-    an offset tie goes to the name defined first.
+    an offset tie goes to the name defined first.  A string gets the next id
+    when first seen, a paper's names first, then its bodies, commands and
+    signatures.
     """
-    ids: defaultdict[str, int] = defaultdict()
-    ids.default_factory = ids.__len__  # a new string gets the next id
-    cols = {column: array(COLUMN_TYPE) for column in Definitions.COLUMNS}
-    for defs in by_paper:
+
+    def __init__(self) -> None:
+        self.ids = interner()
+        self.cols = {column: array(COLUMN_TYPE) for column in Definitions.COLUMNS}
+        self.skipped = 0  # malformed definitions, counted by :meth:`extract`
+
+    def extract(self, source: str, paper_id: str) -> None:
+        """Appends the rows of the definitions found in ``source``."""
+        res = extract_definitions(source, paper_id)
+        self.skipped += res.skipped
+        self.append(res.definitions)
+
+    def append(self, defs: Sequence[MacroDefinition]) -> None:
+        """Appends one paper's rows."""
+        if len(defs) > 1:
+            self._append_general(defs)
+        elif not defs:
+            self.cols["counts"].append(0)
+            self.cols["effective"].append(0)
+        else:  # its own effective definition and its convention: nothing to sort
+            [(_, *texts, _)] = defs
+            name, body, command, signature = map(self.ids.__getitem__, texts)
+            for column, value in zip(Definitions.COLUMNS, (
+                    1, name, body, command, signature, 1, name, body, signature, 1)):
+                self.cols[column].append(value)
+
+    def _append_general(self, defs: Sequence[MacroDefinition]) -> None:
+        cols, ids = self.cols, self.ids
         cols["counts"].append(len(defs))
-        if not defs:
-            cols["effective"].append(0)
-            continue
         _, *texts, _ = zip(*defs)
-        for column, values in zip(("name", "body", "command", "signature"), texts):
+        for column, values in zip(_TEXT, texts):
             cols[column].extend(map(ids.__getitem__, values))
         effective = {d.name: d for d in sorted(defs, key=_OFFSET)}
         conventions: dict[tuple[str, str], str] = {}
@@ -394,11 +422,36 @@ def definition_columns(by_paper: Iterable[Sequence[MacroDefinition]]) -> Definit
         chosen = set(conventions.values())
         _, names, bodies, _, signatures, _ = zip(*(d for _, d in sorted(effective.items())))
         cols["effective"].append(len(names))
-        for column, values in zip(("effective_name", "effective_body", "effective_signature"),
-                                  (names, bodies, signatures)):
+        for column, values in zip(_EFFECTIVE, (names, bodies, signatures)):
             cols[column].extend(map(ids.__getitem__, values))
         cols["convention"].extend(map(chosen.__contains__, names))
-    return Definitions(list(ids), **cols)
+
+    def definitions(self, order: Sequence[int] | None = None) -> Definitions:
+        """The columns, the papers taken in ``order`` (by default as
+        appended), with string ids renumbered as if appended in that order."""
+        cols, strings = self.cols, list(self.ids)
+        if order is not None:
+            counts, effective = cols["counts"], cols["effective"]
+            renumber = first_seen(chain.from_iterable(chain.from_iterable(zip(
+                *(rows_in_order(cols[c], counts, order) for c in _TEXT)))))
+            strings = list(map(strings.__getitem__, renumber))
+            cols = {
+                "counts": array(COLUMN_TYPE, map(counts.__getitem__, order)),
+                "effective": array(COLUMN_TYPE, map(effective.__getitem__, order)),
+                **{c: array(COLUMN_TYPE, map(renumber.__getitem__, in_order(cols[c], n, order)))
+                   for n, names in ((counts, _TEXT), (effective, _EFFECTIVE)) for c in names},
+                "convention": array(COLUMN_TYPE, in_order(cols["convention"], effective, order)),
+            }
+        return Definitions(strings, **cols)
+
+
+def definition_columns(by_paper: Iterable[Sequence[MacroDefinition]]) -> Definitions:
+    """The columns of each paper's definitions, the papers in corpus order
+    (see :class:`DefinitionRows`)."""
+    rows = DefinitionRows()
+    for defs in by_paper:
+        rows.append(defs)
+    return rows.definitions()
 
 
 def name_features(name: str) -> tuple[float, float, float, float]:

@@ -6,11 +6,13 @@ and filled into a :class:`~macrolens.extraction.Definitions` (their
 effective definitions and conventions worked out once).  It reads them
 from one file per manifest under ``$XDG_CACHE_HOME/macrolens/`` (or
 ``~/.cache/macrolens/``), named by the sha256 of the resolved manifest path.
-On a miss the loader and the extractor run once, reading the manifest and
-each ``source_path`` file once, and write the file; the command decodes
-the bytes it wrote, read back through its own descriptor (so a process
-that replaces the file cannot change them).  Each build also deletes the
-store files, of any format, whose recorded manifest no longer exists.
+On a miss one pass over the manifest loads each record and extracts its
+source as it is read, so that one source is held at a time, reading the
+manifest and each ``source_path`` file once, and writes the file; the
+command decodes the bytes it wrote, read back through its own descriptor
+(so a process that replaces the file cannot change them).  Each build
+also deletes the store files, of any format, whose recorded manifest no
+longer exists.
 
 A file is used only when its key matches, the files it was built from are
 unchanged, and the sha256 of each section that the open reads holds.  The
@@ -41,11 +43,10 @@ restores the mtime is therefore seen, and so is a file swapped in by a
 rename (a new inode).  The rule holds on filesystems that keep ctime and
 stamp files from one clock.  A file whose stat changed while its bytes did
 not (a ``touch``) is hashed once per open until the next build.  Anything
-else is rebuilt.  When no file can be written the command loads and
-extracts the manifest as it stands, filling the same columns, after one
-DEBUG line.  Either way each source goes once it is extracted.  The file
-holds a JSON header, ``array`` ints and UTF-8 string tables, so reading it
-runs no code; deleting it is always safe.
+else is rebuilt.  When no file can be written the command runs the same
+pass into memory, after one DEBUG line.  The file holds a JSON header,
+``array`` ints and UTF-8 string tables, so reading it runs no code;
+deleting it is always safe.
 
 Layout (format 7): magic, sha256 of the header, header length (8 bytes),
 header, then one section for each table in ``_TABLES``: its int columns by
@@ -78,10 +79,10 @@ import sys
 from array import array
 from itertools import accumulate, pairwise, starmap
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .corpus import COLUMN_TYPE, Corpus, load_corpus
-from .extraction import Definitions, definition_columns, extract_definitions
+from .corpus import COLUMN_TYPE, Corpus, read_records
+from .extraction import DefinitionRows, Definitions
 
 log = logging.getLogger(__name__)
 _problem_log = logging.getLogger("macrolens.corpus")  # the loader's problem lines
@@ -117,23 +118,17 @@ class Opened(NamedTuple):
     definitions_skipped: int
 
 
-def _extract(corpus: Corpus) -> tuple[Definitions, int]:
-    """The columns of each paper's definitions, and the number of
-    malformed definitions skipped; the corpus's sources are taken from it,
-    and each is dropped once it is extracted."""
-    sources, corpus.sources = corpus.sources, None
-    skipped = 0
-
-    def extracted():
-        nonlocal skipped
-        for i, source in enumerate(sources):
-            sources[i] = None
-            res = extract_definitions(source, corpus.paper_id(i))
-            skipped += res.skipped
-            yield res.definitions
-
-    columns = definition_columns(extracted())  # counts ``skipped`` as it goes
-    return columns, skipped
+def _load(path: Path, definitions: bool, **hook: Callable[..., io.FileIO]) -> Opened:
+    """Loads ``path`` and, if asked for, extracts its definitions, in one
+    pass over the manifest: each accepted record's source is extracted as
+    it is read and then dropped, so one source is held at a time.  The
+    loader opens each file through ``hook`` (see ``read_records``)."""
+    problems: list[str] = []
+    rows = DefinitionRows()
+    corpus, order = Corpus.build(read_records(path, problems, **hook),
+                                 rows.extract if definitions else lambda source, paper_id: None)
+    return Opened(corpus, rows.definitions(order) if definitions else None,
+                  len(problems), problems, rows.skipped)
 
 
 def open_corpus(path: Path | str, definitions: bool = True) -> Opened:
@@ -147,11 +142,8 @@ def open_corpus(path: Path | str, definitions: bool = True) -> Opened:
             opened = _open_store(path, definitions)
         except Exception as exc:
             log.debug("corpus store not used for %s (%s: %s)", path.name, type(exc).__name__, exc)
-    if opened is None:  # not a build into memory, which measured 0.95-7.6x this load's CPU
-        result = load_corpus(path)
-        defs, defs_skipped = _extract(result.corpus) if definitions else (None, 0)
-        result.corpus.sources = None  # taken by ``_extract``; unread without definitions
-        opened = Opened(result.corpus, defs, result.skipped, result.problems, defs_skipped)
+    if opened is None:  # the build's pass, into memory
+        opened = _load(path, definitions)
     for line in opened.problems:
         _problem_log.debug(line)
     return opened
@@ -285,19 +277,18 @@ def _build(path: Path, key: dict, start: int) -> tuple[dict, list[tuple]]:
     through ``_Reader``; the header records the manifest's entry first,
     then each distinct entry of the others once."""
     entries: list[list] = []
-    result = load_corpus(path, lambda directory, name: _Reader(directory, name, entries))
-    defs, defs_skipped = _extract(result.corpus)
+    result = _load(path, True, open_file=lambda folder, name: _Reader(folder, name, entries))
     tables = [
         ([*table.columns().values(),
           array(COLUMN_TYPE, accumulate(map(len, table.strings), initial=0))], table.strings)
-        for table in (result.corpus, defs)  # as in ``_TABLES``
+        for table in result[:2]  # as in ``_TABLES``
     ]
     manifest, *sources = map(tuple, entries)
     prefix = len(path.name) + 1  # the problem lines' "<manifest name>:"
     header = {
         "key": key, "path": os.fsdecode(path.resolve()), "start": start,
         "read": [manifest, *dict.fromkeys(sources)], "skipped": result.skipped,
-        "definitions_skipped": defs_skipped,
+        "definitions_skipped": result.definitions_skipped,
         "problems": [line[prefix:] for line in result.problems],
         "columns": [list(map(len, cols)) for cols, _ in tables],
     }

@@ -59,7 +59,7 @@ def test_battery_digest_with_cold_and_warm_corpus_stores(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "warm-cache"))
     battery_lines(tmp_path / "warm")
     shutil.rmtree(tmp_path / "warm" / "battery")
-    monkeypatch.setattr(store, "load_corpus", None)  # a load would fail the command
+    monkeypatch.setattr(store, "read_records", None)  # a load would fail the command
     assert battery_lines(tmp_path / "warm") == expected
 
 
@@ -69,13 +69,13 @@ def test_battery_digest_without_a_usable_corpus_store(tmp_path, monkeypatch):
     expected = (DATA / "battery_digest.txt").read_text(encoding="utf-8").splitlines()
     (tmp_path / "cache").write_text("", encoding="utf-8")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    load, loads = store.load_corpus, []
+    load, loads = store.read_records, []
 
     def counted(*args):
         loads.append(args)
         return load(*args)
 
-    monkeypatch.setattr(store, "load_corpus", counted)
+    monkeypatch.setattr(store, "read_records", counted)
     assert battery_lines(tmp_path / "fallback") == expected
     assert len(loads) == 2 * 2 * len(CORPUS_COMMANDS)  # manifests, formats, commands
 

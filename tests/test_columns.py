@@ -10,11 +10,13 @@ it and as the loader reads it when no store can be used.
 
 import json
 import random
+from array import array
 
 import pytest
 
 from macrolens import store
-from macrolens.corpus import Corpus, Paper, normalize_author
+from macrolens.corpus import COLUMN_TYPE, Corpus, Paper, normalize_author
+from macrolens.extraction import DefinitionRows, extract_definitions
 from macrolens.fights import STYLE_NAMES, TitleFightFilters, detect_title_fights
 from macrolens.store import open_corpus
 from macrolens.timelines import CoauthorIndex, ExperienceLedger
@@ -75,7 +77,7 @@ def built(papers, tmp_path, monkeypatch, source: str) -> Corpus:
     if source == "store hit":
         open_corpus(manifest)
         with monkeypatch.context() as m:
-            m.setattr(store, "load_corpus", None)  # a load would fail the open
+            m.setattr(store, "read_records", None)  # a load would fail the open
             return open_corpus(manifest, definitions=False).corpus
     (tmp_path / "cache").write_text("", encoding="utf-8")  # no store can be used
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
@@ -180,3 +182,36 @@ def test_title_fights(seed, source, tmp_path, monkeypatch):
     # every style both shows and does not, so a test that always says one thing fails
     assert all(seen == {0, 1} for seen in indicators.values()), indicators
     assert profiled == set(STYLE_NAMES)
+
+
+# Sources of zero, one and several definitions, whose names and bodies
+# recur across papers: one \def, one \newcommand with an optional argument's
+# default, a redefinition, two names of one body, and a malformed definition.
+_DEFINITION_SOURCES = [
+    "", "no definitions", "\\def\\R{\\mathbb{R}}", "\\def\\x#1#2{#1+#2}",
+    "\\newcommand{\\e}[2][x]{#1^{#2}}", "\\newcommand\\R[1][\\mathbb{R}]{#1}",
+    "\\def\\a{1}\\def\\b{1}\\def\\a{2}", "\\def\\R{\\mathbb{R}}\\def\\N{\\mathbb{N}}",
+    "\\newcommand{\\N}{\\mathbb{N}}\\renewcommand{\\N}{N}\\def\\bad{",
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_one_definition_rows_equal_the_general_rows(seed):
+    """A paper with one definition takes the appender's fast path (no sort,
+    no dict): its rows and string ids equal the general path's, in the
+    order appended and in any other."""
+    rng = random.Random(seed)
+    by_paper = [extract_definitions(rng.choice(_DEFINITION_SOURCES), p.paper_id).definitions
+                for p in seeded_papers(seed)]
+    singles = [defs[0] for defs in by_paper if len(defs) == 1]
+    assert {d.command for d in singles} == {"def", "newcommand"}
+    assert any(d.signature.startswith("[2][") for d in singles)
+    fast, general = DefinitionRows(), DefinitionRows()
+    for defs in by_paper:
+        fast.append(defs)
+        general._append_general(defs) if defs else general.append(defs)
+    order = array(COLUMN_TYPE, rng.sample(range(len(by_paper)), len(by_paper)))
+    for arranged in (None, order):
+        got, expected = fast.definitions(arranged), general.definitions(arranged)
+        assert got.columns() == expected.columns()
+        assert got.strings == expected.strings

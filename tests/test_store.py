@@ -13,10 +13,12 @@ import json
 import logging
 import mmap
 import os
+import random
 import shutil
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -26,12 +28,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from battery_digest import digest_lines, run_battery
-from macrolens import store
+from macrolens import extraction, store, synth
 from macrolens.cli import run
 from macrolens.corpus import load_corpus
 from macrolens.extraction import definition_columns
 from macrolens.store import open_corpus
 from record_corpus import definition_records, extract_all, group_ranks
+from test_battery_digest import SYNTH
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -60,7 +63,7 @@ def open_hit(manifest: Path, monkeypatch, definitions: bool = True) -> store.Ope
         raise AssertionError("the corpus store was not hit")
 
     with monkeypatch.context() as m:
-        m.setattr(store, "load_corpus", no_load)
+        m.setattr(store, "read_records", no_load)
         return open_corpus(manifest, definitions)
 
 
@@ -848,3 +851,141 @@ def test_a_build_opens_a_missing_source_once(golden, tmp_path, monkeypatch):
     fallback = open_corpus(golden)
     assert len(built.problems) == 1 and "No such file or directory" in built.problems[0]
     assert fallback.problems == built.problems
+
+
+# ---------------------------------------------------------------------------
+# The cold build's one pass over the manifest
+# ---------------------------------------------------------------------------
+
+def _write_records(manifest: Path, records: list[dict]) -> Path:
+    manifest.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+    return manifest
+
+
+def _cold_peak(manifest: Path) -> int:
+    """The tracemalloc peak, in bytes, of a cold ``open_corpus`` of
+    ``manifest`` into an empty cache of its own."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("XDG_CACHE_HOME", str(manifest.with_suffix(".cache")))
+        tracemalloc.start()
+        try:
+            open_corpus(manifest)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_a_cold_build_holds_one_source_at_a_time(tmp_path):
+    """Counting memory instead of timing: a cold build over 2n papers with
+    100-kB inline sources peaks less than one source above the build over n."""
+    source = "\\def\\R{\\mathbb{R}}\n" + "%" * 100_000
+    _cold_peak(_write_records(tmp_path / "warm-up.jsonl", [  # the code's own first-use caches
+        {"id": "w", "date": "2001-01", "authors": ["W"], "source": source}]))
+    peaks = [_cold_peak(_write_records(tmp_path / f"m{n}.jsonl", [
+        {"id": f"p{i}", "date": "2001-01", "authors": [f"A{i}"], "source": source}
+        for i in range(n)])) for n in (4, 8)]
+    assert peaks[1] - peaks[0] < len(source)
+
+
+def test_a_cold_build_holds_less_per_record_than_its_manifest_line(tmp_path):
+    """A cold build over 2n short records peaks above the build over n by
+    less than the n added lines' bytes: it keeps a record's id, title, date
+    and author and definition ids, not a ``Paper`` with its author keys and
+    source.  The manifest is in reverse corpus order, so the rows are
+    sorted and their string ids renumbered too."""
+    def records(n):
+        return [{"id": f"p{i:06d}", "date": f"{2000 + (n - i) // 12 % 20}-{(n - i) % 12 + 1:02d}",
+                 "authors": [f"Author Name {(i + j) % 40}" for j in range(8)],
+                 "title": f"A title {i}", "source": "\\def\\R{\\mathbb{R}}" + "%" * 280}
+                for i in range(n)]
+
+    _cold_peak(_write_records(tmp_path / "warm-up.jsonl", records(10)))
+    manifests = [_write_records(tmp_path / f"m{n}.jsonl", records(n)) for n in (1000, 2000)]
+    peaks = list(map(_cold_peak, manifests))
+    assert peaks[1] - peaks[0] < manifests[1].stat().st_size - manifests[0].stat().st_size
+
+
+def _tables(opened: store.Opened) -> list[tuple[dict, list[str]]]:
+    return [(table.columns(), list(table.strings)) for table in opened[:2]]
+
+
+def _relation_manifests(tmp_path) -> list[Path]:
+    """The golden manifest (a copy, whose records use ``source_path``)
+    and the battery's synth corpus (inline sources)."""
+    shutil.copytree(GOLDEN, tmp_path / "golden")
+    synthetic, _ = synth.write_output(synth.generate(SYNTH), tmp_path / "synth")
+    return [tmp_path / "golden" / "manifest.jsonl", synthetic]
+
+
+def test_permuted_manifest_lines_build_the_same_columns(tmp_path):
+    """Ids are unique, so the corpus order does not depend on the lines'
+    order, and neither do the columns and strings: string ids are numbered
+    in corpus order of first sight, not manifest order."""
+    for manifest in _relation_manifests(tmp_path):
+        lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+        shuffled = lines[:]
+        random.Random(0).shuffle(shuffled)
+        expected = open_corpus(manifest)
+        for name, permuted in (("shuffled", shuffled), ("reversed", lines[::-1])):
+            copy = manifest.with_name(f"{name}.jsonl")
+            copy.write_text("".join(permuted), encoding="utf-8")
+            opened = open_corpus(copy)  # a cold build: its own store file
+            assert _tables(opened) == _tables(expected), (manifest, name)
+            assert opened.skipped == expected.skipped
+            assert opened.definitions_skipped == expected.definitions_skipped
+
+
+def test_a_duplicated_manifest_line_adds_one_skip_and_no_row(tmp_path):
+    """A copy of a line put first keeps its record and skips the line it
+    copies, so the kept record moves in the manifest but not in the
+    corpus; a copy put last is skipped."""
+    for manifest in _relation_manifests(tmp_path):
+        lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+        expected = open_corpus(manifest)
+        assert expected.problems == []
+        for at, copied, skipped in ((len(lines) - 1, [lines[-1], *lines], len(lines) + 1),
+                                    (len(lines) // 2, [lines[len(lines) // 2], *lines],
+                                     len(lines) // 2 + 2),
+                                    (0, [*lines, lines[0]], len(lines) + 1)):
+            copy = manifest.with_name(f"duplicated-{at}.jsonl")
+            copy.write_text("".join(copied), encoding="utf-8")
+            opened = open_corpus(copy)
+            assert _tables(opened) == _tables(expected), (manifest, at)
+            assert opened.skipped == expected.skipped + 1
+            pid = json.loads(lines[at])["id"]
+            assert opened.problems == [
+                f"{copy.name}:{skipped}: skipped record (duplicate paper id {pid!r})"]
+
+
+def test_a_duplicate_id_keeps_the_first_line_when_it_sorts_later(tmp_path, monkeypatch):
+    """The first record with an id is kept even when the second one's
+    earlier date would sort it first, and the skipped record's source is
+    never extracted."""
+    manifest = _write_records(tmp_path / "m.jsonl", [
+        {"id": "a", "date": "2001-03", "authors": ["A"], "title": "first",
+         "source": "\\def\\first{1}"},
+        {"id": "b", "date": "2001-02", "authors": ["B"], "source": "\\def\\b{b}"},
+        {"id": "a", "date": "2001-01", "authors": ["C"], "title": "second",
+         "source": "\\def\\second{2}"},
+    ])
+    extract, calls = extraction.extract_definitions, []
+
+    def counted(source, paper_id):
+        calls.append((paper_id, source))
+        return extract(source, paper_id)
+
+    monkeypatch.setattr(extraction, "extract_definitions", counted)
+    built = open_corpus(manifest)
+    (tmp_path / "cache").write_text("", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))  # no store can be used
+    fallback = open_corpus(manifest)
+    assert calls == [("a", "\\def\\first{1}"), ("b", "\\def\\b{b}")] * 2
+    for opened in (built, fallback):
+        assert [p[:4] for p in opened.corpus] == [("b", 20010200, ("b",), ""),
+                                                  ("a", 20010300, ("a",), "first")]
+        assert opened.skipped == 1
+        assert opened.problems == ["m.jsonl:3: skipped record (duplicate paper id 'a')"]
+        records = definition_records(opened.corpus, opened.definitions)
+        assert [d.name for d in records["a"]] == ["\\first"]
+    assert _tables(fallback) == _tables(built)
+    assert load_corpus(manifest).problems == built.problems
