@@ -45,7 +45,7 @@ import unicodedata
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, count, islice
+from itertools import accumulate, chain, compress, count, cycle, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -154,7 +154,8 @@ class Corpus(Columns):
     sources: list[str] | None = None
 
     @classmethod
-    def build(cls, papers: Iterable[Paper], take_source: Callable[[str, str], object]
+    def build(cls, papers: Iterable[Paper],
+              take_source: Callable[[str, str], object] | None = None
               ) -> tuple["Corpus", array | None]:
         """The corpus of ``papers`` (unique ids), read once in the order
         given, and where each of its papers came in that order, listed in
@@ -162,14 +163,17 @@ class Corpus(Columns):
 
         Each paper's id, title, date and author ids are appended as it is
         read, an author key getting the next id on first sight, and its
-        source goes to ``take_source(source, paper_id)`` and is dropped.
-        The rows are then put in corpus order and the author ids renumbered
-        in corpus order of first sight, so the columns and strings do not
-        depend on the order given.
+        source goes to ``take_source(source, paper_id)`` and is dropped,
+        or, with no ``take_source``, is kept in ``sources``.  The rows are
+        then put in corpus order by :func:`in_corpus_order`, so the columns
+        and strings do not depend on the order given.
         """
-        ids: list[str] = []
-        titles: list[str] = []
-        dates, counts, author_ids = array(COLUMN_TYPE), array(COLUMN_TYPE), array(COLUMN_TYPE)
+        columns = {"ids": [], "titles": [], "dates": array(COLUMN_TYPE),
+                   "counts": array(COLUMN_TYPE), "author_ids": array(COLUMN_TYPE)}
+        ids, titles, dates, counts, author_ids = columns.values()
+        if take_source is None:
+            sources = columns["sources"] = []
+            take_source = lambda source, _: sources.append(source)
         authors = interner()
         for paper_id, date, byline, title, source in papers:
             ids.append(paper_id)
@@ -180,38 +184,32 @@ class Corpus(Columns):
             take_source(source, paper_id)
         n = len(ids)
         order = None
-        author_strings: Iterable[str] = authors
         if not all(map(operator.lt, zip(dates, ids), islice(zip(dates, ids), 1, None))):
             keys = list(zip(dates, ids))  # (date, paper_id)
             order = array(COLUMN_TYPE, sorted(range(n), key=keys.__getitem__))
             del keys
-            ids, titles = list(map(ids.__getitem__, order)), list(map(titles.__getitem__, order))
-            author_ids = array(COLUMN_TYPE, in_order(author_ids, counts, order))
-            dates, counts = (array(COLUMN_TYPE, map(column.__getitem__, order))
-                             for column in (dates, counts))
-            renumber = first_seen(author_ids)
-            author_strings = map(list(authors).__getitem__, renumber)
-            author_ids = map(renumber.__getitem__, author_ids)
+        del ids, titles, dates, counts, author_ids  # the columns' old order goes once reordered
+        columns, author_strings = in_corpus_order(
+            order, columns, list(authors), {"author_ids": "counts"}, ("author_ids",))
         # strings: the paper ids (paper i's is string i), the titles, then each distinct author
         corpus = cls(
-            [*ids, *titles, *author_strings],
-            dates=dates,
-            ranks=_tie_group_ranks(dates),
-            author_offsets=array(COLUMN_TYPE, accumulate(counts, initial=0)),
-            author_ids=array(COLUMN_TYPE, map((2 * n).__add__, author_ids)),
+            [*columns["ids"], *columns["titles"], *author_strings],
+            dates=columns["dates"],
+            ranks=_tie_group_ranks(columns["dates"]),
+            author_offsets=array(COLUMN_TYPE, accumulate(columns["counts"], initial=0)),
+            author_ids=array(COLUMN_TYPE, map((2 * n).__add__, columns["author_ids"])),
         )
+        corpus.sources = columns.get("sources")
         return corpus, order
 
     @classmethod
     def from_papers(cls, papers: Iterable[Paper]) -> "Corpus":
         """The corpus of ``papers``, keeping each paper's source."""
-        sources: list[str] = []
-        corpus, order = cls.build(papers, lambda source, _: sources.append(source))
-        ids = corpus.strings[:len(sources)]
+        corpus, _ = cls.build(papers)
+        ids = corpus.strings[:len(corpus)]
         if len(set(ids)) < len(ids):
             duplicate = next(pid for pid, k in Counter(ids).items() if k > 1)
             raise ValueError(f"duplicate paper id {duplicate!r}")
-        corpus.sources = sources if order is None else list(map(sources.__getitem__, order))
         return corpus
 
     def __len__(self) -> int:
@@ -257,22 +255,44 @@ def interner() -> defaultdict[str, int]:
     return ids
 
 
-def rows_in_order(column: Sequence[int], counts: Sequence[int],
-                  order: Iterable[int]) -> Iterator[Sequence[int]]:
-    """The rows of ``column``, row ``i`` holding ``counts[i]`` values, taken
-    in ``order``."""
-    starts = array("q", accumulate(counts, initial=0))
-    return (column[starts[i]:starts[i + 1]] for i in order)
+def in_corpus_order(order: Sequence[int] | None, columns: dict[str, Sequence],
+                    strings: Sequence[str], counts: dict[str, str], string_ids: Sequence[str]
+                    ) -> tuple[dict[str, Sequence], Sequence[str]]:
+    """``columns`` with their rows taken in ``order``, and ``strings`` with
+    their ids renumbered to match; both as given when ``order`` is None.
 
+    A column named in ``counts`` holds ``columns[counts[name]][i]`` values
+    for row ``i``; any other holds one value per row.  The columns named in
+    ``string_ids`` hold ids into ``strings``, each given on first sight as
+    the rows were appended, reading a row's columns in that order; they are
+    renumbered so that this holds again in the new order.
+    """
+    if order is None:
+        return columns, strings
+    lengths = {name: columns[name] for name in dict.fromkeys(counts.values())}
+    # the rows that hold values, in ``order``: only they move a value
+    filled = array("q", compress(order, map(any, zip(*(
+        map(column.__getitem__, order) for column in lengths.values())))))
+    starts = {name: array("q", accumulate(column, initial=0)) for name, column in lengths.items()}
 
-def in_order(column: Sequence[int], counts: Sequence[int], order: Iterable[int]) -> Iterator[int]:
-    """The values of :func:`rows_in_order`, one row after another."""
-    return chain.from_iterable(rows_in_order(column, counts, order))
+    def spans(lengths_name: str) -> Iterator[range]:
+        """Where each filled row's values are, by the lengths in that column."""
+        start = starts[lengths_name]
+        return map(range, map(start.__getitem__, filled),
+                   map(start.__getitem__, map((1).__add__, filled)))
 
-
-def first_seen(ids: Iterable[int]) -> dict[int, int]:
-    """Each distinct id mapped to its place in order of first sight."""
-    return dict(zip(dict.fromkeys(ids), count()))
+    # each row's values in the ``string_ids`` columns in turn, the rows in ``order``
+    read = chain.from_iterable(map(map, cycle([columns[name].__getitem__ for name in string_ids]),
+                                   chain.from_iterable(zip(*map(spans, map(counts.get, string_ids))))))
+    renumber = dict(zip(dict.fromkeys(read), count()))
+    positions = {name: array("q", chain.from_iterable(spans(name))) for name in lengths}
+    ordered: dict[str, Sequence] = {}
+    for name, column in columns.items():
+        values = map(column.__getitem__, positions[counts[name]] if name in counts else order)
+        if name in string_ids:
+            values = map(renumber.__getitem__, values)
+        ordered[name] = array(COLUMN_TYPE, values) if isinstance(column, array) else list(values)
+    return ordered, list(map(strings.__getitem__, renumber))
 
 
 def _tie_group_ranks(dates: Sequence[int]) -> array:

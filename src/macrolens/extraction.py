@@ -84,11 +84,10 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import COLUMN_TYPE, Columns, first_seen, in_order, interner, rows_in_order
+from .corpus import COLUMN_TYPE, Columns, in_corpus_order, interner
 
 _ESCAPE = r"\\."
 # Brace groups nested deeper than this inside a body are left to the
@@ -369,6 +368,8 @@ class Definitions(Columns):
 
 _TEXT = ("name", "body", "command", "signature")  # a definition's string columns, in id order
 _EFFECTIVE = ("effective_name", "effective_body", "effective_signature")
+# each column of rows, and the column that holds its rows' lengths
+_ROWS = {**dict.fromkeys(_TEXT, "counts"), **dict.fromkeys((*_EFFECTIVE, "convention"), "effective")}
 
 
 class DefinitionRows:
@@ -397,21 +398,11 @@ class DefinitionRows:
 
     def append(self, defs: Sequence[MacroDefinition]) -> None:
         """Appends one paper's rows."""
-        if len(defs) > 1:
-            self._append_general(defs)
-        elif not defs:
-            self.cols["counts"].append(0)
-            self.cols["effective"].append(0)
-        else:  # its own effective definition and its convention: nothing to sort
-            [(_, *texts, _)] = defs
-            name, body, command, signature = map(self.ids.__getitem__, texts)
-            for column, value in zip(Definitions.COLUMNS, (
-                    1, name, body, command, signature, 1, name, body, signature, 1)):
-                self.cols[column].append(value)
-
-    def _append_general(self, defs: Sequence[MacroDefinition]) -> None:
         cols, ids = self.cols, self.ids
         cols["counts"].append(len(defs))
+        if not defs:
+            cols["effective"].append(0)
+            return
         _, *texts, _ = zip(*defs)
         for column, values in zip(_TEXT, texts):
             cols[column].extend(map(ids.__getitem__, values))
@@ -429,19 +420,7 @@ class DefinitionRows:
     def definitions(self, order: Sequence[int] | None = None) -> Definitions:
         """The columns, the papers taken in ``order`` (by default as
         appended), with string ids renumbered as if appended in that order."""
-        cols, strings = self.cols, list(self.ids)
-        if order is not None:
-            counts, effective = cols["counts"], cols["effective"]
-            renumber = first_seen(chain.from_iterable(chain.from_iterable(zip(
-                *(rows_in_order(cols[c], counts, order) for c in _TEXT)))))
-            strings = list(map(strings.__getitem__, renumber))
-            cols = {
-                "counts": array(COLUMN_TYPE, map(counts.__getitem__, order)),
-                "effective": array(COLUMN_TYPE, map(effective.__getitem__, order)),
-                **{c: array(COLUMN_TYPE, map(renumber.__getitem__, in_order(cols[c], n, order)))
-                   for n, names in ((counts, _TEXT), (effective, _EFFECTIVE)) for c in names},
-                "convention": array(COLUMN_TYPE, in_order(cols["convention"], effective, order)),
-            }
+        cols, strings = in_corpus_order(order, self.cols, list(self.ids), _ROWS, _TEXT + _EFFECTIVE)
         return Definitions(strings, **cols)
 
 

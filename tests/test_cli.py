@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import hashlib
 import inspect
 import json
@@ -703,6 +704,11 @@ def _warm_extract_overhead(manifest: Path, out: Path, monkeypatch, fmt: str) -> 
 
     with monkeypatch.context() as patched:
         patched.setattr(store, "open_corpus", open_and_mark)
+        # Collect first: a full collection empties the interpreter's free
+        # lists, whose blocks tracemalloc counts as live, and one that fell
+        # inside the run (when is up to earlier tests' allocations) moved
+        # the overhead by about 78 kB.
+        gc.collect()
         tracemalloc.start()
         try:
             assert invoke(*argv) == 0

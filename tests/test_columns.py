@@ -196,22 +196,20 @@ _DEFINITION_SOURCES = [
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_one_definition_rows_equal_the_general_rows(seed):
-    """A paper with one definition takes the appender's fast path (no sort,
-    no dict): its rows and string ids equal the general path's, in the
-    order appended and in any other."""
+def test_definition_rows_taken_in_an_order_equal_rows_appended_in_it(seed):
+    """The columns that ``DefinitionRows`` gives with the papers taken in
+    an order, string ids renumbered, equal those of the papers appended in
+    that order."""
     rng = random.Random(seed)
     by_paper = [extract_definitions(rng.choice(_DEFINITION_SOURCES), p.paper_id).definitions
                 for p in seeded_papers(seed)]
-    singles = [defs[0] for defs in by_paper if len(defs) == 1]
-    assert {d.command for d in singles} == {"def", "newcommand"}
-    assert any(d.signature.startswith("[2][") for d in singles)
-    fast, general = DefinitionRows(), DefinitionRows()
+    order = rng.sample(range(len(by_paper)), len(by_paper))
+    appended, arranged = DefinitionRows(), DefinitionRows()
     for defs in by_paper:
-        fast.append(defs)
-        general._append_general(defs) if defs else general.append(defs)
-    order = array(COLUMN_TYPE, rng.sample(range(len(by_paper)), len(by_paper)))
-    for arranged in (None, order):
-        got, expected = fast.definitions(arranged), general.definitions(arranged)
-        assert got.columns() == expected.columns()
-        assert got.strings == expected.strings
+        appended.append(defs)
+    for i in order:
+        arranged.append(by_paper[i])
+    got, expected = appended.definitions(array(COLUMN_TYPE, order)), arranged.definitions()
+    assert got.columns() == expected.columns()
+    assert got.strings == expected.strings
+    assert got.strings != appended.definitions().strings
